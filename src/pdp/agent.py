@@ -67,7 +67,8 @@ def _run_greedy(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction, G
 def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]:
     """Optimal subset of `offered` under mixed z signs.
 
-    Ratio-maximization fixpoint: given a utility guess u, the subset
+    Dinkelbach's method for ratio maximization (Dinkelbach 1967, "On
+    nonlinear fractional programming"): given a utility guess u, the subset
     maximizing (numerator - u * denominator) takes positive-z states with
     phi > u and negative-z states with phi < u; its achieved utility
     becomes the next guess.  The guess rises strictly each round and

@@ -337,8 +337,8 @@ def _cmd_solve_designer(args, started):
         bins = None
     else:
         q = _quant(doc)
-        epsilon = args.epsilon or q.get("epsilon") or Fraction(1, 10)
-        delta = args.delta or q.get("delta")
+        epsilon = args.epsilon if args.epsilon is not None else q.get("epsilon", Fraction(1, 10))
+        delta = args.delta if args.delta is not None else q.get("delta")
         qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
         result = designer.fptas_solve(qi)
         solver = "designer-fptas"

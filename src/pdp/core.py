@@ -8,12 +8,15 @@ otherwise returns to rest.  All arithmetic is exact over Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 
-Rational = Fraction
+# Solvers look an instance up a handful of times per call; one operation
+# touches well under this many distinct instances.
+CACHE_SIZE = 16
 
 
 class ProbabilityError(ValueError):
@@ -122,7 +125,7 @@ class DerivedParams:
         return len(self.lam)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def derived_params(inst: FlowerInstance) -> DerivedParams:
     n = inst.n
     lam = tuple(inst.p[i] / (1 - inst.q[i]) for i in range(n))
@@ -134,6 +137,46 @@ def derived_params(inst: FlowerInstance) -> DerivedParams:
     A = sum((lam[i] * inst.c_life[i] for i in range(n)), Fraction(0))
     B = 1 + sum(lam)
     return DerivedParams(lam, w, z, phi, A, B)
+
+
+@dataclass(frozen=True)
+class ScaledParams:
+    """Integer image of an instance over one common denominator L.
+
+    Every field is the rational value times L (phi is phi_i * L, zphi is
+    z_i * phi_i * L, dw is d_i * w_i * L), so subset sums stay integers
+    and every ratio comparison is an integer cross-multiplication.
+    """
+
+    L: int
+    A: int
+    B: int
+    z: tuple[int, ...]
+    zphi: tuple[int, ...]
+    phi: tuple[int, ...]
+    dw: tuple[int, ...]
+    cost: tuple[int, ...]
+
+
+def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
+    """The ScaledParams of `inst`; L is the lcm of every denominator."""
+    n = inst.n
+    vectors = (
+        dp.z,
+        tuple(dp.z[i] * dp.phi[i] for i in range(n)),
+        dp.phi,
+        tuple(inst.d[i] * dp.w[i] for i in range(n)),
+        inst.cost,
+    )
+    L = math.lcm(
+        dp.A.denominator, dp.B.denominator, *(v.denominator for vec in vectors for v in vec)
+    )
+
+    def scale(v: Fraction) -> int:
+        return v.numerator * (L // v.denominator)
+
+    z, zphi, phi, dw, cost = (tuple(map(scale, vec)) for vec in vectors)
+    return ScaledParams(L, scale(dp.A), scale(dp.B), z, zphi, phi, dw, cost)
 
 
 def check_subset(S, n: int) -> frozenset[int]:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import TooLarge, is_feasible
-from .core import FlowerInstance, derived_params, designer_profit
+from .core import (
+    DerivedParams,
+    FlowerInstance,
+    ScaledParams,
+    derived_params,
+    designer_profit,
+    scaled_params,
+)
 
 
 class QuantizationError(ValueError):
@@ -45,6 +52,8 @@ class QuantizedInstance:
     K: Fraction
     r: Fraction
     surviving: tuple[int, ...]
+    dp: DerivedParams
+    scaled: ScaledParams
 
 
 def singleton_profit(inst: FlowerInstance, i: int) -> Fraction:
@@ -60,6 +69,21 @@ def _fraction_gcd(values) -> Fraction:
     return Fraction(num, den)
 
 
+def _feasible_singleton_profit(sp: ScaledParams, i: int) -> Fraction | None:
+    """Profit of offering {i} alone, or None when the agent would not adopt.
+
+    The same answers as is_feasible(inst, {i}) and singleton_profit: a
+    lone state is adopted iff its potential lies strictly above the
+    baseline utility A/B (z > 0) or strictly below it (z < 0).
+    """
+    j = i - 1
+    base, potential = sp.A * sp.L, sp.phi[j] * sp.B
+    if not (base < potential if sp.z[j] > 0 else potential < base):
+        return None
+    den = sp.B + sp.z[j]
+    return Fraction(sp.dw[j] * sp.L - sp.cost[j] * den, den * sp.L)
+
+
 def preprocess(
     inst: FlowerInstance,
     delta: Fraction | None = None,
@@ -70,19 +94,24 @@ def preprocess(
 
     A state survives when offering it alone is feasible and profitable.
     K is the best singleton profit; every cost must be at most r_ceiling
-    times K; every surviving z must be a positive multiple of delta.
+    times K; delta must be positive and every surviving z a positive
+    multiple of it.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
+    if delta is not None and delta <= 0:
+        raise QuantizationError(f"delta = {delta} must be positive")
     dp = derived_params(inst)
-    surviving = tuple(
-        i
-        for i in range(1, inst.n + 1)
-        if is_feasible(inst, {i}) and singleton_profit(inst, i) > 0
-    )
-    if not surviving:
+    sp = scaled_params(inst, dp)
+    profits = {}
+    for i in range(1, inst.n + 1):
+        profit = _feasible_singleton_profit(sp, i)
+        if profit is not None and profit > 0:
+            profits[i] = profit
+    if not profits:
         raise EmptyInstance("no state has a feasible, profitable singleton")
-    K = max(singleton_profit(inst, i) for i in surviving)
+    surviving = tuple(profits)
+    K = max(profits.values())
     if delta is None:
         delta = _fraction_gcd([dp.z[i - 1] for i in surviving])
     for i in surviving:
@@ -94,7 +123,7 @@ def preprocess(
     r = max(inst.cost[i - 1] / K for i in surviving)
     if r > r_ceiling:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
-    return QuantizedInstance(inst, delta, epsilon, K, r, surviving)
+    return QuantizedInstance(inst, delta, epsilon, K, r, surviving, dp, sp)
 
 
 def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignSet:
@@ -105,58 +134,62 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     profit.  Bins collide on (rounded profit, rounded revenue, scaled
     denominator shift); the set with the smaller objective numerator
     wins a collision, which keeps the most extendable representative.
+
+    Sums run over the integers of qi.scaled (each rational times L), so
+    the rounded profit and revenue come from integer floor division and
+    feasibility from one cross-multiplication.
     """
-    inst = qi.inst
-    dp = derived_params(inst)
-    n = inst.n
-    unit = qi.epsilon * qi.K / (2 * n)
+    sp = qi.scaled
+    L, A = sp.L, sp.A
+    unit = qi.epsilon * qi.K / (2 * qi.inst.n)
+    # ceil(x / unit) for x = a / b, b > 0, is -(-a * ud // (b * un)).
+    un, ud = unit.numerator, unit.denominator
+    Lun = L * un
 
-    # Entry: (states tuple sorted, sum_dw, sum_cost, N, D, min_phi or None)
-    def profit_of(entry):
-        _, sum_dw, sum_cost, _, D, _ = entry
-        return sum_dw / (dp.B + D) - sum_cost
-
-    def key_of(entry):
-        p1 = entry[1] / (dp.B + entry[4])
-        d_steps = entry[4] / qi.delta
-        assert d_steps.denominator == 1
-        return (math.ceil(profit_of(entry) / unit), math.ceil(p1 / unit), int(d_steps))
-
-    empty = ((), Fraction(0), Fraction(0), Fraction(0), Fraction(0), None)
-    table = {key_of(empty): empty}
+    # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, d_steps,
+    # min_phi or None, pnum), scaled by L: N = sum z*phi, den = B + sum z,
+    # d_steps = sum z / delta, and the profit is pnum / (den * L).
+    table = {(0, 0, 0): ((), 0, sp.B, 0, 0, 0, None, 0)}  # zero profit and revenue
 
     for k in qi.surviving:
-        zk = dp.z[k - 1]
-        phik = dp.phi[k - 1]
-        snapshot = sorted(table.items())
-        for _, entry in snapshot:
-            states, sum_dw, sum_cost, N, D, min_phi = entry
-            new_min = phik if min_phi is None else min(min_phi, phik)
-            N2 = N + zk * phik
-            D2 = D + zk
+        j = k - 1
+        steps_k = qi.dp.z[j] / qi.delta
+        if steps_k.denominator != 1:
+            raise QuantizationError(
+                f"z[{k}] = {qi.dp.z[j]} is not an integer multiple of {qi.delta}"
+            )
+        steps_k = steps_k.numerator
+        zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
+        for _, (states, N, den, sum_dw, sum_cost, steps, min_phi, _) in sorted(table.items()):
+            new_min = phik if min_phi is None or phik < min_phi else min_phi
+            N2 = N + zphik
+            den2 = den + zk
             # All surviving z are positive, so feasibility is exactly
             # the threshold test against the smallest potential.
-            if (dp.A + N2) >= new_min * (dp.B + D2):
+            if (A + N2) * L >= new_min * den2:
                 continue
-            new_entry = (
-                states + (k,),
-                sum_dw + inst.d[k - 1] * dp.w[k - 1],
-                sum_cost + inst.cost[k - 1],
-                N2,
-                D2,
-                new_min,
-            )
-            if profit_of(new_entry) <= 0:
+            dw2 = sum_dw + dwk
+            cost2 = sum_cost + costk
+            pnum = dw2 * L - cost2 * den2
+            if pnum <= 0:
                 continue
-            key = key_of(new_entry)
+            steps2 = steps + steps_k
+            key = (-(-pnum * ud // (den2 * Lun)), -(-dw2 * ud // (den2 * un)), steps2)
+            states2 = states + (k,)
             old = table.get(key)
-            if old is None or N2 < old[3] or (N2 == old[3] and new_entry[0] < old[0]):
-                table[key] = new_entry
+            if old is None or N2 < old[1] or (N2 == old[1] and states2 < old[0]):
+                table[key] = (states2, N2, den2, dw2, cost2, steps2, new_min, pnum)
         if stage_log is not None:
             stage_log.append((k, [e[0] for e in table.values()]))
 
-    best = max(table.values(), key=lambda e: (profit_of(e), [-s for s in e[0]]))
-    return DesignSet(frozenset(best[0]), profit_of(best), bins=len(table))
+    # Highest profit, ties broken by the larger [-s for s in states].  The
+    # empty set keeps bin (0, 0, 0): every other entry has positive profit.
+    best = table[(0, 0, 0)]
+    for e in table.values():
+        cmp = e[7] * best[2] - best[7] * e[2]
+        if cmp > 0 or (cmp == 0 and [-s for s in e[0]] > [-s for s in best[0]]):
+            best = e
+    return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * L), bins=len(table))
 
 
 def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
@@ -169,32 +202,16 @@ def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
         raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
     dp = derived_params(inst)
     if all(z > 0 for z in dp.z):
-        states = _oracle_positive(inst, dp)
+        states = _oracle_positive(scaled_params(inst, dp))
     else:
         states = _oracle_general(inst)
     return DesignSet(states, designer_profit(inst, states, states))
 
 
-def _oracle_positive(inst: FlowerInstance, dp) -> frozenset[int]:
+def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
     """Integer-scaled subset sweep; feasibility is the threshold test."""
-    n = inst.n
-    rationals = [dp.A, dp.B]
-    for i in range(n):
-        rationals += [
-            dp.z[i] * dp.phi[i],
-            dp.z[i],
-            inst.d[i] * dp.w[i],
-            inst.cost[i],
-            dp.phi[i],
-        ]
-    L = math.lcm(*(v.denominator for v in rationals))
-    A = int(dp.A * L)
-    B = int(dp.B * L)
-    zphi = [int(dp.z[i] * dp.phi[i] * L) for i in range(n)]
-    zs = [int(dp.z[i] * L) for i in range(n)]
-    dws = [int(inst.d[i] * dp.w[i] * L) for i in range(n)]
-    costs = [int(inst.cost[i] * L) for i in range(n)]
-    phis = [int(dp.phi[i] * L) for i in range(n)]
+    n = len(sp.z)
+    L, zphi, zs, dws, costs, phis = sp.L, sp.zphi, sp.z, sp.dw, sp.cost, sp.phi
 
     size = 1 << n
     num = [0] * size
@@ -202,7 +219,7 @@ def _oracle_positive(inst: FlowerInstance, dp) -> frozenset[int]:
     dw = [0] * size
     cost = [0] * size
     minphi = [0] * size
-    num[0], den[0] = A, B
+    num[0], den[0] = sp.A, sp.B
 
     best_mask = 0
     best_pnum, best_pden = 0, 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .agent import TooLarge
-from .core import FlowerInstance, build_flower_instance, derived_params
+from .core import CACHE_SIZE, FlowerInstance, build_flower_instance, derived_params
 from .designer import DesignSet
 from .multiagent import (
     CompetitiveInstance,
@@ -77,7 +77,7 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
 Profile = tuple  # one frozenset of states per designer
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
     """Designer's candidates recast as per-agent flower instances.
 

@@ -119,6 +119,21 @@ def test_solve_designer_output(tmp_path, capsys, example):
     assert exact["profit"] == "49/10"
 
 
+@pytest.mark.parametrize(
+    "flags, quantization",
+    [(["--epsilon", "0"], None), (["--delta", "0"], None), ([], {"delta": "0"})],
+)
+def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, flags, quantization):
+    doc = serialize_instance(example)
+    if quantization is not None:
+        doc["quantization"] = quantization
+    assert main(["solve-designer", write_doc(tmp_path, doc), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_solve_multi_agent_output(tmp_path, capsys):
     mi = gen_random_multi_agent(2, 2, seed=3)
     path = write_doc(tmp_path, serialize_instance(mi))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -5,17 +6,112 @@ import pytest
 
 from conftest import all_subsets, make_example
 from pdp.agent import TooLarge, is_feasible
-from pdp.core import build_flower_instance, derived_params, designer_profit
+from pdp.core import build_flower_instance, derived_params, designer_profit, scaled_params
 from pdp.designer import (
     CostBoundError,
+    DesignSet,
     EmptyInstance,
     QuantizationError,
+    _feasible_singleton_profit,
     designer_oracle,
     fptas_solve,
     preprocess,
     singleton_profit,
 )
 from pdp.instances import gen_random_flower
+
+
+# Reference: the FPTAS and its preprocessing computed directly over
+# Fraction.  The integer-scaled solver must match it bin for bin.
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefQuantized:
+    inst: object
+    delta: F
+    epsilon: F
+    K: F
+    r: F
+    surviving: tuple
+
+
+def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
+    dp = derived_params(inst)
+    surviving = tuple(
+        i
+        for i in range(1, inst.n + 1)
+        if is_feasible(inst, {i}) and singleton_profit(inst, i) > 0
+    )
+    if not surviving:
+        raise EmptyInstance("no state has a feasible, profitable singleton")
+    K = max(singleton_profit(inst, i) for i in surviving)
+    if delta is None:
+        num, den = 0, 1
+        for i in surviving:
+            num = math.gcd(num, dp.z[i - 1].numerator)
+            den = math.lcm(den, dp.z[i - 1].denominator)
+        delta = F(num, den)
+    for i in surviving:
+        ratio = dp.z[i - 1] / delta
+        if ratio.denominator != 1 or ratio <= 0:
+            raise QuantizationError(f"z[{i}] is not a positive integer multiple of {delta}")
+    r = max(inst.cost[i - 1] / K for i in surviving)
+    if r > r_ceiling:
+        raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
+    return _RefQuantized(inst, delta, epsilon, K, r, surviving)
+
+
+def _ref_fptas(qi, stage_log=None):
+    inst = qi.inst
+    dp = derived_params(inst)
+    n = inst.n
+    unit = qi.epsilon * qi.K / (2 * n)
+
+    # Entry: (states tuple sorted, sum_dw, sum_cost, N, D, min_phi or None)
+    def profit_of(entry):
+        _, sum_dw, sum_cost, _, D, _ = entry
+        return sum_dw / (dp.B + D) - sum_cost
+
+    def key_of(entry):
+        p1 = entry[1] / (dp.B + entry[4])
+        d_steps = entry[4] / qi.delta
+        assert d_steps.denominator == 1
+        return (math.ceil(profit_of(entry) / unit), math.ceil(p1 / unit), int(d_steps))
+
+    empty = ((), F(0), F(0), F(0), F(0), None)
+    table = {key_of(empty): empty}
+
+    for k in qi.surviving:
+        zk = dp.z[k - 1]
+        phik = dp.phi[k - 1]
+        for _, entry in sorted(table.items()):
+            states, sum_dw, sum_cost, N, D, min_phi = entry
+            new_min = phik if min_phi is None else min(min_phi, phik)
+            N2 = N + zk * phik
+            D2 = D + zk
+            if (dp.A + N2) >= new_min * (dp.B + D2):
+                continue
+            new_entry = (
+                states + (k,),
+                sum_dw + inst.d[k - 1] * dp.w[k - 1],
+                sum_cost + inst.cost[k - 1],
+                N2,
+                D2,
+                new_min,
+            )
+            if profit_of(new_entry) <= 0:
+                continue
+            key = key_of(new_entry)
+            old = table.get(key)
+            if old is None or N2 < old[3] or (N2 == old[3] and new_entry[0] < old[0]):
+                table[key] = new_entry
+        if stage_log is not None:
+            stage_log.append((k, [e[0] for e in table.values()]))
+
+    best = max(table.values(), key=lambda e: (profit_of(e), [-s for s in e[0]]))
+    return DesignSet(frozenset(best[0]), profit_of(best), bins=len(table))
 
 
 def test_preprocess_reference(example):
@@ -236,3 +332,71 @@ def test_table_size_bound():
 def test_singleton_profit_matches_designer_profit(example):
     for i in (1, 2):
         assert singleton_profit(example, i) == designer_profit(example, {i}, {i})
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (EmptyInstance, CostBoundError, QuantizationError) as exc:
+        return type(exc)
+
+
+# Few distinct values, so petals repeat and bins collide between sets of
+# equal objective numerator: this exercises the collision tie-break.
+_NARROW = {"weight_max": 1, "q_steps": 1, "z_max": 2, "c_life_max": 0,
+           "c_platform_max": 4, "d_max": 4, "cost_max": 3}
+
+
+def test_fptas_matches_fraction_reference():
+    compared = 0
+    for idx in range(260):
+        n = 2 + idx % 13
+        inst = gen_random_flower(n, seed=3000 + idx, ranges=_NARROW if idx % 3 == 2 else None)
+        epsilon = F(1, 10) if idx % 2 == 0 else F(1, 4)
+        delta = None
+        if idx % 4 >= 2:
+            dp = derived_params(inst)
+            delta = F(
+                math.gcd(*(z.numerator for z in dp.z)), math.lcm(*(z.denominator for z in dp.z))
+            ) / (2 + idx % 3)
+        ref = _outcome(_ref_preprocess, inst, delta=delta, epsilon=epsilon)
+        qi = _outcome(preprocess, inst, delta=delta, epsilon=epsilon)
+        if isinstance(ref, type):
+            assert qi is ref
+            continue
+        assert (qi.surviving, qi.K, qi.r, qi.delta) == (ref.surviving, ref.K, ref.r, ref.delta)
+        ref_log, log = [], []
+        expected = _ref_fptas(ref, stage_log=ref_log)
+        result = fptas_solve(qi, stage_log=log)
+        assert (result.states, result.profit, result.bins) == (
+            expected.states,
+            expected.profit,
+            expected.bins,
+        )
+        assert log == ref_log
+        compared += 1
+    assert compared >= 200
+
+
+def test_singleton_screen_matches_agent_response():
+    for idx in range(40):
+        inst = gen_random_flower(
+            2 + idx % 6, seed=idx, ranges={"allow_negative_z": True}, delta=F(1, 16)
+        )
+        sp = scaled_params(inst, derived_params(inst))
+        for i in range(1, inst.n + 1):
+            expected = singleton_profit(inst, i) if is_feasible(inst, {i}) else None
+            assert _feasible_singleton_profit(sp, i) == expected
+
+
+def test_fptas_rejects_delta_not_dividing_z(example):
+    qi = preprocess(example)
+    assert qi.delta == 1
+    with pytest.raises(QuantizationError):
+        fptas_solve(dataclasses.replace(qi, delta=F(2, 3)))
+
+
+def test_preprocess_rejects_nonpositive_delta(example):
+    for delta in (F(0), F(-1)):
+        with pytest.raises(QuantizationError):
+            preprocess(example, delta=delta)

@@ -8,6 +8,7 @@ from pdp.core import build_flower_instance, derived_params
 from pdp.designer import designer_oracle
 from pdp.game import (
     Candidate,
+    _designer_view,
     best_response,
     best_response_dynamics,
     build_game_instance,
@@ -19,10 +20,10 @@ from pdp.instances import gen_no_nash_game
 fs = frozenset
 
 
-def single_designer_game():
+def single_designer_game(inst=None):
     # One designer whose candidates mirror the reference two-petal
     # economics, so the best response equals the single-designer optimum.
-    inst = make_example()
+    inst = inst or make_example()
     dp = derived_params(inst)
     cands = tuple(
         Candidate(
@@ -32,7 +33,7 @@ def single_designer_game():
             (inst.d[j - 1],),
             inst.cost[j - 1],
         )
-        for j in (1, 2)
+        for j in range(1, inst.n + 1)
     )
     return build_game_instance((inst,), (cands,), F(1), F(2)), inst
 
@@ -164,3 +165,20 @@ def test_build_validation():
 def test_pure_nash_guard():
     with pytest.raises(TooLarge):
         pure_nash_search(gen_no_nash_game(), guard=1)
+
+
+def test_process_caches_stay_bounded():
+    caches = (derived_params, _designer_view)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    limit = max(cache.cache_info().maxsize for cache in caches)
+    base = make_example()
+    for step in range(1, 3 * limit + 1):
+        inst = build_flower_instance(
+            p=base.p, q=base.q, y=base.y, c_life=base.c_life,
+            c_platform=base.c_platform, d=base.d, cost=[F(step, 100), F(step, 100)],
+        )
+        g, _ = single_designer_game(inst)
+        best_response(g, 0, (fs(),))
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
