@@ -127,36 +127,40 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
     Ties break toward the smallest cardinality, then lexicographic order.
+    The sweep visits the subsets in reflected Gray-code order (Knuth,
+    TAOCP 4A, 7.2.1.1): consecutive subsets differ in one state, so the
+    running numerator and denominator move by one add or subtract per
+    subset and memory stays O(n).  The tie-break is a strict total order
+    on distinct subsets, so the visit order does not change the result.
     """
     n = dp.n
     if n > guard:
         raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
-    states = list(range(1, n + 1))
-    a, b, terms = _scaled_terms(dp, states)
+    a, b, terms = _scaled_terms(dp, range(1, n + 1))
 
-    nums = [0] * (1 << n)
-    dens = [0] * (1 << n)
-    nums[0], dens[0] = a, b
-    best_mask = 0
-    best_num, best_den = a, b
-    best_size = 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        prev = mask ^ low
-        num = nums[prev] + terms[i][0]
-        den = dens[prev] + terms[i][1]
-        nums[mask] = num
-        dens[mask] = den
+    mask, num, den, size = 0, a, b, 0
+    best_mask, best_num, best_den, best_size = 0, a, b, 0
+    for step in range(1, 1 << n):
+        low = step & -step
+        zphi, z = terms[low.bit_length() - 1]
+        mask ^= low
+        if mask & low:
+            num += zphi
+            den += z
+            size += 1
+        else:
+            num -= zphi
+            den -= z
+            size -= 1
         cmp = num * best_den - best_num * den
-        if cmp > 0:
-            best_mask, best_num, best_den = mask, num, den
-            best_size = mask.bit_count()
-        elif cmp == 0:
-            size = mask.bit_count()
-            if size < best_size or (size == best_size and _lex_key(mask, n) < _lex_key(best_mask, n)):
-                best_mask, best_num, best_den = mask, num, den
-                best_size = size
+        if cmp > 0 or (
+            cmp == 0
+            and (
+                size < best_size
+                or (size == best_size and _lex_key(mask, n) < _lex_key(best_mask, n))
+            )
+        ):
+            best_mask, best_num, best_den, best_size = mask, num, den, size
     chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return AdoptionSet(chosen, Fraction(best_num, best_den))
 

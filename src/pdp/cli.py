@@ -44,6 +44,21 @@ def parse_rat(value, path: str) -> Fraction:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected an object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    """An optional list field: absent or null reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    return value
+
+
 def _rat_list(doc, key, n, path) -> list[Fraction]:
     values = doc.get(key)
     if not isinstance(values, list) or len(values) != n:
@@ -55,6 +70,7 @@ _FLOWER_FIELDS = ("p", "q", "y", "c_life", "c_platform", "d", "cost")
 
 
 def _parse_flower(doc, n, path, cost=None) -> FlowerInstance:
+    _object(doc, path)
     fields = {}
     for key in _FLOWER_FIELDS:
         if key == "cost" and cost is not None:
@@ -68,7 +84,7 @@ def _parse_flower(doc, n, path, cost=None) -> FlowerInstance:
 
 
 def _quant(doc):
-    q = doc.get("quantization") or {}
+    q = _object(doc.get("quantization") or {}, "quantization")
     out = {}
     for key in ("delta", "delta_prime", "epsilon"):
         if key in q:
@@ -100,13 +116,15 @@ def _parse_multi_agent(doc) -> MultiAgentInstance:
 
 def _parse_platforms(doc, k, n) -> list[ExternalPlatform]:
     platforms = []
-    for idx, pd in enumerate(doc.get("platforms") or []):
+    for idx, pd in enumerate(_list(doc.get("platforms"), "platforms")):
         path = f"platforms[{idx}]"
-        state = pd.get("state")
+        state = _object(pd, path).get("state")
         if not isinstance(state, int) or not 1 <= state <= n:
             raise SchemaError(f"{path}.state: expected an integer in 1..{n}")
-        z = [parse_rat(v, f"{path}.z[{i}]") for i, v in enumerate(pd.get("z") or [])]
-        phi = [parse_rat(v, f"{path}.phi[{i}]") for i, v in enumerate(pd.get("phi") or [])]
+        z = [parse_rat(v, f"{path}.z[{i}]") for i, v in enumerate(_list(pd.get("z"), f"{path}.z"))]
+        phi = [
+            parse_rat(v, f"{path}.phi[{i}]") for i, v in enumerate(_list(pd.get("phi"), f"{path}.phi"))
+        ]
         if len(z) != k or len(phi) != k:
             raise SchemaError(f"{path}: z and phi need one value per agent ({k})")
         platforms.append(
@@ -149,16 +167,19 @@ def parse_instance(doc):
         chassis = [_parse_flower(a, n, f"agents[{i}]") for i, a in enumerate(chassis_doc)]
         k = len(chassis)
         designers = []
-        for di, dd in enumerate(doc.get("designers") or []):
+        for di, dd in enumerate(_list(doc.get("designers"), "designers")):
             cands = []
-            for ci, cd in enumerate(dd.get("candidates") or []):
-                path = f"designers[{di}].candidates[{ci}]"
-                state = cd.get("state")
+            dpath = f"designers[{di}]"
+            candidates = _list(_object(dd, dpath).get("candidates"), f"{dpath}.candidates")
+            for ci, cd in enumerate(candidates):
+                path = f"{dpath}.candidates[{ci}]"
+                state = _object(cd, path).get("state")
                 if not isinstance(state, int) or not 1 <= state <= n:
                     raise SchemaError(f"{path}.state: expected an integer in 1..{n}")
-                z = tuple(parse_rat(v, f"{path}.z") for v in cd.get("z") or [])
-                phi = tuple(parse_rat(v, f"{path}.phi") for v in cd.get("phi") or [])
-                d = tuple(parse_rat(v, f"{path}.d") for v in cd.get("d") or [])
+                z, phi, d = (
+                    tuple(parse_rat(v, f"{path}.{key}") for v in _list(cd.get(key), f"{path}.{key}"))
+                    for key in ("z", "phi", "d")
+                )
                 if len(z) != k or len(phi) != k or len(d) != k:
                     raise SchemaError(f"{path}: z, phi, d need one value per agent")
                 cost = parse_rat(cd.get("cost"), f"{path}.cost")
@@ -175,12 +196,16 @@ def parse_instance(doc):
         rows = doc.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SchemaError("rows: expected a nonempty list of rows")
-        parsed = [
-            [parse_rat(v, f"rows[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
+        parsed = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise SchemaError(f"rows[{i}]: expected a list of rationals")
+            parsed.append([parse_rat(v, f"rows[{i}][{j}]") for j, v in enumerate(row)])
+        start = doc.get("start", 0)
+        if not isinstance(start, int) or isinstance(start, bool):
+            raise SchemaError("start: expected an integer state index")
         try:
-            return build_general_chain(parsed, doc.get("start", 0))
+            return build_general_chain(parsed, start)
         except ValueError as exc:
             raise SchemaError(f"rows: {exc}") from None
     raise SchemaError(f"kind: unknown kind {kind!r}")
@@ -637,8 +662,7 @@ def _build_parser():
     p.add_argument("--families", default="1;2;1,2", help="semicolon-separated element lists")
     p.add_argument("--k", type=int, default=1)
 
-    p = with_instance("verify", help="run solver against an independent oracle")
-    p.add_argument("--against-oracle", action="store_true", default=True)
+    with_instance("verify", help="run solver against an independent oracle")
     return parser
 
 

@@ -195,7 +195,9 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
 def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
     """Exact profit maximizer by exhaustive enumeration of offered sets.
 
-    Ties break toward the smallest cardinality, then lexicographic.
+    Ties break toward the smallest cardinality, then lexicographic.  With
+    every z positive the sweep visits the offered sets in reflected
+    Gray-code order over integer sums, with O(n) memory.
     """
     n = inst.n
     if n > guard:
@@ -209,50 +211,55 @@ def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
 
 
 def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
-    """Integer-scaled subset sweep; feasibility is the threshold test."""
+    """Gray-code subset sweep over integer sums; feasibility is the threshold test.
+
+    Consecutive subsets differ in one state (Knuth, TAOCP 4A, 7.2.1.1), so
+    every running sum moves by one add or subtract.  Bit p stands for the
+    state of the p-th largest potential, ties by state index, so the
+    smallest potential of a subset is that of its highest set bit.
+    """
     n = len(sp.z)
-    L, zphi, zs, dws, costs, phis = sp.L, sp.zphi, sp.z, sp.dw, sp.cost, sp.phi
+    L = sp.L
+    order = sorted(range(n), key=lambda j: (-sp.phi[j], j))
+    terms = [(sp.zphi[j], sp.z[j], sp.dw[j], sp.cost[j]) for j in order]
+    phis = [sp.phi[j] for j in order]
 
-    size = 1 << n
-    num = [0] * size
-    den = [0] * size
-    dw = [0] * size
-    cost = [0] * size
-    minphi = [0] * size
-    num[0], den[0] = sp.A, sp.B
+    def states(mask: int) -> tuple[int, ...]:
+        return tuple(sorted(order[p] for p in range(mask.bit_length()) if mask >> p & 1))
 
-    best_mask = 0
-    best_pnum, best_pden = 0, 1
-    best_size = 0
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        prev = mask ^ low
-        num[mask] = num[prev] + zphi[i]
-        den[mask] = den[prev] + zs[i]
-        dw[mask] = dw[prev] + dws[i]
-        cost[mask] = cost[prev] + costs[i]
-        minphi[mask] = phis[i] if prev == 0 else min(minphi[prev], phis[i])
-        if num[mask] * L >= minphi[mask] * den[mask]:
+    mask, num, den, dw, cost, size = 0, sp.A, sp.B, 0, 0, 0
+    # Profits compare as pnum / den (the common factor 1/L drops out);
+    # the empty set has profit 0.
+    best_mask, best_pnum, best_den, best_size = 0, 0, sp.B, 0
+    for step in range(1, 1 << n):
+        low = step & -step
+        zphi, z, dwi, costi = terms[low.bit_length() - 1]
+        mask ^= low
+        if mask & low:
+            num += zphi
+            den += z
+            dw += dwi
+            cost += costi
+            size += 1
+        else:
+            num -= zphi
+            den -= z
+            dw -= dwi
+            cost -= costi
+            size -= 1
+        if num * L >= phis[mask.bit_length() - 1] * den:
             continue
-        pnum = dw[mask] * L - cost[mask] * den[mask]
-        pden = den[mask] * L
-        cmp = pnum * best_pden - best_pnum * pden
-        if cmp > 0:
-            best_mask, best_pnum, best_pden = mask, pnum, pden
-            best_size = mask.bit_count()
-        elif cmp == 0:
-            sz = mask.bit_count()
-            if sz < best_size or (
-                sz == best_size and _mask_states(mask) < _mask_states(best_mask)
-            ):
-                best_mask, best_pnum, best_pden = mask, pnum, pden
-                best_size = sz
-    return frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
-
-
-def _mask_states(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        pnum = dw * L - cost * den
+        cmp = pnum * best_den - best_pnum * den
+        if cmp > 0 or (
+            cmp == 0
+            and (
+                size < best_size
+                or (size == best_size and states(mask) < states(best_mask))
+            )
+        ):
+            best_mask, best_pnum, best_den, best_size = mask, pnum, den, size
+    return frozenset(j + 1 for j in states(best_mask))
 
 
 def _oracle_general(inst: FlowerInstance) -> frozenset[int]:

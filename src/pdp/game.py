@@ -22,6 +22,7 @@ from .multiagent import (
     MultiAgentInstance,
     build_competitive_instance,
     build_multi_agent_instance,
+    check_quantization_steps,
     competitive_profit,
     competitive_solve,
 )
@@ -57,6 +58,8 @@ class GameInstance:
 
 
 def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
+    # Checked here too: a game without designers never builds a view.
+    check_quantization_steps(delta, delta_prime)
     chassis = tuple(chassis)
     designers = tuple(tuple(sorted(cands, key=lambda c: c.state)) for cands in designers)
     n = chassis[0].n

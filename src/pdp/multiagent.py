@@ -50,9 +50,17 @@ class MultiAgentInstance:
         return self.agents[0].cost
 
 
+def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
+    """Both quantization steps must be positive; the builders divide by them."""
+    for name, value in (("delta", delta), ("delta_prime", delta_prime)):
+        if value <= 0:
+            raise QuantizationError(f"{name} = {value} must be positive")
+
+
 def build_multi_agent_instance(
     agents, delta: Fraction, delta_prime: Fraction, m_ceiling: int = 10**6
 ) -> MultiAgentInstance:
+    check_quantization_steps(delta, delta_prime)
     agents = tuple(agents)
     if not agents:
         raise ValueError("need at least one agent")
@@ -224,7 +232,15 @@ def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
                         break
                 if ok and (best is None or val > best[0] or (val == best[0] and states < best[1])):
                     best = (val, states)
-    assert best is not None
+    return _best_design(best)
+
+
+def _best_design(best: tuple[Fraction, tuple[int, ...]] | None) -> DesignSet:
+    # Each agent's windows [theta_next, theta) cover every utility >= -1,
+    # so the guess whose windows hold the agents' responses to the empty
+    # offer keeps that offer as a consistent slot.
+    if best is None:
+        raise RuntimeError("the threshold DP found no consistent (theta, D) guess")
     return DesignSet(frozenset(best[1]), best[0])
 
 
@@ -416,7 +432,11 @@ def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet
                         if member[i][t - 1]:
                             a_step = sigma[i][t - 1] / dd
                             b_step = tau[i][t - 1] / mi.delta
-                            assert a_step.denominator == 1 and b_step.denominator == 1
+                            if a_step.denominator != 1 or b_step.denominator != 1:
+                                raise QuantizationError(
+                                    f"agent {i + 1}, state {t}: the slot shifts are not whole"
+                                    " multiples of delta * delta_prime and delta"
+                                )
                             new_key[i] += int(a_step)
                             new_key[k + i] += int(b_step)
                     new_key = tuple(new_key)
@@ -443,5 +463,4 @@ def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet
                         break
                 if ok and (best is None or val > best[0] or (val == best[0] and states < best[1])):
                     best = (val, states)
-    assert best is not None
-    return DesignSet(frozenset(best[1]), best[0])
+    return _best_design(best)

@@ -145,7 +145,10 @@ def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction)
             break
         if state in selected:
             prev_idx, prev = selected[state]
-            assert idx == prev_idx + 1
+            if idx != prev_idx + 1:
+                raise RuntimeError(
+                    f"state {state}: curve entry {idx} follows entry {prev_idx}, not its predecessor"
+                )
             num -= prev.z * prev.phi
             den -= prev.z
         selected[state] = (idx, pl)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,8 @@ from conftest import all_subsets, make_example
 from pdp.agent import (
     SignError,
     TooLarge,
+    _lex_key,
+    _scaled_terms,
     adopted_response,
     agent_oracle,
     greedy_solve,
@@ -13,7 +16,45 @@ from pdp.agent import (
     is_feasible,
 )
 from pdp.core import DerivedParams, agent_utility, derived_params
+from pdp.designer import designer_oracle
 from pdp.instances import gen_random_flower
+
+
+# Reference: the oracle sweep with one table entry per subset, each
+# extending the subset without its lowest state.  The Gray-code oracle
+# must return the same set and utility.
+def _ref_agent_oracle(dp):
+    n = dp.n
+    a, b, terms = _scaled_terms(dp, range(1, n + 1))
+    nums = [0] * (1 << n)
+    dens = [0] * (1 << n)
+    nums[0], dens[0] = a, b
+    best_mask, best_num, best_den, best_size = 0, a, b, 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        prev = mask ^ low
+        num = nums[prev] + terms[i][0]
+        den = dens[prev] + terms[i][1]
+        nums[mask] = num
+        dens[mask] = den
+        cmp = num * best_den - best_num * den
+        if cmp > 0:
+            best_mask, best_num, best_den = mask, num, den
+            best_size = mask.bit_count()
+        elif cmp == 0:
+            size = mask.bit_count()
+            if size < best_size or (size == best_size and _lex_key(mask, n) < _lex_key(best_mask, n)):
+                best_mask, best_num, best_den = mask, num, den
+                best_size = size
+    chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
+    return chosen, F(best_num, best_den)
+
+
+# Identical petals apart from a few reward and cost levels, so that
+# potentials and utilities repeat and the tie-break decides.
+NARROW = {"z_max": 1, "weight_max": 1, "q_steps": 1, "c_life_max": 0,
+          "c_platform_max": 4, "d_max": 4, "cost_max": 3}
 
 
 def test_greedy_reference(example):
@@ -160,3 +201,26 @@ def test_adopted_response_is_optimal_over_offer():
                 agent_utility(dp, T) for T in all_subsets(5) if T <= S
             )
             assert agent_utility(dp, adopted) == best
+
+
+def test_oracle_matches_table_reference():
+    for idx in range(240):
+        ranges = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}][idx % 4]
+        inst = gen_random_flower(1 + idx % 12, seed=7000 + idx, ranges=ranges)
+        dp = derived_params(inst)
+        result = agent_oracle(dp)
+        assert (result.states, result.utility) == _ref_agent_oracle(dp)
+
+
+def test_oracles_sweep_in_constant_memory():
+    # A table per running sum would take 2^14 entries each (over 1 MB).
+    inst = gen_random_flower(14, seed=11)
+    dp = derived_params(inst)
+    for oracle, arg in ((agent_oracle, dp), (designer_oracle, inst)):
+        tracemalloc.start()
+        try:
+            oracle(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (oracle.__name__, peak)

@@ -92,6 +92,33 @@ def test_schema_errors_exit_2(tmp_path, capsys):
 
     assert main(["solve-agent", write_doc(tmp_path, {"version": 1, "kind": "nope"})]) == 2
     assert main(["solve-agent", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+
+    # A non-object entry, a non-list row or a non-integer start is named
+    # by its JSON path.
+    mi = gen_random_multi_agent(2, 2, seed=2)
+    competitive = serialize_instance(
+        build_competitive_instance(mi, [ExternalPlatform("x0", 1, (F(1), F(1)), (F(1, 2), F(1, 4)))])
+    )
+    multi = serialize_instance(mi)
+    game = serialize_instance(gen_no_nash_game())
+    chain = serialize_instance(gen_setcover_instance([1, 2], [{1, 2}], k=2).chain_for(frozenset({0}), (0, 0)))
+    cases = [
+        ("solve-multi-agent", multi, ("agents", 0), 1, "agents[0]"),
+        ("solve-multi-agent", competitive, ("platforms", 0), 1, "platforms[0]"),
+        ("nash", game, ("designers", 0), 1, "designers[0]"),
+        ("nash", game, ("designers", 1, "candidates", 0), "x", "designers[1].candidates[0]"),
+        ("verify", chain, ("rows", 0), 1, "rows[0]"),
+        ("verify", chain, ("start",), "0", "start"),
+    ]
+    for command, doc, keys, value, path in cases:
+        doc = json.loads(json.dumps(doc))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        assert main([command, write_doc(tmp_path, doc)]) == 2, path
+        assert capsys.readouterr().err.startswith(f"error: {path}:"), path
 
 
 def test_solve_agent_output(tmp_path, capsys, example):
@@ -132,6 +159,20 @@ def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, fla
     assert captured.out == ""
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("solve-multi-agent", "delta"), ("solve-multi-agent", "delta_prime"), ("nash", "delta")],
+)
+def test_multi_agent_and_game_reject_zero_quantization(tmp_path, capsys, command, key):
+    inst = gen_random_multi_agent(2, 2, seed=3) if command == "solve-multi-agent" else gen_no_nash_game()
+    doc = serialize_instance(inst)
+    doc["quantization"][key] = "0"
+    assert main([command, write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} = 0 must be positive" in captured.err
 
 
 def test_solve_multi_agent_output(tmp_path, capsys):

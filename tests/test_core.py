@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import pdp
 from conftest import all_subsets, make_example
 from pdp.core import (
     DegenerateState,
@@ -165,3 +168,13 @@ def test_steady_state_ignores_unreachable_states():
         start=0,
     )
     assert steady_state_general(chain) == (F(1), F(0))
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so invariants raise instead.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"

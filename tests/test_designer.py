@@ -114,6 +114,51 @@ def _ref_fptas(qi, stage_log=None):
     return DesignSet(frozenset(best[0]), profit_of(best), bins=len(table))
 
 
+# Reference: the positive-z oracle sweep with one table entry per subset
+# for every running sum.  The Gray-code sweep must pick the same set.
+def _ref_oracle_positive(sp):
+    n = len(sp.z)
+    L, zphi, zs, dws, costs, phis = sp.L, sp.zphi, sp.z, sp.dw, sp.cost, sp.phi
+
+    def mask_states(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    size = 1 << n
+    num = [0] * size
+    den = [0] * size
+    dw = [0] * size
+    cost = [0] * size
+    minphi = [0] * size
+    num[0], den[0] = sp.A, sp.B
+
+    best_mask = 0
+    best_pnum, best_pden = 0, 1
+    best_size = 0
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        prev = mask ^ low
+        num[mask] = num[prev] + zphi[i]
+        den[mask] = den[prev] + zs[i]
+        dw[mask] = dw[prev] + dws[i]
+        cost[mask] = cost[prev] + costs[i]
+        minphi[mask] = phis[i] if prev == 0 else min(minphi[prev], phis[i])
+        if num[mask] * L >= minphi[mask] * den[mask]:
+            continue
+        pnum = dw[mask] * L - cost[mask] * den[mask]
+        pden = den[mask] * L
+        cmp = pnum * best_pden - best_pnum * pden
+        if cmp > 0:
+            best_mask, best_pnum, best_pden = mask, pnum, pden
+            best_size = mask.bit_count()
+        elif cmp == 0:
+            sz = mask.bit_count()
+            if sz < best_size or (sz == best_size and mask_states(mask) < mask_states(best_mask)):
+                best_mask, best_pnum, best_pden = mask, pnum, pden
+                best_size = sz
+    return frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
+
+
 def test_preprocess_reference(example):
     qi = preprocess(example)
     assert qi.surviving == (1, 2)
@@ -400,3 +445,20 @@ def test_preprocess_rejects_nonpositive_delta(example):
     for delta in (F(0), F(-1)):
         with pytest.raises(QuantizationError):
             preprocess(example, delta=delta)
+
+
+def test_oracle_matches_table_reference():
+    # Narrow ranges repeat petals, so potentials and profits tie.
+    narrow = {**_NARROW, "z_max": 1}
+    cases = [(1 + idx % 12, 8000 + idx, narrow if idx % 2 else None) for idx in range(240)]
+    # The best profit is reached by {1, 3, 4} and by {1, 3, 4, 5}, which
+    # the sweep visits first: the smaller cardinality decides.
+    cases.append((5, 7752, narrow))
+    for n, seed, ranges in cases:
+        inst = gen_random_flower(n, seed=seed, ranges=ranges)
+        expected = _ref_oracle_positive(scaled_params(inst, derived_params(inst)))
+        result = designer_oracle(inst)
+        assert (result.states, result.profit) == (
+            expected,
+            designer_profit(inst, expected, expected),
+        )
