@@ -92,6 +92,18 @@ def _quant(doc):
     return out
 
 
+def _steps(doc) -> tuple[Fraction, Fraction]:
+    """delta and delta_prime, each checked under its own path before a
+    builder sees them (builder errors are reported under agents/designers)."""
+    q = _quant(doc)
+    if "delta" not in q or "delta_prime" not in q:
+        raise SchemaError("quantization: delta and delta_prime are required")
+    for key in ("delta", "delta_prime"):
+        if q[key] <= 0:
+            raise SchemaError(f"quantization.{key}: {key} = {q[key]} must be positive")
+    return q["delta"], q["delta_prime"]
+
+
 def _parse_multi_agent(doc) -> MultiAgentInstance:
     n = doc.get("states")
     if not isinstance(n, int) or n < 1:
@@ -103,12 +115,10 @@ def _parse_multi_agent(doc) -> MultiAgentInstance:
     agents_list = [
         _parse_flower(a, n, f"agents[{i}]", cost=cost) for i, a in enumerate(agents_doc)
     ]
-    q = _quant(doc)
-    if "delta" not in q or "delta_prime" not in q:
-        raise SchemaError("quantization: delta and delta_prime are required")
+    delta, delta_prime = _steps(doc)
     try:
         return multiagent.build_multi_agent_instance(
-            agents_list, q["delta"], q["delta_prime"], m_ceiling=10**12
+            agents_list, delta, delta_prime, m_ceiling=10**12
         )
     except ValueError as exc:
         raise SchemaError(f"agents: {exc}") from None
@@ -185,11 +195,9 @@ def parse_instance(doc):
                 cost = parse_rat(cd.get("cost"), f"{path}.cost")
                 cands.append(game.Candidate(state, z, phi, d, cost))
             designers.append(tuple(cands))
-        q = _quant(doc)
-        if "delta" not in q or "delta_prime" not in q:
-            raise SchemaError("quantization: delta and delta_prime are required")
+        delta, delta_prime = _steps(doc)
         try:
-            return game.build_game_instance(chassis, designers, q["delta"], q["delta_prime"])
+            return game.build_game_instance(chassis, designers, delta, delta_prime)
         except ValueError as exc:
             raise SchemaError(f"designers: {exc}") from None
     if kind == "general-chain":
@@ -605,8 +613,46 @@ def _cmd_verify(args, started):
                 "match": match,
             }
         )
+    elif isinstance(obj, game.GameInstance):
+        # The oracle's memo is its own, so the brute force shares no
+        # competitive instance with the solver under test.
+        oracle = game.SearchMemo(obj)
+        empty = (frozenset(),) * obj.num_designers
+        for d in range(obj.num_designers):
+            solved = game.best_response(obj, d, empty)
+            best = max(
+                oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in _all_subsets(obj.n)
+            )
+            match = solved.profit == best
+            ok = ok and match
+            checks.append(
+                {
+                    "check": f"designer {d + 1} best response vs brute force",
+                    "solver": fmt(solved.profit),
+                    "oracle": fmt(best),
+                    "match": match,
+                }
+            )
+        check = "pure nash vs definition"
+        try:
+            nash = game.pure_nash_search(obj)
+        except agent.TooLarge as exc:
+            checks.append({"check": check, "skipped": str(exc)})
+        else:
+            if nash is None:
+                checks.append({"check": check, "skipped": "no pure Nash profile"})
+            else:
+                match = not any(
+                    oracle.profit(d, nash[:d] + (S,) + nash[d + 1 :]) > oracle.profit(d, nash)
+                    for d in range(obj.num_designers)
+                    for S in _all_subsets(obj.n)
+                )
+                ok = ok and match
+                checks.append({"check": check, "nash": _profile_doc(nash), "match": match})
     else:
-        raise SchemaError("kind: verify supports flower, multi-agent, and competitive instances")
+        raise SchemaError(
+            "kind: verify supports flower, multi-agent, competitive, and game instances"
+        )
     _emit({"solver": "verify", "checks": checks, "ok": ok}, started)
     return 0 if ok else 1
 

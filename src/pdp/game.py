@@ -3,7 +3,10 @@
 Each designer owns one candidate platform per state and chooses which to
 build; rivals' built platforms act as external competition.  Best
 responses run through the competitive solver; dynamics and the pure-Nash
-search operate over full strategy profiles.
+search operate over full strategy profiles.  Within one search, a
+`SearchMemo` keeps every profit and best response already computed, and
+one competitive instance (with its Pareto curves) per designer and rival
+profile; the search drops it when it returns.
 """
 
 from __future__ import annotations
@@ -126,15 +129,61 @@ def _competitive_instance(g: GameInstance, designer: int, profile: Profile) -> C
     return build_competitive_instance(mi, externals)
 
 
-def profile_profit(g: GameInstance, designer: int, profile: Profile) -> Fraction:
-    """Designer's exact profit under a full strategy profile."""
-    ci = _competitive_instance(g, designer, profile)
+def _rivals(designer: int, profile: Profile) -> Profile:
+    return profile[:designer] + profile[designer + 1 :]
+
+
+class SearchMemo:
+    """Answers computed within one search over one game.
+
+    Profits are keyed by (designer, profile) and best responses by
+    (designer, rivals' builds), since a best response ignores the
+    designer's own entry.  Competitive instances are kept per (designer,
+    rivals), so their Pareto curves are pruned once.  Misses call
+    `profile_profit` and `best_response` by their module names.
+    """
+
+    def __init__(self, g: GameInstance):
+        self.g = g
+        self.instances: dict = {}
+        self.profits: dict = {}
+        self.responses: dict = {}
+
+    def instance(self, designer: int, profile: Profile) -> CompetitiveInstance:
+        key = (designer, _rivals(designer, profile))
+        ci = self.instances.get(key)
+        if ci is None:
+            ci = self.instances[key] = _competitive_instance(self.g, designer, profile)
+        return ci
+
+    def profit(self, designer: int, profile: Profile) -> Fraction:
+        key = (designer, profile)
+        if key not in self.profits:
+            self.profits[key] = profile_profit(self.g, designer, profile, self)
+        return self.profits[key]
+
+    def response(self, designer: int, profile: Profile) -> DesignSet:
+        key = (designer, _rivals(designer, profile))
+        if key not in self.responses:
+            self.responses[key] = best_response(self.g, designer, profile, self)
+        return self.responses[key]
+
+
+def profile_profit(
+    g: GameInstance, designer: int, profile: Profile, memo: SearchMemo | None = None
+) -> Fraction:
+    """Designer's exact profit under a full strategy profile.  A search
+    passes its memo, which supplies the competitive instance."""
+    ci = (memo or SearchMemo(g)).instance(designer, profile)
     return competitive_profit(ci, profile[designer])
 
 
-def best_response(g: GameInstance, designer: int, others: Profile) -> DesignSet:
-    """Profit-maximizing set for one designer with rivals' builds fixed."""
-    ci = _competitive_instance(g, designer, others)
+def best_response(
+    g: GameInstance, designer: int, others: Profile, memo: SearchMemo | None = None
+) -> DesignSet:
+    """Profit-maximizing set for one designer with rivals' builds fixed.
+    A search passes its memo, which supplies the competitive instance."""
+    ci = (memo or SearchMemo(g)).instance(designer, others)
     return competitive_solve(ci)
 
 
@@ -154,13 +203,14 @@ class DynamicsOutcome:
 
 
 def best_response_dynamics(g: GameInstance, initial: Profile, max_rounds: int = 100) -> DynamicsOutcome:
+    memo = SearchMemo(g)
     current = tuple(frozenset(s) for s in initial)
     trace = [current]
     seen = {current: 0}
     for _ in range(max_rounds):
         moved = False
         for d in range(g.num_designers):
-            br = best_response(g, d, current)
+            br = memo.response(d, current)
             if br.states != current[d]:
                 current = current[:d] + (br.states,) + current[d + 1 :]
                 moved = True
@@ -191,15 +241,16 @@ def pure_nash_search(g: GameInstance, guard: int = 10**6):
     if total > guard:
         raise TooLarge(f"{total} profiles exceed the guard {guard}")
     subsets = _subsets_lex(n)
+    memo = SearchMemo(g)
     for profile in itertools.product(subsets, repeat=g.num_designers):
         is_nash = True
         for d in range(g.num_designers):
-            current = profile_profit(g, d, profile)
+            current = memo.profit(d, profile)
             for alt in subsets:
                 if alt == profile[d]:
                     continue
                 deviated = profile[:d] + (alt,) + profile[d + 1 :]
-                if profile_profit(g, d, deviated) > current:
+                if memo.profit(d, deviated) > current:
                     is_nash = False
                     break
             if not is_nash:

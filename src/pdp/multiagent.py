@@ -1,11 +1,22 @@
 """Designer optimization against several agents, optionally with
 pre-existing external platforms owned by competitors.
 
-Both solvers guess, per agent, a utility window (theta', theta] and a
+Both solvers guess, per agent, a utility window [theta_next, theta) and a
 denominator D, then run a hashed subset DP whose slots record the exact
 numerator/denominator shifts each candidate set induces.  A slot is kept
 only when it is consistent with the guess, which makes the slot value
 equal the true profit.
+
+One core, `_threshold_dp`, runs that DP for both solvers.  A solver hands
+it, per agent and threshold guess, the candidates the agent picks, the
+utility numerator and denominator without them (a_hat, b_hat), and the
+shift each pick adds (sigma, tau); the multi-agent case is a_hat = A,
+b_hat = B, sigma = z*phi, tau = z.  Everything that depends on the guess
+alone (slot steps, reachable D, consistency bounds) is worked out once
+per agent and guess.  Slot keys and slot values are integers: for each D
+the value coefficients share one integer denominator, and consistency
+is an integer window on the numerator counter, so a `Fraction` is made
+only for the returned profit.
 """
 
 from __future__ import annotations
@@ -14,11 +25,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .agent import adopted_response
-from .core import FlowerInstance, derived_params
+from .core import DerivedParams, FlowerInstance, derived_params
 from .designer import DesignSet, QuantizationError
-from .multiplatform import Platform, multi_greedy_solve, prune_redundant
+from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redundant
 
 
 class GuardExceeded(ValueError):
@@ -49,6 +61,11 @@ class MultiAgentInstance:
     def cost(self) -> tuple[Fraction, ...]:
         return self.agents[0].cost
 
+    @cached_property
+    def params(self) -> tuple[DerivedParams, ...]:
+        """Each agent's derived parameters, computed once per instance."""
+        return tuple(derived_params(a) for a in self.agents)
+
 
 def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
     """Both quantization steps must be positive; the builders divide by them."""
@@ -70,8 +87,8 @@ def build_multi_agent_instance(
             raise ValueError("all agents must share the state set")
         if a.cost != agents[0].cost:
             raise ValueError("platform costs must be shared across agents")
-    for i, a in enumerate(agents, 1):
-        dp = derived_params(a)
+    mi = MultiAgentInstance(agents, delta, delta_prime)
+    for i, dp in enumerate(mi.params, 1):
         for j in range(1, n + 1):
             l = dp.z[j - 1] / delta
             lp = dp.phi[j - 1] / delta_prime
@@ -87,74 +104,189 @@ def build_multi_agent_instance(
                 raise QuantizationError(
                     f"agent {i}, state {j}: quantization level exceeds {m_ceiling}"
                 )
-    return MultiAgentInstance(agents, delta, delta_prime)
+    return mi
 
 
 INF = None  # theta value meaning "adopt nothing"
 
 
-@dataclass(frozen=True)
-class CandidateGrids:
-    """Per-agent guess grids for the threshold DP.
+def theta_grid(values) -> tuple:
+    """An agent's threshold guesses: INF, then the distinct values descending."""
+    return (INF, *sorted(set(values), reverse=True))
 
-    The denominator grid is materialized (its size is driven by the z
-    quantization levels only); the numerator grid {A_i + l*delta*delta'}
-    can be astronomically large under fine potential quantization, so
-    only its level bound is stored.
+
+def _windows(grid):
+    """(theta, theta_next) per guess, so the guesses' windows
+    [theta_next, theta) cover every utility >= -1."""
+    return zip(grid, (*grid[1:], Fraction(-1)))
+
+
+def _ceil(x: Fraction) -> int:
+    return -(-x.numerator // x.denominator)
+
+
+@dataclass(frozen=True)
+class AgentView:
+    """One agent under one threshold guess, as a solver describes it.
+
+    member[j] says whether the agent picks the designer's candidate at
+    state j+1; a_hat and b_hat are the agent's utility numerator and
+    denominator without those picks; picking state j+1 adds sigma[j] to
+    the numerator and tau[j] to the denominator.
     """
 
-    phi_grid: tuple[tuple[Fraction | None, ...], ...]
-    d_grid: tuple[tuple[Fraction, ...], ...]
-    n_levels: tuple[int, ...]
+    member: tuple[bool, ...]
+    a_hat: Fraction
+    b_hat: Fraction
+    sigma: tuple[Fraction, ...]
+    tau: tuple[Fraction, ...]
 
 
-def candidate_grids(mi: MultiAgentInstance) -> CandidateGrids:
-    phi_grids = []
-    d_grids = []
-    n_levels = []
-    n = mi.n
-    for a in mi.agents:
-        dp = derived_params(a)
-        phis = sorted(set(dp.phi), reverse=True)
-        phi_grids.append((INF, *phis))
-        z_levels = [int(z / mi.delta) for z in dp.z]
-        p_levels = [int(phi / mi.delta_prime) for phi in dp.phi]
-        d_grids.append(tuple(dp.B + l * mi.delta for l in range(n * max(z_levels) + 1)))
-        n_levels.append(sum(l * lp for l, lp in zip(z_levels, p_levels)))
-    return CandidateGrids(tuple(phi_grids), tuple(d_grids), tuple(n_levels))
+@dataclass(frozen=True)
+class AgentGuess:
+    """An AgentView over integers, with everything the DP needs from it.
+
+    a_steps[j] and b_steps[j] are the slot-key shifts of picking state
+    j+1 (sigma / (delta*delta') and tau / delta; 0 for a state not
+    picked); bad lists the picked states whose shifts are not whole.
+    dw[j] is d_j*w_j*L and options holds, per reachable denominator
+    D = b_hat + level*delta in increasing order, (level, D*L, lo, hi):
+    a slot with these counters is consistent iff its denominator counter
+    equals level and lo <= its numerator counter <= hi (hi None: no
+    upper bound).  L is one integer scale for dw and every D.
+    """
+
+    member: tuple[bool, ...]
+    a_steps: tuple[int, ...]
+    b_steps: tuple[int, ...]
+    bad: tuple[int, ...]
+    dw: tuple[int, ...]
+    options: tuple[tuple[int, int, int, int | None], ...]
 
 
-def _successor(grid, theta):
-    """Next smaller guess: INF steps to the largest potential; the
-    smallest potential steps to -1."""
-    values = [v for v in grid if v is not INF]
-    if theta is INF:
-        return values[0]
-    if theta == values[-1]:
-        return Fraction(-1)
-    return values[values.index(theta) + 1]
+def agent_guess(view: AgentView, dw, theta, theta_next, delta: Fraction, dd: Fraction) -> AgentGuess:
+    """The AgentGuess of `view` under the window [theta_next, theta); dw
+    holds the agent's d_j*w_j and dd is delta*delta_prime."""
+    a_steps, b_steps, bad = [], [], []
+    for j, picked in enumerate(view.member):
+        a = view.sigma[j] / dd if picked else Fraction(0)
+        b = view.tau[j] / delta if picked else Fraction(0)
+        if a.denominator != 1 or b.denominator != 1:
+            bad.append(j + 1)
+        a_steps.append(int(a))
+        b_steps.append(int(b))
+    L = math.lcm(view.b_hat.denominator, delta.denominator, *(x.denominator for x in dw))
+    scaled = (view.member, tuple(a_steps), tuple(b_steps), tuple(bad), tuple(int(x * L) for x in dw))
+    if bad:
+        return AgentGuess(*scaled, ())
+    levels = {0}
+    for b, picked in zip(b_steps, view.member):
+        if picked:
+            levels |= {s + b for s in levels}
+    options = []
+    for level in sorted(levels):
+        D = view.b_hat + level * delta
+        lo = _ceil((theta_next * D - view.a_hat) / dd)
+        hi = None if theta is INF else _ceil((theta * D - view.a_hat) / dd) - 1
+        options.append((level, int(D * L), lo, hi))
+    return AgentGuess(*scaled, tuple(options))
 
 
-def value_coefficients(mi: MultiAgentInstance, theta, D) -> tuple[Fraction, ...]:
-    """Per-state marginal value under guessed thresholds and denominators."""
-    n = mi.n
+def slot_coefficients(guesses, option, cost, cost_scale: int) -> tuple[tuple[int, ...], int]:
+    """Per-state marginal values under one (theta, D) guess, as integer
+    numerators over one positive denominator M.
+
+    The value of state j is -cost_j plus d_ij*w_ij / D_i for every agent
+    i that picks it; cost holds the costs times cost_scale.
+    """
+    denominators = [o[1] for o in option]
+    P = math.prod(denominators)
+    others = [cost_scale * P // Di for Di in denominators]
     coeffs = []
-    dps = [derived_params(a) for a in mi.agents]
-    for j in range(1, n + 1):
-        c = -mi.cost[j - 1]
-        for i, (a, dp) in enumerate(zip(mi.agents, dps)):
-            if theta[i] is not INF and dp.phi[j - 1] >= theta[i]:
-                c += a.d[j - 1] * dp.w[j - 1] / D[i]
-        coeffs.append(c)
-    return tuple(coeffs)
+    for j, c in enumerate(cost):
+        value = -c * P
+        for g, other in zip(guesses, others):
+            if g.member[j]:
+                value += g.dw[j] * other
+        coeffs.append(value)
+    return tuple(coeffs), cost_scale * P
+
+
+def _threshold_dp(mi: MultiAgentInstance, grids, view) -> DesignSet:
+    """Best consistent slot over every (theta, D) guess.
+
+    grids[i] is agent i's theta grid (see theta_grid) and view(i, theta,
+    theta_next) its AgentView under a guess.  Ties break toward the
+    lexicographically smallest state tuple.
+    """
+    k = mi.k
+    dd = mi.delta * mi.delta_prime
+    cost_scale = math.lcm(*(c.denominator for c in mi.cost))
+    cost = [c.numerator * (cost_scale // c.denominator) for c in mi.cost]
+    guesses = []
+    for i, (grid, a, dp) in enumerate(zip(grids, mi.agents, mi.params)):
+        dw = [d * w for d, w in zip(a.d, dp.w)]
+        guesses.append(
+            [
+                agent_guess(view(i, theta, theta_next), dw, theta, theta_next, mi.delta, dd)
+                for theta, theta_next in _windows(grid)
+            ]
+        )
+
+    best = None  # (value numerator, its denominator, states)
+    for combo in itertools.product(*guesses):
+        bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
+        if bad is not None:
+            raise QuantizationError(
+                f"agent {bad[1] + 1}, state {bad[0]}: the slot shifts are not whole"
+                " multiples of delta * delta_prime and delta"
+            )
+        steps = [
+            tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
+            for j in range(mi.n)
+        ]
+        moves = [any(step) for step in steps]
+        for option in itertools.product(*(g.options for g in combo)):
+            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+            table = {(0,) * (2 * k): (0, ())}
+            for t, (step, c) in enumerate(zip(steps, coeffs), 1):
+                if not moves[t - 1] and c <= 0:
+                    continue  # the slot stays put and the value cannot rise
+                for key, (val, states) in list(table.items()):
+                    new_key = tuple(map(int.__add__, key, step))
+                    cand = (val + c, states + (t,))
+                    old = table.get(new_key)
+                    if old is None or cand[0] > old[0] or (
+                        cand[0] == old[0] and cand[1] < old[1]
+                    ):
+                        table[new_key] = cand
+            levels = tuple(o[0] for o in option)
+            for key, (val, states) in table.items():
+                if key[k:] != levels:
+                    continue
+                if all(
+                    lo <= a and (hi is None or a <= hi)
+                    for a, (_, _, lo, hi) in zip(key, option)
+                ):
+                    if best is None:
+                        best = (val, M, states)
+                        continue
+                    cmp = val * best[1] - best[0] * M
+                    if cmp > 0 or (cmp == 0 and states < best[2]):
+                        best = (val, M, states)
+    # Each agent's windows cover every utility >= -1, so the guess whose
+    # windows hold the agents' responses to the empty offer keeps that
+    # offer as a consistent slot.
+    if best is None:
+        raise RuntimeError("the threshold DP found no consistent (theta, D) guess")
+    return DesignSet(frozenset(best[2]), Fraction(best[0], best[1]))
 
 
 def multi_agent_profit(mi: MultiAgentInstance, S) -> Fraction:
     """Ground-truth profit of offering S: each agent responds greedily."""
     S = frozenset(S)
     profit = -sum((mi.cost[j - 1] for j in S), Fraction(0))
-    for a in mi.agents:
-        dp = derived_params(a)
+    for a, dp in zip(mi.agents, mi.params):
         adopted = adopted_response(a, S)
         den = dp.B + sum((dp.z[j - 1] for j in adopted), Fraction(0))
         profit += sum((a.d[j - 1] * dp.w[j - 1] for j in adopted), Fraction(0)) / den
@@ -163,85 +295,23 @@ def multi_agent_profit(mi: MultiAgentInstance, S) -> Fraction:
 
 def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
     """Exact optimum of the shared-cost multi-agent design problem."""
-    n = mi.n
-    k = mi.k
-    dps = [derived_params(a) for a in mi.agents]
-    grids = candidate_grids(mi)
-    total = math.prod(len(g) for g in grids.phi_grid) * math.prod(
-        len(g) for g in grids.d_grid
+    dps = mi.params
+    grids = [theta_grid(dp.phi) for dp in dps]
+    # The budget counts every guess of theta and of D = B + l*delta with
+    # l up to n * (largest z level), reachable or not.
+    total = math.prod(len(g) for g in grids) * math.prod(
+        mi.n * max(int(z / mi.delta) for z in dp.z) + 1 for dp in dps
     )
     if total > budget:
         raise GuardExceeded(f"(theta, D) grid size {total} exceeds budget {budget}")
+    shifts = [(tuple(z * phi for z, phi in zip(dp.z, dp.phi)), dp.z) for dp in dps]
 
-    levels = [[int(dp.z[j] / mi.delta) for j in range(n)] for dp in dps]
-    plevels = [[int(dp.phi[j] / mi.delta_prime) for j in range(n)] for dp in dps]
+    def view(i, theta, theta_next):
+        dp = dps[i]
+        member = tuple(theta is not INF and phi >= theta for phi in dp.phi)
+        return AgentView(member, dp.A, dp.B, *shifts[i])
 
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for theta in itertools.product(*grids.phi_grid):
-        theta_next = [_successor(grids.phi_grid[i], theta[i]) for i in range(k)]
-        member = [
-            [theta[i] is not INF and dps[i].phi[j] >= theta[i] for j in range(n)]
-            for i in range(k)
-        ]
-        # Only denominators reachable as B_i + (subset sum over Q_i) are
-        # worth guessing; others can never produce a consistent slot.
-        reachable = []
-        for i in range(k):
-            sums = {0}
-            for j in range(n):
-                if member[i][j]:
-                    sums |= {s + levels[i][j] for s in sums}
-            reachable.append({dps[i].B + s * mi.delta for s in sums})
-        d_options = [
-            [d for d in grids.d_grid[i] if d in reachable[i]] for i in range(k)
-        ]
-        for D in itertools.product(*d_options):
-            coeffs = value_coefficients(mi, theta, D)
-            table: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...]]] = {
-                (0,) * (2 * k): (Fraction(0), ())
-            }
-            for t in range(1, n + 1):
-                for key, (val, states) in list(table.items()):
-                    new_key = list(key)
-                    for i in range(k):
-                        if member[i][t - 1]:
-                            new_key[i] += levels[i][t - 1] * plevels[i][t - 1]
-                            new_key[k + i] += levels[i][t - 1]
-                    new_key = tuple(new_key)
-                    new_val = val + coeffs[t - 1]
-                    cand = (new_val, states + (t,))
-                    old = table.get(new_key)
-                    if old is None or cand[0] > old[0] or (
-                        cand[0] == old[0] and cand[1] < old[1]
-                    ):
-                        table[new_key] = cand
-            for key, (val, states) in table.items():
-                ok = True
-                for i in range(k):
-                    a_i = key[i]
-                    b_i = key[k + i]
-                    if D[i] != dps[i].B + b_i * mi.delta:
-                        ok = False
-                        break
-                    u = (dps[i].A + a_i * mi.delta * mi.delta_prime) / D[i]
-                    if not u >= theta_next[i]:
-                        ok = False
-                        break
-                    if theta[i] is not INF and not theta[i] > u:
-                        ok = False
-                        break
-                if ok and (best is None or val > best[0] or (val == best[0] and states < best[1])):
-                    best = (val, states)
-    return _best_design(best)
-
-
-def _best_design(best: tuple[Fraction, tuple[int, ...]] | None) -> DesignSet:
-    # Each agent's windows [theta_next, theta) cover every utility >= -1,
-    # so the guess whose windows hold the agents' responses to the empty
-    # offer keeps that offer as a consistent slot.
-    if best is None:
-        raise RuntimeError("the threshold DP found no consistent (theta, D) guess")
-    return DesignSet(frozenset(best[1]), best[0])
+    return _threshold_dp(mi, grids, view)
 
 
 @dataclass(frozen=True)
@@ -255,10 +325,43 @@ class ExternalPlatform:
     owner: object = "external"
 
 
+_OWN = "own"
+
+
+@dataclass(frozen=True)
+class AgentCurves:
+    """One agent's side of a competitive instance: its derived parameters,
+    the Pareto curves of the externals alone, and the curves with the
+    designer's candidate inserted at every state."""
+
+    dp: DerivedParams
+    base: dict[int, ParetoCurve]
+    with_own: dict[int, ParetoCurve]
+
+
 @dataclass(frozen=True)
 class CompetitiveInstance:
     mi: MultiAgentInstance
     externals: tuple[ExternalPlatform, ...]
+
+    @cached_property
+    def curves(self) -> tuple[AgentCurves, ...]:
+        """Per-agent curves, pruned once per instance.  A state's curve
+        depends only on the platforms at that state, so the curves over
+        the externals plus an offered set S are base outside S and
+        with_own inside it."""
+        out = []
+        for i, dp in enumerate(self.mi.params):
+            ext = [
+                Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in self.externals
+            ]
+            own = [
+                Platform((_OWN, j), j, dp.z[j - 1], dp.phi[j - 1], _OWN)
+                for j in range(1, self.mi.n + 1)
+            ]
+            base = prune_redundant(ext) if ext else {}
+            out.append(AgentCurves(dp, base, prune_redundant(ext + own)))
+        return tuple(out)
 
 
 def build_competitive_instance(mi: MultiAgentInstance, externals) -> CompetitiveInstance:
@@ -283,184 +386,76 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
     return CompetitiveInstance(mi, externals)
 
 
-_OWN = "own"
-
-
-def _agent_curves(ci: CompetitiveInstance, i: int):
-    """Pareto curves for agent i: externals only, and with the designer's
-    candidate inserted, per state."""
-    mi = ci.mi
-    dp = derived_params(mi.agents[i])
-    ext = [
-        Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in ci.externals
-    ]
-    own = [
-        Platform((_OWN, j), j, dp.z[j - 1], dp.phi[j - 1], _OWN)
-        for j in range(1, mi.n + 1)
-    ]
-    base = prune_redundant(ext) if ext else {}
-    with_own = prune_redundant(ext + own)
-    return base, with_own
-
-
 def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     """Ground truth: each agent picks over externals plus the offered
     candidates; the designer earns only from its own adopted platforms."""
     S = frozenset(S)
     mi = ci.mi
     profit = -sum((mi.cost[j - 1] for j in S), Fraction(0))
-    for i, a in enumerate(mi.agents):
-        dp = derived_params(a)
-        pool = [
-            Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner)
-            for pl in ci.externals
-        ]
-        pool += [
-            Platform((_OWN, j), j, dp.z[j - 1], dp.phi[j - 1], _OWN) for j in S
-        ]
-        if not pool:
+    for a, ac in zip(mi.agents, ci.curves):
+        curves = {s: ac.with_own[s] for s in S}
+        curves.update((s, curve) for s, curve in ac.base.items() if s not in S)
+        if not curves:
             continue
-        sel = multi_greedy_solve(prune_redundant(pool), dp.A, dp.B)
-        den = dp.B + sum((pl.z for pl in sel.platforms), Fraction(0))
+        sel = multi_greedy_solve(curves, ac.dp.A, ac.dp.B)
+        den = ac.dp.B + sum((pl.z for pl in sel.platforms), Fraction(0))
         own_rev = sum(
-            (a.d[pl.state - 1] * dp.w[pl.state - 1] for pl in sel.platforms if pl.owner == _OWN),
+            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.owner == _OWN),
             Fraction(0),
         )
         profit += own_rev / den
     return profit
 
 
+def _competitive_view(ac: AgentCurves, n: int, theta, theta_next) -> AgentView:
+    """The fallback selection on the external curves, the own candidates
+    picked on the inserted curves, and the shifts each pick makes."""
+    fall = {}
+    for s, curve in ac.base.items():
+        pick = None
+        for idx, pl in enumerate(curve.platforms):
+            if theta is not INF and curve.psi[idx] >= theta:
+                pick = pl
+        fall[s] = pick
+    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), Fraction(0))
+    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), Fraction(0))
+    member = [False] * n
+    sigma = [Fraction(0)] * n
+    tau = [Fraction(0)] * n
+    for s, curve in ac.with_own.items():
+        for idx, pl in enumerate(curve.platforms):
+            if pl.owner != _OWN:
+                continue
+            selected = (
+                theta is not INF
+                and curve.psi[idx] >= theta
+                and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next)
+            )
+            if selected:
+                f = fall.get(s)
+                j = pl.state
+                member[j - 1] = True
+                sigma[j - 1] = pl.z * pl.phi - (f.z * f.phi if f else 0)
+                tau[j - 1] = pl.z - (f.z if f else 0)
+    return AgentView(tuple(member), a_hat, b_hat, tuple(sigma), tuple(tau))
+
+
 def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet:
     """Exact optimum when agents also see competitor-owned platforms."""
-    mi = ci.mi
-    n = mi.n
-    k = mi.k
-    dps = [derived_params(a) for a in mi.agents]
-    dd = mi.delta * mi.delta_prime
-
-    curves = [_agent_curves(ci, i) for i in range(k)]
-
-    phi_grids = []
-    for i in range(k):
-        base, with_own = curves[i]
-        vals = set()
-        for curve in list(base.values()) + list(with_own.values()):
-            vals.update(curve.psi)
-        phi_grids.append((INF, *sorted(vals, reverse=True)))
-
-    total = math.prod(len(g) for g in phi_grids)
+    curves = ci.curves
+    grids = [
+        theta_grid(
+            psi
+            for curve in itertools.chain(ac.base.values(), ac.with_own.values())
+            for psi in curve.psi
+        )
+        for ac in curves
+    ]
+    total = math.prod(len(g) for g in grids)
     if total > budget:
         raise GuardExceeded(f"theta grid size {total} exceeds budget {budget}")
 
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for theta in itertools.product(*phi_grids):
-        theta_next = [_successor(phi_grids[i], theta[i]) for i in range(k)]
-        # Per agent: fallback selection on the external curves, the set Q
-        # of own candidates picked on the inserted curves, and the sigma/
-        # tau bookkeeping shifts.
-        a_hat = []
-        b_hat = []
-        member = []
-        sigma = []
-        tau = []
-        for i in range(k):
-            base, with_own = curves[i]
-            fall = {}
-            for s, curve in base.items():
-                pick = None
-                for idx, pl in enumerate(curve.platforms):
-                    if theta[i] is not INF and curve.psi[idx] >= theta[i]:
-                        pick = pl
-                fall[s] = pick
-            a_hat.append(
-                dps[i].A
-                + sum((pl.z * pl.phi for pl in fall.values() if pl), Fraction(0))
-            )
-            b_hat.append(
-                dps[i].B + sum((pl.z for pl in fall.values() if pl), Fraction(0))
-            )
-            mem = [False] * n
-            sig = [Fraction(0)] * n
-            ta = [Fraction(0)] * n
-            for s, curve in with_own.items():
-                for idx, pl in enumerate(curve.platforms):
-                    if pl.owner != _OWN:
-                        continue
-                    selected = (
-                        theta[i] is not INF
-                        and curve.psi[idx] >= theta[i]
-                        and (
-                            idx + 1 == len(curve.platforms)
-                            or curve.slopes[idx] <= theta_next[i]
-                        )
-                    )
-                    if selected:
-                        f = fall.get(s)
-                        fz = f.z if f else Fraction(0)
-                        fphi = f.phi if f else Fraction(0)
-                        j = pl.state
-                        mem[j - 1] = True
-                        sig[j - 1] = pl.z * pl.phi - fz * fphi
-                        ta[j - 1] = pl.z - fz
-            member.append(mem)
-            sigma.append(sig)
-            tau.append(ta)
+    def view(i, theta, theta_next):
+        return _competitive_view(curves[i], ci.mi.n, theta, theta_next)
 
-        d_options = []
-        for i in range(k):
-            sums = {Fraction(0)}
-            for j in range(n):
-                if member[i][j]:
-                    sums |= {s + tau[i][j] for s in sums}
-            d_options.append(sorted({b_hat[i] + s for s in sums}))
-
-        for D in itertools.product(*d_options):
-            coeffs = []
-            for j in range(1, n + 1):
-                c = -mi.cost[j - 1]
-                for i in range(k):
-                    if member[i][j - 1]:
-                        c += mi.agents[i].d[j - 1] * dps[i].w[j - 1] / D[i]
-                coeffs.append(c)
-            table: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...]]] = {
-                (0,) * (2 * k): (Fraction(0), ())
-            }
-            for t in range(1, n + 1):
-                for key, (val, states) in list(table.items()):
-                    new_key = list(key)
-                    for i in range(k):
-                        if member[i][t - 1]:
-                            a_step = sigma[i][t - 1] / dd
-                            b_step = tau[i][t - 1] / mi.delta
-                            if a_step.denominator != 1 or b_step.denominator != 1:
-                                raise QuantizationError(
-                                    f"agent {i + 1}, state {t}: the slot shifts are not whole"
-                                    " multiples of delta * delta_prime and delta"
-                                )
-                            new_key[i] += int(a_step)
-                            new_key[k + i] += int(b_step)
-                    new_key = tuple(new_key)
-                    cand = (val + coeffs[t - 1], states + (t,))
-                    old = table.get(new_key)
-                    if old is None or cand[0] > old[0] or (
-                        cand[0] == old[0] and cand[1] < old[1]
-                    ):
-                        table[new_key] = cand
-            for key, (val, states) in table.items():
-                ok = True
-                for i in range(k):
-                    a_i = key[i]
-                    b_i = key[k + i]
-                    if D[i] != b_hat[i] + b_i * mi.delta:
-                        ok = False
-                        break
-                    u = (a_hat[i] + a_i * dd) / D[i]
-                    if not u >= theta_next[i]:
-                        ok = False
-                        break
-                    if theta[i] is not INF and not theta[i] > u:
-                        ok = False
-                        break
-                if ok and (best is None or val > best[0] or (val == best[0] and states < best[1])):
-                    best = (val, states)
-    return _best_design(best)
+    return _threshold_dp(ci.mi, grids, view)

@@ -6,6 +6,8 @@ import pytest
 from conftest import make_example
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
+from pdp import game
+from pdp.designer import DesignSet
 from pdp.game import GameInstance
 from pdp.instances import (
     gen_no_nash_game,
@@ -163,7 +165,12 @@ def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, fla
 
 @pytest.mark.parametrize(
     "command, key",
-    [("solve-multi-agent", "delta"), ("solve-multi-agent", "delta_prime"), ("nash", "delta")],
+    [
+        ("solve-multi-agent", "delta"),
+        ("solve-multi-agent", "delta_prime"),
+        ("nash", "delta"),
+        ("nash", "delta_prime"),
+    ],
 )
 def test_multi_agent_and_game_reject_zero_quantization(tmp_path, capsys, command, key):
     inst = gen_random_multi_agent(2, 2, seed=3) if command == "solve-multi-agent" else gen_no_nash_game()
@@ -172,7 +179,7 @@ def test_multi_agent_and_game_reject_zero_quantization(tmp_path, capsys, command
     assert main([command, write_doc(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{key} = 0 must be positive" in captured.err
+    assert captured.err.startswith(f"error: quantization.{key}: {key} = 0 must be positive")
 
 
 def test_solve_multi_agent_output(tmp_path, capsys):
@@ -220,6 +227,34 @@ def test_verify_multi_agent(tmp_path, capsys):
     path = write_doc(tmp_path, serialize_instance(mi))
     assert main(["verify", path]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("designers", [2, 1])
+def test_verify_game(tmp_path, capsys, monkeypatch, designers):
+    # Two designers: the no-nash fixture, so only the best responses are
+    # checked.  One designer: its optimum is a Nash profile to re-check.
+    doc = serialize_instance(gen_no_nash_game())
+    doc["designers"] = doc["designers"][:designers]
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    responses, nash = out["checks"][:-1], out["checks"][-1]
+    assert len(responses) == designers
+    assert all(c["match"] and c["solver"] == c["oracle"] for c in responses)
+    if designers == 2:
+        assert nash == {"check": "pure nash vs definition", "skipped": "no pure Nash profile"}
+    else:
+        assert nash["match"] is True and nash["nash"] == [[1]]
+    # A wrong best response fails its check.
+    real = game.best_response
+    monkeypatch.setattr(
+        game, "best_response", lambda *a: DesignSet(frozenset(), real(*a).profit - 1)
+    )
+    assert main(["verify", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert [c["match"] for c in out["checks"][:designers]] == [False] * designers
 
 
 def test_gen_determinism(capsys):

@@ -1,8 +1,12 @@
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import make_example
+from pdp import game
 from pdp.agent import TooLarge
 from pdp.core import build_flower_instance, derived_params
 from pdp.designer import designer_oracle
@@ -15,7 +19,7 @@ from pdp.game import (
     profile_profit,
     pure_nash_search,
 )
-from pdp.instances import gen_no_nash_game
+from pdp.instances import gen_no_nash_game, gen_random_multi_agent
 
 fs = frozenset
 
@@ -182,3 +186,105 @@ def test_process_caches_stay_bounded():
         for cache in caches:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
+
+
+# Unmemoized references: the search and the dynamics as they stood before
+# the per-search memo, calling the game layer by its module names.
+
+
+def reference_pure_nash_search(g):
+    subsets = game._subsets_lex(g.n)
+    for profile in itertools.product(subsets, repeat=g.num_designers):
+        is_nash = True
+        for d in range(g.num_designers):
+            current = game.profile_profit(g, d, profile)
+            for alt in subsets:
+                if alt == profile[d]:
+                    continue
+                deviated = profile[:d] + (alt,) + profile[d + 1 :]
+                if game.profile_profit(g, d, deviated) > current:
+                    is_nash = False
+                    break
+            if not is_nash:
+                break
+        if is_nash:
+            return profile
+    return None
+
+
+def reference_dynamics(g, initial, max_rounds=100):
+    current = tuple(frozenset(s) for s in initial)
+    trace = [current]
+    seen = {current: 0}
+    for _ in range(max_rounds):
+        moved = False
+        for d in range(g.num_designers):
+            br = game.best_response(g, d, current)
+            if br.states != current[d]:
+                current = current[:d] + (br.states,) + current[d + 1 :]
+                moved = True
+        trace.append(current)
+        if not moved:
+            return game.DynamicsOutcome("nash", current, (), None, tuple(trace))
+        if current in seen:
+            start = seen[current]
+            cycle = tuple(trace[start:-1])
+            return game.DynamicsOutcome("cycle", None, cycle, len(cycle), tuple(trace))
+        seen[current] = len(trace) - 1
+    return game.DynamicsOutcome("budget", None, (), None, tuple(trace))
+
+
+def random_game(seed):
+    """Two designers over a random quantized chassis: n 2-3, k 1-2."""
+    rng = random.Random(seed)
+    n, k = 2 + seed % 2, 1 + seed // 2 % 2
+    chassis = gen_random_multi_agent(n, k, seed=seed).agents
+    designers = [
+        tuple(
+            Candidate(
+                j,
+                tuple(F(rng.randint(1, 2)) for _ in range(k)),
+                tuple(F(rng.randint(0, 12), 4) for _ in range(k)),
+                tuple(F(rng.randint(0, 8)) for _ in range(k)),
+                F(rng.randint(1, 5), 4),
+            )
+            for j in range(1, n + 1)
+        )
+        for _ in range(2)
+    ]
+    return build_game_instance(chassis, designers, F(1), F(1, 4))
+
+
+def test_memoized_search_matches_reference_with_fewer_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(game, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(game, name, wrapper)
+
+    counted("profile_profit")
+    counted("best_response")
+
+    def run(search, *args):
+        calls.clear()
+        result = search(*args)
+        return result, dict(calls)
+
+    saved = 0
+    for g in [gen_no_nash_game()] + [random_game(seed) for seed in range(8)]:
+        got, memo_calls = run(pure_nash_search, g)
+        want, ref_calls = run(reference_pure_nash_search, g)
+        assert got == want
+        assert memo_calls["profile_profit"] <= ref_calls["profile_profit"]
+        saved += ref_calls["profile_profit"] - memo_calls["profile_profit"]
+        for initial in [(fs(), fs()), (fs(range(1, g.n + 1)), fs({1}))]:
+            got, memo_calls = run(best_response_dynamics, g, initial)
+            want, ref_calls = run(reference_dynamics, g, initial)
+            assert got == want
+            assert memo_calls["best_response"] <= ref_calls["best_response"]
+    assert saved > 0
