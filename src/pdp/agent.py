@@ -8,11 +8,11 @@ running utility stays strictly below the next potential.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, derived_params
+from .core import scale_to_integers
 
 
 class SignError(ValueError):
@@ -105,24 +105,6 @@ def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
     return AdoptionSet(states, utility)
 
 
-def _scaled_terms(dp: DerivedParams, states):
-    """Integer-scaled (z*phi, z) contributions plus scaled (A, B).
-
-    Scaling every rational by a common denominator turns the subset-sum
-    ratio comparisons into pure integer cross-multiplications, which is
-    what makes the exhaustive oracle fast enough for the test corpora.
-    """
-    values = [dp.A, dp.B]
-    for i in states:
-        values.append(dp.z[i - 1] * dp.phi[i - 1])
-        values.append(dp.z[i - 1])
-    scale = math.lcm(*(v.denominator for v in values))
-    scaled = [int(v * scale) for v in values]
-    a, b = scaled[0], scaled[1]
-    terms = list(zip(scaled[2::2], scaled[3::2]))
-    return a, b, terms
-
-
 def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
@@ -136,7 +118,10 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     n = dp.n
     if n > guard:
         raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
-    a, b, terms = _scaled_terms(dp, range(1, n + 1))
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    terms = list(zip(zphis, zs))
 
     mask, num, den, size = 0, a, b, 0
     best_mask, best_num, best_den, best_size = 0, a, b, 0

@@ -16,6 +16,7 @@ from . import agent, designer, game, instances, multiagent, multiplatform
 from .core import (
     FlowerInstance,
     GeneralChain,
+    all_subsets,
     build_flower_instance,
     build_general_chain,
     derived_params,
@@ -359,6 +360,26 @@ def _cmd_solve_multiplatform(args, started):
     )
 
 
+def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
+    """epsilon and delta for the FPTAS, each checked under the flag or JSON
+    path it came from (a flag overrides the document)."""
+    q = _quant(doc)
+
+    def pick(key, default):
+        flag = getattr(args, key)
+        if flag is not None:
+            return flag, f"--{key}"
+        return q.get(key, default), f"quantization.{key}"
+
+    epsilon, path = pick("epsilon", Fraction(1, 10))
+    if not 0 < epsilon < 1:
+        raise SchemaError(f"{path}: epsilon = {epsilon} must lie in (0, 1)")
+    delta, path = pick("delta", None)
+    if delta is not None and delta <= 0:
+        raise SchemaError(f"{path}: delta = {delta} must be positive")
+    return epsilon, delta
+
+
 def _cmd_solve_designer(args, started):
     doc = _load(args.instance)
     inst = parse_instance(doc)
@@ -369,9 +390,7 @@ def _cmd_solve_designer(args, started):
         solver = "designer-oracle"
         bins = None
     else:
-        q = _quant(doc)
-        epsilon = args.epsilon if args.epsilon is not None else q.get("epsilon", Fraction(1, 10))
-        delta = args.delta if args.delta is not None else q.get("delta")
+        epsilon, delta = _designer_steps(args, doc)
         qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
         result = designer.fptas_solve(qi)
         solver = "designer-fptas"
@@ -586,7 +605,7 @@ def _cmd_verify(args, started):
         best = max(
             (
                 (multiagent.competitive_profit(obj, S), S)
-                for S in _all_subsets(obj.mi.n)
+                for S in all_subsets(obj.mi.n)
             ),
             key=lambda t: t[0],
         )
@@ -602,7 +621,7 @@ def _cmd_verify(args, started):
         )
     elif isinstance(obj, MultiAgentInstance):
         solved = multiagent.multi_agent_solve(obj)
-        best = max(multiagent.multi_agent_profit(obj, S) for S in _all_subsets(obj.n))
+        best = max(multiagent.multi_agent_profit(obj, S) for S in all_subsets(obj.n))
         match = solved.profit == best
         ok = ok and match
         checks.append(
@@ -621,7 +640,7 @@ def _cmd_verify(args, started):
         for d in range(obj.num_designers):
             solved = game.best_response(obj, d, empty)
             best = max(
-                oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in _all_subsets(obj.n)
+                oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in all_subsets(obj.n)
             )
             match = solved.profit == best
             ok = ok and match
@@ -645,7 +664,7 @@ def _cmd_verify(args, started):
                 match = not any(
                     oracle.profit(d, nash[:d] + (S,) + nash[d + 1 :]) > oracle.profit(d, nash)
                     for d in range(obj.num_designers)
-                    for S in _all_subsets(obj.n)
+                    for S in all_subsets(obj.n)
                 )
                 ok = ok and match
                 checks.append({"check": check, "nash": _profile_doc(nash), "match": match})
@@ -655,11 +674,6 @@ def _cmd_verify(args, started):
         )
     _emit({"solver": "verify", "checks": checks, "ok": ok}, started)
     return 0 if ok else 1
-
-
-def _all_subsets(n):
-    for mask in range(1 << n):
-        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 def _build_parser():

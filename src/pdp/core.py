@@ -158,25 +158,31 @@ class ScaledParams:
     cost: tuple[int, ...]
 
 
+def scale_to_integers(*vectors):
+    """(L, *scaled): L is the lcm of every denominator in `vectors`, each
+    of which comes back as a tuple of its Fractions times L, as ints."""
+    L = math.lcm(*(v.denominator for vec in vectors for v in vec))
+    return (L, *(tuple(v.numerator * (L // v.denominator) for v in vec) for vec in vectors))
+
+
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
     """The ScaledParams of `inst`; L is the lcm of every denominator."""
     n = inst.n
-    vectors = (
+    L, (A, B), *vectors = scale_to_integers(
+        (dp.A, dp.B),
         dp.z,
         tuple(dp.z[i] * dp.phi[i] for i in range(n)),
         dp.phi,
         tuple(inst.d[i] * dp.w[i] for i in range(n)),
         inst.cost,
     )
-    L = math.lcm(
-        dp.A.denominator, dp.B.denominator, *(v.denominator for vec in vectors for v in vec)
-    )
+    return ScaledParams(L, A, B, *vectors)
 
-    def scale(v: Fraction) -> int:
-        return v.numerator * (L // v.denominator)
 
-    z, zphi, phi, dw, cost = (tuple(map(scale, vec)) for vec in vectors)
-    return ScaledParams(L, scale(dp.A), scale(dp.B), z, zphi, phi, dw, cost)
+def all_subsets(n: int):
+    """Every subset of the states 1..n, as frozensets, in bitmask order."""
+    for mask in range(1 << n):
+        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 def check_subset(S, n: int) -> frozenset[int]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import TooLarge, is_feasible
+from .agent import TooLarge
 from .core import (
     DerivedParams,
     FlowerInstance,
@@ -195,32 +195,39 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
 def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
     """Exact profit maximizer by exhaustive enumeration of offered sets.
 
-    Ties break toward the smallest cardinality, then lexicographic.  With
-    every z positive the sweep visits the offered sets in reflected
-    Gray-code order over integer sums, with O(n) memory.
+    Ties break toward the smallest cardinality, then lexicographic.  One
+    integer Gray-code sweep covers every mix of z signs with O(n) memory.
     """
     n = inst.n
     if n > guard:
         raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
-    dp = derived_params(inst)
-    if all(z > 0 for z in dp.z):
-        states = _oracle_positive(scaled_params(inst, dp))
-    else:
-        states = _oracle_general(inst)
+    states = _oracle_sweep(scaled_params(inst, derived_params(inst)))
     return DesignSet(states, designer_profit(inst, states, states))
 
 
-def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
-    """Gray-code subset sweep over integer sums; feasibility is the threshold test.
+def _oracle_sweep(sp: ScaledParams) -> frozenset[int]:
+    """Gray-code subset sweep over integer sums with a two-sided feasibility test.
 
     Consecutive subsets differ in one state (Knuth, TAOCP 4A, 7.2.1.1), so
-    every running sum moves by one add or subtract.  Bit p stands for the
-    state of the p-th largest potential, ties by state index, so the
-    smallest potential of a subset is that of its highest set bit.
+    every running sum moves by one add or subtract.  The agent offered S
+    adopts all of S iff every i in S has z_i * (phi_i - u(S)) > 0, where
+    u(S) = (A + sum z*phi) / (B + sum z): by Dinkelbach's condition (see
+    agent._solve_signed) S is the agent's response iff S is exactly the
+    set of its states with that strict sign at u = u(S).  So S is feasible
+    iff its smallest positive-z potential lies above u(S) and its largest
+    negative-z potential below it; equality never adopts.
+
+    The low bits stand for the negative-z states and the bits above them
+    for the positive-z states, each block by descending potential, ties by
+    state index.  The smallest positive-z potential is then that of the
+    highest set bit, when it lies above the negative block, and the
+    largest negative-z potential that of the lowest set negative bit.
     """
     n = len(sp.z)
     L = sp.L
-    order = sorted(range(n), key=lambda j: (-sp.phi[j], j))
+    order = sorted(range(n), key=lambda j: (sp.z[j] > 0, -sp.phi[j], j))
+    neg = sum(z < 0 for z in sp.z)
+    neg_mask = (1 << neg) - 1
     terms = [(sp.zphi[j], sp.z[j], sp.dw[j], sp.cost[j]) for j in order]
     phis = [sp.phi[j] for j in order]
 
@@ -229,7 +236,10 @@ def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
 
     mask, num, den, dw, cost, size = 0, sp.A, sp.B, 0, 0, 0
     # Profits compare as pnum / den (the common factor 1/L drops out);
-    # the empty set has profit 0.
+    # the empty set has profit 0.  den = (B + sum z) * L stays positive,
+    # since B = 1 + sum lam and each z_i = w_i - lam_i > -lam_i, so with
+    # phi scaled by L, u(S) < phi_i is num * L < phi_i * den, and the
+    # feasibility tests are two integer cross-multiplications.
     best_mask, best_pnum, best_den, best_size = 0, 0, sp.B, 0
     for step in range(1, 1 << n):
         low = step & -step
@@ -247,7 +257,12 @@ def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
             dw -= dwi
             cost -= costi
             size -= 1
-        if num * L >= phis[mask.bit_length() - 1] * den:
+        numL = num * L
+        top = mask.bit_length() - 1
+        if top >= neg and numL >= phis[top] * den:
+            continue
+        negs = mask & neg_mask
+        if negs and phis[(negs & -negs).bit_length() - 1] * den >= numL:
             continue
         pnum = dw * L - cost * den
         cmp = pnum * best_den - best_pnum * den
@@ -260,19 +275,3 @@ def _oracle_positive(sp: ScaledParams) -> frozenset[int]:
         ):
             best_mask, best_pnum, best_den, best_size = mask, pnum, den, size
     return frozenset(j + 1 for j in states(best_mask))
-
-
-def _oracle_general(inst: FlowerInstance) -> frozenset[int]:
-    n = inst.n
-    best = (Fraction(0), 0, ())
-    best_states: frozenset[int] = frozenset()
-    for mask in range(1, 1 << n):
-        S = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        if not is_feasible(inst, S):
-            continue
-        p = designer_profit(inst, S, S)
-        key = (p, -len(S), tuple(-s for s in sorted(S)))
-        if (p, *key[1:]) > best:
-            best = (p, key[1], key[2])
-            best_states = S
-    return best_states

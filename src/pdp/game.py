@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .agent import TooLarge
-from .core import CACHE_SIZE, FlowerInstance, build_flower_instance, derived_params
+from .core import CACHE_SIZE, FlowerInstance, all_subsets, build_flower_instance, derived_params
 from .designer import DesignSet
 from .multiagent import (
     CompetitiveInstance,
@@ -225,13 +225,8 @@ def best_response_dynamics(g: GameInstance, initial: Profile, max_rounds: int = 
     return DynamicsOutcome("budget", None, (), None, tuple(trace))
 
 
-def _subsets_lex(n: int):
-    states = list(range(1, n + 1))
-    subsets = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(states, size):
-            subsets.append(frozenset(combo))
-    return sorted(subsets, key=lambda s: tuple(sorted(s)))
+def _subsets_lex(n: int) -> list[frozenset[int]]:
+    return sorted(all_subsets(n), key=lambda s: tuple(sorted(s)))
 
 
 def pure_nash_search(g: GameInstance, guard: int = 10**6):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .agent import adopted_response
-from .core import DerivedParams, FlowerInstance, derived_params
+from .core import DerivedParams, FlowerInstance, derived_params, scale_to_integers
 from .designer import DesignSet, QuantizationError
 from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redundant
 
@@ -175,8 +175,8 @@ def agent_guess(view: AgentView, dw, theta, theta_next, delta: Fraction, dd: Fra
             bad.append(j + 1)
         a_steps.append(int(a))
         b_steps.append(int(b))
-    L = math.lcm(view.b_hat.denominator, delta.denominator, *(x.denominator for x in dw))
-    scaled = (view.member, tuple(a_steps), tuple(b_steps), tuple(bad), tuple(int(x * L) for x in dw))
+    _, (b_hat_L, delta_L), dw = scale_to_integers((view.b_hat, delta), dw)
+    scaled = (view.member, tuple(a_steps), tuple(b_steps), tuple(bad), dw)
     if bad:
         return AgentGuess(*scaled, ())
     levels = {0}
@@ -188,7 +188,7 @@ def agent_guess(view: AgentView, dw, theta, theta_next, delta: Fraction, dd: Fra
         D = view.b_hat + level * delta
         lo = _ceil((theta_next * D - view.a_hat) / dd)
         hi = None if theta is INF else _ceil((theta * D - view.a_hat) / dd) - 1
-        options.append((level, int(D * L), lo, hi))
+        options.append((level, b_hat_L + level * delta_L, lo, hi))
     return AgentGuess(*scaled, tuple(options))
 
 
@@ -221,8 +221,7 @@ def _threshold_dp(mi: MultiAgentInstance, grids, view) -> DesignSet:
     """
     k = mi.k
     dd = mi.delta * mi.delta_prime
-    cost_scale = math.lcm(*(c.denominator for c in mi.cost))
-    cost = [c.numerator * (cost_scale // c.denominator) for c in mi.cost]
+    cost_scale, cost = scale_to_integers(mi.cost)
     guesses = []
     for i, (grid, a, dp) in enumerate(zip(grids, mi.agents, mi.params)):
         dw = [d * w for d, w in zip(a.d, dp.w)]

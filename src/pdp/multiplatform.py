@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import SignError, TooLarge
+from .core import scale_to_integers
 
 
 class FeasibilityError(ValueError):
@@ -211,26 +212,18 @@ def multi_oracle(platforms, A: Fraction, B: Fraction, guard: int = 10**6) -> Sel
     if combos > guard:
         raise TooLarge(f"{combos} selections exceed the guard {guard}")
 
-    scale = math.lcm(
-        A.denominator,
-        B.denominator,
-        *((pl.z * pl.phi).denominator for g in by_state.values() for pl in g),
-        *(pl.z.denominator for g in by_state.values() for pl in g),
+    flat = [
+        (g, pl)
+        for g, state in enumerate(sorted(by_state))
+        for pl in sorted(by_state[state], key=lambda p: str(p.id))
+    ]
+    _, (base_num, base_den), zphis, zs = scale_to_integers(
+        (A, B), [pl.z * pl.phi for _, pl in flat], [pl.z for _, pl in flat]
     )
-    options = []
-    for state in sorted(by_state):
-        opts = [None] + sorted(by_state[state], key=lambda p: str(p.id))
-        options.append(
-            [
-                (0, 0, 0, None)
-                if pl is None
-                else (int(pl.z * pl.phi * scale), int(pl.z * scale), int(pl.z * scale), pl)
-                for pl in opts
-            ]
-        )
+    options = [[(0, 0, 0, None)] for _ in by_state]
+    for (g, pl), zphi, z in zip(flat, zphis, zs):
+        options[g].append((zphi, z, z, pl))
 
-    base_num = int(A * scale)
-    base_den = int(B * scale)
     best = None
     for combo in itertools.product(*options):
         num = base_num + sum(c[0] for c in combo)

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -23,9 +22,3 @@ def make_example():
 def example():
     return make_example()
 
-
-def all_subsets(n):
-    states = range(1, n + 1)
-    for size in range(n + 1):
-        for combo in itertools.combinations(states, size):
-            yield frozenset(combo)

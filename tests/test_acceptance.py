@@ -10,10 +10,10 @@ import math
 import time
 from fractions import Fraction as F
 
-from conftest import all_subsets
 from pdp.agent import agent_oracle, greedy_solve, greedy_solve_signed, is_feasible
 from pdp.core import (
     agent_utility,
+    all_subsets,
     derived_params,
     designer_profit,
     stationary_distribution_flower,

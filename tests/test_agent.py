@@ -3,19 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import all_subsets, make_example
 from pdp.agent import (
     SignError,
     TooLarge,
     _lex_key,
-    _scaled_terms,
     adopted_response,
     agent_oracle,
     greedy_solve,
     greedy_solve_signed,
     is_feasible,
 )
-from pdp.core import DerivedParams, agent_utility, derived_params
+from pdp.core import DerivedParams, agent_utility, all_subsets, derived_params, scale_to_integers
 from pdp.designer import designer_oracle
 from pdp.instances import gen_random_flower
 
@@ -25,7 +23,10 @@ from pdp.instances import gen_random_flower
 # must return the same set and utility.
 def _ref_agent_oracle(dp):
     n = dp.n
-    a, b, terms = _scaled_terms(dp, range(1, n + 1))
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    terms = list(zip(zphis, zs))
     nums = [0] * (1 << n)
     dens = [0] * (1 << n)
     nums[0], dens[0] = a, b
@@ -215,8 +216,10 @@ def test_oracle_matches_table_reference():
 def test_oracles_sweep_in_constant_memory():
     # A table per running sum would take 2^14 entries each (over 1 MB).
     inst = gen_random_flower(14, seed=11)
+    mixed = gen_random_flower(14, seed=8, ranges={"allow_negative_z": True}, delta=F(1, 16))
+    assert any(z < 0 for z in derived_params(mixed).z)
     dp = derived_params(inst)
-    for oracle, arg in ((agent_oracle, dp), (designer_oracle, inst)):
+    for oracle, arg in ((agent_oracle, dp), (designer_oracle, inst), (designer_oracle, mixed)):
         tracemalloc.start()
         try:
             oracle(arg)

@@ -11,6 +11,7 @@ from pdp.designer import DesignSet
 from pdp.game import GameInstance
 from pdp.instances import (
     gen_no_nash_game,
+    gen_random_flower,
     gen_random_multi_agent,
     gen_setcover_instance,
 )
@@ -150,16 +151,23 @@ def test_solve_designer_output(tmp_path, capsys, example):
 
 @pytest.mark.parametrize(
     "flags, quantization",
-    [(["--epsilon", "0"], None), (["--delta", "0"], None), ([], {"delta": "0"})],
+    [
+        (["--epsilon", "0"], None),
+        (["--delta", "0"], None),
+        ([], {"delta": "0"}),
+        ([], {"epsilon": "0"}),
+    ],
 )
 def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, flags, quantization):
     doc = serialize_instance(example)
     if quantization is not None:
         doc["quantization"] = quantization
+    # The message names the flag or the JSON path the zero came from.
+    path = flags[0] if flags else f"quantization.{next(iter(quantization))}"
     assert main(["solve-designer", write_doc(tmp_path, doc), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert captured.err.startswith(f"error: {path}: ")
     assert "Traceback" not in captured.err
 
 
@@ -214,12 +222,25 @@ def test_game_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_flower(tmp_path, capsys, example):
-    path = write_doc(tmp_path, serialize_instance(example))
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_example(),
+        # Mixed signs: states 4, 7 and 8 survive preprocessing, and the
+        # oracle's best set holds a negative-z state.
+        gen_random_flower(12, seed=2, ranges={"allow_negative_z": True}, delta=F(1, 16)),
+    ],
+    ids=["example", "mixed-sign"],
+)
+def test_verify_flower(tmp_path, capsys, inst):
+    path = write_doc(tmp_path, serialize_instance(inst))
     assert main(["verify", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
-    assert len(out["checks"]) == 2
+    agent_check, designer_check = out["checks"]
+    assert agent_check["match"] is True
+    assert designer_check["check"] == "designer fptas vs oracle"
+    assert "skipped" not in designer_check and designer_check["match"] is True
 
 
 def test_verify_multi_agent(tmp_path, capsys):

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 import pdp
-from conftest import all_subsets, make_example
 from pdp.core import (
     DegenerateState,
     NonpositiveCost,
@@ -13,11 +12,13 @@ from pdp.core import (
     ReducibleChain,
     SubsetError,
     agent_utility,
+    all_subsets,
     build_flower_instance,
     build_general_chain,
     derived_params,
     designer_profit,
     flower_as_general_chain,
+    scale_to_integers,
     stationary_distribution_flower,
     steady_state_general,
 )
@@ -50,6 +51,18 @@ def test_stationary_distribution_sums_to_one():
     inst = gen_random_flower(5, seed=11)
     for S in all_subsets(5):
         assert sum(stationary_distribution_flower(inst, S)) == 1
+
+
+def test_scale_to_integers_uses_one_common_denominator():
+    L, (a, b), c, empty = scale_to_integers((F(1, 2), F(-2, 3)), [F(5, 4), F(7)], ())
+    assert (L, a, b, c, empty) == (12, 6, -8, (15, 84), ())
+    assert scale_to_integers() == (1,)
+
+
+def test_all_subsets_lists_each_subset_once():
+    subsets = list(all_subsets(4))
+    assert len(subsets) == len(set(subsets)) == 16
+    assert subsets[:4] == [frozenset(), {1}, {2}, {1, 2}]
 
 
 def test_designer_profit_reference_values(example):

@@ -4,9 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import all_subsets, make_example
 from pdp.agent import TooLarge, is_feasible
-from pdp.core import build_flower_instance, derived_params, designer_profit, scaled_params
+from pdp.core import (
+    all_subsets,
+    build_flower_instance,
+    derived_params,
+    designer_profit,
+    scaled_params,
+)
 from pdp.designer import (
     CostBoundError,
     DesignSet,
@@ -159,6 +164,24 @@ def _ref_oracle_positive(sp):
     return frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
 
 
+# Reference: the oracle for any z signs, one is_feasible and one exact
+# Fraction profit per offered set.  The sweep must pick the same set.
+def _ref_oracle_general(inst):
+    n = inst.n
+    best = (F(0), 0, ())
+    best_states = frozenset()
+    for mask in range(1, 1 << n):
+        S = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        if not is_feasible(inst, S):
+            continue
+        p = designer_profit(inst, S, S)
+        key = (p, -len(S), tuple(-s for s in sorted(S)))
+        if key > best:
+            best = key
+            best_states = S
+    return best_states
+
+
 def test_preprocess_reference(example):
     qi = preprocess(example)
     assert qi.surviving == (1, 2)
@@ -245,6 +268,26 @@ def test_oracle_empty_without_demand(example):
 def test_oracle_guard(example):
     with pytest.raises(TooLarge):
         designer_oracle(example, guard=1)
+
+
+def test_oracle_equality_never_adopts_negative_state():
+    # State 2 has z < 0 and phi_2 = 3/4 = u({1}) = u({1, 2}), so the agent
+    # offered {1, 2} adopts only {1}: {1, 2} is not feasible, although its
+    # profit 26/11 - 1/5 would beat the 2/5 of {1}.
+    inst = build_flower_instance(
+        p=[F(1, 2), F(1, 2)],
+        q=[F(1, 2), F(1, 2)],
+        y=[F(1, 4), F(-1, 4)],
+        c_life=[F(0), F(1)],
+        c_platform=[F(1), F(9, 8)],
+        d=[F(1), F(10)],
+        cost=[F(1, 10), F(1, 10)],
+    )
+    dp = derived_params(inst)
+    assert dp.z[1] < 0 and dp.phi[1] == F(3, 4)
+    assert not is_feasible(inst, {1, 2})
+    assert _ref_oracle_general(inst) == {1}
+    assert designer_oracle(inst) == DesignSet(frozenset({1}), F(2, 5))
 
 
 def test_fptas_within_epsilon_of_oracle():
@@ -462,3 +505,25 @@ def test_oracle_matches_table_reference():
             expected,
             designer_profit(inst, expected, expected),
         )
+    # Mixed signs: feasibility is two-sided, so the reference asks the
+    # agent's own response for every offered set.
+    mixed = {"allow_negative_z": True}
+    cases = [
+        (1 + idx % 12, 8500 + idx, {**narrow, **mixed} if idx % 2 else mixed)
+        for idx in range(36)
+    ]
+    # Narrow cases whose best profit several sets reach: {2, 3} and
+    # {1, 2, 3}; {1, 3, 5, 6}, {1, 4, 5, 6} and {1, 3, 4, 5, 6}; {1, 3, 4}
+    # and {1, 4, 6}.  Each holds a negative-z state.
+    cases += [(2 + seed % 7, seed, {**narrow, **mixed}) for seed in (8016, 8544, 8146)]
+    negative_optima = 0
+    for n, seed, ranges in cases:
+        inst = gen_random_flower(n, seed=seed, ranges=ranges, delta=F(1, 16))
+        expected = _ref_oracle_general(inst)
+        result = designer_oracle(inst)
+        assert (result.states, result.profit) == (
+            expected,
+            designer_profit(inst, expected, expected),
+        )
+        negative_optima += any(derived_params(inst).z[i - 1] < 0 for i in expected)
+    assert negative_optima >= 15

@@ -5,8 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import all_subsets
-from pdp.core import build_flower_instance, derived_params
+from pdp.core import all_subsets, build_flower_instance, derived_params
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
 from pdp.instances import gen_random_flower, gen_random_multi_agent, gen_two_agent_partition
 from pdp.multiagent import (
