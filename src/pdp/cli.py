@@ -1,4 +1,4 @@
-"""Command-line front end: JSON instance files in, JSON results out.
+"""Command-line front end: JSON instances in, JSON results out.
 
 Exit codes: 0 success, 1 solver/oracle mismatch in verify, 2 invalid
 input (parse, schema, or guard violations).  Diagnostics go to stderr.
@@ -10,16 +10,20 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import agent, designer, game, instances, multiagent, multiplatform
 from .core import (
     FlowerInstance,
     GeneralChain,
+    ReducibleChain,
     all_subsets,
     build_flower_instance,
     build_general_chain,
     derived_params,
+    steady_state_general,
 )
 from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
 
@@ -45,6 +49,11 @@ def parse_rat(value, path: str) -> Fraction:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected an object")
@@ -60,147 +69,127 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _rat_list(doc, key, n, path) -> list[Fraction]:
-    values = doc.get(key)
-    if not isinstance(values, list) or len(values) != n:
-        raise SchemaError(f"{path}.{key}: expected a list of {n} rationals")
-    return [parse_rat(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
+class _Rule(NamedTuple):
+    """How one field is read and written.  `read(value, path, n, k)` checks
+    the JSON value found at `path` against n states and k agents; an absent
+    optional field is left out, so the caller's default applies."""
+
+    read: Callable
+    write: Callable
+    optional: bool = False
 
 
-_FLOWER_FIELDS = ("p", "q", "y", "c_life", "c_platform", "d", "cost")
+def _rationals(count: Callable) -> _Rule:
+    def read(value, path, n, k):
+        size = count(n, k)
+        if not isinstance(value, list) or len(value) != size:
+            raise SchemaError(f"{path}: expected a list of {size} rationals")
+        return tuple(parse_rat(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return _Rule(read, lambda values: [fmt(v) for v in values])
 
 
-def _parse_flower(doc, n, path, cost=None) -> FlowerInstance:
+def _state(value, path, n, k) -> int:
+    if not _is_int(value) or not 1 <= value <= n:
+        raise SchemaError(f"{path}: expected an integer in 1..{n}")
+    return value
+
+
+def _step(holds: Callable, claim: str) -> _Rule:
+    """A quantization step: a rational for which `holds` is true."""
+
+    def read(value, path, n, k):
+        step = parse_rat(value, path)
+        if not holds(step):
+            name = path.rpartition(".")[2].lstrip("-")  # the key or the flag
+            raise SchemaError(f"{path}: {name} = {step} {claim}")
+        return step
+
+    return _Rule(read, fmt)
+
+
+_PER_STATE = _rationals(lambda n, k: n)
+_PER_AGENT = _rationals(lambda n, k: k)
+_RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), fmt)
+_STATE = _Rule(_state, int)
+_LABEL = _Rule(lambda value, path, n, k: value, str, optional=True)  # any value, written as text
+_POSITIVE = _step(lambda x: x > 0, "must be positive")
+_UNIT = _step(lambda x: 0 < x < 1, "must lie in (0, 1)")._replace(optional=True)
+
+# The instance documents, one table of (key, rule) rows per object shape.
+_FLOWER = tuple(
+    (key, _PER_STATE) for key in ("p", "q", "y", "c_life", "c_platform", "d", "cost")
+)
+_AGENT, _COST = _FLOWER[:-1], _FLOWER[-1:]  # several agents share one cost row
+_PLATFORM = (
+    ("id", _LABEL),
+    ("state", _STATE),
+    ("z", _PER_AGENT),
+    ("phi", _PER_AGENT),
+    ("owner", _LABEL),
+)
+_CANDIDATE = (
+    ("state", _STATE),
+    ("z", _PER_AGENT),
+    ("phi", _PER_AGENT),
+    ("d", _PER_AGENT),
+    ("cost", _RATIONAL),
+)
+# Required in multi-agent, competitive and game documents, which need both
+# steps; a flower's block is optional and read by solve-designer alone.
+_STEPS = (("delta", _POSITIVE), ("delta_prime", _POSITIVE))
+_QUANTIZATION = _STEPS + (("epsilon", _UNIT),)
+_FLOWER_QUANTIZATION = tuple((key, rule._replace(optional=True)) for key, rule in _QUANTIZATION)
+
+
+def _read(doc, rows, path: str, n: int, k: int = 0) -> dict:
+    """The fields of the object `doc` at JSON path `path`, one per row."""
     _object(doc, path)
     fields = {}
-    for key in _FLOWER_FIELDS:
-        if key == "cost" and cost is not None:
-            fields[key] = cost
-            continue
-        fields[key] = _rat_list(doc, key, n, path)
+    for key, rule in rows:
+        at = key if path == "$" else f"{path}.{key}"
+        if key in doc:
+            fields[key] = rule.read(doc[key], at, n, k)
+        elif not rule.optional:
+            raise SchemaError(f"{at}: missing")
+    return fields
+
+
+def _write(obj, rows) -> dict:
+    return {key: rule.write(getattr(obj, key)) for key, rule in rows}
+
+
+def _build(path: str, builder, *args, **kwargs):
+    """builder(*args, **kwargs), with its ValueError reported under `path`."""
     try:
-        return build_flower_instance(**fields)
+        return builder(*args, **kwargs)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def _quant(doc):
-    q = _object(doc.get("quantization") or {}, "quantization")
-    out = {}
-    for key in ("delta", "delta_prime", "epsilon"):
-        if key in q:
-            out[key] = parse_rat(q[key], f"quantization.{key}")
-    return out
-
-
 def _steps(doc) -> tuple[Fraction, Fraction]:
-    """delta and delta_prime, each checked under its own path before a
-    builder sees them (builder errors are reported under agents/designers)."""
-    q = _quant(doc)
-    if "delta" not in q or "delta_prime" not in q:
-        raise SchemaError("quantization: delta and delta_prime are required")
-    for key in ("delta", "delta_prime"):
-        if q[key] <= 0:
-            raise SchemaError(f"quantization.{key}: {key} = {q[key]} must be positive")
+    q = _read(doc.get("quantization"), _QUANTIZATION, "quantization", 0)
     return q["delta"], q["delta_prime"]
 
 
-def _parse_multi_agent(doc) -> MultiAgentInstance:
-    n = doc.get("states")
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("states: expected a positive integer")
-    cost = _rat_list(doc, "cost", n, "$")
-    agents_doc = doc.get("agents")
-    if not isinstance(agents_doc, list) or not agents_doc:
+def _agents(doc, n: int, rows, **shared) -> list[FlowerInstance]:
+    agents = doc.get("agents")
+    if not isinstance(agents, list) or not agents:
         raise SchemaError("agents: expected a nonempty list")
-    agents_list = [
-        _parse_flower(a, n, f"agents[{i}]", cost=cost) for i, a in enumerate(agents_doc)
-    ]
-    delta, delta_prime = _steps(doc)
-    try:
-        return multiagent.build_multi_agent_instance(
-            agents_list, delta, delta_prime, m_ceiling=10**12
-        )
-    except ValueError as exc:
-        raise SchemaError(f"agents: {exc}") from None
-
-
-def _parse_platforms(doc, k, n) -> list[ExternalPlatform]:
-    platforms = []
-    for idx, pd in enumerate(_list(doc.get("platforms"), "platforms")):
-        path = f"platforms[{idx}]"
-        state = _object(pd, path).get("state")
-        if not isinstance(state, int) or not 1 <= state <= n:
-            raise SchemaError(f"{path}.state: expected an integer in 1..{n}")
-        z = [parse_rat(v, f"{path}.z[{i}]") for i, v in enumerate(_list(pd.get("z"), f"{path}.z"))]
-        phi = [
-            parse_rat(v, f"{path}.phi[{i}]") for i, v in enumerate(_list(pd.get("phi"), f"{path}.phi"))
-        ]
-        if len(z) != k or len(phi) != k:
-            raise SchemaError(f"{path}: z and phi need one value per agent ({k})")
-        platforms.append(
-            ExternalPlatform(
-                pd.get("id", f"ext{idx}"), state, tuple(z), tuple(phi),
-                pd.get("owner", "external"),
-            )
-        )
-    return platforms
+    flowers = []
+    for i, a in enumerate(agents):
+        path = f"agents[{i}]"
+        flowers.append(_build(path, build_flower_instance, **_read(a, rows, path, n), **shared))
+    return flowers
 
 
 def parse_instance(doc):
     """Typed instance from a JSON document; raises ParseError/SchemaError."""
-    if not isinstance(doc, dict):
-        raise SchemaError("$: expected a JSON object")
-    if doc.get("version") != 1:
+    _object(doc, "$")
+    version = doc.get("version")
+    if not _is_int(version) or version != 1:
         raise SchemaError("version: expected 1")
     kind = doc.get("kind")
-    if kind == "flower":
-        n = doc.get("states")
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("states: expected a positive integer")
-        return _parse_flower(doc, n, "$")
-    if kind == "multi-agent":
-        return _parse_multi_agent(doc)
-    if kind == "competitive":
-        mi = _parse_multi_agent(doc)
-        platforms = _parse_platforms(doc, mi.k, mi.n)
-        try:
-            return multiagent.build_competitive_instance(mi, platforms)
-        except ValueError as exc:
-            raise SchemaError(f"platforms: {exc}") from None
-    if kind == "game":
-        n = doc.get("states")
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("states: expected a positive integer")
-        chassis_doc = doc.get("agents")
-        if not isinstance(chassis_doc, list) or not chassis_doc:
-            raise SchemaError("agents: expected a nonempty list")
-        chassis = [_parse_flower(a, n, f"agents[{i}]") for i, a in enumerate(chassis_doc)]
-        k = len(chassis)
-        designers = []
-        for di, dd in enumerate(_list(doc.get("designers"), "designers")):
-            cands = []
-            dpath = f"designers[{di}]"
-            candidates = _list(_object(dd, dpath).get("candidates"), f"{dpath}.candidates")
-            for ci, cd in enumerate(candidates):
-                path = f"{dpath}.candidates[{ci}]"
-                state = _object(cd, path).get("state")
-                if not isinstance(state, int) or not 1 <= state <= n:
-                    raise SchemaError(f"{path}.state: expected an integer in 1..{n}")
-                z, phi, d = (
-                    tuple(parse_rat(v, f"{path}.{key}") for v in _list(cd.get(key), f"{path}.{key}"))
-                    for key in ("z", "phi", "d")
-                )
-                if len(z) != k or len(phi) != k or len(d) != k:
-                    raise SchemaError(f"{path}: z, phi, d need one value per agent")
-                cost = parse_rat(cd.get("cost"), f"{path}.cost")
-                cands.append(game.Candidate(state, z, phi, d, cost))
-            designers.append(tuple(cands))
-        delta, delta_prime = _steps(doc)
-        try:
-            return game.build_game_instance(chassis, designers, delta, delta_prime)
-        except ValueError as exc:
-            raise SchemaError(f"designers: {exc}") from None
     if kind == "general-chain":
         rows = doc.get("rows")
         if not isinstance(rows, list) or not rows:
@@ -211,70 +200,70 @@ def parse_instance(doc):
                 raise SchemaError(f"rows[{i}]: expected a list of rationals")
             parsed.append([parse_rat(v, f"rows[{i}][{j}]") for j, v in enumerate(row)])
         start = doc.get("start", 0)
-        if not isinstance(start, int) or isinstance(start, bool):
+        if not _is_int(start):
             raise SchemaError("start: expected an integer state index")
-        try:
-            return build_general_chain(parsed, start)
-        except ValueError as exc:
-            raise SchemaError(f"rows: {exc}") from None
-    raise SchemaError(f"kind: unknown kind {kind!r}")
-
-
-def _flower_doc(inst: FlowerInstance, with_cost=True) -> dict:
-    doc = {key: [fmt(v) for v in getattr(inst, key)] for key in _FLOWER_FIELDS}
-    if not with_cost:
-        del doc["cost"]
-    return doc
+        return _build("rows", build_general_chain, parsed, start)
+    if kind not in ("flower", "multi-agent", "competitive", "game"):
+        raise SchemaError(f"kind: unknown kind {kind!r}")
+    n = doc.get("states")
+    if not _is_int(n) or n < 1:
+        raise SchemaError("states: expected a positive integer")
+    if kind == "flower":
+        return _build("$", build_flower_instance, **_read(doc, _FLOWER, "$", n))
+    if kind == "game":
+        chassis = _agents(doc, n, _FLOWER)
+        designers = []
+        for d, entry in enumerate(_list(doc.get("designers"), "designers")):
+            path = f"designers[{d}].candidates"
+            cands = _list(_object(entry, f"designers[{d}]").get("candidates"), path)
+            designers.append(
+                [
+                    game.Candidate(**_read(c, _CANDIDATE, f"{path}[{i}]", n, len(chassis)))
+                    for i, c in enumerate(cands)
+                ]
+            )
+        return _build("designers", game.build_game_instance, chassis, designers, *_steps(doc))
+    agents = _agents(doc, n, _AGENT, **_read(doc, _COST, "$", n))
+    mi = _build(
+        "agents", multiagent.build_multi_agent_instance, agents, *_steps(doc), m_ceiling=10**12
+    )
+    if kind == "multi-agent":
+        return mi
+    platforms = [
+        ExternalPlatform(**{"id": f"ext{i}", **_read(pl, _PLATFORM, f"platforms[{i}]", n, mi.k)})
+        for i, pl in enumerate(_list(doc.get("platforms"), "platforms"))
+    ]
+    return _build("platforms", multiagent.build_competitive_instance, mi, platforms)
 
 
 def serialize_instance(obj) -> dict:
     if isinstance(obj, FlowerInstance):
-        return {"version": 1, "kind": "flower", "states": obj.n, **_flower_doc(obj)}
+        return {"version": 1, "kind": "flower", "states": obj.n, **_write(obj, _FLOWER)}
     if isinstance(obj, CompetitiveInstance):
-        doc = serialize_instance(obj.mi)
-        doc["kind"] = "competitive"
-        doc["platforms"] = [
-            {
-                "id": str(pl.id),
-                "state": pl.state,
-                "z": [fmt(v) for v in pl.z],
-                "phi": [fmt(v) for v in pl.phi],
-                "owner": str(pl.owner),
-            }
-            for pl in obj.externals
-        ]
-        return doc
+        return {
+            **serialize_instance(obj.mi),
+            "kind": "competitive",
+            "platforms": [_write(pl, _PLATFORM) for pl in obj.externals],
+        }
     if isinstance(obj, MultiAgentInstance):
         return {
             "version": 1,
             "kind": "multi-agent",
             "states": obj.n,
-            "cost": [fmt(v) for v in obj.cost],
-            "agents": [_flower_doc(a, with_cost=False) for a in obj.agents],
-            "quantization": {"delta": fmt(obj.delta), "delta_prime": fmt(obj.delta_prime)},
+            **_write(obj, _COST),
+            "agents": [_write(a, _AGENT) for a in obj.agents],
+            "quantization": _write(obj, _STEPS),
         }
     if isinstance(obj, game.GameInstance):
         return {
             "version": 1,
             "kind": "game",
             "states": obj.n,
-            "agents": [_flower_doc(a) for a in obj.chassis],
+            "agents": [_write(a, _FLOWER) for a in obj.chassis],
             "designers": [
-                {
-                    "candidates": [
-                        {
-                            "state": c.state,
-                            "z": [fmt(v) for v in c.z],
-                            "phi": [fmt(v) for v in c.phi],
-                            "d": [fmt(v) for v in c.d],
-                            "cost": fmt(c.cost),
-                        }
-                        for c in cands
-                    ]
-                }
-                for cands in obj.designers
+                {"candidates": [_write(c, _CANDIDATE) for c in cands]} for cands in obj.designers
             ],
-            "quantization": {"delta": fmt(obj.delta), "delta_prime": fmt(obj.delta_prime)},
+            "quantization": _write(obj, _STEPS),
         }
     if isinstance(obj, GeneralChain):
         return {
@@ -293,12 +282,18 @@ def _emit(result: dict, started: float) -> int:
     return 0
 
 
-def _load(path: str):
+def _load_instance(path: str, *types):
+    """The document at `path` and its instance, which must be one of `types`
+    when any are given."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    inst = parse_instance(doc)
+    if types and not isinstance(inst, types):
+        raise SchemaError(f"kind: this command does not take a {doc['kind']} document")
+    return doc, inst
 
 
 def _states(s) -> list[int]:
@@ -306,9 +301,7 @@ def _states(s) -> list[int]:
 
 
 def _cmd_solve_agent(args, started):
-    inst = parse_instance(_load(args.instance))
-    if not isinstance(inst, FlowerInstance):
-        raise SchemaError("kind: solve-agent needs a flower instance")
+    _, inst = _load_instance(args.instance, FlowerInstance)
     dp = derived_params(inst)
     if all(z > 0 for z in dp.z):
         result, trace = agent.greedy_solve(dp)
@@ -334,9 +327,7 @@ def _cmd_solve_agent(args, started):
 
 
 def _cmd_solve_multiplatform(args, started):
-    ci = parse_instance(_load(args.instance))
-    if not isinstance(ci, CompetitiveInstance):
-        raise SchemaError("kind: solve-multiplatform-agent needs a competitive instance")
+    _, ci = _load_instance(args.instance, CompetitiveInstance)
     idx = args.agent - 1
     if not 0 <= idx < ci.mi.k:
         raise SchemaError(f"--agent: no agent {args.agent}")
@@ -363,28 +354,16 @@ def _cmd_solve_multiplatform(args, started):
 def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
     """epsilon and delta for the FPTAS, each checked under the flag or JSON
     path it came from (a flag overrides the document)."""
-    q = _quant(doc)
-
-    def pick(key, default):
-        flag = getattr(args, key)
+    q = _read(doc.get("quantization", {}), _FLOWER_QUANTIZATION, "quantization", 0)
+    for key, rule in _QUANTIZATION:
+        flag = getattr(args, key, None)
         if flag is not None:
-            return flag, f"--{key}"
-        return q.get(key, default), f"quantization.{key}"
-
-    epsilon, path = pick("epsilon", Fraction(1, 10))
-    if not 0 < epsilon < 1:
-        raise SchemaError(f"{path}: epsilon = {epsilon} must lie in (0, 1)")
-    delta, path = pick("delta", None)
-    if delta is not None and delta <= 0:
-        raise SchemaError(f"{path}: delta = {delta} must be positive")
-    return epsilon, delta
+            q[key] = rule.read(flag, f"--{key}", 0, 0)
+    return q.get("epsilon", Fraction(1, 10)), q.get("delta")
 
 
 def _cmd_solve_designer(args, started):
-    doc = _load(args.instance)
-    inst = parse_instance(doc)
-    if not isinstance(inst, FlowerInstance):
-        raise SchemaError("kind: solve-designer needs a flower instance")
+    doc, inst = _load_instance(args.instance, FlowerInstance)
     if args.exact:
         result = designer.designer_oracle(inst)
         solver = "designer-oracle"
@@ -407,15 +386,13 @@ def _cmd_solve_designer(args, started):
 
 
 def _cmd_solve_multi_agent(args, started):
-    obj = parse_instance(_load(args.instance))
+    _, obj = _load_instance(args.instance, MultiAgentInstance, CompetitiveInstance)
     if isinstance(obj, CompetitiveInstance):
         result = multiagent.competitive_solve(obj)
         solver = "competitive-dp"
-    elif isinstance(obj, MultiAgentInstance):
+    else:
         result = multiagent.multi_agent_solve(obj)
         solver = "multi-agent-dp"
-    else:
-        raise SchemaError("kind: solve-multi-agent needs a multi-agent or competitive instance")
     return _emit(
         {
             "solver": solver,
@@ -427,19 +404,17 @@ def _cmd_solve_multi_agent(args, started):
     )
 
 
-def _parse_profile(text, g) -> tuple:
+def _parse_profile(text, g, flag) -> tuple:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"profile: {exc}") from None
+        raise ParseError(f"{flag}: {exc}") from None
     if not isinstance(raw, list) or len(raw) != g.num_designers:
-        raise SchemaError(f"profile: expected {g.num_designers} state lists")
+        raise SchemaError(f"{flag}: expected {g.num_designers} state lists")
     profile = []
     for i, states in enumerate(raw):
-        if not isinstance(states, list) or any(
-            not isinstance(s, int) or not 1 <= s <= g.n for s in states
-        ):
-            raise SchemaError(f"profile[{i}]: expected states in 1..{g.n}")
+        if not isinstance(states, list) or any(not _is_int(s) or not 1 <= s <= g.n for s in states):
+            raise SchemaError(f"{flag}[{i}]: expected states in 1..{g.n}")
         profile.append(frozenset(states))
     return tuple(profile)
 
@@ -449,12 +424,10 @@ def _profile_doc(profile):
 
 
 def _cmd_best_response(args, started):
-    g = parse_instance(_load(args.instance))
-    if not isinstance(g, game.GameInstance):
-        raise SchemaError("kind: best-response needs a game instance")
+    _, g = _load_instance(args.instance, game.GameInstance)
     if not 1 <= args.designer <= g.num_designers:
         raise SchemaError(f"--designer: no designer {args.designer}")
-    profile = _parse_profile(args.profile, g)
+    profile = _parse_profile(args.profile, g, "--profile")
     result = game.best_response(g, args.designer - 1, profile)
     return _emit(
         {
@@ -469,10 +442,8 @@ def _cmd_best_response(args, started):
 
 
 def _cmd_dynamics(args, started):
-    g = parse_instance(_load(args.instance))
-    if not isinstance(g, game.GameInstance):
-        raise SchemaError("kind: dynamics needs a game instance")
-    initial = _parse_profile(args.init, g)
+    _, g = _load_instance(args.instance, game.GameInstance)
+    initial = _parse_profile(args.init, g, "--init")
     outcome = game.best_response_dynamics(g, initial, args.max_rounds)
     return _emit(
         {
@@ -488,9 +459,7 @@ def _cmd_dynamics(args, started):
 
 
 def _cmd_nash(args, started):
-    g = parse_instance(_load(args.instance))
-    if not isinstance(g, game.GameInstance):
-        raise SchemaError("kind: nash needs a game instance")
+    _, g = _load_instance(args.instance, game.GameInstance)
     profile = game.pure_nash_search(g)
     return _emit(
         {
@@ -563,7 +532,7 @@ def _cmd_gen(args, started):
 
 
 def _cmd_verify(args, started):
-    obj = parse_instance(_load(args.instance))
+    _, obj = _load_instance(args.instance)
     checks = []
     ok = True
     if isinstance(obj, FlowerInstance):
@@ -600,6 +569,10 @@ def _cmd_verify(args, started):
             )
         except designer.EmptyInstance:
             checks.append({"check": "designer fptas vs oracle", "skipped": "no surviving state"})
+        except designer.QuantizationError as exc:
+            # A negative-z state survived preprocessing: the FPTAS is not
+            # defined there.
+            checks.append({"check": "designer fptas vs oracle", "skipped": str(exc)})
     elif isinstance(obj, CompetitiveInstance):
         solved = multiagent.competitive_solve(obj)
         best = max(
@@ -669,9 +642,20 @@ def _cmd_verify(args, started):
                 ok = ok and match
                 checks.append({"check": check, "nash": _profile_doc(nash), "match": match})
     else:
-        raise SchemaError(
-            "kind: verify supports flower, multi-agent, competitive, and game instances"
-        )
+        check = "steady state is stationary"
+        try:
+            pi = steady_state_general(obj)
+        except ReducibleChain as exc:
+            checks.append({"check": check, "skipped": str(exc)})
+        else:
+            states = range(obj.size)
+            match = (
+                all(v >= 0 for v in pi)
+                and sum(pi) == 1
+                and all(sum(pi[s] * obj.rows[s][t] for s in states) == pi[t] for t in states)
+            )
+            ok = ok and match
+            checks.append({"check": check, "pi": [fmt(v) for v in pi], "match": match})
     _emit({"solver": "verify", "checks": checks, "ok": ok}, started)
     return 0 if ok else 1
 
@@ -693,8 +677,8 @@ def _build_parser():
     p.add_argument("--agent", type=int, default=1)
 
     p = with_instance("solve-designer", help="designer profit maximization")
-    p.add_argument("--epsilon", type=Fraction, default=None)
-    p.add_argument("--delta", type=Fraction, default=None)
+    p.add_argument("--epsilon", default=None, help="rational in (0, 1); default 1/10")
+    p.add_argument("--delta", default=None, help="positive rational z grid")
     p.add_argument("--exact", action="store_true", help="use the exponential oracle")
 
     with_instance("solve-multi-agent", help="multi-agent or competitive designer optimum")

@@ -74,6 +74,9 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
                 raise ValueError("candidate costs must be positive")
             if len(c.z) != len(chassis) or len(c.phi) != len(chassis):
                 raise ValueError("candidate needs per-agent z and phi")
+            # z = -lambda would divide by zero in the designer's view.
+            if any(z <= 0 for z in c.z):
+                raise ValueError(f"candidate at state {c.state} needs every z positive")
     g = GameInstance(chassis, designers, delta, delta_prime)
     for d in range(len(designers)):
         _designer_view(g, d)  # validates quantization eagerly

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_example
+from pdp import cli
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
@@ -97,8 +98,10 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["solve-agent", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
-    # A non-object entry, a non-list row or a non-integer start is named
-    # by its JSON path.
+    # A non-object entry, a non-list row, a non-integer start, a boolean
+    # where an integer belongs or a nonpositive candidate z is named by
+    # its JSON path.
+    flower = serialize_instance(make_example())
     mi = gen_random_multi_agent(2, 2, seed=2)
     competitive = serialize_instance(
         build_competitive_instance(mi, [ExternalPlatform("x0", 1, (F(1), F(1)), (F(1, 2), F(1, 4)))])
@@ -113,6 +116,19 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         ("nash", game, ("designers", 1, "candidates", 0), "x", "designers[1].candidates[0]"),
         ("verify", chain, ("rows", 0), 1, "rows[0]"),
         ("verify", chain, ("start",), "0", "start"),
+        ("solve-agent", flower, ("states",), True, "states"),
+        ("solve-agent", flower, ("version",), True, "version"),
+        ("solve-multi-agent", competitive, ("platforms", 0, "state"), True, "platforms[0].state"),
+        (
+            "nash",
+            game,
+            ("designers", 0, "candidates", 1, "state"),
+            True,
+            "designers[0].candidates[1].state",
+        ),
+        ("nash", game, ("designers", 0, "candidates", 0, "z", 0), "-1", "designers"),
+        ("solve-agent", flower, ("p", 1), 0.5, "p[1]"),
+        ("solve-multi-agent", multi, ("agents", 1, "q", 0), "1/0", "agents[1].q[0]"),
     ]
     for command, doc, keys, value, path in cases:
         doc = json.loads(json.dumps(doc))
@@ -122,6 +138,15 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         target[keys[-1]] = value
         assert main([command, write_doc(tmp_path, doc)]) == 2, path
         assert capsys.readouterr().err.startswith(f"error: {path}:"), path
+
+    path = write_doc(tmp_path, game)
+    assert main(["best-response", path, "--designer", "1", "--profile", "[[true],[]]"]) == 2
+    assert capsys.readouterr().err.startswith("error: --profile[0]:")
+
+    # A quantization block that is not an object is not read as absent.
+    for value in (0, "", []):
+        assert main(["solve-designer", write_doc(tmp_path, {**flower, "quantization": value})]) == 2
+        assert capsys.readouterr().err == "error: quantization: expected an object\n"
 
 
 def test_solve_agent_output(tmp_path, capsys, example):
@@ -156,6 +181,7 @@ def test_solve_designer_output(tmp_path, capsys, example):
         (["--delta", "0"], None),
         ([], {"delta": "0"}),
         ([], {"epsilon": "0"}),
+        (["--epsilon", "1/0"], None),
     ],
 )
 def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, flags, quantization):
@@ -241,6 +267,52 @@ def test_verify_flower(tmp_path, capsys, inst):
     assert agent_check["match"] is True
     assert designer_check["check"] == "designer fptas vs oracle"
     assert "skipped" not in designer_check and designer_check["match"] is True
+
+
+def test_verify_flower_skips_unquantizable_fptas(tmp_path, capsys):
+    # State 5 has z = -1/16 and survives preprocessing, so the FPTAS does
+    # not apply; the agent check still runs.
+    inst = gen_random_flower(12, seed=0, ranges={"allow_negative_z": True}, delta=F(1, 16))
+    assert main(["verify", write_doc(tmp_path, serialize_instance(inst))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check["match"] is True
+    assert designer_check == {
+        "check": "designer fptas vs oracle",
+        "skipped": "z[5] = -1/16 is not a positive integer multiple of 1/16",
+    }
+
+
+def test_verify_general_chain(tmp_path, capsys, monkeypatch):
+    assert main(["gen", "--kind", "set-cover"]) == 0
+    path = tmp_path / "chain.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    (check,) = out["checks"]
+    assert check["check"] == "steady state is stationary" and check["match"] is True
+    assert sum(F(v) for v in check["pi"]) == 1
+    # Two closed classes reachable from the start: no unique steady state.
+    rows = [[0, "1/2", "1/2"], [0, 1, 0], [0, 0, 1]]
+    split = {"version": 1, "kind": "general-chain", "rows": rows}
+    assert main(["verify", write_doc(tmp_path, split)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"] == [
+        {
+            "check": "steady state is stationary",
+            "skipped": "reachable part has 2 closed classes, need exactly 1",
+        }
+    ]
+    # A distribution that sums to 1 but is not stationary fails the check.
+    def point_mass(chain):
+        return (F(1),) + (F(0),) * (chain.size - 1)
+
+    monkeypatch.setattr(cli, "steady_state_general", point_mass)
+    assert main(["verify", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and out["checks"][0]["match"] is False
 
 
 def test_verify_multi_agent(tmp_path, capsys):
