@@ -108,12 +108,14 @@ def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
 def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
-    Ties break toward the smallest cardinality, then lexicographic order.
-    The sweep visits the subsets in reflected Gray-code order (Knuth,
-    TAOCP 4A, 7.2.1.1): consecutive subsets differ in one state, so the
-    running numerator and denominator move by one add or subtract per
-    subset and memory stays O(n).  The tie-break is a strict total order
-    on distinct subsets, so the visit order does not change the result.
+    Ties break toward the smallest cardinality.  Among the optimal sets
+    the smallest is unique: at the optimal utility u*, it is exactly the
+    set of states with z*(phi - u*) > 0, and every other optimal set adds
+    states that leave the ratio at u*.  So the visit order does not
+    change the result.  The sweep visits the subsets in reflected
+    Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): consecutive subsets
+    differ in one state, so the running numerator and denominator move
+    by one add or subtract per subset and memory stays O(n).
     """
     n = dp.n
     if n > guard:
@@ -138,20 +140,10 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
             den -= z
             size -= 1
         cmp = num * best_den - best_num * den
-        if cmp > 0 or (
-            cmp == 0
-            and (
-                size < best_size
-                or (size == best_size and _lex_key(mask, n) < _lex_key(best_mask, n))
-            )
-        ):
+        if cmp > 0 or (cmp == 0 and size < best_size):
             best_mask, best_num, best_den, best_size = mask, num, den, size
     chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return AdoptionSet(chosen, Fraction(best_num, best_den))
-
-
-def _lex_key(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
 
 
 def adopted_response(inst: FlowerInstance, offered) -> frozenset[int]:

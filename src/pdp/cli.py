@@ -370,7 +370,14 @@ def _cmd_solve_designer(args, started):
         bins = None
     else:
         epsilon, delta = _designer_steps(args, doc)
-        qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
+        try:
+            qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
+        except designer.QuantizationError as exc:
+            # delta came from the flag, else the document, else the gcd of z.
+            at = "--delta" if args.delta is not None else "quantization.delta" if delta else "$"
+            raise SchemaError(f"{at}: {exc}") from None
+        except (designer.EmptyInstance, designer.CostBoundError) as exc:
+            raise SchemaError(f"$: {exc}") from None
         result = designer.fptas_solve(qi)
         solver = "designer-fptas"
         bins = result.bins
@@ -385,17 +392,22 @@ def _cmd_solve_designer(args, started):
     return _emit(out, started)
 
 
+def _solve_threshold_dp(obj):
+    """Solve a multi-agent or competitive instance: its kind's name, the
+    solution, the number of states and the kind's independent profit."""
+    if isinstance(obj, CompetitiveInstance):
+        solved = multiagent.competitive_solve(obj)
+        return "competitive", solved, obj.mi.n, multiagent.competitive_profit
+    solved = multiagent.multi_agent_solve(obj)
+    return "multi-agent", solved, obj.n, multiagent.multi_agent_profit
+
+
 def _cmd_solve_multi_agent(args, started):
     _, obj = _load_instance(args.instance, MultiAgentInstance, CompetitiveInstance)
-    if isinstance(obj, CompetitiveInstance):
-        result = multiagent.competitive_solve(obj)
-        solver = "competitive-dp"
-    else:
-        result = multiagent.multi_agent_solve(obj)
-        solver = "multi-agent-dp"
+    name, result, _, _ = _solve_threshold_dp(obj)
     return _emit(
         {
-            "solver": solver,
+            "solver": f"{name}-dp",
             "offered": _states(result.states),
             "profit": fmt(result.profit),
             "profit_decimal": float(result.profit),
@@ -573,33 +585,16 @@ def _cmd_verify(args, started):
             # A negative-z state survived preprocessing: the FPTAS is not
             # defined there.
             checks.append({"check": "designer fptas vs oracle", "skipped": str(exc)})
-    elif isinstance(obj, CompetitiveInstance):
-        solved = multiagent.competitive_solve(obj)
-        best = max(
-            (
-                (multiagent.competitive_profit(obj, S), S)
-                for S in all_subsets(obj.mi.n)
-            ),
-            key=lambda t: t[0],
-        )
-        match = solved.profit == best[0]
-        ok = ok and match
-        checks.append(
-            {
-                "check": "competitive dp vs brute force",
-                "solver": fmt(solved.profit),
-                "oracle": fmt(best[0]),
-                "match": match,
-            }
-        )
-    elif isinstance(obj, MultiAgentInstance):
-        solved = multiagent.multi_agent_solve(obj)
-        best = max(multiagent.multi_agent_profit(obj, S) for S in all_subsets(obj.n))
+    elif isinstance(obj, (MultiAgentInstance, CompetitiveInstance)):
+        # Each kind keeps its own brute force: multi_agent_profit does not
+        # go through the competitive curves the solver uses.
+        name, solved, n, profit = _solve_threshold_dp(obj)
+        best = max(profit(obj, S) for S in all_subsets(n))
         match = solved.profit == best
         ok = ok and match
         checks.append(
             {
-                "check": "multi-agent dp vs brute force",
+                "check": f"{name} dp vs brute force",
                 "solver": fmt(solved.profit),
                 "oracle": fmt(best),
                 "match": match,

@@ -56,10 +56,6 @@ class QuantizedInstance:
     scaled: ScaledParams
 
 
-def singleton_profit(inst: FlowerInstance, i: int) -> Fraction:
-    return designer_profit(inst, {i}, {i})
-
-
 def _fraction_gcd(values) -> Fraction:
     num = 0
     den = 1
@@ -72,9 +68,9 @@ def _fraction_gcd(values) -> Fraction:
 def _feasible_singleton_profit(sp: ScaledParams, i: int) -> Fraction | None:
     """Profit of offering {i} alone, or None when the agent would not adopt.
 
-    The same answers as is_feasible(inst, {i}) and singleton_profit: a
-    lone state is adopted iff its potential lies strictly above the
-    baseline utility A/B (z > 0) or strictly below it (z < 0).
+    The same answers as is_feasible(inst, {i}) and designer_profit(inst,
+    {i}, {i}): a lone state is adopted iff its potential lies strictly
+    above the baseline utility A/B (z > 0) or strictly below it (z < 0).
     """
     j = i - 1
     base, potential = sp.A * sp.L, sp.phi[j] * sp.B

@@ -7,16 +7,18 @@ numerator/denominator shifts each candidate set induces.  A slot is kept
 only when it is consistent with the guess, which makes the slot value
 equal the true profit.
 
-One core, `_threshold_dp`, runs that DP for both solvers.  A solver hands
-it, per agent and threshold guess, the candidates the agent picks, the
-utility numerator and denominator without them (a_hat, b_hat), and the
-shift each pick adds (sigma, tau); the multi-agent case is a_hat = A,
-b_hat = B, sigma = z*phi, tau = z.  Everything that depends on the guess
-alone (slot steps, reachable D, consistency bounds) is worked out once
-per agent and guess.  Slot keys and slot values are integers: for each D
-the value coefficients share one integer denominator, and consistency
-is an integer window on the numerator counter, so a `Fraction` is made
-only for the returned profit.
+One core, `_threshold_dp`, runs that DP.  The multi-agent problem is the
+competitive one with no rival platforms, so `multi_agent_solve` checks its
+(theta, D) budget and hands the instance to `competitive_solve`.  Per
+agent and threshold guess, `agent_guess` reads off the agent's Pareto
+curves the candidates it picks, its utility numerator and denominator
+without them (a_hat, b_hat), and the shift each pick adds (sigma, tau);
+with no rival platforms a_hat = A, b_hat = B, sigma = z*phi, tau = z.
+Everything that depends on the guess alone (slot steps, reachable D,
+consistency bounds) is worked out once per agent and guess.  Slot keys
+and slot values are integers: for each D the value coefficients share
+one integer denominator, and consistency is an integer window on the
+numerator counter, so a `Fraction` is made only for the returned profit.
 """
 
 from __future__ import annotations
@@ -126,34 +128,22 @@ def _ceil(x: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class AgentView:
-    """One agent under one threshold guess, as a solver describes it.
+class AgentGuess:
+    """One agent under one threshold guess, over integers, with everything
+    the DP needs from it.
 
     member[j] says whether the agent picks the designer's candidate at
-    state j+1; a_hat and b_hat are the agent's utility numerator and
-    denominator without those picks; picking state j+1 adds sigma[j] to
-    the numerator and tau[j] to the denominator.
-    """
-
-    member: tuple[bool, ...]
-    a_hat: Fraction
-    b_hat: Fraction
-    sigma: tuple[Fraction, ...]
-    tau: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class AgentGuess:
-    """An AgentView over integers, with everything the DP needs from it.
-
-    a_steps[j] and b_steps[j] are the slot-key shifts of picking state
-    j+1 (sigma / (delta*delta') and tau / delta; 0 for a state not
-    picked); bad lists the picked states whose shifts are not whole.
-    dw[j] is d_j*w_j*L and options holds, per reachable denominator
-    D = b_hat + level*delta in increasing order, (level, D*L, lo, hi):
-    a slot with these counters is consistent iff its denominator counter
-    equals level and lo <= its numerator counter <= hi (hi None: no
-    upper bound).  L is one integer scale for dw and every D.
+    state j+1.  a_hat and b_hat are the agent's utility numerator and
+    denominator without those picks, and picking state j+1 adds sigma[j]
+    to the numerator and tau[j] to the denominator.  a_steps[j] and
+    b_steps[j] are the slot-key shifts sigma / (delta*delta') and
+    tau / delta (0 for a state not picked); bad lists the picked states
+    whose shifts are not whole.  dw[j] is d_j*w_j*L and options holds,
+    per reachable denominator D = b_hat + level*delta in increasing
+    order, (level, D*L, lo, hi): a slot with these counters is
+    consistent iff its denominator counter equals level and lo <= its
+    numerator counter <= hi (hi None: no upper bound).  L is one integer
+    scale for dw and every D.
     """
 
     member: tuple[bool, ...]
@@ -164,30 +154,59 @@ class AgentGuess:
     options: tuple[tuple[int, int, int, int | None], ...]
 
 
-def agent_guess(view: AgentView, dw, theta, theta_next, delta: Fraction, dd: Fraction) -> AgentGuess:
-    """The AgentGuess of `view` under the window [theta_next, theta); dw
-    holds the agent's d_j*w_j and dd is delta*delta_prime."""
-    a_steps, b_steps, bad = [], [], []
-    for j, picked in enumerate(view.member):
-        a = view.sigma[j] / dd if picked else Fraction(0)
-        b = view.tau[j] / delta if picked else Fraction(0)
-        if a.denominator != 1 or b.denominator != 1:
-            bad.append(j + 1)
-        a_steps.append(int(a))
-        b_steps.append(int(b))
-    _, (b_hat_L, delta_L), dw = scale_to_integers((view.b_hat, delta), dw)
-    scaled = (view.member, tuple(a_steps), tuple(b_steps), tuple(bad), dw)
+def agent_guess(
+    ac: AgentCurves, dw, theta, theta_next, delta: Fraction, dd: Fraction
+) -> AgentGuess:
+    """The AgentGuess of one agent under the window [theta_next, theta).
+
+    The agent's fallback is its selection on the rival curves alone; it
+    picks the designer's candidate at a state when the candidate is the
+    selected point of that state's inserted curve, which replaces the
+    fallback there.  dw holds the agent's d_j*w_j and dd is
+    delta*delta_prime.
+    """
+    fall = {}
+    for s, curve in ac.base.items():
+        pick = None
+        for idx, pl in enumerate(curve.platforms):
+            if theta is not INF and curve.psi[idx] >= theta:
+                pick = pl
+        fall[s] = pick
+    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), Fraction(0))
+    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), Fraction(0))
+    n = ac.dp.n
+    member = [False] * n
+    a_steps, b_steps, bad = [0] * n, [0] * n, []
+    for s, curve in ac.with_own.items():
+        for idx, pl in enumerate(curve.platforms):
+            selected = (
+                pl.owner == _OWN
+                and theta is not INF
+                and curve.psi[idx] >= theta
+                and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next)
+            )
+            if selected:
+                f = fall.get(s)
+                a = (pl.z * pl.phi - (f.z * f.phi if f else 0)) / dd  # sigma / dd
+                b = (pl.z - (f.z if f else 0)) / delta  # tau / delta
+                if a.denominator != 1 or b.denominator != 1:
+                    bad.append(pl.state)
+                j = pl.state - 1
+                member[j] = True
+                a_steps[j], b_steps[j] = int(a), int(b)
+    _, (b_hat_L, delta_L), dw = scale_to_integers((b_hat, delta), dw)
+    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw)
     if bad:
         return AgentGuess(*scaled, ())
     levels = {0}
-    for b, picked in zip(b_steps, view.member):
+    for b, picked in zip(b_steps, member):
         if picked:
             levels |= {s + b for s in levels}
     options = []
     for level in sorted(levels):
-        D = view.b_hat + level * delta
-        lo = _ceil((theta_next * D - view.a_hat) / dd)
-        hi = None if theta is INF else _ceil((theta * D - view.a_hat) / dd) - 1
+        D = b_hat + level * delta
+        lo = _ceil((theta_next * D - a_hat) / dd)
+        hi = None if theta is INF else _ceil((theta * D - a_hat) / dd) - 1
         options.append((level, b_hat_L + level * delta_L, lo, hi))
     return AgentGuess(*scaled, tuple(options))
 
@@ -212,22 +231,22 @@ def slot_coefficients(guesses, option, cost, cost_scale: int) -> tuple[tuple[int
     return tuple(coeffs), cost_scale * P
 
 
-def _threshold_dp(mi: MultiAgentInstance, grids, view) -> DesignSet:
+def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     """Best consistent slot over every (theta, D) guess.
 
-    grids[i] is agent i's theta grid (see theta_grid) and view(i, theta,
-    theta_next) its AgentView under a guess.  Ties break toward the
-    lexicographically smallest state tuple.
+    grids[i] is agent i's theta grid (see theta_grid).  Ties break toward
+    the lexicographically smallest state tuple.
     """
+    mi = ci.mi
     k = mi.k
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = []
-    for i, (grid, a, dp) in enumerate(zip(grids, mi.agents, mi.params)):
-        dw = [d * w for d, w in zip(a.d, dp.w)]
+    for grid, a, ac in zip(grids, mi.agents, ci.curves):
+        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
         guesses.append(
             [
-                agent_guess(view(i, theta, theta_next), dw, theta, theta_next, mi.delta, dd)
+                agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
                 for theta, theta_next in _windows(grid)
             ]
         )
@@ -293,7 +312,8 @@ def multi_agent_profit(mi: MultiAgentInstance, S) -> Fraction:
 
 
 def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
-    """Exact optimum of the shared-cost multi-agent design problem."""
+    """Exact optimum of the shared-cost multi-agent design problem: the
+    competitive problem with no rival platforms."""
     dps = mi.params
     grids = [theta_grid(dp.phi) for dp in dps]
     # The budget counts every guess of theta and of D = B + l*delta with
@@ -303,14 +323,7 @@ def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
     )
     if total > budget:
         raise GuardExceeded(f"(theta, D) grid size {total} exceeds budget {budget}")
-    shifts = [(tuple(z * phi for z, phi in zip(dp.z, dp.phi)), dp.z) for dp in dps]
-
-    def view(i, theta, theta_next):
-        dp = dps[i]
-        member = tuple(theta is not INF and phi >= theta for phi in dp.phi)
-        return AgentView(member, dp.A, dp.B, *shifts[i])
-
-    return _threshold_dp(mi, grids, view)
+    return competitive_solve(CompetitiveInstance(mi, ()), budget)
 
 
 @dataclass(frozen=True)
@@ -406,39 +419,6 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     return profit
 
 
-def _competitive_view(ac: AgentCurves, n: int, theta, theta_next) -> AgentView:
-    """The fallback selection on the external curves, the own candidates
-    picked on the inserted curves, and the shifts each pick makes."""
-    fall = {}
-    for s, curve in ac.base.items():
-        pick = None
-        for idx, pl in enumerate(curve.platforms):
-            if theta is not INF and curve.psi[idx] >= theta:
-                pick = pl
-        fall[s] = pick
-    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), Fraction(0))
-    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), Fraction(0))
-    member = [False] * n
-    sigma = [Fraction(0)] * n
-    tau = [Fraction(0)] * n
-    for s, curve in ac.with_own.items():
-        for idx, pl in enumerate(curve.platforms):
-            if pl.owner != _OWN:
-                continue
-            selected = (
-                theta is not INF
-                and curve.psi[idx] >= theta
-                and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next)
-            )
-            if selected:
-                f = fall.get(s)
-                j = pl.state
-                member[j - 1] = True
-                sigma[j - 1] = pl.z * pl.phi - (f.z * f.phi if f else 0)
-                tau[j - 1] = pl.z - (f.z if f else 0)
-    return AgentView(tuple(member), a_hat, b_hat, tuple(sigma), tuple(tau))
-
-
 def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet:
     """Exact optimum when agents also see competitor-owned platforms."""
     curves = ci.curves
@@ -453,8 +433,4 @@ def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet
     total = math.prod(len(g) for g in grids)
     if total > budget:
         raise GuardExceeded(f"theta grid size {total} exceeds budget {budget}")
-
-    def view(i, theta, theta_next):
-        return _competitive_view(curves[i], ci.mi.n, theta, theta_next)
-
-    return _threshold_dp(ci.mi, grids, view)
+    return _threshold_dp(ci, grids)

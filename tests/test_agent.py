@@ -6,7 +6,6 @@ import pytest
 from pdp.agent import (
     SignError,
     TooLarge,
-    _lex_key,
     adopted_response,
     agent_oracle,
     greedy_solve,
@@ -16,6 +15,10 @@ from pdp.agent import (
 from pdp.core import DerivedParams, agent_utility, all_subsets, derived_params, scale_to_integers
 from pdp.designer import designer_oracle
 from pdp.instances import gen_random_flower
+
+
+def _lex_key(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
 
 
 # Reference: the oracle sweep with one table entry per subset, each

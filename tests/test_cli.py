@@ -197,6 +197,50 @@ def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, fla
     assert "Traceback" not in captured.err
 
 
+def _flower_doc(inst, **fields):
+    return {**serialize_instance(inst), **fields}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        # `pdp gen --kind random-flower`, whose z[1] = 3 is no multiple of 7.
+        (_flower_doc(gen_random_flower(4, seed=0)), ["--delta", "7"], "--delta: z[1] = 3 is not"),
+        (
+            _flower_doc(gen_random_flower(4, seed=0), quantization={"delta": "7"}),
+            [],
+            "quantization.delta: z[1] = 3 is not",
+        ),
+        # A negative-z state survives preprocessing; delta is the gcd of z.
+        (
+            _flower_doc(
+                gen_random_flower(12, seed=0, ranges={"allow_negative_z": True}, delta=F(1, 16))
+            ),
+            [],
+            "$: z[5] = -1/16 is not",
+        ),
+        (
+            _flower_doc(make_example(), d=["0", "0"]),
+            [],
+            "$: no state has a feasible, profitable singleton",
+        ),
+        # Offered alone, state 1 brings revenue 5 and state 2 revenue 1/2:
+        # these costs leave state 1 a profit K of 10^-6 and state 2 none.
+        (
+            _flower_doc(make_example(), cost=["4999999/1000000", "3/2"]),
+            [],
+            "$: cost/K ratio 4999999 exceeds the ceiling 1000",
+        ),
+    ],
+    ids=["flag-delta", "document-delta", "negative-z", "no-survivor", "cost-bound"],
+)
+def test_solve_designer_preprocess_errors_name_their_source(tmp_path, capsys, doc, flags, message):
+    assert main(["solve-designer", write_doc(tmp_path, doc), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize(
     "command, key",
     [
@@ -320,6 +364,18 @@ def test_verify_multi_agent(tmp_path, capsys):
     path = write_doc(tmp_path, serialize_instance(mi))
     assert main(["verify", path]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_verify_competitive(tmp_path, capsys):
+    mi = gen_random_multi_agent(3, 2, seed=5)
+    ci = build_competitive_instance(
+        mi, [ExternalPlatform("x0", 2, (F(1), F(1)), (F(1, 2), F(3, 4)))]
+    )
+    assert main(["verify", write_doc(tmp_path, serialize_instance(ci))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    (check,) = out["checks"]
+    assert check["check"] == "competitive dp vs brute force" and check["match"] is True
 
 
 @pytest.mark.parametrize("designers", [2, 1])

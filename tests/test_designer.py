@@ -21,7 +21,6 @@ from pdp.designer import (
     designer_oracle,
     fptas_solve,
     preprocess,
-    singleton_profit,
 )
 from pdp.instances import gen_random_flower
 
@@ -47,11 +46,11 @@ def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
     surviving = tuple(
         i
         for i in range(1, inst.n + 1)
-        if is_feasible(inst, {i}) and singleton_profit(inst, i) > 0
+        if is_feasible(inst, {i}) and designer_profit(inst, {i}, {i}) > 0
     )
     if not surviving:
         raise EmptyInstance("no state has a feasible, profitable singleton")
-    K = max(singleton_profit(inst, i) for i in surviving)
+    K = max(designer_profit(inst, {i}, {i}) for i in surviving)
     if delta is None:
         num, den = 0, 1
         for i in surviving:
@@ -417,11 +416,6 @@ def test_table_size_bound():
         assert result.bins <= profit_bins * revenue_bins * (z_steps + 1)
 
 
-def test_singleton_profit_matches_designer_profit(example):
-    for i in (1, 2):
-        assert singleton_profit(example, i) == designer_profit(example, {i}, {i})
-
-
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -473,7 +467,7 @@ def test_singleton_screen_matches_agent_response():
         )
         sp = scaled_params(inst, derived_params(inst))
         for i in range(1, inst.n + 1):
-            expected = singleton_profit(inst, i) if is_feasible(inst, {i}) else None
+            expected = designer_profit(inst, {i}, {i}) if is_feasible(inst, {i}) else None
             assert _feasible_singleton_profit(sp, i) == expected
 
 

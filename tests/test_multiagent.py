@@ -10,7 +10,6 @@ from pdp.designer import DesignSet, QuantizationError, designer_oracle
 from pdp.instances import gen_random_flower, gen_random_multi_agent, gen_two_agent_partition
 from pdp.multiagent import (
     INF,
-    AgentView,
     CompetitiveInstance,
     ExternalPlatform,
     GuardExceeded,
@@ -279,19 +278,14 @@ def test_build_requires_shared_structure():
 
 
 def multi_agent_guesses(mi, theta):
-    """Each agent's AgentGuess under the multi-agent view at thresholds theta."""
+    """Each agent's AgentGuess with no rival platforms at thresholds theta."""
     dd = mi.delta * mi.delta_prime
     guesses = []
-    for i, a in enumerate(mi.agents):
-        dp = derived_params(a)
-        grid = theta_grid(dp.phi)
+    for i, (a, ac) in enumerate(zip(mi.agents, CompetitiveInstance(mi, ()).curves)):
+        grid = theta_grid(ac.dp.phi)
         theta_next = (*grid[1:], F(-1))[grid.index(theta[i])]
-        view = AgentView(
-            tuple(theta[i] is not INF and phi >= theta[i] for phi in dp.phi),
-            dp.A, dp.B, tuple(z * phi for z, phi in zip(dp.z, dp.phi)), dp.z,
-        )
-        dw = [d * w for d, w in zip(a.d, dp.w)]
-        guesses.append(agent_guess(view, dw, theta[i], theta_next, mi.delta, dd))
+        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
+        guesses.append(agent_guess(ac, dw, theta[i], theta_next, mi.delta, dd))
     return guesses
 
 
@@ -375,6 +369,16 @@ def test_solve_guard():
     mi = gen_random_multi_agent(3, 2, seed=6)
     with pytest.raises(GuardExceeded):
         multi_agent_solve(mi, budget=1)
+
+
+def test_solve_guard_counts_denominator_guesses():
+    # A budget the theta grid alone fits: the competitive guard passes,
+    # and only the multi-agent count of D guesses exceeds it.
+    mi = gen_random_multi_agent(3, 2, seed=6)
+    budget = math.prod(len(theta_grid(dp.phi)) for dp in mi.params)
+    assert competitive_solve(CompetitiveInstance(mi, ()), budget) == multi_agent_solve(mi)
+    with pytest.raises(GuardExceeded, match=r"\(theta, D\) grid size"):
+        multi_agent_solve(mi, budget=budget)
 
 
 def random_externals(mi, seed, count=None, phi_levels=10):
