@@ -112,7 +112,7 @@ _PER_STATE = _rationals(lambda n, k: n)
 _PER_AGENT = _rationals(lambda n, k: k)
 _RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), fmt)
 _STATE = _Rule(_state, int)
-_LABEL = _Rule(lambda value, path, n, k: value, str, optional=True)  # any value, written as text
+_LABEL = _Rule(lambda value, path, n, k: str(value), str, optional=True)  # any value, as text
 _POSITIVE = _step(lambda x: x > 0, "must be positive")
 _UNIT = _step(lambda x: 0 < x < 1, "must lie in (0, 1)")._replace(optional=True)
 
@@ -326,18 +326,20 @@ def _cmd_solve_agent(args, started):
     )
 
 
+def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
+    """Agent i's (0-based) derived parameters, its view of the external
+    platforms, their Pareto curves and the greedy's selection over them."""
+    dp = ci.mi.params[i]
+    pool = ci.external_platforms(i)
+    curves = multiplatform.prune_redundant(pool)
+    return dp, pool, curves, multiplatform.multi_greedy_solve(curves, dp.A, dp.B)
+
+
 def _cmd_solve_multiplatform(args, started):
     _, ci = _load_instance(args.instance, CompetitiveInstance)
-    idx = args.agent - 1
-    if not 0 <= idx < ci.mi.k:
+    if not 1 <= args.agent <= ci.mi.k:
         raise SchemaError(f"--agent: no agent {args.agent}")
-    dp = derived_params(ci.mi.agents[idx])
-    pool = [
-        multiplatform.Platform(pl.id, pl.state, pl.z[idx], pl.phi[idx], pl.owner)
-        for pl in ci.externals
-    ]
-    curves = multiplatform.prune_redundant(pool)
-    sel = multiplatform.multi_greedy_solve(curves, dp.A, dp.B)
+    _, _, _, sel = _multiplatform_greedy(ci, args.agent - 1)
     return _emit(
         {
             "solver": "multi-platform-greedy",
@@ -581,9 +583,9 @@ def _cmd_verify(args, started):
             )
         except designer.EmptyInstance:
             checks.append({"check": "designer fptas vs oracle", "skipped": "no surviving state"})
-        except designer.QuantizationError as exc:
-            # A negative-z state survived preprocessing: the FPTAS is not
-            # defined there.
+        except (designer.QuantizationError, designer.CostBoundError) as exc:
+            # A negative-z state survived preprocessing, or a cost is too
+            # large a multiple of K: the FPTAS does not cover the instance.
             checks.append({"check": "designer fptas vs oracle", "skipped": str(exc)})
     elif isinstance(obj, (MultiAgentInstance, CompetitiveInstance)):
         # Each kind keeps its own brute force: multi_agent_profit does not
@@ -600,6 +602,30 @@ def _cmd_verify(args, started):
                 "match": match,
             }
         )
+        if isinstance(obj, CompetitiveInstance):
+            for i in range(obj.mi.k):
+                # What solve-multiplatform-agent --agent i+1 prints, against the
+                # oracle over the unpruned platforms and the swap criterion.
+                dp, pool, curves, sel = _multiplatform_greedy(obj, i)
+                check = f"agent {i + 1} multiplatform greedy vs oracle"
+                try:
+                    oracle = multiplatform.multi_oracle(pool, dp.A, dp.B)
+                except agent.TooLarge as exc:
+                    checks.append({"check": check, "skipped": str(exc)})
+                    continue
+                ids = [pl.id for pl in sel.platforms]
+                local = multiplatform.local_optimality_check(curves, ids, dp.A, dp.B)
+                match = sel.utility == oracle.utility and local
+                ok = ok and match
+                checks.append(
+                    {
+                        "check": check,
+                        "solver": fmt(sel.utility),
+                        "oracle": fmt(oracle.utility),
+                        "locally_optimal": local,
+                        "match": match,
+                    }
+                )
     elif isinstance(obj, game.GameInstance):
         # The oracle's memo is its own, so the brute force shares no
         # competitive instance with the solver under test.

@@ -273,62 +273,25 @@ def flower_as_general_chain(inst: FlowerInstance, S) -> GeneralChain:
     return GeneralChain(tuple(rows), start=0)
 
 
+def _reachable(rows, v) -> set[int]:
+    """The states reachable from v by positive transitions, v included."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        s = frontier.pop()
+        for u, p in enumerate(rows[s]):
+            if p > 0 and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen
+
+
 def _closed_classes(rows, nodes):
-    """Strongly connected components of the positive-transition graph that
-    have no edge leaving them, restricted to the given node set."""
-    nodes = sorted(nodes)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    def strongconnect(v):
-        # Iterative Tarjan to avoid recursion limits on larger chains.
-        work = [(v, iter([u for u in nodes if rows[v][u] > 0]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter([t for t in nodes if rows[u][t] > 0])))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    low[node] = min(low[node], index[u])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = set()
-                    while True:
-                        u = stack.pop()
-                        on_stack.discard(u)
-                        comp.add(u)
-                        if u == node:
-                            break
-                    sccs.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-
-    closed = []
-    for comp in sccs:
-        if all(rows[v][u] == 0 for v in comp for u in nodes if u not in comp):
-            closed.append(comp)
-    return closed
+    """Closed communicating classes within `nodes`, which must hold every
+    state reachable from any of its states.  v is recurrent iff every state
+    it reaches reaches it back, and its class is then everything it reaches."""
+    reach = {v: _reachable(rows, v) for v in nodes}
+    return list({frozenset(r) for v, r in reach.items() if all(v in reach[u] for u in r)})
 
 
 def steady_state_general(chain: GeneralChain) -> tuple[Fraction, ...]:
@@ -340,17 +303,7 @@ def steady_state_general(chain: GeneralChain) -> tuple[Fraction, ...]:
     """
     rows = chain.rows
     m = chain.size
-
-    reachable = {chain.start}
-    frontier = [chain.start]
-    while frontier:
-        v = frontier.pop()
-        for u in range(m):
-            if rows[v][u] > 0 and u not in reachable:
-                reachable.add(u)
-                frontier.append(u)
-
-    closed = _closed_classes(rows, reachable)
+    closed = _closed_classes(rows, _reachable(rows, chain.start))
     if len(closed) != 1:
         raise ReducibleChain(
             f"reachable part has {len(closed)} closed classes, need exactly 1"

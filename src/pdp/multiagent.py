@@ -356,6 +356,10 @@ class CompetitiveInstance:
     mi: MultiAgentInstance
     externals: tuple[ExternalPlatform, ...]
 
+    def external_platforms(self, i: int) -> list[Platform]:
+        """The external platforms as agent i (0-based) sees them."""
+        return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in self.externals]
+
     @cached_property
     def curves(self) -> tuple[AgentCurves, ...]:
         """Per-agent curves, pruned once per instance.  A state's curve
@@ -364,9 +368,7 @@ class CompetitiveInstance:
         with_own inside it."""
         out = []
         for i, dp in enumerate(self.mi.params):
-            ext = [
-                Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in self.externals
-            ]
+            ext = self.external_platforms(i)
             own = [
                 Platform((_OWN, j), j, dp.z[j - 1], dp.phi[j - 1], _OWN)
                 for j in range(1, self.mi.n + 1)
@@ -379,7 +381,12 @@ class CompetitiveInstance:
 def build_competitive_instance(mi: MultiAgentInstance, externals) -> CompetitiveInstance:
     externals = tuple(externals)
     k = mi.k
+    seen = set()
     for pl in externals:
+        # Curves, selections and local_optimality_check tell platforms apart by id.
+        if pl.id in seen:
+            raise ValueError(f"external platform id {pl.id!r} is used twice")
+        seen.add(pl.id)
         if not 1 <= pl.state <= mi.n:
             raise ValueError(f"external platform {pl.id!r} has bad state {pl.state}")
         if len(pl.z) != k or len(pl.phi) != k:

@@ -1,9 +1,9 @@
 """The agent's problem with several candidate platforms per state.
 
 Redundant platforms are pruned down to a per-state Pareto curve (the
-upper convex envelope of the points (z, z*phi)); the greedy then walks
-all curves by descending psi, swapping along each curve, and stops when
-psi falls to the current utility.
+upper concave hull from the origin of the points (z, z*phi)); the greedy
+then walks all curves by descending psi, swapping along each curve, and
+stops when psi falls to the current utility.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ class Platform:
 class ParetoCurve:
     """Surviving platforms of one state, ordered by increasing z.
 
-    slopes[i] is rho between platforms i and i+1.  psi[0] is the first
-    platform's phi; psi[i] for i > 0 is the incoming slope.
-    equal_phi_flags records removals that leaned on the equal-phi edge
-    case of the first dominance condition (removed id, kept id).
+    The points (z, z*phi) of the platforms are the vertices of the upper
+    concave hull of the origin and every platform's point, up to the
+    hull's highest point.  slopes[i] is rho between platforms i and i+1;
+    psi[i] is the slope into platform i, so psi[0] is the first
+    platform's phi (the slope from the origin) and psi[1:] is slopes.
     """
 
     state: int
     platforms: tuple[Platform, ...]
     slopes: tuple[Fraction, ...]
     psi: tuple[Fraction, ...]
-    equal_phi_flags: tuple[tuple[object, object], ...] = ()
 
 
 def _rho(a: Platform, b: Platform) -> Fraction:
@@ -54,11 +54,14 @@ def _rho(a: Platform, b: Platform) -> Fraction:
 def prune_redundant(platforms) -> dict[int, ParetoCurve]:
     """Reduce each state's platforms to its Pareto curve.
 
-    Removes platforms that are weakly dominated (smaller-or-equal z and
-    phi; or larger z but no more z*phi), merges identical (z, phi) pairs
-    keeping the smallest id, and drops platforms on or below a segment
-    between two others.  Dominance removals never change the optimal
-    utility of any selection problem over the survivors.
+    One monotone-chain pass (Andrew 1979) per state over the points
+    (z, z*phi) by increasing z, anchored at the origin.  Of platforms
+    with equal z only the highest phi is a candidate: the smallest
+    str(id) on equal phi, the first given on equal str(id).  A point on
+    or below the segment between its neighbours is dropped, and the
+    curve ends before its first segment of slope <= 0.  No selection
+    problem over the survivors has a lower optimal utility than over
+    all platforms.
     """
     by_state: dict[int, list[Platform]] = {}
     for pl in platforms:
@@ -68,46 +71,24 @@ def prune_redundant(platforms) -> dict[int, ParetoCurve]:
 
     curves = {}
     for state, group in sorted(by_state.items()):
-        flags = []
-        merged: dict[tuple[Fraction, Fraction], Platform] = {}
-        for pl in sorted(group, key=lambda p: str(p.id)):
-            key = (pl.z, pl.phi)
-            if key not in merged or str(pl.id) < str(merged[key].id):
-                merged[key] = pl
-        alive = sorted(merged.values(), key=lambda p: (p.z, -p.phi))
-
-        changed = True
-        while changed:
-            changed = False
-            for j in alive:
-                for other in alive:
-                    if other is j:
-                        continue
-                    cond1 = (
-                        j.z <= other.z
-                        and j.phi <= other.phi
-                        and (j.z < other.z or j.phi < other.phi)
-                    )
-                    cond2 = j.z > other.z and j.z * j.phi <= other.z * other.phi
-                    if cond1 or cond2:
-                        if cond1 and j.phi == other.phi:
-                            flags.append((j.id, other.id))
-                        alive.remove(j)
-                        changed = True
-                        break
-                if changed:
-                    break
-
-        alive.sort(key=lambda p: p.z)
-        stack: list[Platform] = []
-        for pl in alive:
-            while len(stack) >= 2 and _rho(stack[-2], stack[-1]) <= _rho(stack[-1], pl):
-                stack.pop()
-            stack.append(pl)
-
-        slopes = tuple(_rho(stack[i], stack[i + 1]) for i in range(len(stack) - 1))
-        psi = (stack[0].phi,) + slopes
-        curves[state] = ParetoCurve(state, tuple(stack), slopes, psi, tuple(flags))
+        # psi[i] is the slope into hull[i]: from the origin for hull[0].
+        hull: list[Platform] = []
+        psi: list[Fraction] = []
+        for pl in sorted(group, key=lambda p: (p.z, -p.phi, str(p.id))):
+            if hull and pl.z == hull[-1].z:
+                continue
+            # hull[-1] goes when it lies on or below the segment from its
+            # predecessor (the origin for hull[0]) to pl.
+            while hull and psi[-1] <= (rho := _rho(hull[-1], pl)):
+                hull.pop()
+                psi.pop()
+            psi.append(rho if hull else pl.phi)
+            hull.append(pl)
+        # The curve stops at the hull's highest point.
+        while len(psi) > 1 and psi[-1] <= 0:
+            hull.pop()
+            psi.pop()
+        curves[state] = ParetoCurve(state, tuple(hull), tuple(psi[1:]), tuple(psi))
     return curves
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_example
-from pdp import cli
+from pdp import cli, multiplatform
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
@@ -106,6 +106,15 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     competitive = serialize_instance(
         build_competitive_instance(mi, [ExternalPlatform("x0", 1, (F(1), F(1)), (F(1, 2), F(1, 4)))])
     )
+    two_externals = serialize_instance(
+        build_competitive_instance(
+            mi,
+            [
+                ExternalPlatform("dup", 1, (F(1), F(1)), (F(7, 2), F(9, 4))),
+                ExternalPlatform("x1", 2, (F(1), F(1)), (F(7, 2), F(9, 4))),
+            ],
+        )
+    )
     multi = serialize_instance(mi)
     game = serialize_instance(gen_no_nash_game())
     chain = serialize_instance(gen_setcover_instance([1, 2], [{1, 2}], k=2).chain_for(frozenset({0}), (0, 0)))
@@ -119,6 +128,8 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         ("solve-agent", flower, ("states",), True, "states"),
         ("solve-agent", flower, ("version",), True, "version"),
         ("solve-multi-agent", competitive, ("platforms", 0, "state"), True, "platforms[0].state"),
+        # Two externals named "dup": selections and curves tell platforms apart by id.
+        ("solve-multiplatform-agent", two_externals, ("platforms", 1, "id"), "dup", "platforms"),
         (
             "nash",
             game,
@@ -328,6 +339,21 @@ def test_verify_flower_skips_unquantizable_fptas(tmp_path, capsys):
     }
 
 
+def test_verify_flower_skips_fptas_past_cost_bound(tmp_path, capsys):
+    # The cost-bound document of the solve-designer test above: preprocess
+    # raises CostBoundError after the agent check has run.
+    doc = _flower_doc(make_example(), cost=["4999999/1000000", "3/2"])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check["check"] == "agent greedy vs oracle" and agent_check["match"] is True
+    assert designer_check == {
+        "check": "designer fptas vs oracle",
+        "skipped": "cost/K ratio 4999999 exceeds the ceiling 1000",
+    }
+
+
 def test_verify_general_chain(tmp_path, capsys, monkeypatch):
     assert main(["gen", "--kind", "set-cover"]) == 0
     path = tmp_path / "chain.json"
@@ -366,16 +392,50 @@ def test_verify_multi_agent(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_verify_competitive(tmp_path, capsys):
+def test_verify_competitive(tmp_path, capsys, monkeypatch):
     mi = gen_random_multi_agent(3, 2, seed=5)
     ci = build_competitive_instance(
-        mi, [ExternalPlatform("x0", 2, (F(1), F(1)), (F(1, 2), F(3, 4)))]
+        mi,
+        [
+            ExternalPlatform("x0", 2, (F(1), F(1)), (F(1, 2), F(3, 4))),
+            ExternalPlatform("x1", 2, (F(2), F(1)), (F(5, 2), F(1, 4))),
+            ExternalPlatform("x2", 3, (F(1), F(2)), (F(3), F(2))),
+        ],
     )
-    assert main(["verify", write_doc(tmp_path, serialize_instance(ci))]) == 0
+    path = write_doc(tmp_path, serialize_instance(ci))
+    assert main(["verify", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
-    (check,) = out["checks"]
-    assert check["check"] == "competitive dp vs brute force" and check["match"] is True
+    dp_check, *agent_checks = out["checks"]
+    assert dp_check["check"] == "competitive dp vs brute force" and dp_check["match"] is True
+    assert [c["check"] for c in agent_checks] == [
+        "agent 1 multiplatform greedy vs oracle",
+        "agent 2 multiplatform greedy vs oracle",
+    ]
+    # Each agent check reports what solve-multiplatform-agent prints.
+    for i, check in enumerate(agent_checks, start=1):
+        assert check["match"] is True and check["locally_optimal"] is True
+        assert main(["solve-multiplatform-agent", path, "--agent", str(i)]) == 0
+        assert json.loads(capsys.readouterr().out)["utility"] == check["solver"] == check["oracle"]
+
+    # A selection that is not optimal fails both comparisons.
+    empty = multiplatform.SelectionResult((), F(0))
+    monkeypatch.setattr(multiplatform, "multi_greedy_solve", lambda curves, A, B: empty)
+    assert main(["verify", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert all(c["match"] is False for c in out["checks"][1:])
+    monkeypatch.undo()
+
+    # Past the oracle's guard the agent checks are skipped.
+    real = multiplatform.multi_oracle
+    monkeypatch.setattr(
+        multiplatform, "multi_oracle", lambda pool, A, B: real(pool, A, B, guard=1)
+    )
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert [c.get("skipped") for c in out["checks"][1:]] == ["6 selections exceed the guard 1"] * 2
 
 
 @pytest.mark.parametrize("designers", [2, 1])

@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from pdp.core import (
     ProbabilityError,
     ReducibleChain,
     SubsetError,
+    _closed_classes,
+    _reachable,
     agent_utility,
     all_subsets,
     build_flower_instance,
@@ -181,6 +184,80 @@ def test_steady_state_ignores_unreachable_states():
         start=0,
     )
     assert steady_state_general(chain) == (F(1), F(0))
+
+
+def _ref_closed_classes(rows, nodes):
+    """Reference: strongly connected components (iterative Tarjan) of the
+    positive-transition graph that have no edge leaving them, restricted to
+    the given node set."""
+    nodes = sorted(nodes)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = [0]
+
+    def strongconnect(v):
+        # Iterative Tarjan to avoid recursion limits on larger chains.
+        work = [(v, iter([u for u in nodes if rows[v][u] > 0]))]
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for u in it:
+                if u not in index:
+                    index[u] = low[u] = counter[0]
+                    counter[0] += 1
+                    stack.append(u)
+                    on_stack.add(u)
+                    work.append((u, iter([t for t in nodes if rows[u][t] > 0])))
+                    advanced = True
+                    break
+                if u in on_stack:
+                    low[node] = min(low[node], index[u])
+            if not advanced:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = set()
+                    while True:
+                        u = stack.pop()
+                        on_stack.discard(u)
+                        comp.add(u)
+                        if u == node:
+                            break
+                    sccs.append(comp)
+
+    for v in nodes:
+        if v not in index:
+            strongconnect(v)
+
+    closed = []
+    for comp in sccs:
+        if all(rows[v][u] == 0 for v in comp for u in nodes if u not in comp):
+            closed.append(comp)
+    return closed
+
+
+def test_closed_classes_match_tarjan_reference():
+    rng = random.Random(4242)
+    for _ in range(2500):
+        m = rng.randint(1, 8)
+        density = rng.choice([0.15, 0.3, 0.5])
+        rows = [[int(rng.random() < density) for _ in range(m)] for _ in range(m)]
+        for s, row in enumerate(rows):
+            if not any(row):
+                row[rng.choice([s, rng.randrange(m)])] = 1
+        for nodes in (set(range(m)), _reachable(rows, rng.randrange(m))):
+            got = {frozenset(c) for c in _closed_classes(rows, nodes)}
+            want = {frozenset(c) for c in _ref_closed_classes(rows, nodes)}
+            assert got == want
 
 
 def test_package_has_no_assert_statements():

@@ -57,7 +57,7 @@ def test_adoption_never_hurts_the_agent(seed, n):
         st.tuples(
             st.integers(1, 3),
             st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4),
-            st.fractions(min_value=0, max_value=20, max_denominator=4),
+            st.fractions(min_value=-10, max_value=20, max_denominator=4),
         ),
         min_size=1,
         max_size=12,
