@@ -551,21 +551,26 @@ def _cmd_verify(args, started):
     ok = True
     if isinstance(obj, FlowerInstance):
         dp = derived_params(obj)
-        oracle = agent.agent_oracle(dp)
-        if all(z > 0 for z in dp.z):
-            solved, _ = agent.greedy_solve(dp)
+        check = "agent greedy vs oracle"
+        try:
+            oracle = agent.agent_oracle(dp)
+        except agent.TooLarge as exc:
+            checks.append({"check": check, "skipped": str(exc)})
         else:
-            solved = agent.greedy_solve_signed(dp)
-        match = solved.utility == oracle.utility
-        ok = ok and match
-        checks.append(
-            {
-                "check": "agent greedy vs oracle",
-                "solver": fmt(solved.utility),
-                "oracle": fmt(oracle.utility),
-                "match": match,
-            }
-        )
+            if all(z > 0 for z in dp.z):
+                solved, _ = agent.greedy_solve(dp)
+            else:
+                solved = agent.greedy_solve_signed(dp)
+            match = solved.utility == oracle.utility
+            ok = ok and match
+            checks.append(
+                {
+                    "check": check,
+                    "solver": fmt(solved.utility),
+                    "oracle": fmt(oracle.utility),
+                    "match": match,
+                }
+            )
         try:
             qi = designer.preprocess(obj)
             approx = designer.fptas_solve(qi)
@@ -583,9 +588,10 @@ def _cmd_verify(args, started):
             )
         except designer.EmptyInstance:
             checks.append({"check": "designer fptas vs oracle", "skipped": "no surviving state"})
-        except (designer.QuantizationError, designer.CostBoundError) as exc:
+        except (designer.QuantizationError, designer.CostBoundError, agent.TooLarge) as exc:
             # A negative-z state survived preprocessing, or a cost is too
             # large a multiple of K: the FPTAS does not cover the instance.
+            # Or the oracle's search spent its budget.
             checks.append({"check": "designer fptas vs oracle", "skipped": str(exc)})
     elif isinstance(obj, (MultiAgentInstance, CompetitiveInstance)):
         # Each kind keeps its own brute force: multi_agent_profit does not

@@ -188,86 +188,119 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * L), bins=len(table))
 
 
-def designer_oracle(inst: FlowerInstance, guard: int = 22) -> DesignSet:
-    """Exact profit maximizer by exhaustive enumeration of offered sets.
+def designer_oracle(inst: FlowerInstance, guard: int = 1 << 22) -> DesignSet:
+    """Exact profit maximizer over every feasible offered set.
 
     Ties break toward the smallest cardinality, then lexicographic.  One
-    integer Gray-code sweep covers every mix of z signs with O(n) memory.
+    integer depth-first search covers every mix of z signs with O(n)
+    memory; it visits only offered sets that can still become feasible,
+    at most 2^n - 1 of them.  guard is a budget on the sets visited: the
+    search raises TooLarge once it is spent, so the guard bounds time.
     """
-    n = inst.n
-    if n > guard:
-        raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
-    states = _oracle_sweep(scaled_params(inst, derived_params(inst)))
+    states = _oracle_search(scaled_params(inst, derived_params(inst)), guard)
     return DesignSet(states, designer_profit(inst, states, states))
 
 
-def _oracle_sweep(sp: ScaledParams) -> frozenset[int]:
-    """Gray-code subset sweep over integer sums with a two-sided feasibility test.
+def _oracle_search(sp: ScaledParams, guard: int) -> frozenset[int]:
+    """Depth-first search over the feasible offered sets, on integer sums.
 
-    Consecutive subsets differ in one state (Knuth, TAOCP 4A, 7.2.1.1), so
-    every running sum moves by one add or subtract.  The agent offered S
-    adopts all of S iff every i in S has z_i * (phi_i - u(S)) > 0, where
-    u(S) = (A + sum z*phi) / (B + sum z): by Dinkelbach's condition (see
-    agent._solve_signed) S is the agent's response iff S is exactly the
-    set of its states with that strict sign at u = u(S).  So S is feasible
-    iff its smallest positive-z potential lies above u(S) and its largest
-    negative-z potential below it; equality never adopts.
+    The agent offered S adopts all of S iff every i in S has
+    z_i * (phi_i - u(S)) > 0, where u(S) = (A + sum z*phi) / (B + sum z):
+    by Dinkelbach's condition (see agent._solve_signed) S is the agent's
+    response iff S is exactly the set of its states with that strict sign
+    at u = u(S); equality never adopts.  So S is feasible iff u(S) lies
+    strictly below phi_k, for k the positive-z state of S with the lowest
+    potential, and strictly above phi_m, for m the negative-z state with
+    the highest.
 
-    The low bits stand for the negative-z states and the bits above them
-    for the positive-z states, each block by descending potential, ties by
-    state index.  The smallest positive-z potential is then that of the
-    highest set bit, when it lies above the negative block, and the
-    largest negative-z potential that of the lowest set negative bit.
+    States are ordered by descending potential, ties by state index, and
+    the search fixes k and m first (either may be absent, not both; a
+    pair with phi_k <= phi_m is never feasible).  The rest of S is drawn
+    from the candidates: the positive-z states before k and the
+    negative-z states after m.  With den = (B + sum z) * L, num =
+    (A + sum z*phi) * L and every phi scaled by L, feasibility is then two
+    integer tests that move one way as candidates join:
+
+    - packing: the slack phi_k * den - num * L falls by
+      z_j * (phi_j - phi_k) * L^2 >= 0, so a branch is cut once its slack
+      is <= 0;
+    - covering: the excess num * L - phi_m * den rises by
+      z_j * (phi_j - phi_m) * L^2 >= 0, so a branch is cut once its excess
+      plus the rises of every candidate still to come is <= 0.
+
+    Each set is visited once, under its own k and m, and each visit
+    extends the set by candidates after its last one, so no set is
+    visited twice.  TooLarge is raised on visit guard + 1.
     """
-    n = len(sp.z)
-    L = sp.L
-    order = sorted(range(n), key=lambda j: (sp.z[j] > 0, -sp.phi[j], j))
-    neg = sum(z < 0 for z in sp.z)
-    neg_mask = (1 << neg) - 1
-    terms = [(sp.zphi[j], sp.z[j], sp.dw[j], sp.cost[j]) for j in order]
-    phis = [sp.phi[j] for j in order]
-
-    def states(mask: int) -> tuple[int, ...]:
-        return tuple(sorted(order[p] for p in range(mask.bit_length()) if mask >> p & 1))
-
-    mask, num, den, dw, cost, size = 0, sp.A, sp.B, 0, 0, 0
+    L, A, B = sp.L, sp.A, sp.B
+    order = sorted(range(len(sp.z)), key=lambda j: (-sp.phi[j], j))
+    pos = [j for j in order if sp.z[j] > 0]
+    neg = [j for j in order if sp.z[j] < 0]
     # Profits compare as pnum / den (the common factor 1/L drops out);
-    # the empty set has profit 0.  den = (B + sum z) * L stays positive,
-    # since B = 1 + sum lam and each z_i = w_i - lam_i > -lam_i, so with
-    # phi scaled by L, u(S) < phi_i is num * L < phi_i * den, and the
-    # feasibility tests are two integer cross-multiplications.
-    best_mask, best_pnum, best_den, best_size = 0, 0, sp.B, 0
-    for step in range(1, 1 << n):
-        low = step & -step
-        zphi, z, dwi, costi = terms[low.bit_length() - 1]
-        mask ^= low
-        if mask & low:
-            num += zphi
-            den += z
-            dw += dwi
-            cost += costi
-            size += 1
-        else:
-            num -= zphi
-            den -= z
-            dw -= dwi
-            cost -= costi
-            size -= 1
-        numL = num * L
-        top = mask.bit_length() - 1
-        if top >= neg and numL >= phis[top] * den:
-            continue
-        negs = mask & neg_mask
-        if negs and phis[(negs & -negs).bit_length() - 1] * den >= numL:
-            continue
-        pnum = dw * L - cost * den
-        cmp = pnum * best_den - best_pnum * den
-        if cmp > 0 or (
-            cmp == 0
-            and (
-                size < best_size
-                or (size == best_size and states(mask) < states(best_mask))
+    # the empty set has profit 0.  den stays positive, since B = 1 +
+    # sum lam and each z_i = w_i - lam_i > -lam_i.
+    best_pnum, best_den, best_states = 0, B, ()
+    path = []
+    visits = 0
+
+    def visit(cands, reach, start, slack, excess, den, dw, cost):
+        nonlocal best_pnum, best_den, best_states, visits
+        visits += 1
+        if visits > guard:
+            raise TooLarge(f"the search visits more than {guard} offered sets")
+        if excess > 0:
+            pnum = dw * L - cost * den
+            cmp = pnum * best_den - best_pnum * den
+            if cmp > 0 or (
+                cmp == 0
+                and (
+                    len(path) < len(best_states)
+                    or (len(path) == len(best_states) and sorted(path) < list(best_states))
+                )
+            ):
+                best_pnum, best_den, best_states = pnum, den, tuple(sorted(path))
+        for idx in range(start, len(cands)):
+            if excess + reach[idx] <= 0:
+                break
+            pack, cover, j = cands[idx]
+            if slack + pack > 0:
+                path.append(j)
+                visit(
+                    cands, reach, idx + 1, slack + pack, excess + cover,
+                    den + sp.z[j], dw + sp.dw[j], cost + sp.cost[j],
+                )
+                path.pop()
+
+    # The candidates are pos[:before_k] and neg[after_m:]; an absent k or m
+    # admits no candidates of its sign.
+    ks = [(None, 0)] + [(k, i) for i, k in enumerate(pos)]
+    ms = [(None, len(neg))] + [(m, i + 1) for i, m in enumerate(neg)]
+    for k, before_k in ks:
+        for m, after_m in ms:
+            if k is None and m is None:
+                continue
+            if k is not None and m is not None and sp.phi[k] <= sp.phi[m]:
+                continue
+            path[:] = [j for j in (k, m) if j is not None]
+            den = B + sum(sp.z[j] for j in path)
+            num = A + sum(sp.zphi[j] for j in path)
+            # An absent k or m leaves its test always passing.
+            slack = sp.phi[k] * den - num * L if k is not None else 1
+            excess = num * L - sp.phi[m] * den if m is not None else 1
+            if slack <= 0:
+                continue
+            cands = []
+            for j in pos[:before_k] + neg[after_m:]:
+                pack = sp.phi[k] * sp.z[j] - sp.zphi[j] * L if k is not None else 0
+                cover = sp.zphi[j] * L - sp.phi[m] * sp.z[j] if m is not None else 0
+                cands.append((pack, cover, j))
+            reach = [0] * (len(cands) + 1)
+            for idx in range(len(cands) - 1, -1, -1):
+                reach[idx] = reach[idx + 1] + cands[idx][1]
+            if excess + reach[0] <= 0:
+                continue
+            visit(
+                cands, reach, 0, slack, excess, den,
+                sum(sp.dw[j] for j in path), sum(sp.cost[j] for j in path),
             )
-        ):
-            best_mask, best_pnum, best_den, best_size = mask, pnum, den, size
-    return frozenset(j + 1 for j in states(best_mask))
+    return frozenset(j + 1 for j in best_states)

@@ -180,7 +180,7 @@ def agent_guess(
     for s, curve in ac.with_own.items():
         for idx, pl in enumerate(curve.platforms):
             selected = (
-                pl.owner == _OWN
+                pl.own
                 and theta is not INF
                 and curve.psi[idx] >= theta
                 and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next)
@@ -337,9 +337,6 @@ class ExternalPlatform:
     owner: object = "external"
 
 
-_OWN = "own"
-
-
 @dataclass(frozen=True)
 class AgentCurves:
     """One agent's side of a competitive instance: its derived parameters,
@@ -370,7 +367,7 @@ class CompetitiveInstance:
         for i, dp in enumerate(self.mi.params):
             ext = self.external_platforms(i)
             own = [
-                Platform((_OWN, j), j, dp.z[j - 1], dp.phi[j - 1], _OWN)
+                Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], "own", own=True)
                 for j in range(1, self.mi.n + 1)
             ]
             base = prune_redundant(ext) if ext else {}
@@ -419,7 +416,7 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
         sel = multi_greedy_solve(curves, ac.dp.A, ac.dp.B)
         den = ac.dp.B + sum((pl.z for pl in sel.platforms), Fraction(0))
         own_rev = sum(
-            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.owner == _OWN),
+            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.own),
             Fraction(0),
         )
         profit += own_rev / den

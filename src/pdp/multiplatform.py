@@ -23,11 +23,15 @@ class FeasibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Platform:
+    """One candidate platform.  owner is a label read from the document;
+    own marks the designer's own candidate, which no document can set."""
+
     id: object
     state: int
     z: Fraction
     phi: Fraction
     owner: object = "external"
+    own: bool = False
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_example
-from pdp import cli, multiplatform
+from pdp import agent, cli, designer, multiplatform
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
@@ -352,6 +352,55 @@ def test_verify_flower_skips_fptas_past_cost_bound(tmp_path, capsys):
         "check": "designer fptas vs oracle",
         "skipped": "cost/K ratio 4999999 exceeds the ceiling 1000",
     }
+
+
+def test_verify_flower_skips_checks_past_their_guards(tmp_path, capsys, monkeypatch):
+    # Each oracle past its guard skips its own check; the other still runs.
+    path = write_doc(tmp_path, serialize_instance(make_example()))
+    real_agent, real_designer = agent.agent_oracle, designer.designer_oracle
+    monkeypatch.setattr(agent, "agent_oracle", lambda dp: real_agent(dp, guard=1))
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check == {
+        "check": "agent greedy vs oracle",
+        "skipped": "n = 2 exceeds the enumeration guard 1",
+    }
+    assert designer_check["match"] is True
+    monkeypatch.undo()
+    monkeypatch.setattr(designer, "designer_oracle", lambda inst: real_designer(inst, guard=1))
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check["match"] is True
+    assert designer_check == {
+        "check": "designer fptas vs oracle",
+        "skipped": "the search visits more than 1 offered sets",
+    }
+
+
+def test_solve_designer_exact_past_24_states(tmp_path, capsys):
+    # The oracle's budget counts the sets it visits, not 2^n.
+    assert main(["gen", "--kind", "random-flower", "--n", "24", "--seed", "1"]) == 0
+    path = write_doc(tmp_path, json.loads(capsys.readouterr().out))
+    assert main(["solve-designer", path, "--exact"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["offered"] == [9, 12, 24] and out["profit"] == "8126828/669745"
+
+
+@pytest.mark.parametrize("owner", ["external", "own"])
+def test_external_owner_label_is_only_a_label(tmp_path, capsys, owner):
+    # An external platform labelled "own" still earns the designer nothing.
+    mi = gen_random_multi_agent(2, 2, seed=2)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)), owner=owner)
+    path = write_doc(tmp_path, serialize_instance(build_competitive_instance(mi, [external])))
+    assert main(["solve-multi-agent", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["offered"], out["profit"]) == ([2], "10151/1564")
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_verify_general_chain(tmp_path, capsys, monkeypatch):

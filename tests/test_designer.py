@@ -67,7 +67,7 @@ def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
     return _RefQuantized(inst, delta, epsilon, K, r, surviving)
 
 
-def _ref_fptas(qi, stage_log=None):
+def _ref_fptas(qi, stage_log=None, rounding=math.ceil):
     inst = qi.inst
     dp = derived_params(inst)
     n = inst.n
@@ -82,7 +82,7 @@ def _ref_fptas(qi, stage_log=None):
         p1 = entry[1] / (dp.B + entry[4])
         d_steps = entry[4] / qi.delta
         assert d_steps.denominator == 1
-        return (math.ceil(profit_of(entry) / unit), math.ceil(p1 / unit), int(d_steps))
+        return (rounding(profit_of(entry) / unit), rounding(p1 / unit), int(d_steps))
 
     empty = ((), F(0), F(0), F(0), F(0), None)
     table = {key_of(empty): empty}
@@ -119,7 +119,7 @@ def _ref_fptas(qi, stage_log=None):
 
 
 # Reference: the positive-z oracle sweep with one table entry per subset
-# for every running sum.  The Gray-code sweep must pick the same set.
+# for every running sum.  The search must pick the same set.
 def _ref_oracle_positive(sp):
     n = len(sp.z)
     L, zphi, zs, dws, costs, phis = sp.L, sp.zphi, sp.z, sp.dw, sp.cost, sp.phi
@@ -163,8 +163,82 @@ def _ref_oracle_positive(sp):
     return frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
 
 
+# Reference: the Gray-code sweep over all 2^n offered sets that the
+# depth-first search replaced.  The search must pick the same set.
+def _oracle_sweep(sp):
+    """Gray-code subset sweep over integer sums with a two-sided feasibility test.
+
+    Consecutive subsets differ in one state (Knuth, TAOCP 4A, 7.2.1.1), so
+    every running sum moves by one add or subtract.  The agent offered S
+    adopts all of S iff every i in S has z_i * (phi_i - u(S)) > 0, where
+    u(S) = (A + sum z*phi) / (B + sum z): by Dinkelbach's condition (see
+    agent._solve_signed) S is the agent's response iff S is exactly the
+    set of its states with that strict sign at u = u(S).  So S is feasible
+    iff its smallest positive-z potential lies above u(S) and its largest
+    negative-z potential below it; equality never adopts.
+
+    The low bits stand for the negative-z states and the bits above them
+    for the positive-z states, each block by descending potential, ties by
+    state index.  The smallest positive-z potential is then that of the
+    highest set bit, when it lies above the negative block, and the
+    largest negative-z potential that of the lowest set negative bit.
+    """
+    n = len(sp.z)
+    L = sp.L
+    order = sorted(range(n), key=lambda j: (sp.z[j] > 0, -sp.phi[j], j))
+    neg = sum(z < 0 for z in sp.z)
+    neg_mask = (1 << neg) - 1
+    terms = [(sp.zphi[j], sp.z[j], sp.dw[j], sp.cost[j]) for j in order]
+    phis = [sp.phi[j] for j in order]
+
+    def states(mask: int) -> tuple[int, ...]:
+        return tuple(sorted(order[p] for p in range(mask.bit_length()) if mask >> p & 1))
+
+    mask, num, den, dw, cost, size = 0, sp.A, sp.B, 0, 0, 0
+    # Profits compare as pnum / den (the common factor 1/L drops out);
+    # the empty set has profit 0.  den = (B + sum z) * L stays positive,
+    # since B = 1 + sum lam and each z_i = w_i - lam_i > -lam_i, so with
+    # phi scaled by L, u(S) < phi_i is num * L < phi_i * den, and the
+    # feasibility tests are two integer cross-multiplications.
+    best_mask, best_pnum, best_den, best_size = 0, 0, sp.B, 0
+    for step in range(1, 1 << n):
+        low = step & -step
+        zphi, z, dwi, costi = terms[low.bit_length() - 1]
+        mask ^= low
+        if mask & low:
+            num += zphi
+            den += z
+            dw += dwi
+            cost += costi
+            size += 1
+        else:
+            num -= zphi
+            den -= z
+            dw -= dwi
+            cost -= costi
+            size -= 1
+        numL = num * L
+        top = mask.bit_length() - 1
+        if top >= neg and numL >= phis[top] * den:
+            continue
+        negs = mask & neg_mask
+        if negs and phis[(negs & -negs).bit_length() - 1] * den >= numL:
+            continue
+        pnum = dw * L - cost * den
+        cmp = pnum * best_den - best_pnum * den
+        if cmp > 0 or (
+            cmp == 0
+            and (
+                size < best_size
+                or (size == best_size and states(mask) < states(best_mask))
+            )
+        ):
+            best_mask, best_pnum, best_den, best_size = mask, pnum, den, size
+    return frozenset(j + 1 for j in states(best_mask))
+
+
 # Reference: the oracle for any z signs, one is_feasible and one exact
-# Fraction profit per offered set.  The sweep must pick the same set.
+# Fraction profit per offered set.  The search must pick the same set.
 def _ref_oracle_general(inst):
     n = inst.n
     best = (F(0), 0, ())
@@ -267,6 +341,51 @@ def test_oracle_empty_without_demand(example):
 def test_oracle_guard(example):
     with pytest.raises(TooLarge):
         designer_oracle(example, guard=1)
+
+
+def test_oracle_budget_counts_visited_sets():
+    # The mixed-sign twin of gen_random_flower(20, seed=3): the search
+    # needs well under a quarter of the 2^20 sets the sweep visits.
+    twin = gen_random_flower(20, seed=3, ranges={"allow_negative_z": True}, delta=F(1, 16))
+    assert any(z < 0 for z in derived_params(twin).z)
+    expected = _oracle_sweep(scaled_params(twin, derived_params(twin)))
+    assert designer_oracle(twin, guard=(1 << 20) // 4).states == expected
+
+
+def test_oracle_tie_breaks(example):
+    # Three petals on one chassis: every potential is 2 and every offered
+    # set is feasible.  {2, 3} and {1, 2, 3} tie at 54/13, above every
+    # other set; the search meets {1, 2, 3} first, and the smaller set
+    # replaces it.
+    chassis = build_flower_instance(
+        p=[F(1, 3)] * 3,
+        q=[F(1, 2)] * 3,
+        y=[F(1, 4)] * 3,
+        c_life=[F(0)] * 3,
+        c_platform=[F(1)] * 3,
+        d=[F(5), F(10), F(10)],
+        cost=[F(20, 39), F(1), F(1)],
+    )
+    # The example with equal demands and costs: {1}, {2} and {1, 2} tie at
+    # 2.  The search meets {2} first, since phi_2 = 4 > phi_1 = 2, and the
+    # lexicographically first set of the smallest size replaces it.
+    lex = dataclasses.replace(example, d=(F(10), F(10)), cost=(F(3), F(3)))
+    for inst, n, best, profit in ((chassis, 3, {2, 3}, F(54, 13)), (lex, 2, {1}, F(2))):
+        profits = {S: designer_profit(inst, S, S) for S in all_subsets(n) if is_feasible(inst, S)}
+        assert max(profits.values()) == profit
+        assert list(profits.values()).count(profit) >= 2
+        assert _oracle_sweep(scaled_params(inst, derived_params(inst))) == best
+        assert _ref_oracle_general(inst) == best
+        assert designer_oracle(inst) == DesignSet(frozenset(best), profit)
+
+
+def test_oracle_matches_sweep_reference():
+    for idx in range(360):
+        n = 1 + idx % 12
+        ranges = [None, {"allow_negative_z": True}, {**_NARROW, "allow_negative_z": True}][idx % 3]
+        inst = gen_random_flower(n, seed=9000 + idx, ranges=ranges, delta=F(1, 16))
+        expected = _oracle_sweep(scaled_params(inst, derived_params(inst)))
+        assert designer_oracle(inst).states == expected
 
 
 def test_oracle_equality_never_adopts_negative_state():
@@ -460,6 +579,22 @@ def test_fptas_matches_fraction_reference():
     assert compared >= 200
 
 
+def test_fptas_bins_round_up_on_exact_multiples(example):
+    # unit = (1/10) * 4 / 4 = 1/10.  {1} has profit 4 and revenue 5, both
+    # exact multiples of the unit; {2} has profit 3.95 and revenue 4.95.
+    # Rounding up puts both in bin (40, 50, 1), where {1} wins on its
+    # smaller z*phi; rounding down would part them.
+    inst = dataclasses.replace(example, d=(F(10), F(99, 10)), cost=(F(1), F(1)))
+    qi, ref = preprocess(inst), _ref_preprocess(inst)
+    assert qi.K == 4 and qi.epsilon * qi.K / (2 * inst.n) == F(1, 10)
+    log, ref_log, floor_log = [], [], []
+    result = fptas_solve(qi, stage_log=log)
+    assert _ref_fptas(ref, stage_log=ref_log).bins == result.bins == 3
+    assert log == ref_log == [(1, [(), (1,)]), (2, [(), (1,), (1, 2)])]
+    assert _ref_fptas(ref, stage_log=floor_log, rounding=math.floor).bins == 4
+    assert floor_log[-1] == (2, [(), (1,), (2,), (1, 2)])
+
+
 def test_singleton_screen_matches_agent_response():
     for idx in range(40):
         inst = gen_random_flower(
@@ -488,8 +623,8 @@ def test_oracle_matches_table_reference():
     # Narrow ranges repeat petals, so potentials and profits tie.
     narrow = {**_NARROW, "z_max": 1}
     cases = [(1 + idx % 12, 8000 + idx, narrow if idx % 2 else None) for idx in range(240)]
-    # The best profit is reached by {1, 3, 4} and by {1, 3, 4, 5}, which
-    # the sweep visits first: the smaller cardinality decides.
+    # The best profit is reached by {1, 3, 4} and by {1, 3, 4, 5}: the
+    # smaller cardinality decides.
     cases.append((5, 7752, narrow))
     for n, seed, ranges in cases:
         inst = gen_random_flower(n, seed=seed, ranges=ranges)

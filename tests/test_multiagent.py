@@ -120,7 +120,7 @@ def _ref_agent_curves(ci, i):
     dp = derived_params(ci.mi.agents[i])
     ext = [Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in ci.externals]
     own = [
-        Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], "own")
+        Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], "own", own=True)
         for j in range(1, ci.mi.n + 1)
     ]
     return (prune_redundant(ext) if ext else {}), prune_redundant(ext + own)
@@ -158,7 +158,7 @@ def reference_competitive_solve(ci):
             mem, sig, ta = [False] * n, [F(0)] * n, [F(0)] * n
             for s, curve in with_own.items():
                 for idx, pl in enumerate(curve.platforms):
-                    if pl.owner != "own":
+                    if not pl.own:
                         continue
                     if (
                         theta[i] is not INF
