@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, derived_params
 from .core import scale_to_integers
+
+
+# log2 of the steps per block in agent_oracle's sweep.
+_BLOCK_BITS = 8
 
 
 class SignError(ValueError):
@@ -112,10 +117,33 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     the smallest is unique: at the optimal utility u*, it is exactly the
     set of states with z*(phi - u*) > 0, and every other optimal set adds
     states that leave the ratio at u*.  So the visit order does not
-    change the result.  The sweep visits the subsets in reflected
-    Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): consecutive subsets
-    differ in one state, so the running numerator and denominator move
-    by one add or subtract per subset and memory stays O(n).
+    change the result.
+
+    The sweep visits the subsets in reflected Gray-code order (Knuth,
+    TAOCP 4A, 7.2.1.1), in aligned blocks of 2^_BLOCK_BITS steps.  Given
+    the incumbent's numerator bn, denominator bd and size bs, each
+    subset S has the integer key
+
+        K(S) = (num(S)*bd - bn*den(S)) * (n + 1) + bs - |S|,
+
+    positive exactly when S has a higher ratio, or the same ratio and
+    fewer states (den > 0 always and |bs - |S|| <= n).  K is linear in
+    membership: a step that puts state i in adds
+    D_i = (zphi_i*bd - bn*z_i) * (n + 1) - 1, and one that takes it out
+    subtracts D_i.  Every block toggles the same states in the same
+    order, and only the direction of its middle toggle depends on the
+    block's parity, so two increment lists per incumbent serve every
+    block.  `itertools.accumulate` computes the key of each subset in a
+    block from the key of the block's first subset, and `max` scores the
+    block.  A positive maximum makes its subset the incumbent, and the
+    block is scanned again; each incumbent beats the last, so the rescans
+    end.  Every subset's key is computed; memory is O(2^_BLOCK_BITS + n).
+
+    A block's maximum is also key + max(accumulate(incs, initial=0)),
+    and that second term depends only on the incumbent and the block's
+    parity, so the block test could be O(1).  The sweep sums every key
+    on purpose: this oracle checks the greedy by comparing each subset
+    with the incumbent directly.  ROADMAP item 1 records the shortcut.
     """
     n = dp.n
     if n > guard:
@@ -123,27 +151,48 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     _, (a, b), zphis, zs = scale_to_integers(
         (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
     )
-    terms = list(zip(zphis, zs))
+    bits = min(_BLOCK_BITS, n)
 
-    mask, num, den, size = 0, a, b, 0
-    best_mask, best_num, best_den, best_size = 0, a, b, 0
-    for step in range(1, 1 << n):
-        low = step & -step
-        zphi, z = terms[low.bit_length() - 1]
-        mask ^= low
-        if mask & low:
-            num += zphi
-            den += z
-            size += 1
-        else:
-            num -= zphi
-            den -= z
-            size -= 1
-        cmp = num * best_den - best_num * den
-        if cmp > 0 or (cmp == 0 and size < best_size):
-            best_mask, best_num, best_den, best_size = mask, num, den, size
-    chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
-    return AdoptionSet(chosen, Fraction(best_num, best_den))
+    def sums(mask):
+        states = [i for i in range(n) if mask >> i & 1]
+        return a + sum(zphis[i] for i in states), b + sum(zs[i] for i in states), len(states)
+
+    def block_steps(first):
+        # (state, enters) for each step after the block's first subset.
+        steps = []
+        for t in range(first + 1, first + (1 << bits)):
+            low = t & -t
+            steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
+        return steps
+
+    steps_by_parity = (block_steps(0), block_steps(1 << bits))
+
+    def increments(bn, bd, bs):
+        d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
+        signed = ([-x for x in d], d)
+        return d, [[signed[enters][i] for i, enters in steps] for steps in steps_by_parity]
+
+    best, bn, bd, bs = 0, a, b, 0
+    d, incs_by_parity = increments(bn, bd, bs)
+    key = 0
+    for t0 in range(0, 1 << n, 1 << bits):
+        first = t0 ^ (t0 >> 1)
+        if t0:
+            # Since the previous block's first subset, the block toggled
+            # state bits-1 in net and step t0 toggled state ctz(t0).
+            for i in (bits - 1, (t0 & -t0).bit_length() - 1):
+                key += d[i] if first >> i & 1 else -d[i]
+        incs = incs_by_parity[t0 >> bits & 1]
+        while (top := max(accumulate(incs, initial=key))) > 0:
+            t = t0 + list(accumulate(incs, initial=key)).index(top)
+            best = t ^ (t >> 1)
+            bn, bd, bs = sums(best)
+            d, incs_by_parity = increments(bn, bd, bs)
+            incs = incs_by_parity[t0 >> bits & 1]
+            num, den, size = sums(first)
+            key = (num * bd - bn * den) * (n + 1) + bs - size
+    chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
+    return AdoptionSet(chosen, Fraction(bn, bd))
 
 
 def adopted_response(inst: FlowerInstance, offered) -> frozenset[int]:

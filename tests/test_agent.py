@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -22,8 +23,8 @@ def _lex_key(mask: int, n: int) -> tuple[int, ...]:
 
 
 # Reference: the oracle sweep with one table entry per subset, each
-# extending the subset without its lowest state.  The Gray-code oracle
-# must return the same set and utility.
+# extending the subset without its lowest state.  The oracle must return
+# the same set and utility.
 def _ref_agent_oracle(dp):
     n = dp.n
     _, (a, b), zphis, zs = scale_to_integers(
@@ -51,6 +52,37 @@ def _ref_agent_oracle(dp):
             if size < best_size or (size == best_size and _lex_key(mask, n) < _lex_key(best_mask, n)):
                 best_mask, best_num, best_den = mask, num, den
                 best_size = size
+    chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
+    return chosen, F(best_num, best_den)
+
+
+# Reference: the single Gray-code sweep, comparing each subset with the
+# incumbent in Python.  The blocked sweep must return the same set and
+# utility.
+def _gray_agent_oracle(dp):
+    n = dp.n
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    terms = list(zip(zphis, zs))
+
+    mask, num, den, size = 0, a, b, 0
+    best_mask, best_num, best_den, best_size = 0, a, b, 0
+    for step in range(1, 1 << n):
+        low = step & -step
+        zphi, z = terms[low.bit_length() - 1]
+        mask ^= low
+        if mask & low:
+            num += zphi
+            den += z
+            size += 1
+        else:
+            num -= zphi
+            den -= z
+            size -= 1
+        cmp = num * best_den - best_num * den
+        if cmp > 0 or (cmp == 0 and size < best_size):
+            best_mask, best_num, best_den, best_size = mask, num, den, size
     chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return chosen, F(best_num, best_den)
 
@@ -216,13 +248,81 @@ def test_oracle_matches_table_reference():
         assert (result.states, result.utility) == _ref_agent_oracle(dp)
 
 
+def _tight_params(n, rng):
+    # Small integers and potentials next to the base utility a, so that
+    # the oracle's integer ratio comparisons come out between -n and n
+    # and the size term of its key must not outweigh them.
+    a = rng.randint(0, 4)
+    z = tuple(F(rng.choice([-1, 1, 2])) for _ in range(n))
+    B = 1 - sum(x for x in z if x < 0)
+    return DerivedParams(
+        lam=(F(1),) * n,
+        w=tuple(1 + x for x in z),
+        z=z,
+        phi=tuple(F(a + rng.randint(-1, 2)) for _ in range(n)),
+        A=F(a * B),
+        B=F(B),
+    )
+
+
+def test_oracle_matches_gray_code_reference():
+    # 24 instances for each n = 1..16, four of each flower kind and eight
+    # small-integer ones: one block below n = 8, one full block at n = 8,
+    # even and odd blocks from n = 9.
+    kinds = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}]
+    rng = random.Random(5)
+    for idx in range(384):
+        n = 1 + idx % 16
+        kind = idx // 16 % 6
+        if kind < 4:
+            dp = derived_params(gen_random_flower(n, seed=9000 + idx, ranges=kinds[kind]))
+        else:
+            dp = _tight_params(n, rng)
+        result = agent_oracle(dp)
+        assert (result.states, result.utility) == _gray_agent_oracle(dp), (n, idx)
+
+
+def _tie_instance(n, core):
+    # The states in `core` reach the optimal utility 2 together; every
+    # other state has potential 2 and leaves it there.  So the full set
+    # ties with `core` and has n - len(core) >= 9 more states: the two
+    # lie in different blocks of the sweep.
+    phi = {1: F(4), 2: F(3)}[len(core)]
+    return DerivedParams(
+        lam=(F(1),) * n,
+        w=(F(2),) * n,
+        z=(F(1),) * n,
+        phi=tuple(phi if i in core else F(2) for i in range(1, n + 1)),
+        A=F(0),
+        B=F(1),
+    )
+
+
+def test_oracle_tie_break_across_blocks():
+    for n in (10, 11, 13):
+        cores = [{i} for i in range(1, n + 1)] + [{1, n}, {8, 9}, {n - 1, n}]
+        for core in cores:
+            dp = _tie_instance(n, core)
+            assert agent_utility(dp, range(1, n + 1)) == 2
+            result = agent_oracle(dp)
+            assert result.states == frozenset(core) and result.utility == 2, (n, core)
+            assert (result.states, result.utility) == _gray_agent_oracle(dp)
+
+
 def test_oracles_sweep_in_constant_memory():
-    # A table per running sum would take 2^14 entries each (over 1 MB).
+    # A table per running sum would take 2^14 entries each (over 1 MB),
+    # and 2^18 entries for the n = 18 agent oracle.
     inst = gen_random_flower(14, seed=11)
     mixed = gen_random_flower(14, seed=8, ranges={"allow_negative_z": True}, delta=F(1, 16))
     assert any(z < 0 for z in derived_params(mixed).z)
     dp = derived_params(inst)
-    for oracle, arg in ((agent_oracle, dp), (designer_oracle, inst), (designer_oracle, mixed)):
+    big = derived_params(gen_random_flower(18, seed=11))
+    for oracle, arg in (
+        (agent_oracle, dp),
+        (agent_oracle, big),
+        (designer_oracle, inst),
+        (designer_oracle, mixed),
+    ):
         tracemalloc.start()
         try:
             oracle(arg)

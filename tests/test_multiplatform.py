@@ -262,6 +262,21 @@ def test_oracle_no_platforms():
     assert sel.utility == F(1, 2)
 
 
+def test_oracle_tie_breaks():
+    # Every selection with a platform at state 1 reaches the optimal
+    # utility 2, and "d" leaves it there: the smallest total z wins, then
+    # the smallest ids.
+    platforms = [
+        Platform("b", 1, F(1), F(4)),
+        Platform("c", 1, F(2), F(3)),
+        Platform("a", 1, F(1), F(4)),
+        Platform("d", 2, F(1), F(2)),
+    ]
+    sel = multi_oracle(platforms, F(0), F(1))
+    assert [pl.id for pl in sel.platforms] == ["a"]
+    assert sel.utility == 2
+
+
 def test_oracle_guard():
     platforms, A, B = random_platforms(7)
     with pytest.raises(TooLarge):
