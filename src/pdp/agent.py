@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, derived_params
-from .core import scale_to_integers
+from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, scale_to_integers
 
 
 # log2 of the steps per block in agent_oracle's sweep.
@@ -41,36 +40,8 @@ class GreedyTrace:
     steps: tuple[GreedyStep, ...]
 
 
-def _phi_order(dp: DerivedParams, states) -> list[int]:
-    return sorted(states, key=lambda i: (-dp.phi[i - 1], i))
-
-
-def _run_greedy(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction, GreedyTrace]:
-    """Greedy over an offered set of positive-z states.
-
-    States by phi descending; adopt while the running utility stays
-    strictly below the next potential.  Equality never adopts.
-    """
-    order = _phi_order(dp, offered)
-    num = dp.A
-    den = dp.B
-    chosen = set()
-    steps = []
-    for i in order:
-        u = num / den
-        phi = dp.phi[i - 1]
-        accept = u < phi
-        steps.append(GreedyStep(i, u, accept))
-        if not accept:
-            break
-        chosen.add(i)
-        num += dp.z[i - 1] * dp.phi[i - 1]
-        den += dp.z[i - 1]
-    return frozenset(chosen), num / den, GreedyTrace(tuple(order), tuple(steps))
-
-
 def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]:
-    """Optimal subset of `offered` under mixed z signs.
+    """The smallest optimal subset of `offered`, for any z signs.
 
     Dinkelbach's method for ratio maximization (Dinkelbach 1967, "On
     nonlinear fractional programming"): given a utility guess u, the subset
@@ -97,11 +68,28 @@ def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]
 
 
 def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, GreedyTrace]:
-    """Optimal adoption set when every z is positive."""
+    """Optimal adoption set when every z is positive.
+
+    States by phi descending; adopt while the running utility stays
+    strictly below the next potential.  Equality never adopts.
+    """
     if any(z <= 0 for z in dp.z):
         raise SignError("greedy_solve requires all z > 0; use greedy_solve_signed")
-    states, utility, trace = _run_greedy(dp, range(1, dp.n + 1))
-    return AdoptionSet(states, utility), trace
+    order = sorted(range(1, dp.n + 1), key=lambda i: (-dp.phi[i - 1], i))
+    num = dp.A
+    den = dp.B
+    chosen = set()
+    steps = []
+    for i in order:
+        u = num / den
+        accept = u < dp.phi[i - 1]
+        steps.append(GreedyStep(i, u, accept))
+        if not accept:
+            break
+        chosen.add(i)
+        num += dp.z[i - 1] * dp.phi[i - 1]
+        den += dp.z[i - 1]
+    return AdoptionSet(frozenset(chosen), num / den), GreedyTrace(tuple(order), tuple(steps))
 
 
 def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
@@ -197,12 +185,7 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
 
 def adopted_response(inst: FlowerInstance, offered) -> frozenset[int]:
     """The set the agent actually adopts when offered exactly `offered`."""
-    dp = derived_params(inst)
-    offered = check_subset(offered, inst.n)
-    if all(dp.z[i - 1] > 0 for i in offered):
-        chosen, _, _ = _run_greedy(dp, offered)
-    else:
-        chosen, _ = _solve_signed(dp, offered)
+    chosen, _ = _solve_signed(inst.params, check_subset(offered, inst.n))
     return chosen
 
 

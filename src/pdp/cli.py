@@ -22,7 +22,6 @@ from .core import (
     all_subsets,
     build_flower_instance,
     build_general_chain,
-    derived_params,
     steady_state_general,
 )
 from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
@@ -302,7 +301,7 @@ def _states(s) -> list[int]:
 
 def _cmd_solve_agent(args, started):
     _, inst = _load_instance(args.instance, FlowerInstance)
-    dp = derived_params(inst)
+    dp = inst.params
     if all(z > 0 for z in dp.z):
         result, trace = agent.greedy_solve(dp)
         steps = [
@@ -545,12 +544,16 @@ def _cmd_gen(args, started):
     return 0
 
 
+def _checked(check: str, match: bool, **fields) -> dict:
+    """One verify record: the check's name, then `fields` in order, then match."""
+    return {"check": check, **fields, "match": match}
+
+
 def _cmd_verify(args, started):
     _, obj = _load_instance(args.instance)
     checks = []
-    ok = True
     if isinstance(obj, FlowerInstance):
-        dp = derived_params(obj)
+        dp = obj.params
         check = "agent greedy vs oracle"
         try:
             oracle = agent.agent_oracle(dp)
@@ -561,52 +564,47 @@ def _cmd_verify(args, started):
                 solved, _ = agent.greedy_solve(dp)
             else:
                 solved = agent.greedy_solve_signed(dp)
-            match = solved.utility == oracle.utility
-            ok = ok and match
             checks.append(
-                {
-                    "check": check,
-                    "solver": fmt(solved.utility),
-                    "oracle": fmt(oracle.utility),
-                    "match": match,
-                }
+                _checked(
+                    check,
+                    solved.utility == oracle.utility,
+                    solver=fmt(solved.utility),
+                    oracle=fmt(oracle.utility),
+                )
             )
+        check = "designer fptas vs oracle"
         try:
             qi = designer.preprocess(obj)
             approx = designer.fptas_solve(qi)
             exact = designer.designer_oracle(obj)
             bound = (1 - qi.epsilon) * exact.profit
-            match = approx.profit >= bound and agent.is_feasible(obj, approx.states)
-            ok = ok and match
             checks.append(
-                {
-                    "check": "designer fptas vs oracle",
-                    "solver": fmt(approx.profit),
-                    "oracle": fmt(exact.profit),
-                    "match": match,
-                }
+                _checked(
+                    check,
+                    approx.profit >= bound and agent.is_feasible(obj, approx.states),
+                    solver=fmt(approx.profit),
+                    oracle=fmt(exact.profit),
+                )
             )
         except designer.EmptyInstance:
-            checks.append({"check": "designer fptas vs oracle", "skipped": "no surviving state"})
+            checks.append({"check": check, "skipped": "no surviving state"})
         except (designer.QuantizationError, designer.CostBoundError, agent.TooLarge) as exc:
             # A negative-z state survived preprocessing, or a cost is too
             # large a multiple of K: the FPTAS does not cover the instance.
             # Or the oracle's search spent its budget.
-            checks.append({"check": "designer fptas vs oracle", "skipped": str(exc)})
+            checks.append({"check": check, "skipped": str(exc)})
     elif isinstance(obj, (MultiAgentInstance, CompetitiveInstance)):
         # Each kind keeps its own brute force: multi_agent_profit does not
         # go through the competitive curves the solver uses.
         name, solved, n, profit = _solve_threshold_dp(obj)
         best = max(profit(obj, S) for S in all_subsets(n))
-        match = solved.profit == best
-        ok = ok and match
         checks.append(
-            {
-                "check": f"{name} dp vs brute force",
-                "solver": fmt(solved.profit),
-                "oracle": fmt(best),
-                "match": match,
-            }
+            _checked(
+                f"{name} dp vs brute force",
+                solved.profit == best,
+                solver=fmt(solved.profit),
+                oracle=fmt(best),
+            )
         )
         if isinstance(obj, CompetitiveInstance):
             for i in range(obj.mi.k):
@@ -621,16 +619,14 @@ def _cmd_verify(args, started):
                     continue
                 ids = [pl.id for pl in sel.platforms]
                 local = multiplatform.local_optimality_check(curves, ids, dp.A, dp.B)
-                match = sel.utility == oracle.utility and local
-                ok = ok and match
                 checks.append(
-                    {
-                        "check": check,
-                        "solver": fmt(sel.utility),
-                        "oracle": fmt(oracle.utility),
-                        "locally_optimal": local,
-                        "match": match,
-                    }
+                    _checked(
+                        check,
+                        sel.utility == oracle.utility and local,
+                        solver=fmt(sel.utility),
+                        oracle=fmt(oracle.utility),
+                        locally_optimal=local,
+                    )
                 )
     elif isinstance(obj, game.GameInstance):
         # The oracle's memo is its own, so the brute force shares no
@@ -642,15 +638,13 @@ def _cmd_verify(args, started):
             best = max(
                 oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in all_subsets(obj.n)
             )
-            match = solved.profit == best
-            ok = ok and match
             checks.append(
-                {
-                    "check": f"designer {d + 1} best response vs brute force",
-                    "solver": fmt(solved.profit),
-                    "oracle": fmt(best),
-                    "match": match,
-                }
+                _checked(
+                    f"designer {d + 1} best response vs brute force",
+                    solved.profit == best,
+                    solver=fmt(solved.profit),
+                    oracle=fmt(best),
+                )
             )
         check = "pure nash vs definition"
         try:
@@ -666,8 +660,7 @@ def _cmd_verify(args, started):
                     for d in range(obj.num_designers)
                     for S in all_subsets(obj.n)
                 )
-                ok = ok and match
-                checks.append({"check": check, "nash": _profile_doc(nash), "match": match})
+                checks.append(_checked(check, match, nash=_profile_doc(nash)))
     else:
         check = "steady state is stationary"
         try:
@@ -681,8 +674,8 @@ def _cmd_verify(args, started):
                 and sum(pi) == 1
                 and all(sum(pi[s] * obj.rows[s][t] for s in states) == pi[t] for t in states)
             )
-            ok = ok and match
-            checks.append({"check": check, "pi": [fmt(v) for v in pi], "match": match})
+            checks.append(_checked(check, match, pi=[fmt(v) for v in pi]))
+    ok = all(c.get("match", True) for c in checks)
     _emit({"solver": "verify", "checks": checks, "ok": ok}, started)
     return 0 if ok else 1
 

@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-
-# Solvers look an instance up a handful of times per call; one operation
-# touches well under this many distinct instances.
-CACHE_SIZE = 16
+from functools import cached_property
 
 
 class ProbabilityError(ValueError):
@@ -55,6 +50,8 @@ class FlowerInstance:
     """A flower chain plus the designer's rewards and build costs.
 
     All vectors are indexed by petal, position 0 holding petal 1's value.
+    params and scaled are computed on first use and kept on the instance,
+    so they live exactly as long as it does.
     """
 
     p: tuple[Fraction, ...]
@@ -68,6 +65,14 @@ class FlowerInstance:
     @property
     def n(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def params(self) -> DerivedParams:
+        return derived_params(self)
+
+    @cached_property
+    def scaled(self) -> ScaledParams:
+        return scaled_params(self, self.params)
 
 
 def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstance:
@@ -125,7 +130,6 @@ class DerivedParams:
         return len(self.lam)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def derived_params(inst: FlowerInstance) -> DerivedParams:
     n = inst.n
     lam = tuple(inst.p[i] / (1 - inst.q[i]) for i in range(n))
@@ -204,7 +208,7 @@ def agent_utility(dp: DerivedParams, S) -> Fraction:
 def stationary_distribution_flower(inst: FlowerInstance, S) -> tuple[Fraction, ...]:
     """Stationary distribution (rest first) when platforms on S are adopted."""
     S = check_subset(S, inst.n)
-    dp = derived_params(inst)
+    dp = inst.params
     mass = [Fraction(1)]
     mass += [dp.w[i - 1] if i in S else dp.lam[i - 1] for i in range(1, inst.n + 1)]
     total = sum(mass)
@@ -217,7 +221,7 @@ def designer_profit(inst: FlowerInstance, offered, adopted) -> Fraction:
     adopted = check_subset(adopted, inst.n)
     if not adopted <= offered:
         raise SubsetError("adopted platforms must be among the offered ones")
-    dp = derived_params(inst)
+    dp = inst.params
     den = dp.B + sum((dp.z[i - 1] for i in adopted), Fraction(0))
     revenue = sum((inst.d[i - 1] * dp.w[i - 1] for i in adopted), Fraction(0)) / den
     return revenue - sum((inst.cost[i - 1] for i in offered), Fraction(0))

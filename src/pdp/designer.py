@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import TooLarge
-from .core import (
-    DerivedParams,
-    FlowerInstance,
-    ScaledParams,
-    derived_params,
-    designer_profit,
-    scaled_params,
-)
+from .core import FlowerInstance, ScaledParams, designer_profit
 
 
 class QuantizationError(ValueError):
@@ -52,8 +45,6 @@ class QuantizedInstance:
     K: Fraction
     r: Fraction
     surviving: tuple[int, ...]
-    dp: DerivedParams
-    scaled: ScaledParams
 
 
 def _fraction_gcd(values) -> Fraction:
@@ -97,8 +88,7 @@ def preprocess(
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
     if delta is not None and delta <= 0:
         raise QuantizationError(f"delta = {delta} must be positive")
-    dp = derived_params(inst)
-    sp = scaled_params(inst, dp)
+    dp, sp = inst.params, inst.scaled
     profits = {}
     for i in range(1, inst.n + 1):
         profit = _feasible_singleton_profit(sp, i)
@@ -119,7 +109,7 @@ def preprocess(
     r = max(inst.cost[i - 1] / K for i in surviving)
     if r > r_ceiling:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
-    return QuantizedInstance(inst, delta, epsilon, K, r, surviving, dp, sp)
+    return QuantizedInstance(inst, delta, epsilon, K, r, surviving)
 
 
 def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignSet:
@@ -131,11 +121,11 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     denominator shift); the set with the smaller objective numerator
     wins a collision, which keeps the most extendable representative.
 
-    Sums run over the integers of qi.scaled (each rational times L), so
+    Sums run over the integers of qi.inst.scaled (each rational times L), so
     the rounded profit and revenue come from integer floor division and
     feasibility from one cross-multiplication.
     """
-    sp = qi.scaled
+    dp, sp = qi.inst.params, qi.inst.scaled
     L, A = sp.L, sp.A
     unit = qi.epsilon * qi.K / (2 * qi.inst.n)
     # ceil(x / unit) for x = a / b, b > 0, is -(-a * ud // (b * un)).
@@ -149,10 +139,10 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
 
     for k in qi.surviving:
         j = k - 1
-        steps_k = qi.dp.z[j] / qi.delta
+        steps_k = dp.z[j] / qi.delta
         if steps_k.denominator != 1:
             raise QuantizationError(
-                f"z[{k}] = {qi.dp.z[j]} is not an integer multiple of {qi.delta}"
+                f"z[{k}] = {dp.z[j]} is not an integer multiple of {qi.delta}"
             )
         steps_k = steps_k.numerator
         zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
@@ -197,7 +187,7 @@ def designer_oracle(inst: FlowerInstance, guard: int = 1 << 22) -> DesignSet:
     at most 2^n - 1 of them.  guard is a budget on the sets visited: the
     search raises TooLarge once it is spent, so the guard bounds time.
     """
-    states = _oracle_search(scaled_params(inst, derived_params(inst)), guard)
+    states = _oracle_search(inst.scaled, guard)
     return DesignSet(states, designer_profit(inst, states, states))
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .agent import TooLarge
-from .core import CACHE_SIZE, FlowerInstance, all_subsets, build_flower_instance, derived_params
+from .core import FlowerInstance, all_subsets, build_flower_instance
 from .designer import DesignSet
 from .multiagent import (
     CompetitiveInstance,
@@ -59,6 +59,11 @@ class GameInstance:
     def num_designers(self) -> int:
         return len(self.designers)
 
+    @cached_property
+    def views(self) -> tuple[MultiAgentInstance, ...]:
+        """Each designer's view (see _designer_view), built once per game."""
+        return tuple(_designer_view(self, d) for d in range(self.num_designers))
+
 
 def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
     # Checked here too: a game without designers never builds a view.
@@ -78,15 +83,13 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
             if any(z <= 0 for z in c.z):
                 raise ValueError(f"candidate at state {c.state} needs every z positive")
     g = GameInstance(chassis, designers, delta, delta_prime)
-    for d in range(len(designers)):
-        _designer_view(g, d)  # validates quantization eagerly
+    g.views  # validates quantization eagerly
     return g
 
 
 Profile = tuple  # one frozenset of states per designer
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
     """Designer's candidates recast as per-agent flower instances.
 
@@ -95,7 +98,7 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
     """
     agents = []
     for i, base in enumerate(g.chassis):
-        dp = derived_params(base)
+        dp = base.params
         p, q = base.p, base.q
         y = []
         c_platform = []
@@ -119,7 +122,7 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
 
 
 def _competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
-    mi = _designer_view(g, designer)
+    mi = g.views[designer]
     externals = []
     for other, built in enumerate(profile):
         if other == designer:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .agent import adopted_response
-from .core import DerivedParams, FlowerInstance, derived_params, scale_to_integers
+from .core import DerivedParams, FlowerInstance, scale_to_integers
 from .designer import DesignSet, QuantizationError
 from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redundant
 
@@ -63,10 +63,10 @@ class MultiAgentInstance:
     def cost(self) -> tuple[Fraction, ...]:
         return self.agents[0].cost
 
-    @cached_property
+    @property
     def params(self) -> tuple[DerivedParams, ...]:
-        """Each agent's derived parameters, computed once per instance."""
-        return tuple(derived_params(a) for a in self.agents)
+        """Each agent's derived parameters, kept on the agent."""
+        return tuple(a.params for a in self.agents)
 
 
 def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
@@ -355,7 +355,7 @@ class CompetitiveInstance:
 
     def external_platforms(self, i: int) -> list[Platform]:
         """The external platforms as agent i (0-based) sees them."""
-        return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in self.externals]
+        return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in self.externals]
 
     @cached_property
     def curves(self) -> tuple[AgentCurves, ...]:
@@ -367,7 +367,7 @@ class CompetitiveInstance:
         for i, dp in enumerate(self.mi.params):
             ext = self.external_platforms(i)
             own = [
-                Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], "own", own=True)
+                Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
                 for j in range(1, self.mi.n + 1)
             ]
             base = prune_redundant(ext) if ext else {}

@@ -23,14 +23,13 @@ class FeasibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Platform:
-    """One candidate platform.  owner is a label read from the document;
-    own marks the designer's own candidate, which no document can set."""
+    """One candidate platform.  own marks the designer's own candidate,
+    which no document can set."""
 
     id: object
     state: int
     z: Fraction
     phi: Fraction
-    owner: object = "external"
     own: bool = False
 
 

@@ -228,15 +228,18 @@ def test_subset_heredity():
 
 
 def test_adopted_response_is_optimal_over_offer():
+    # Mixed-sign and all-positive flowers: the agent adopts the smallest
+    # optimal subset of the offer, which is unique.
     for seed in range(20):
-        inst = gen_random_flower(5, seed=300 + seed, ranges={"allow_negative_z": True})
-        dp = derived_params(inst)
-        for S in all_subsets(5):
-            adopted = adopted_response(inst, S)
-            best = max(
-                agent_utility(dp, T) for T in all_subsets(5) if T <= S
-            )
-            assert agent_utility(dp, adopted) == best
+        for ranges in ({"allow_negative_z": True}, None, NARROW):
+            inst = gen_random_flower(5, seed=300 + seed, ranges=ranges)
+            dp = derived_params(inst)
+            utility = {T: agent_utility(dp, T) for T in all_subsets(5)}
+            for S in all_subsets(5):
+                best = max(u for T, u in utility.items() if T <= S)
+                optimal = [T for T, u in utility.items() if T <= S and u == best]
+                smallest = min(len(T) for T in optimal)
+                assert [T for T in optimal if len(T) == smallest] == [adopted_response(inst, S)]
 
 
 def test_oracle_matches_table_reference():

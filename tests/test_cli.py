@@ -1,10 +1,12 @@
 import json
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import make_example
-from pdp import agent, cli, designer, multiplatform
+from pdp import agent, cli, core, designer, multiplatform
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
@@ -401,6 +403,28 @@ def test_external_owner_label_is_only_a_label(tmp_path, capsys, owner):
     assert (out["offered"], out["profit"]) == ([2], "10151/1564")
     assert main(["verify", path]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_verify_flower_derives_its_params_once(tmp_path, capsys, monkeypatch):
+    # Both checks read the derived and scaled parameters kept on the
+    # parsed flower, so one verify computes each of them once.
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "pdp"]
+    for name in ("derived_params", "scaled_params"):
+        real = getattr(core, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        # Wherever the package looks the function up.
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["verify", write_doc(tmp_path, serialize_instance(make_example()))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [check["match"] for check in out["checks"]] == [True, True]
+    assert calls == {"derived_params": 1, "scaled_params": 1}
 
 
 def test_verify_general_chain(tmp_path, capsys, monkeypatch):

@@ -262,9 +262,26 @@ def test_closed_classes_match_tarjan_reference():
 
 def test_package_has_no_assert_statements():
     # `python -O` strips assert statements, so invariants raise instead.
+    # Nor does the package keep a process-wide cache: derived data lives on
+    # the instance it comes from, so neither `functools.lru_cache` nor
+    # `functools.cache` is imported or named.
     files = sorted(Path(pdp.__file__).parent.glob("*.py"))
     assert files
+    caches = {"lru_cache", "cache"}
+
+    def names_cache(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            return any(alias.name in caches for alias in node.names)
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in caches
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree) if names_cache(node)]
+        assert not lines, f"{path.name}: process-wide cache on lines {lines}"

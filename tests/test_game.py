@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,7 +14,6 @@ from pdp.core import build_flower_instance, derived_params
 from pdp.designer import designer_oracle
 from pdp.game import (
     Candidate,
-    _designer_view,
     best_response,
     best_response_dynamics,
     build_game_instance,
@@ -171,21 +172,23 @@ def test_pure_nash_guard():
         pure_nash_search(gen_no_nash_game(), guard=1)
 
 
-def test_process_caches_stay_bounded():
-    caches = (derived_params, _designer_view)
-    assert all(cache.cache_info().maxsize is not None for cache in caches)
-    limit = max(cache.cache_info().maxsize for cache in caches)
+def test_solved_games_are_freed():
+    # Derived data is kept on the instance it comes from, so once the
+    # caller drops a game nothing in the package keeps it, its designer
+    # views or its flowers alive.
     base = make_example()
-    for step in range(1, 3 * limit + 1):
+    refs = []
+    for step in range(1, 5):
         inst = build_flower_instance(
             p=base.p, q=base.q, y=base.y, c_life=base.c_life,
             c_platform=base.c_platform, d=base.d, cost=[F(step, 100), F(step, 100)],
         )
-        g, _ = single_designer_game(inst)
+        g, inst = single_designer_game(inst)
         best_response(g, 0, (fs(),))
-        for cache in caches:
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+        refs += [weakref.ref(x) for x in (inst, g, *g.views, *g.views[0].agents)]
+        del inst, g
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
 
 
 # Unmemoized references: the search and the dynamics as they stood before

@@ -118,9 +118,9 @@ def reference_multi_agent_solve(mi):
 
 def _ref_agent_curves(ci, i):
     dp = derived_params(ci.mi.agents[i])
-    ext = [Platform(pl.id, pl.state, pl.z[i], pl.phi[i], pl.owner) for pl in ci.externals]
+    ext = [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in ci.externals]
     own = [
-        Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], "own", own=True)
+        Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
         for j in range(1, ci.mi.n + 1)
     ]
     return (prune_redundant(ext) if ext else {}), prune_redundant(ext + own)
