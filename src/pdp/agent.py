@@ -98,7 +98,7 @@ def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
     return AdoptionSet(states, utility)
 
 
-def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
+def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
     Ties break toward the smallest cardinality.  Among the optimal sets
@@ -121,17 +121,22 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
     subtracts D_i.  Every block toggles the same states in the same
     order, and only the direction of its middle toggle depends on the
     block's parity, so two increment lists per incumbent serve every
-    block.  `itertools.accumulate` computes the key of each subset in a
-    block from the key of the block's first subset, and `max` scores the
-    block.  A positive maximum makes its subset the incumbent, and the
-    block is scanned again; each incumbent beats the last, so the rescans
-    end.  Every subset's key is computed; memory is O(2^_BLOCK_BITS + n).
-
-    A block's maximum is also key + max(accumulate(incs, initial=0)),
-    and that second term depends only on the incumbent and the block's
-    parity, so the block test could be O(1).  The sweep sums every key
-    on purpose: this oracle checks the greedy by comparing each subset
-    with the incumbent directly.  ROADMAP item 1 records the shortcut.
+    block, and the maximum key over a block is its first subset's key
+    plus the largest prefix sum of its increments.  That prefix maximum
+    depends only on the incumbent and the block's parity, so
+    `increments` computes it once per incumbent, and each block is
+    tested in O(1): key + top > 0.  The test is exact, since
+    max(accumulate(incs, initial=key)) equals
+    key + max(accumulate(incs, initial=0)) on integers, so a block that
+    fails it holds no subset beating the incumbent.  A block that passes
+    is scanned with `itertools.accumulate`; its first subset of maximal
+    key becomes the incumbent, the increments and prefix maxima are
+    recomputed, and the block is tested again.  Each incumbent beats the
+    last, so the rescans end.  Every subset is still judged against the
+    incumbent by its own integer key (in a block that fails the test,
+    each key is at most key + top <= 0), and the sweep uses no phi
+    order, threshold or Dinkelbach step, so it stays independent of the
+    greedy solvers it checks.  Memory is O(2^_BLOCK_BITS + n).
     """
     n = dp.n
     if n > guard:
@@ -155,13 +160,14 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
 
     steps_by_parity = (block_steps(0), block_steps(1 << bits))
 
-    def increments(bn, bd, bs):
+    def increments(bn, bd):
         d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
         signed = ([-x for x in d], d)
-        return d, [[signed[enters][i] for i, enters in steps] for steps in steps_by_parity]
+        incs_by_parity = [[signed[enters][i] for i, enters in steps] for steps in steps_by_parity]
+        return d, incs_by_parity, [max(accumulate(incs, initial=0)) for incs in incs_by_parity]
 
     best, bn, bd, bs = 0, a, b, 0
-    d, incs_by_parity = increments(bn, bd, bs)
+    d, incs_by_parity, tops = increments(bn, bd)
     key = 0
     for t0 in range(0, 1 << n, 1 << bits):
         first = t0 ^ (t0 >> 1)
@@ -170,13 +176,12 @@ def agent_oracle(dp: DerivedParams, guard: int = 25) -> AdoptionSet:
             # state bits-1 in net and step t0 toggled state ctz(t0).
             for i in (bits - 1, (t0 & -t0).bit_length() - 1):
                 key += d[i] if first >> i & 1 else -d[i]
-        incs = incs_by_parity[t0 >> bits & 1]
-        while (top := max(accumulate(incs, initial=key))) > 0:
-            t = t0 + list(accumulate(incs, initial=key)).index(top)
+        parity = t0 >> bits & 1
+        while (top := key + tops[parity]) > 0:
+            t = t0 + list(accumulate(incs_by_parity[parity], initial=key)).index(top)
             best = t ^ (t >> 1)
             bn, bd, bs = sums(best)
-            d, incs_by_parity = increments(bn, bd, bs)
-            incs = incs_by_parity[t0 >> bits & 1]
+            d, incs_by_parity, tops = increments(bn, bd)
             num, den, size = sums(first)
             key = (num * bd - bn * den) * (n + 1) + bs - size
     chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)

@@ -1,9 +1,11 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
+from pdp import agent
 from pdp.agent import (
     SignError,
     TooLarge,
@@ -85,6 +87,56 @@ def _gray_agent_oracle(dp):
             best_mask, best_num, best_den, best_size = mask, num, den, size
     chosen = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return chosen, F(best_num, best_den)
+
+
+# Reference: the blocked Gray-code sweep that sums every key, scoring
+# each block of 2^8 steps with max(accumulate(...)) over per-step key
+# increments.  The oracle, which tests a block in O(1) against the
+# prefix maximum of its increments, must return the same set and utility.
+def _blocked_agent_oracle(dp):
+    n = dp.n
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    bits = min(8, n)
+
+    def sums(mask):
+        states = [i for i in range(n) if mask >> i & 1]
+        return a + sum(zphis[i] for i in states), b + sum(zs[i] for i in states), len(states)
+
+    def block_steps(first):
+        steps = []
+        for t in range(first + 1, first + (1 << bits)):
+            low = t & -t
+            steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
+        return steps
+
+    steps_by_parity = (block_steps(0), block_steps(1 << bits))
+
+    def increments(bn, bd):
+        d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
+        signed = ([-x for x in d], d)
+        return d, [[signed[enters][i] for i, enters in steps] for steps in steps_by_parity]
+
+    best, bn, bd, bs = 0, a, b, 0
+    d, incs_by_parity = increments(bn, bd)
+    key = 0
+    for t0 in range(0, 1 << n, 1 << bits):
+        first = t0 ^ (t0 >> 1)
+        if t0:
+            for i in (bits - 1, (t0 & -t0).bit_length() - 1):
+                key += d[i] if first >> i & 1 else -d[i]
+        incs = incs_by_parity[t0 >> bits & 1]
+        while (top := max(accumulate(incs, initial=key))) > 0:
+            t = t0 + list(accumulate(incs, initial=key)).index(top)
+            best = t ^ (t >> 1)
+            bn, bd, bs = sums(best)
+            d, incs_by_parity = increments(bn, bd)
+            incs = incs_by_parity[t0 >> bits & 1]
+            num, den, size = sums(first)
+            key = (num * bd - bn * den) * (n + 1) + bs - size
+    chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
+    return chosen, F(bn, bd)
 
 
 # Identical petals apart from a few reward and cost levels, so that
@@ -333,3 +385,63 @@ def test_oracles_sweep_in_constant_memory():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, (oracle.__name__, peak)
+
+
+def _gray_rank(mask):
+    # The step at which the reflected Gray-code sweep visits `mask`.
+    t = 0
+    while mask:
+        t ^= mask
+        mask >>= 1
+    return t
+
+
+def _count_accumulate(monkeypatch, limit=None):
+    # Replace the oracle's accumulate with one that counts its calls and
+    # fails past `limit` of them, so a sweep that never ends fails too.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        assert limit is None or len(calls) <= limit, f"over {limit} accumulate calls"
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(agent, "accumulate", counting)
+    return calls
+
+
+def test_oracle_block_test_matches_blocked_sweep(monkeypatch):
+    # The O(1) block test must rescan exactly the blocks that hold a
+    # better subset, in both block parities and after every change of
+    # incumbent.  Tight integers and cross-block ties at n = 9..13, and
+    # flowers of each kind, about half with the optimum in an odd block.
+    # Each incumbent beats the last, so a sweep makes at most
+    # 2 + 3 * (2^n - 1) calls to accumulate.
+    calls = _count_accumulate(monkeypatch, limit=3 << 13)
+    kinds = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}]
+    rng = random.Random(14)
+    cases = [_tie_instance(n, core) for n in (10, 11, 13) for core in ({1}, {n}, {8, 9}, {n - 1, n})]
+    for idx in range(120):
+        n = 9 + idx % 5
+        kind = idx // 5 % 6
+        if kind < 4:
+            cases.append(derived_params(gen_random_flower(n, seed=14000 + idx, ranges=kinds[kind])))
+        else:
+            cases.append(_tight_params(n, rng))
+    odd = 0
+    for dp in cases:
+        calls.clear()
+        result = agent_oracle(dp)
+        assert (result.states, result.utility) == _blocked_agent_oracle(dp) == _gray_agent_oracle(dp)
+        odd += _gray_rank(sum(1 << (i - 1) for i in result.states)) >> 8 & 1
+    assert odd >= 40, odd
+
+
+def test_oracle_tests_blocks_in_constant_time(monkeypatch):
+    # Two prefix maxima at the start, then one rescan and two prefix
+    # maxima per incumbent: far fewer calls than the 2^10 blocks.
+    calls = _count_accumulate(monkeypatch)
+    dp = derived_params(gen_random_flower(18, seed=11))
+    result = agent_oracle(dp)
+    assert len(calls) < 64, len(calls)
+    assert result.utility == greedy_solve(dp)[0].utility

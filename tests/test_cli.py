@@ -383,6 +383,16 @@ def test_verify_flower_skips_checks_past_their_guards(tmp_path, capsys, monkeypa
     }
 
 
+def test_verify_flower_runs_agent_check_past_25_states(tmp_path, capsys):
+    # The agent oracle's guard is 28 states, so verify still runs it here.
+    path = write_doc(tmp_path, serialize_instance(gen_random_flower(26, seed=1)))
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    agent_check = out["checks"][0]
+    assert agent_check["check"] == "agent greedy vs oracle"
+    assert "skipped" not in agent_check and agent_check["match"] is True
+
+
 def test_solve_designer_exact_past_24_states(tmp_path, capsys):
     # The oracle's budget counts the sets it visits, not 2^n.
     assert main(["gen", "--kind", "random-flower", "--n", "24", "--seed", "1"]) == 0
