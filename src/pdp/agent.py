@@ -107,10 +107,12 @@ def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
     states that leave the ratio at u*.  So the visit order does not
     change the result.
 
-    The sweep visits the subsets in reflected Gray-code order (Knuth,
-    TAOCP 4A, 7.2.1.1), in aligned blocks of 2^_BLOCK_BITS steps.  Given
-    the incumbent's numerator bn, denominator bd and size bs, each
-    subset S has the integer key
+    The sweep splits a subset into its low bits = min(_BLOCK_BITS, n)
+    states and the rest.  A reflected Gray code (Knuth, TAOCP 4A,
+    7.2.1.1) walks the sets of the rest, one block each, and within each
+    block a second one walks the low sets from the empty set, so every
+    subset lies in exactly one block.  Given the incumbent's numerator
+    bn, denominator bd and size bs, each subset S has the integer key
 
         K(S) = (num(S)*bd - bn*den(S)) * (n + 1) + bs - |S|,
 
@@ -118,25 +120,16 @@ def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
     fewer states (den > 0 always and |bs - |S|| <= n).  K is linear in
     membership: a step that puts state i in adds
     D_i = (zphi_i*bd - bn*z_i) * (n + 1) - 1, and one that takes it out
-    subtracts D_i.  Every block toggles the same states in the same
-    order, and only the direction of its middle toggle depends on the
-    block's parity, so two increment lists per incumbent serve every
-    block, and the maximum key over a block is its first subset's key
-    plus the largest prefix sum of its increments.  That prefix maximum
-    depends only on the incumbent and the block's parity, so
-    `increments` computes it once per incumbent, and each block is
-    tested in O(1): key + top > 0.  The test is exact, since
-    max(accumulate(incs, initial=key)) equals
-    key + max(accumulate(incs, initial=0)) on integers, so a block that
-    fails it holds no subset beating the incumbent.  A block that passes
-    is scanned with `itertools.accumulate`; its first subset of maximal
-    key becomes the incumbent, the increments and prefix maxima are
-    recomputed, and the block is tested again.  Each incumbent beats the
-    last, so the rescans end.  Every subset is still judged against the
-    incumbent by its own integer key (in a block that fails the test,
-    each key is at most key + top <= 0), and the sweep uses no phi
-    order, threshold or Dinkelbach step, so it stays independent of the
-    greedy solvers it checks.  Memory is O(2^_BLOCK_BITS + n).
+    subtracts D_i.  So every block has the same key increments `incs`,
+    and a block holds a subset beating the incumbent exactly when its
+    first key plus top = max(accumulate(incs, initial=0)) is positive:
+    on integers, max(accumulate(incs, initial=key)) == key + top.  Only a
+    block that passes is scanned; its first subset of maximal key becomes
+    the incumbent, `incs` and `top` are recomputed, and the block is
+    tested again.  Each incumbent beats the last, so the rescans end.
+    The sweep uses no phi order, threshold or Dinkelbach step, so it
+    stays independent of the greedy solvers it checks.  Memory is
+    O(2^_BLOCK_BITS + n).
     """
     n = dp.n
     if n > guard:
@@ -150,39 +143,31 @@ def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
         states = [i for i in range(n) if mask >> i & 1]
         return a + sum(zphis[i] for i in states), b + sum(zs[i] for i in states), len(states)
 
-    def block_steps(first):
-        # (state, enters) for each step after the block's first subset.
-        steps = []
-        for t in range(first + 1, first + (1 << bits)):
-            low = t & -t
-            steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
-        return steps
-
-    steps_by_parity = (block_steps(0), block_steps(1 << bits))
+    # (state, enters) for each step of the inner Gray code after the empty set.
+    steps = []
+    for t in range(1, 1 << bits):
+        low = t & -t
+        steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
 
     def increments(bn, bd):
         d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
-        signed = ([-x for x in d], d)
-        incs_by_parity = [[signed[enters][i] for i, enters in steps] for steps in steps_by_parity]
-        return d, incs_by_parity, [max(accumulate(incs, initial=0)) for incs in incs_by_parity]
+        incs = [d[i] if enters else -d[i] for i, enters in steps]
+        return d, incs, max(accumulate(incs, initial=0))
 
     best, bn, bd, bs = 0, a, b, 0
-    d, incs_by_parity, tops = increments(bn, bd)
+    d, incs, top = increments(bn, bd)
     key = 0
-    for t0 in range(0, 1 << n, 1 << bits):
-        first = t0 ^ (t0 >> 1)
+    for t0 in range(1 << (n - bits)):
+        outer = (t0 ^ t0 >> 1) << bits
         if t0:
-            # Since the previous block's first subset, the block toggled
-            # state bits-1 in net and step t0 toggled state ctz(t0).
-            for i in (bits - 1, (t0 & -t0).bit_length() - 1):
-                key += d[i] if first >> i & 1 else -d[i]
-        parity = t0 >> bits & 1
-        while (top := key + tops[parity]) > 0:
-            t = t0 + list(accumulate(incs_by_parity[parity], initial=key)).index(top)
-            best = t ^ (t >> 1)
+            i = bits + (t0 & -t0).bit_length() - 1
+            key += d[i] if outer >> i & 1 else -d[i]
+        while key + top > 0:
+            t = list(accumulate(incs, initial=key)).index(key + top)
+            best = outer | (t ^ t >> 1)
             bn, bd, bs = sums(best)
-            d, incs_by_parity, tops = increments(bn, bd)
-            num, den, size = sums(first)
+            d, incs, top = increments(bn, bd)
+            num, den, size = sums(outer)
             key = (num * bd - bn * den) * (n + 1) + bs - size
     chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
     return AdoptionSet(chosen, Fraction(bn, bd))

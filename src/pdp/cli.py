@@ -223,9 +223,7 @@ def parse_instance(doc):
             )
         return _build("designers", game.build_game_instance, chassis, designers, *_steps(doc))
     agents = _agents(doc, n, _AGENT, **_read(doc, _COST, "$", n))
-    mi = _build(
-        "agents", multiagent.build_multi_agent_instance, agents, *_steps(doc), m_ceiling=10**12
-    )
+    mi = _build("agents", multiagent.build_multi_agent_instance, agents, *_steps(doc))
     if kind == "multi-agent":
         return mi
     platforms = [
@@ -299,27 +297,28 @@ def _states(s) -> list[int]:
     return sorted(s)
 
 
-def _cmd_solve_agent(args, started):
-    _, inst = _load_instance(args.instance, FlowerInstance)
-    dp = inst.params
+def _solve_agent(dp):
+    """The solver's name, its adoption set and the greedy's steps (none for
+    the signed solver)."""
     if all(z > 0 for z in dp.z):
         result, trace = agent.greedy_solve(dp)
-        steps = [
-            {"state": st.state, "utility_before": fmt(st.utility_before), "accepted": st.accepted}
-            for st in trace.steps
-        ]
-        solver = "greedy"
-    else:
-        result = agent.greedy_solve_signed(dp)
-        steps = []
-        solver = "greedy-signed"
+        return "greedy", result, trace.steps
+    return "greedy-signed", agent.greedy_solve_signed(dp), ()
+
+
+def _cmd_solve_agent(args, started):
+    _, inst = _load_instance(args.instance, FlowerInstance)
+    solver, result, steps = _solve_agent(inst.params)
     return _emit(
         {
             "solver": solver,
             "adopted": _states(result.states),
             "utility": fmt(result.utility),
             "utility_decimal": float(result.utility),
-            "trace": steps,
+            "trace": [
+                {"state": st.state, "utility_before": fmt(st.utility_before), "accepted": st.accepted}
+                for st in steps
+            ],
         },
         started,
     )
@@ -455,6 +454,8 @@ def _cmd_best_response(args, started):
 
 
 def _cmd_dynamics(args, started):
+    if args.max_rounds < 0:
+        raise SchemaError("--max-rounds: expected a nonnegative integer")
     _, g = _load_instance(args.instance, game.GameInstance)
     initial = _parse_profile(args.init, g, "--init")
     outcome = game.best_response_dynamics(g, initial, args.max_rounds)
@@ -535,10 +536,8 @@ def _cmd_gen(args, started):
             "built": sorted(built),
             "routing": list(routing),
         }
-    elif kind == "no-nash":
+    else:  # no-nash; argparse admits no other kind
         doc = serialize_instance(instances.gen_no_nash_game())
-    else:
-        raise SchemaError(f"--kind: unknown generator {kind!r}")
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -560,10 +559,7 @@ def _cmd_verify(args, started):
         except agent.TooLarge as exc:
             checks.append({"check": check, "skipped": str(exc)})
         else:
-            if all(z > 0 for z in dp.z):
-                solved, _ = agent.greedy_solve(dp)
-            else:
-                solved = agent.greedy_solve_signed(dp)
+            _, solved, _ = _solve_agent(dp)
             checks.append(
                 _checked(
                     check,

@@ -118,7 +118,7 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
                 tuple(c.cost for c in g.designers[designer]),
             )
         )
-    return build_multi_agent_instance(agents, g.delta, g.delta_prime, m_ceiling=10**12)
+    return build_multi_agent_instance(agents, g.delta, g.delta_prime)
 
 
 def _competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
@@ -129,9 +129,7 @@ def _competitive_instance(g: GameInstance, designer: int, profile: Profile) -> C
             continue
         for s in sorted(built):
             c = g.designers[other][s - 1]
-            externals.append(
-                ExternalPlatform((other, s), s, c.z, c.phi, owner=other)
-            )
+            externals.append(ExternalPlatform((other, s), s, c.z, c.phi))
     return build_competitive_instance(mi, externals)
 
 

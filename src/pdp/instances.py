@@ -210,7 +210,7 @@ def gen_two_agent_partition(a) -> TwoAgentPartitionFixture:
         phi = [phi0 + bi for bi in rewards] + [phi0 + eta]
         c_platform = [v / shift for v in phi]
         agents.append(build_flower_instance(p, q, y, c_life, c_platform, d, cost))
-    mi = build_multi_agent_instance(agents, delta, delta_prime, m_ceiling=10**12)
+    mi = build_multi_agent_instance(agents, delta, delta_prime)
     v_star = Fraction(8 * n * shift, B + n + 1)
     no_bound = Fraction((8 * n - 2) * shift, B + n)
     return TwoAgentPartitionFixture(mi, v_star, no_bound, eta, eta_prime, b, count)

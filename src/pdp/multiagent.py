@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .agent import adopted_response
+from .agent import TooLarge, adopted_response
 from .core import DerivedParams, FlowerInstance, scale_to_integers
 from .designer import DesignSet, QuantizationError
 from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redundant
 
 
-class GuardExceeded(ValueError):
-    """The (theta, D) grid is larger than the configured budget."""
+# The largest quantization level z/delta or phi/delta_prime an instance may have.
+_LEVEL_CEILING = 10**12
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
 
 
 def build_multi_agent_instance(
-    agents, delta: Fraction, delta_prime: Fraction, m_ceiling: int = 10**6
+    agents, delta: Fraction, delta_prime: Fraction
 ) -> MultiAgentInstance:
     check_quantization_steps(delta, delta_prime)
     agents = tuple(agents)
@@ -102,9 +102,9 @@ def build_multi_agent_instance(
                 raise QuantizationError(
                     f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}"
                 )
-            if max(int(l), int(lp)) > m_ceiling:
+            if max(int(l), int(lp)) > _LEVEL_CEILING:
                 raise QuantizationError(
-                    f"agent {i}, state {j}: quantization level exceeds {m_ceiling}"
+                    f"agent {i}, state {j}: quantization level exceeds {_LEVEL_CEILING}"
                 )
     return mi
 
@@ -322,7 +322,7 @@ def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
         mi.n * max(int(z / mi.delta) for z in dp.z) + 1 for dp in dps
     )
     if total > budget:
-        raise GuardExceeded(f"(theta, D) grid size {total} exceeds budget {budget}")
+        raise TooLarge(f"(theta, D) grid size {total} exceeds budget {budget}")
     return competitive_solve(CompetitiveInstance(mi, ()), budget)
 
 
@@ -436,5 +436,5 @@ def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet
     ]
     total = math.prod(len(g) for g in grids)
     if total > budget:
-        raise GuardExceeded(f"theta grid size {total} exceeds budget {budget}")
+        raise TooLarge(f"theta grid size {total} exceeds budget {budget}")
     return _threshold_dp(ci, grids)

@@ -102,10 +102,6 @@ class SelectionResult:
     platforms: tuple[Platform, ...]
     utility: Fraction
 
-    @property
-    def ids(self) -> frozenset:
-        return frozenset(pl.id for pl in self.platforms)
-
 
 def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction) -> SelectionResult:
     """Optimal feasible selection over pruned curves.

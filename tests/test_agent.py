@@ -323,7 +323,7 @@ def _tight_params(n, rng):
 def test_oracle_matches_gray_code_reference():
     # 24 instances for each n = 1..16, four of each flower kind and eight
     # small-integer ones: one block below n = 8, one full block at n = 8,
-    # even and odd blocks from n = 9.
+    # several blocks from n = 9.
     kinds = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}]
     rng = random.Random(5)
     for idx in range(384):
@@ -388,7 +388,8 @@ def test_oracles_sweep_in_constant_memory():
 
 
 def _gray_rank(mask):
-    # The step at which the reflected Gray-code sweep visits `mask`.
+    # The step at which the single reflected Gray-code sweep of the
+    # references visits `mask`; its bits from 8 up number the block.
     t = 0
     while mask:
         t ^= mask
@@ -412,11 +413,12 @@ def _count_accumulate(monkeypatch, limit=None):
 
 def test_oracle_block_test_matches_blocked_sweep(monkeypatch):
     # The O(1) block test must rescan exactly the blocks that hold a
-    # better subset, in both block parities and after every change of
-    # incumbent.  Tight integers and cross-block ties at n = 9..13, and
-    # flowers of each kind, about half with the optimum in an odd block.
-    # Each incumbent beats the last, so a sweep makes at most
-    # 2 + 3 * (2^n - 1) calls to accumulate.
+    # better subset, in every block and after every change of incumbent.
+    # Tight integers and cross-block ties at n = 9..13, and flowers of
+    # each kind, about half with the optimum in an odd block, where the
+    # blocked reference walks the inner sets from a nonempty one, so in
+    # another order than the oracle.  Each incumbent beats the last, so
+    # a sweep makes at most 1 + 2 * (2^n - 1) calls to accumulate.
     calls = _count_accumulate(monkeypatch, limit=3 << 13)
     kinds = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}]
     rng = random.Random(14)
@@ -438,8 +440,8 @@ def test_oracle_block_test_matches_blocked_sweep(monkeypatch):
 
 
 def test_oracle_tests_blocks_in_constant_time(monkeypatch):
-    # Two prefix maxima at the start, then one rescan and two prefix
-    # maxima per incumbent: far fewer calls than the 2^10 blocks.
+    # One prefix maximum at the start, then one rescan and one prefix
+    # maximum per incumbent: far fewer calls than the 2^10 blocks.
     calls = _count_accumulate(monkeypatch)
     dp = derived_params(gen_random_flower(18, seed=11))
     result = agent_oracle(dp)

@@ -305,6 +305,20 @@ def test_game_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dynamics_rejects_negative_max_rounds(tmp_path, capsys):
+    path = write_doc(tmp_path, serialize_instance(gen_no_nash_game()))
+    assert main(["dynamics", path, "--init", "[[],[]]", "--max-rounds", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-rounds: expected a nonnegative integer\n"
+
+    # Zero rounds is a valid budget: the dynamics stop before any move.
+    assert main(["dynamics", path, "--init", "[[],[]]", "--max-rounds", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "budget"
+    assert out["trace"] == [[[], []]]
+
+
 @pytest.mark.parametrize(
     "inst",
     [

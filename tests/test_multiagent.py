@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pdp.agent import TooLarge
 from pdp.core import all_subsets, build_flower_instance, derived_params
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
 from pdp.instances import gen_random_flower, gen_random_multi_agent, gen_two_agent_partition
@@ -12,7 +13,6 @@ from pdp.multiagent import (
     INF,
     CompetitiveInstance,
     ExternalPlatform,
-    GuardExceeded,
     agent_guess,
     build_competitive_instance,
     build_multi_agent_instance,
@@ -260,10 +260,9 @@ def test_build_validates_quantization():
         build_multi_agent_instance(mi.agents, delta=F(3), delta_prime=mi.delta_prime)
     with pytest.raises(QuantizationError):
         build_multi_agent_instance(mi.agents, delta=mi.delta, delta_prime=F(7))
-    with pytest.raises(QuantizationError):
-        build_multi_agent_instance(
-            mi.agents, delta=mi.delta, delta_prime=mi.delta_prime, m_ceiling=0
-        )
+    # Every z level z/delta is 10^13 or more, past the 10^12 ceiling.
+    with pytest.raises(QuantizationError, match="quantization level exceeds"):
+        build_multi_agent_instance(mi.agents, delta=F(1, 10**13), delta_prime=mi.delta_prime)
 
 
 def test_build_requires_shared_structure():
@@ -367,7 +366,7 @@ def test_solve_matches_brute_force():
 
 def test_solve_guard():
     mi = gen_random_multi_agent(3, 2, seed=6)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(TooLarge):
         multi_agent_solve(mi, budget=1)
 
 
@@ -377,7 +376,7 @@ def test_solve_guard_counts_denominator_guesses():
     mi = gen_random_multi_agent(3, 2, seed=6)
     budget = math.prod(len(theta_grid(dp.phi)) for dp in mi.params)
     assert competitive_solve(CompetitiveInstance(mi, ()), budget) == multi_agent_solve(mi)
-    with pytest.raises(GuardExceeded, match=r"\(theta, D\) grid size"):
+    with pytest.raises(TooLarge, match=r"\(theta, D\) grid size"):
         multi_agent_solve(mi, budget=budget)
 
 
@@ -487,7 +486,7 @@ def test_competitive_build_validation():
 def test_competitive_guard():
     mi = gen_random_multi_agent(3, 2, seed=8)
     ci = build_competitive_instance(mi, random_externals(mi, 8))
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(TooLarge):
         competitive_solve(ci, budget=1)
 
 
