@@ -12,6 +12,7 @@ import sys
 import time
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import agent, designer, game, instances, multiagent, multiplatform
@@ -33,10 +34,6 @@ class ParseError(ValueError):
 
 class SchemaError(ValueError):
     """The document violates the instance schema."""
-
-
-def fmt(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_rat(value, path: str) -> Fraction:
@@ -85,7 +82,7 @@ def _rationals(count: Callable) -> _Rule:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
         return tuple(parse_rat(v, f"{path}[{i}]") for i, v in enumerate(value))
 
-    return _Rule(read, lambda values: [fmt(v) for v in values])
+    return _Rule(read, lambda values: [str(v) for v in values])
 
 
 def _state(value, path, n, k) -> int:
@@ -104,12 +101,12 @@ def _step(holds: Callable, claim: str) -> _Rule:
             raise SchemaError(f"{path}: {name} = {step} {claim}")
         return step
 
-    return _Rule(read, fmt)
+    return _Rule(read, str)
 
 
 _PER_STATE = _rationals(lambda n, k: n)
 _PER_AGENT = _rationals(lambda n, k: k)
-_RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), fmt)
+_RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), str)
 _STATE = _Rule(_state, int)
 _LABEL = _Rule(lambda value, path, n, k: str(value), str, optional=True)  # any value, as text
 _POSITIVE = _step(lambda x: x > 0, "must be positive")
@@ -266,17 +263,10 @@ def serialize_instance(obj) -> dict:
         return {
             "version": 1,
             "kind": "general-chain",
-            "rows": [[fmt(v) for v in row] for row in obj.rows],
+            "rows": [[str(v) for v in row] for row in obj.rows],
             "start": obj.start,
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit(result: dict, started: float) -> int:
-    result["wall_clock_seconds"] = round(time.monotonic() - started, 6)
-    json.dump(result, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
 
 
 def _load_instance(path: str, *types):
@@ -293,8 +283,14 @@ def _load_instance(path: str, *types):
     return doc, inst
 
 
-def _states(s) -> list[int]:
-    return sorted(s)
+def _exact(key: str, value: Fraction) -> dict:
+    """`value` under `key` as an exact rational and under `key_decimal` as a float."""
+    return {key: str(value), f"{key}_decimal": float(value)}
+
+
+def _offer(solver: str, result) -> dict:
+    """A designer solver's result: its offered states and profit."""
+    return {"solver": solver, "offered": sorted(result.states), **_exact("profit", result.profit)}
 
 
 def _solve_agent(dp):
@@ -306,22 +302,18 @@ def _solve_agent(dp):
     return "greedy-signed", agent.greedy_solve_signed(dp), ()
 
 
-def _cmd_solve_agent(args, started):
+def _cmd_solve_agent(args):
     _, inst = _load_instance(args.instance, FlowerInstance)
     solver, result, steps = _solve_agent(inst.params)
-    return _emit(
-        {
-            "solver": solver,
-            "adopted": _states(result.states),
-            "utility": fmt(result.utility),
-            "utility_decimal": float(result.utility),
-            "trace": [
-                {"state": st.state, "utility_before": fmt(st.utility_before), "accepted": st.accepted}
-                for st in steps
-            ],
-        },
-        started,
-    )
+    return {
+        "solver": solver,
+        "adopted": sorted(result.states),
+        **_exact("utility", result.utility),
+        "trace": [
+            {"state": st.state, "utility_before": str(st.utility_before), "accepted": st.accepted}
+            for st in steps
+        ],
+    }
 
 
 def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
@@ -333,22 +325,16 @@ def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
     return dp, pool, curves, multiplatform.multi_greedy_solve(curves, dp.A, dp.B)
 
 
-def _cmd_solve_multiplatform(args, started):
+def _cmd_solve_multiplatform(args):
     _, ci = _load_instance(args.instance, CompetitiveInstance)
     if not 1 <= args.agent <= ci.mi.k:
         raise SchemaError(f"--agent: no agent {args.agent}")
     _, _, _, sel = _multiplatform_greedy(ci, args.agent - 1)
-    return _emit(
-        {
-            "solver": "multi-platform-greedy",
-            "selected": [
-                {"id": str(pl.id), "state": pl.state} for pl in sel.platforms
-            ],
-            "utility": fmt(sel.utility),
-            "utility_decimal": float(sel.utility),
-        },
-        started,
-    )
+    return {
+        "solver": "multi-platform-greedy",
+        "selected": [{"id": str(pl.id), "state": pl.state} for pl in sel.platforms],
+        **_exact("utility", sel.utility),
+    }
 
 
 def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
@@ -362,58 +348,35 @@ def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
     return q.get("epsilon", Fraction(1, 10)), q.get("delta")
 
 
-def _cmd_solve_designer(args, started):
+def _cmd_solve_designer(args):
     doc, inst = _load_instance(args.instance, FlowerInstance)
     if args.exact:
-        result = designer.designer_oracle(inst)
-        solver = "designer-oracle"
-        bins = None
-    else:
-        epsilon, delta = _designer_steps(args, doc)
-        try:
-            qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
-        except designer.QuantizationError as exc:
-            # delta came from the flag, else the document, else the gcd of z.
-            at = "--delta" if args.delta is not None else "quantization.delta" if delta else "$"
-            raise SchemaError(f"{at}: {exc}") from None
-        except (designer.EmptyInstance, designer.CostBoundError) as exc:
-            raise SchemaError(f"$: {exc}") from None
-        result = designer.fptas_solve(qi)
-        solver = "designer-fptas"
-        bins = result.bins
-    out = {
-        "solver": solver,
-        "offered": _states(result.states),
-        "profit": fmt(result.profit),
-        "profit_decimal": float(result.profit),
-    }
-    if bins is not None:
-        out["bins"] = bins
-    return _emit(out, started)
+        return _offer("designer-oracle", designer.designer_oracle(inst))
+    epsilon, delta = _designer_steps(args, doc)
+    try:
+        qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
+    except designer.QuantizationError as exc:
+        # delta came from the flag, else the document, else the gcd of z.
+        at = "--delta" if args.delta is not None else "quantization.delta" if delta else "$"
+        raise SchemaError(f"{at}: {exc}") from None
+    except (designer.EmptyInstance, designer.CostBoundError) as exc:
+        raise SchemaError(f"$: {exc}") from None
+    result = designer.fptas_solve(qi)
+    return {**_offer("designer-fptas", result), "bins": result.bins}
 
 
-def _solve_threshold_dp(obj):
-    """Solve a multi-agent or competitive instance: its kind's name, the
-    solution, the number of states and the kind's independent profit."""
+def _threshold_dp(obj):
+    """A multi-agent or competitive instance's kind, its number of states,
+    its solver and its independent profit."""
     if isinstance(obj, CompetitiveInstance):
-        solved = multiagent.competitive_solve(obj)
-        return "competitive", solved, obj.mi.n, multiagent.competitive_profit
-    solved = multiagent.multi_agent_solve(obj)
-    return "multi-agent", solved, obj.n, multiagent.multi_agent_profit
+        return "competitive", obj.mi.n, multiagent.competitive_solve, multiagent.competitive_profit
+    return "multi-agent", obj.n, multiagent.multi_agent_solve, multiagent.multi_agent_profit
 
 
-def _cmd_solve_multi_agent(args, started):
+def _cmd_solve_multi_agent(args):
     _, obj = _load_instance(args.instance, MultiAgentInstance, CompetitiveInstance)
-    name, result, _, _ = _solve_threshold_dp(obj)
-    return _emit(
-        {
-            "solver": f"{name}-dp",
-            "offered": _states(result.states),
-            "profit": fmt(result.profit),
-            "profit_decimal": float(result.profit),
-        },
-        started,
-    )
+    name, _, solve, _ = _threshold_dp(obj)
+    return _offer(f"{name}-dp", solve(obj))
 
 
 def _parse_profile(text, g, flag) -> tuple:
@@ -435,53 +398,40 @@ def _profile_doc(profile):
     return [sorted(s) for s in profile]
 
 
-def _cmd_best_response(args, started):
+def _cmd_best_response(args):
     _, g = _load_instance(args.instance, game.GameInstance)
     if not 1 <= args.designer <= g.num_designers:
         raise SchemaError(f"--designer: no designer {args.designer}")
     profile = _parse_profile(args.profile, g, "--profile")
     result = game.best_response(g, args.designer - 1, profile)
-    return _emit(
-        {
-            "solver": "best-response",
-            "designer": args.designer,
-            "built": _states(result.states),
-            "profit": fmt(result.profit),
-            "profit_decimal": float(result.profit),
-        },
-        started,
-    )
+    return {
+        "solver": "best-response",
+        "designer": args.designer,
+        "built": sorted(result.states),
+        **_exact("profit", result.profit),
+    }
 
 
-def _cmd_dynamics(args, started):
+def _cmd_dynamics(args):
     if args.max_rounds < 0:
         raise SchemaError("--max-rounds: expected a nonnegative integer")
     _, g = _load_instance(args.instance, game.GameInstance)
     initial = _parse_profile(args.init, g, "--init")
     outcome = game.best_response_dynamics(g, initial, args.max_rounds)
-    return _emit(
-        {
-            "solver": "best-response-dynamics",
-            "outcome": outcome.kind,
-            "profile": _profile_doc(outcome.profile) if outcome.profile else None,
-            "cycle": [_profile_doc(p) for p in outcome.cycle],
-            "period": outcome.period,
-            "trace": [_profile_doc(p) for p in outcome.trace],
-        },
-        started,
-    )
+    return {
+        "solver": "best-response-dynamics",
+        "outcome": outcome.kind,
+        "profile": _profile_doc(outcome.profile) if outcome.profile else None,
+        "cycle": [_profile_doc(p) for p in outcome.cycle],
+        "period": outcome.period,
+        "trace": [_profile_doc(p) for p in outcome.trace],
+    }
 
 
-def _cmd_nash(args, started):
+def _cmd_nash(args):
     _, g = _load_instance(args.instance, game.GameInstance)
-    profile = game.pure_nash_search(g)
-    return _emit(
-        {
-            "solver": "pure-nash-search",
-            "nash": _profile_doc(profile) if profile is not None else None,
-        },
-        started,
-    )
+    nash = game.pure_nash_search(g)
+    return {"solver": "pure-nash-search", "nash": None if nash is None else _profile_doc(nash)}
 
 
 def _csv_ints(text, path):
@@ -491,31 +441,33 @@ def _csv_ints(text, path):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _cmd_gen(args, started):
-    kind = args.kind
-    if kind == "random-flower":
-        inst = instances.gen_random_flower(args.n, args.seed)
-        doc = serialize_instance(inst)
-    elif kind == "partition":
-        fixture = instances.gen_partition_instance(_csv_ints(args.a, "--a"))
-        doc = serialize_instance(fixture.instance)
-        doc["partition"] = {
-            "v_star": fmt(fixture.v_star),
-            "eta": fmt(fixture.eta),
-            "eta_prime": fmt(fixture.eta_prime),
-            "b": list(fixture.b),
-            "special": fixture.special,
+def _cmd_gen(args):
+    if args.kind == "random-flower":
+        return serialize_instance(instances.gen_random_flower(args.n, args.seed))
+    if args.kind == "partition":
+        fixture = _build("--a", instances.gen_partition_instance, _csv_ints(args.a, "--a"))
+        return {
+            **serialize_instance(fixture.instance),
+            "partition": {
+                "v_star": str(fixture.v_star),
+                "eta": str(fixture.eta),
+                "eta_prime": str(fixture.eta_prime),
+                "b": list(fixture.b),
+                "special": fixture.special,
+            },
         }
-    elif kind == "two-agent-partition":
-        fixture = instances.gen_two_agent_partition(_csv_ints(args.a, "--a"))
-        doc = serialize_instance(fixture.mi)
-        doc["partition"] = {
-            "v_star": fmt(fixture.v_star),
-            "no_bound": fmt(fixture.no_bound),
-            "eta": fmt(fixture.eta),
-            "eta_prime": fmt(fixture.eta_prime),
+    if args.kind == "two-agent-partition":
+        fixture = _build("--a", instances.gen_two_agent_partition, _csv_ints(args.a, "--a"))
+        return {
+            **serialize_instance(fixture.mi),
+            "partition": {
+                "v_star": str(fixture.v_star),
+                "no_bound": str(fixture.no_bound),
+                "eta": str(fixture.eta),
+                "eta_prime": str(fixture.eta_prime),
+            },
         }
-    elif kind == "set-cover":
+    if args.kind == "set-cover":
         universe = _csv_ints(args.universe, "--universe")
         families = [
             frozenset(_csv_ints(part, "--families"))
@@ -528,152 +480,163 @@ def _cmd_gen(args, started):
             next((i for i in sc.routing_options(j) if i is not None), None)
             for j in range(sc.n)
         )
-        doc = serialize_instance(sc.chain_for(built, routing))
-        doc["setcover"] = {
-            "universe": list(sc.universe),
-            "families": [sorted(f) for f in sc.families],
-            "k": sc.k,
-            "built": sorted(built),
-            "routing": list(routing),
+        return {
+            **serialize_instance(sc.chain_for(built, routing)),
+            "setcover": {
+                "universe": list(sc.universe),
+                "families": [sorted(f) for f in sc.families],
+                "k": sc.k,
+                "built": sorted(built),
+                "routing": list(routing),
+            },
         }
-    else:  # no-nash; argparse admits no other kind
-        doc = serialize_instance(instances.gen_no_nash_game())
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    return serialize_instance(instances.gen_no_nash_game())  # argparse admits no other kind
 
 
-def _checked(check: str, match: bool, **fields) -> dict:
-    """One verify record: the check's name, then `fields` in order, then match."""
-    return {"check": check, **fields, "match": match}
+class _Skip(Exception):
+    """A verify check that cannot run; the message says why."""
 
 
-def _cmd_verify(args, started):
-    _, obj = _load_instance(args.instance)
-    checks = []
-    if isinstance(obj, FlowerInstance):
-        dp = obj.params
-        check = "agent greedy vs oracle"
+# The most subsets one brute-force check of `verify` enumerates.  The profit
+# oracles take 0.1-0.6 ms a subset (2-core x86-64), so up to about 10 s.
+_BRUTE_FORCE_SUBSETS = 1 << 14
+
+
+def _guard_brute_force(n: int, sweeps: int = 1) -> None:
+    """Skip a check that sweeps the 2^n subsets `sweeps` times past the budget."""
+    total = sweeps << n
+    if total > _BRUTE_FORCE_SUBSETS:
+        raise _Skip(f"{total} subsets exceed the guard {_BRUTE_FORCE_SUBSETS}")
+
+
+def _check(name: str, run: Callable[[], dict], *skips: type[ValueError]) -> dict:
+    """Check `name` with the fields `run()` returns, in order; a `_Skip` or
+    one of `skips` from `run` reports the check as skipped, for its reason."""
+    try:
+        return {"check": name, **run()}
+    except (_Skip, *skips) as exc:
+        return {"check": name, "skipped": str(exc)}
+
+
+def _compared(match: bool, solver: Fraction, oracle: Fraction, **fields) -> dict:
+    """A check's fields: the solver's value, the oracle's, `fields`, then match."""
+    return {"solver": str(solver), "oracle": str(oracle), **fields, "match": match}
+
+
+def _verify_flower(inst: FlowerInstance) -> list[dict]:
+    def greedy():
+        oracle = agent.agent_oracle(inst.params)
+        _, solved, _ = _solve_agent(inst.params)
+        return _compared(solved.utility == oracle.utility, solved.utility, oracle.utility)
+
+    def fptas():
         try:
-            oracle = agent.agent_oracle(dp)
-        except agent.TooLarge as exc:
-            checks.append({"check": check, "skipped": str(exc)})
-        else:
-            _, solved, _ = _solve_agent(dp)
-            checks.append(
-                _checked(
-                    check,
-                    solved.utility == oracle.utility,
-                    solver=fmt(solved.utility),
-                    oracle=fmt(oracle.utility),
-                )
-            )
-        check = "designer fptas vs oracle"
-        try:
-            qi = designer.preprocess(obj)
-            approx = designer.fptas_solve(qi)
-            exact = designer.designer_oracle(obj)
-            bound = (1 - qi.epsilon) * exact.profit
-            checks.append(
-                _checked(
-                    check,
-                    approx.profit >= bound and agent.is_feasible(obj, approx.states),
-                    solver=fmt(approx.profit),
-                    oracle=fmt(exact.profit),
-                )
-            )
+            qi = designer.preprocess(inst)
         except designer.EmptyInstance:
-            checks.append({"check": check, "skipped": "no surviving state"})
-        except (designer.QuantizationError, designer.CostBoundError, agent.TooLarge) as exc:
-            # A negative-z state survived preprocessing, or a cost is too
-            # large a multiple of K: the FPTAS does not cover the instance.
-            # Or the oracle's search spent its budget.
-            checks.append({"check": check, "skipped": str(exc)})
-    elif isinstance(obj, (MultiAgentInstance, CompetitiveInstance)):
-        # Each kind keeps its own brute force: multi_agent_profit does not
-        # go through the competitive curves the solver uses.
-        name, solved, n, profit = _solve_threshold_dp(obj)
+            raise _Skip("no surviving state") from None
+        approx = designer.fptas_solve(qi)
+        exact = designer.designer_oracle(inst)
+        bound = (1 - qi.epsilon) * exact.profit
+        match = approx.profit >= bound and agent.is_feasible(inst, approx.states)
+        return _compared(match, approx.profit, exact.profit)
+
+    # A negative-z state survived preprocessing, or a cost is too large a
+    # multiple of K: the FPTAS does not cover the instance.  Or the oracle's
+    # search spent its budget.
+    uncovered = (designer.QuantizationError, designer.CostBoundError, agent.TooLarge)
+    return [
+        _check("agent greedy vs oracle", greedy, agent.TooLarge),
+        _check("designer fptas vs oracle", fptas, *uncovered),
+    ]
+
+
+def _verify_threshold_dp(obj) -> list[dict]:
+    # Each kind keeps its own brute force: multi_agent_profit does not
+    # go through the competitive curves the solver uses.
+    name, n, solve, profit = _threshold_dp(obj)
+
+    def optimum():
+        _guard_brute_force(n)
+        solved = solve(obj)
         best = max(profit(obj, S) for S in all_subsets(n))
-        checks.append(
-            _checked(
-                f"{name} dp vs brute force",
-                solved.profit == best,
-                solver=fmt(solved.profit),
-                oracle=fmt(best),
-            )
+        return _compared(solved.profit == best, solved.profit, best)
+
+    def multiplatform_greedy(i):
+        # What solve-multiplatform-agent --agent i+1 prints, against the
+        # oracle over the unpruned platforms and the swap criterion.
+        dp, pool, curves, sel = _multiplatform_greedy(obj, i)
+        oracle = multiplatform.multi_oracle(pool, dp.A, dp.B)
+        ids = [pl.id for pl in sel.platforms]
+        local = multiplatform.local_optimality_check(curves, ids, dp.A, dp.B)
+        match = sel.utility == oracle.utility and local
+        return _compared(match, sel.utility, oracle.utility, locally_optimal=local)
+
+    checks = [_check(f"{name} dp vs brute force", optimum)]
+    if isinstance(obj, CompetitiveInstance):
+        for i in range(obj.mi.k):
+            check = f"agent {i + 1} multiplatform greedy vs oracle"
+            checks.append(_check(check, partial(multiplatform_greedy, i), agent.TooLarge))
+    return checks
+
+
+def _verify_game(g: game.GameInstance) -> list[dict]:
+    # The oracle's memo is its own, so the brute force shares no
+    # competitive instance with the solver under test.
+    oracle = game.SearchMemo(g)
+    empty = (frozenset(),) * g.num_designers
+
+    def response(d):
+        _guard_brute_force(g.n)
+        solved = game.best_response(g, d, empty)
+        best = max(oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in all_subsets(g.n))
+        return _compared(solved.profit == best, solved.profit, best)
+
+    def nash():
+        _guard_brute_force(g.n, g.num_designers)
+        profile = game.pure_nash_search(g)
+        if profile is None:
+            raise _Skip("no pure Nash profile")
+        match = not any(
+            oracle.profit(d, profile[:d] + (S,) + profile[d + 1 :]) > oracle.profit(d, profile)
+            for d in range(g.num_designers)
+            for S in all_subsets(g.n)
         )
-        if isinstance(obj, CompetitiveInstance):
-            for i in range(obj.mi.k):
-                # What solve-multiplatform-agent --agent i+1 prints, against the
-                # oracle over the unpruned platforms and the swap criterion.
-                dp, pool, curves, sel = _multiplatform_greedy(obj, i)
-                check = f"agent {i + 1} multiplatform greedy vs oracle"
-                try:
-                    oracle = multiplatform.multi_oracle(pool, dp.A, dp.B)
-                except agent.TooLarge as exc:
-                    checks.append({"check": check, "skipped": str(exc)})
-                    continue
-                ids = [pl.id for pl in sel.platforms]
-                local = multiplatform.local_optimality_check(curves, ids, dp.A, dp.B)
-                checks.append(
-                    _checked(
-                        check,
-                        sel.utility == oracle.utility and local,
-                        solver=fmt(sel.utility),
-                        oracle=fmt(oracle.utility),
-                        locally_optimal=local,
-                    )
-                )
-    elif isinstance(obj, game.GameInstance):
-        # The oracle's memo is its own, so the brute force shares no
-        # competitive instance with the solver under test.
-        oracle = game.SearchMemo(obj)
-        empty = (frozenset(),) * obj.num_designers
-        for d in range(obj.num_designers):
-            solved = game.best_response(obj, d, empty)
-            best = max(
-                oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in all_subsets(obj.n)
-            )
-            checks.append(
-                _checked(
-                    f"designer {d + 1} best response vs brute force",
-                    solved.profit == best,
-                    solver=fmt(solved.profit),
-                    oracle=fmt(best),
-                )
-            )
-        check = "pure nash vs definition"
-        try:
-            nash = game.pure_nash_search(obj)
-        except agent.TooLarge as exc:
-            checks.append({"check": check, "skipped": str(exc)})
-        else:
-            if nash is None:
-                checks.append({"check": check, "skipped": "no pure Nash profile"})
-            else:
-                match = not any(
-                    oracle.profit(d, nash[:d] + (S,) + nash[d + 1 :]) > oracle.profit(d, nash)
-                    for d in range(obj.num_designers)
-                    for S in all_subsets(obj.n)
-                )
-                checks.append(_checked(check, match, nash=_profile_doc(nash)))
-    else:
-        check = "steady state is stationary"
-        try:
-            pi = steady_state_general(obj)
-        except ReducibleChain as exc:
-            checks.append({"check": check, "skipped": str(exc)})
-        else:
-            states = range(obj.size)
-            match = (
-                all(v >= 0 for v in pi)
-                and sum(pi) == 1
-                and all(sum(pi[s] * obj.rows[s][t] for s in states) == pi[t] for t in states)
-            )
-            checks.append(_checked(check, match, pi=[fmt(v) for v in pi]))
-    ok = all(c.get("match", True) for c in checks)
-    _emit({"solver": "verify", "checks": checks, "ok": ok}, started)
-    return 0 if ok else 1
+        return {"nash": _profile_doc(profile), "match": match}
+
+    checks = [
+        _check(f"designer {d + 1} best response vs brute force", partial(response, d))
+        for d in range(g.num_designers)
+    ]
+    return [*checks, _check("pure nash vs definition", nash, agent.TooLarge)]
+
+
+def _verify_chain(chain: GeneralChain) -> list[dict]:
+    def stationary():
+        pi = steady_state_general(chain)
+        states = range(chain.size)
+        match = (
+            all(v >= 0 for v in pi)
+            and sum(pi) == 1
+            and all(sum(pi[s] * chain.rows[s][t] for s in states) == pi[t] for t in states)
+        )
+        return {"pi": [str(v) for v in pi], "match": match}
+
+    return [_check("steady state is stationary", stationary, ReducibleChain)]
+
+
+_CHECKERS = {
+    FlowerInstance: _verify_flower,
+    MultiAgentInstance: _verify_threshold_dp,
+    CompetitiveInstance: _verify_threshold_dp,
+    game.GameInstance: _verify_game,
+    GeneralChain: _verify_chain,
+}
+
+
+def _cmd_verify(args):
+    _, obj = _load_instance(args.instance)
+    checks = _CHECKERS[type(obj)](obj)
+    return {"solver": "verify", "checks": checks, "ok": all(c.get("match", True) for c in checks)}
 
 
 def _build_parser():
@@ -682,34 +645,44 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_instance(name, **kwargs):
+    def with_instance(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("instance", help="path to a JSON instance file")
+        p.set_defaults(run=run)
         return p
 
-    with_instance("solve-agent", help="optimal single-platform adoption set")
+    with_instance("solve-agent", _cmd_solve_agent, help="optimal single-platform adoption set")
 
-    p = with_instance("solve-multiplatform-agent", help="optimal selection over listed platforms")
+    p = with_instance(
+        "solve-multiplatform-agent",
+        _cmd_solve_multiplatform,
+        help="optimal selection over listed platforms",
+    )
     p.add_argument("--agent", type=int, default=1)
 
-    p = with_instance("solve-designer", help="designer profit maximization")
+    p = with_instance("solve-designer", _cmd_solve_designer, help="designer profit maximization")
     p.add_argument("--epsilon", default=None, help="rational in (0, 1); default 1/10")
     p.add_argument("--delta", default=None, help="positive rational z grid")
     p.add_argument("--exact", action="store_true", help="use the exponential oracle")
 
-    with_instance("solve-multi-agent", help="multi-agent or competitive designer optimum")
+    with_instance(
+        "solve-multi-agent",
+        _cmd_solve_multi_agent,
+        help="multi-agent or competitive designer optimum",
+    )
 
-    p = with_instance("best-response", help="one designer's best response")
+    p = with_instance("best-response", _cmd_best_response, help="one designer's best response")
     p.add_argument("--designer", type=int, required=True)
     p.add_argument("--profile", required=True, help='JSON profile, e.g. "[[1],[2]]"')
 
-    p = with_instance("dynamics", help="round-robin best-response dynamics")
+    p = with_instance("dynamics", _cmd_dynamics, help="round-robin best-response dynamics")
     p.add_argument("--init", required=True, help="JSON initial profile")
     p.add_argument("--max-rounds", type=int, default=100)
 
-    with_instance("nash", help="exhaustive pure Nash search")
+    with_instance("nash", _cmd_nash, help="exhaustive pure Nash search")
 
     p = sub.add_parser("gen", help="emit a generated instance document")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument(
         "--kind",
         required=True,
@@ -722,32 +695,23 @@ def _build_parser():
     p.add_argument("--families", default="1;2;1,2", help="semicolon-separated element lists")
     p.add_argument("--k", type=int, default=1)
 
-    with_instance("verify", help="run solver against an independent oracle")
+    with_instance("verify", _cmd_verify, help="run solver against an independent oracle")
     return parser
-
-
-_COMMANDS = {
-    "solve-agent": _cmd_solve_agent,
-    "solve-multiplatform-agent": _cmd_solve_multiplatform,
-    "solve-designer": _cmd_solve_designer,
-    "solve-multi-agent": _cmd_solve_multi_agent,
-    "best-response": _cmd_best_response,
-    "dynamics": _cmd_dynamics,
-    "nash": _cmd_nash,
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, started)
+        result = args.run(args)
     except (ParseError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command != "gen":  # a generated document is an instance, not a result
+        result["wall_clock_seconds"] = round(time.monotonic() - started, 6)
+    json.dump(result, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0 if result.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_example
-from pdp import agent, cli, core, designer, multiplatform
+from pdp import agent, cli, core, designer, multiagent, multiplatform
 from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
@@ -561,6 +561,187 @@ def test_verify_game(tmp_path, capsys, monkeypatch, designers):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False
     assert [c["match"] for c in out["checks"][:designers]] == [False] * designers
+
+
+def test_verify_skips_brute_forces_past_their_budget(tmp_path, capsys, monkeypatch):
+    # Each brute force counts the subsets it sweeps against one budget; past
+    # it the check is skipped before its solver runs, and the others still run.
+    def unused(obj):
+        raise AssertionError("a skipped check ran its solver")
+
+    mi = gen_random_multi_agent(2, 2, seed=4)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)))
+    competitive = write_doc(tmp_path, serialize_instance(build_competitive_instance(mi, [external])))
+    multi_agent = write_doc(tmp_path, serialize_instance(mi), "multi-agent.json")
+    no_nash = write_doc(tmp_path, serialize_instance(gen_no_nash_game()), "game.json")
+    monkeypatch.setattr(cli, "_BRUTE_FORCE_SUBSETS", 2)
+    monkeypatch.setattr(multiagent, "multi_agent_solve", unused)
+    monkeypatch.setattr(multiagent, "competitive_solve", unused)
+    for path, name, agents in ((multi_agent, "multi-agent", 0), (competitive, "competitive", 2)):
+        assert main(["verify", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is True
+        dp_check, *agent_checks = out["checks"]
+        assert dp_check == {
+            "check": f"{name} dp vs brute force",
+            "skipped": "4 subsets exceed the guard 2",
+        }
+        assert [c["match"] for c in agent_checks] == [True] * agents
+    # The no-nash game has 3 states and 2 designers: each best response
+    # sweeps 8 subsets, and the Nash check sweeps them once per designer.
+    monkeypatch.setattr(cli, "_BRUTE_FORCE_SUBSETS", 8)
+    assert main(["verify", no_nash]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert [c.get("match") for c in out["checks"][:2]] == [True, True]
+    assert out["checks"][2] == {
+        "check": "pure nash vs definition",
+        "skipped": "16 subsets exceed the guard 8",
+    }
+    monkeypatch.setattr(cli, "_BRUTE_FORCE_SUBSETS", 4)
+    assert main(["verify", no_nash]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [c.get("skipped") for c in out["checks"]] == [
+        "8 subsets exceed the guard 4",
+        "8 subsets exceed the guard 4",
+        "16 subsets exceed the guard 4",
+    ]
+
+
+_FLOWER_KEYS = ["version", "kind", "states", "p", "q", "y", "c_life", "c_platform", "d", "cost"]
+_COMPARED = ["check", "solver", "oracle", "match"]
+_LOCAL = ["check", "solver", "oracle", "locally_optimal", "match"]
+# argv (document names stand for their files), exit code, the output's
+# keys (None: no output) and, for verify, each check record's keys.
+_OUTPUT_KEYS = [
+    (
+        ["solve-agent", "flower"],
+        0,
+        ["solver", "adopted", "utility", "utility_decimal", "trace", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["solve-multiplatform-agent", "competitive", "--agent", "2"],
+        0,
+        ["solver", "selected", "utility", "utility_decimal", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["solve-designer", "flower"],
+        0,
+        ["solver", "offered", "profit", "profit_decimal", "bins", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["solve-designer", "flower", "--exact"],
+        0,
+        ["solver", "offered", "profit", "profit_decimal", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["solve-multi-agent", "competitive"],
+        0,
+        ["solver", "offered", "profit", "profit_decimal", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["best-response", "game", "--designer", "1", "--profile", "[[],[3]]"],
+        0,
+        ["solver", "designer", "built", "profit", "profit_decimal", "wall_clock_seconds"],
+        None,
+    ),
+    (
+        ["dynamics", "game", "--init", "[[],[]]"],
+        0,
+        ["solver", "outcome", "profile", "cycle", "period", "trace", "wall_clock_seconds"],
+        None,
+    ),
+    (["nash", "game"], 0, ["solver", "nash", "wall_clock_seconds"], None),
+    (
+        ["verify", "flower"],
+        0,
+        ["solver", "checks", "ok", "wall_clock_seconds"],
+        [_COMPARED, _COMPARED],
+    ),
+    (
+        ["verify", "competitive"],
+        0,
+        ["solver", "checks", "ok", "wall_clock_seconds"],
+        [_COMPARED, _LOCAL, _LOCAL],
+    ),
+    (
+        ["verify", "game"],
+        0,
+        ["solver", "checks", "ok", "wall_clock_seconds"],
+        [_COMPARED, _COMPARED, ["check", "skipped"]],
+    ),
+    (
+        ["verify", "chain"],
+        0,
+        ["solver", "checks", "ok", "wall_clock_seconds"],
+        [["check", "pi", "match"]],
+    ),
+    (["nash", "flower"], 2, None, None),
+    (["gen", "--kind", "random-flower"], 0, _FLOWER_KEYS, None),
+    (["gen", "--kind", "partition"], 0, _FLOWER_KEYS + ["partition"], None),
+    (
+        ["gen", "--kind", "two-agent-partition"],
+        0,
+        ["version", "kind", "states", "cost", "agents", "quantization", "partition"],
+        None,
+    ),
+    (["gen", "--kind", "set-cover"], 0, ["version", "kind", "rows", "start", "setcover"], None),
+    (
+        ["gen", "--kind", "no-nash"],
+        0,
+        ["version", "kind", "states", "agents", "designers", "quantization"],
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, keys, check_keys", _OUTPUT_KEYS, ids=[" ".join(row[0]) for row in _OUTPUT_KEYS]
+)
+def test_output_keys_in_order(tmp_path, capsys, argv, code, keys, check_keys):
+    # Results end with wall_clock_seconds; generated documents carry none.
+    mi = gen_random_multi_agent(2, 2, seed=2)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)))
+    docs = {
+        "flower": serialize_instance(make_example()),
+        "competitive": serialize_instance(build_competitive_instance(mi, [external])),
+        "game": serialize_instance(gen_no_nash_game()),
+        "chain": {"version": 1, "kind": "general-chain", "rows": [["1/2", "1/2"], [1, 0]]},
+    }
+    argv = [write_doc(tmp_path, docs[a], f"{a}.json") if a in docs else a for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if keys is None:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        return
+    out = json.loads(captured.out)
+    assert list(out) == keys
+    if check_keys is not None:
+        assert [list(check) for check in out["checks"]] == check_keys
+
+
+@pytest.mark.parametrize(
+    "kind, a, message",
+    [
+        ("partition", "0", "need a nonempty multiset of positive integers"),
+        ("two-agent-partition", "0", "need a nonempty multiset of positive integers"),
+        (
+            "two-agent-partition",
+            "1,2,3,4,5,6,7,8,9",
+            "agent 1, state 1: quantization level exceeds 1000000000000",
+        ),
+    ],
+)
+def test_gen_errors_name_their_flag(capsys, kind, a, message):
+    assert main(["gen", "--kind", kind, "--a", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --a: {message}\n"
 
 
 def test_gen_determinism(capsys):
