@@ -208,8 +208,11 @@ def parse_instance(doc):
         return _build("$", build_flower_instance, **_read(doc, _FLOWER, "$", n))
     if kind == "game":
         chassis = _agents(doc, n, _FLOWER)
+        entries = doc.get("designers")
+        if not isinstance(entries, list) or not entries:
+            raise SchemaError("designers: expected a nonempty list")
         designers = []
-        for d, entry in enumerate(_list(doc.get("designers"), "designers")):
+        for d, entry in enumerate(entries):
             path = f"designers[{d}].candidates"
             cands = _list(_object(entry, f"designers[{d}]").get("candidates"), path)
             designers.append(

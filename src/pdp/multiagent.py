@@ -19,6 +19,14 @@ consistency bounds) is worked out once per agent and guess.  Slot keys
 and slot values are integers: for each D the value coefficients share
 one integer denominator, and consistency is an integer window on the
 numerator counter, so a `Fraction` is made only for the returned profit.
+
+The slot keys depend on the theta guesses alone; only the values depend
+on D.  So per combination of theta guesses a key-only pass first builds
+the set of reachable keys, which is exactly the key set of every valued
+table, and groups their numerator counters by denominator counters.  A
+key's denominator counters fix the one D option it can match, and the
+valued DP runs only on the options with a key inside their windows:
+any other option could not yield a consistent slot.
 """
 
 from __future__ import annotations
@@ -231,6 +239,13 @@ def slot_coefficients(guesses, option, cost, cost_scale: int) -> tuple[tuple[int
     return tuple(coeffs), cost_scale * P
 
 
+def _in_windows(numerators, option) -> bool:
+    """Whether each agent's numerator counter lies in its option's window."""
+    return all(
+        lo <= a and (hi is None or a <= hi) for a, (_, _, lo, hi) in zip(numerators, option)
+    )
+
+
 def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     """Best consistent slot over every (theta, D) guess.
 
@@ -264,7 +279,21 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
             for j in range(mi.n)
         ]
         moves = [any(step) for step in steps]
-        for option in itertools.product(*(g.options for g in combo)):
+        # Key-only pass: the valued table below holds exactly the keys
+        # reachable over the moving states, so an option none of them is
+        # consistent with cannot yield a candidate and is skipped.
+        keys = {(0,) * (2 * k)}
+        for step, move in zip(steps, moves):
+            if move:
+                keys |= {tuple(map(int.__add__, key, step)) for key in keys}
+        numerators = {}
+        for key in keys:
+            numerators.setdefault(key[k:], []).append(key[:k])
+        by_level = [{o[0]: o for o in g.options} for g in combo]
+        for levels, nums in numerators.items():
+            option = tuple(opts[level] for opts, level in zip(by_level, levels))
+            if not any(_in_windows(a, option) for a in nums):
+                continue
             coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
             table = {(0,) * (2 * k): (0, ())}
             for t, (step, c) in enumerate(zip(steps, coeffs), 1):
@@ -278,14 +307,8 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
                         cand[0] == old[0] and cand[1] < old[1]
                     ):
                         table[new_key] = cand
-            levels = tuple(o[0] for o in option)
             for key, (val, states) in table.items():
-                if key[k:] != levels:
-                    continue
-                if all(
-                    lo <= a and (hi is None or a <= hi)
-                    for a, (_, _, lo, hi) in zip(key, option)
-                ):
+                if key[k:] == levels and _in_windows(key, option):
                     if best is None:
                         best = (val, M, states)
                         continue

@@ -284,6 +284,32 @@ def test_solve_multi_agent_output(tmp_path, capsys):
     assert multi_agent_profit(mi, set(out["offered"])) == F(out["profit"])
 
 
+def test_solve_multi_agent_two_agent_partition(tmp_path, capsys):
+    # 15 states: the threshold DP skips every (theta, D) option without a
+    # consistent slot key, so this runs in well under a second.
+    assert main(["gen", "--kind", "two-agent-partition", "--a", "1,2,3,4,5,6,7"]) == 0
+    path = tmp_path / "partition.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["solve-multi-agent", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["offered"] == [1, 2, 4, 7, 8, 9, 10, 15]
+    assert out["profit"] == "43749999907/11625000000"
+
+
+@pytest.mark.parametrize("command", ["nash", "verify"])
+@pytest.mark.parametrize("designers", [[], None, "absent"])
+def test_game_rejects_no_designers(tmp_path, capsys, command, designers):
+    doc = serialize_instance(gen_no_nash_game())
+    if designers == "absent":
+        del doc["designers"]
+    else:
+        doc["designers"] = designers
+    assert main([command, write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: designers: expected a nonempty list\n"
+
+
 def test_game_commands(tmp_path, capsys):
     path = write_doc(tmp_path, serialize_instance(gen_no_nash_game()))
 

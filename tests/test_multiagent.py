@@ -1,18 +1,29 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from pdp import multiagent
 from pdp.agent import TooLarge
-from pdp.core import all_subsets, build_flower_instance, derived_params
+from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
-from pdp.instances import gen_random_flower, gen_random_multi_agent, gen_two_agent_partition
+from pdp.game import Candidate, best_response, build_game_instance
+from pdp.instances import (
+    gen_no_nash_game,
+    gen_random_flower,
+    gen_random_multi_agent,
+    gen_two_agent_partition,
+)
 from pdp.multiagent import (
     INF,
+    AgentGuess,
     CompetitiveInstance,
     ExternalPlatform,
+    _threshold_dp,
+    _windows,
     agent_guess,
     build_competitive_instance,
     build_multi_agent_instance,
@@ -508,3 +519,222 @@ def test_dominant_externals_kill_the_market():
     result = competitive_solve(ci)
     assert result.states == frozenset()
     assert result.profit == 0
+
+
+# The threshold DP before its key-only pass: one valued subset DP per
+# (theta combination, D option), most of which hold no consistent slot.
+
+
+def _valued_threshold_dp(ci, grids):
+    mi = ci.mi
+    k = mi.k
+    dd = mi.delta * mi.delta_prime
+    cost_scale, cost = scale_to_integers(mi.cost)
+    guesses = []
+    for grid, a, ac in zip(grids, mi.agents, ci.curves):
+        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
+        guesses.append(
+            [
+                agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
+                for theta, theta_next in _windows(grid)
+            ]
+        )
+
+    best = None  # (value numerator, its denominator, states)
+    for combo in itertools.product(*guesses):
+        bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
+        if bad is not None:
+            raise QuantizationError(
+                f"agent {bad[1] + 1}, state {bad[0]}: the slot shifts are not whole"
+                " multiples of delta * delta_prime and delta"
+            )
+        steps = [
+            tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
+            for j in range(mi.n)
+        ]
+        moves = [any(step) for step in steps]
+        for option in itertools.product(*(g.options for g in combo)):
+            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+            table = {(0,) * (2 * k): (0, ())}
+            for t, (step, c) in enumerate(zip(steps, coeffs), 1):
+                if not moves[t - 1] and c <= 0:
+                    continue  # the slot stays put and the value cannot rise
+                for key, (val, states) in list(table.items()):
+                    new_key = tuple(map(int.__add__, key, step))
+                    cand = (val + c, states + (t,))
+                    old = table.get(new_key)
+                    if old is None or cand[0] > old[0] or (
+                        cand[0] == old[0] and cand[1] < old[1]
+                    ):
+                        table[new_key] = cand
+            levels = tuple(o[0] for o in option)
+            for key, (val, states) in table.items():
+                if key[k:] != levels:
+                    continue
+                if all(
+                    lo <= a and (hi is None or a <= hi)
+                    for a, (_, _, lo, hi) in zip(key, option)
+                ):
+                    if best is None:
+                        best = (val, M, states)
+                        continue
+                    cmp = val * best[1] - best[0] * M
+                    if cmp > 0 or (cmp == 0 and states < best[2]):
+                        best = (val, M, states)
+    if best is None:
+        raise RuntimeError("the threshold DP found no consistent (theta, D) guess")
+    return DesignSet(frozenset(best[2]), F(best[0], best[1]))
+
+
+def random_game(seed):
+    """Two designers over a random quantized chassis: n 2-4, k 1-2."""
+    rng = random.Random(seed)
+    n, k = 2 + seed % 3, 1 + seed // 3 % 2
+    chassis = gen_random_multi_agent(n, k, seed=seed).agents
+    designers = [
+        [
+            Candidate(
+                j,
+                tuple(F(rng.randint(1, 2)) for _ in range(k)),
+                tuple(F(rng.randint(0, 12), 4) for _ in range(k)),
+                tuple(F(rng.randint(0, 8)) for _ in range(k)),
+                F(rng.randint(1, 5), 4),
+            )
+            for j in range(1, n + 1)
+        ]
+        for _ in range(2)
+    ]
+    return build_game_instance(chassis, designers, F(1), F(1, 4))
+
+
+def test_key_only_pass_matches_valued_dp(monkeypatch):
+    """States and exact profit equal the valued reference on seeded
+    multi-agent and competitive instances and on game best responses."""
+    cases = []
+    for idx in range(60):
+        n, k = reference_shape(idx)
+        ranges = {"phi_levels": 2, "d_max": 2} if idx % 3 == 0 else {}
+        mi = gen_random_multi_agent(n, k, seed=900 + idx, **ranges)
+        cases.append((multi_agent_solve, mi))
+        ci = build_competitive_instance(mi, random_externals(mi, idx, count=1 + idx % 3))
+        cases.append((competitive_solve, ci))
+    cases.append((multi_agent_solve, gen_two_agent_partition((1, 2, 3)).mi))
+    rng = random.Random(17)
+    for g in [gen_no_nash_game()] + [random_game(seed) for seed in range(12)]:
+        for designer in range(2):
+            profile = tuple(
+                frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.5) for _ in range(2)
+            )
+            cases.append((lambda view: best_response(*view), (g, designer, profile)))
+
+    got = [run(inst) for run, inst in cases]
+    monkeypatch.setattr(multiagent, "_threshold_dp", _valued_threshold_dp)
+    want = [run(inst) for run, inst in cases]
+    for idx, (g, w) in enumerate(zip(got, want)):
+        assert (g.states, g.profit) == (w.states, w.profit), idx
+
+
+def _solve_grids(ci):
+    """The theta grids competitive_solve hands the threshold DP."""
+    return [
+        theta_grid(
+            psi
+            for curve in itertools.chain(ac.base.values(), ac.with_own.values())
+            for psi in curve.psi
+        )
+        for ac in ci.curves
+    ]
+
+
+def _consistent_pairs(ci):
+    """Every (theta combination, option) pair that holds a consistent slot
+    key, found by enumerating the subsets of the states."""
+    mi = ci.mi
+    dd = mi.delta * mi.delta_prime
+    guesses = [
+        [
+            agent_guess(ac, [d * w for d, w in zip(a.d, ac.dp.w)], theta, theta_next, mi.delta, dd)
+            for theta, theta_next in _windows(grid)
+        ]
+        for grid, a, ac in zip(_solve_grids(ci), mi.agents, ci.curves)
+    ]
+    pairs = Counter()
+    attempted = 0
+    for combo in itertools.product(*guesses):
+        keys = {
+            tuple(sum(g.a_steps[j - 1] for j in S) for g in combo)
+            + tuple(sum(g.b_steps[j - 1] for j in S) for g in combo)
+            for S in all_subsets(mi.n)
+        }
+        for option in itertools.product(*(g.options for g in combo)):
+            attempted += 1
+            if any(
+                all(
+                    b == level and lo <= a and (hi is None or a <= hi)
+                    for a, b, (level, _, lo, hi) in zip(key, key[mi.k :], option)
+                )
+                for key in keys
+            ):
+                pairs[combo, option] += 1
+    return pairs, attempted
+
+
+def test_threshold_dp_values_only_consistent_options(monkeypatch):
+    """One valued DP (one slot_coefficients call) per (theta combination,
+    option) pair that holds a consistent key, and no other."""
+    calls = Counter()
+
+    def counting(guesses, option, *args):
+        calls[tuple(guesses), tuple(option)] += 1
+        return slot_coefficients(guesses, option, *args)
+
+    monkeypatch.setattr(multiagent, "slot_coefficients", counting)
+    useful = attempted = 0
+    for idx in range(40):
+        n, k = reference_shape(idx)
+        mi = gen_random_multi_agent(n, k, seed=1100 + idx)
+        for ci in [CompetitiveInstance(mi, ()), build_competitive_instance(mi, random_externals(mi, idx))]:
+            pairs, tried = _consistent_pairs(ci)
+            calls.clear()
+            competitive_solve(ci)
+            assert calls == pairs, idx
+            useful += sum(pairs.values())
+            attempted += tried
+    # The valued DP used to run on every option; most hold no consistent key.
+    assert useful < attempted // 2, (useful, attempted)
+
+
+def _hand_guess(lo, hi):
+    """One agent picking state 1 only: its one nonempty slot key is
+    (3, 1), so each window below holds that key at an edge."""
+    return AgentGuess(
+        member=(True, False),
+        a_steps=(3, 0),
+        b_steps=(1, 0),
+        bad=(),
+        dw=(12, 0),
+        options=((0, 2, 4, None), (1, 3, lo, hi)),
+    )
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(3, 7), (0, 3), (3, None), (-5, None)],
+    ids=["on-lo", "on-hi", "on-lo-unbounded", "unbounded"],
+)
+def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
+    # Level 0's window (numerator 4 and up) misses the empty key, so the
+    # slot of {1} at level 1 is the only consistent one, and skipping its
+    # option leaves no candidate.
+    mi = gen_random_multi_agent(2, 1, seed=12)
+    monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
+    calls = []
+
+    def counting(guesses, option, *args):
+        calls.append(option)
+        return slot_coefficients(guesses, option, *args)
+
+    monkeypatch.setattr(multiagent, "slot_coefficients", counting)
+    result = _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
+    assert calls == [((1, 3, lo, hi),)]
+    assert result == DesignSet(frozenset({1}), F(12, 3) - mi.cost[0])
