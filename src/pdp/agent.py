@@ -4,6 +4,13 @@ The agent picks a subset of offered platforms maximizing the ratio
 (A + sum z*phi) / (B + sum z).  With positive z the optimum is a
 threshold set in phi; the greedy adds states in descending phi while the
 running utility stays strictly below the next potential.
+
+The greedy and the fixpoint solver run on the integer image of the
+derived parameters (DerivedParams.image, built once per DerivedParams):
+running numerators and denominators are integers, and a Fraction is made
+only for a returned utility and each step of the greedy's trace.  The
+oracle scales the Fractions itself, so it shares no arithmetic with the
+solvers it checks.
 """
 
 from __future__ import annotations
@@ -50,21 +57,20 @@ def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]
     becomes the next guess.  The guess rises strictly each round and
     ranges over finitely many subset utilities, so the loop terminates at
     the optimum.  Equality never adopts (a phi = u state contributes
-    nothing at the fixpoint).
+    nothing at the fixpoint).  The guess is num / (den * L) on the integer
+    image, so phi > u reads phi * den > num.
     """
-    offered = list(offered)
-    u = dp.A / dp.B
+    L, A, B, z, phi, zphi = dp.image
+    offered = [i - 1 for i in offered]
+    base = A * L
+    num, den = base, B
     while True:
-        chosen = frozenset(
-            i
-            for i in offered
-            if (dp.phi[i - 1] > u if dp.z[i - 1] > 0 else dp.phi[i - 1] < u)
-        )
-        num = dp.A + sum(dp.z[i - 1] * dp.phi[i - 1] for i in chosen)
-        den = dp.B + sum(dp.z[i - 1] for i in chosen)
-        if num / den == u:
-            return chosen, u
-        u = num / den
+        chosen = [i for i in offered if (phi[i] * den > num if z[i] > 0 else phi[i] * den < num)]
+        next_num = base + sum(zphi[i] for i in chosen)
+        next_den = B + sum(z[i] for i in chosen)
+        if next_num * den == num * next_den:
+            return frozenset(i + 1 for i in chosen), Fraction(num, den * L)
+        num, den = next_num, next_den
 
 
 def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, GreedyTrace]:
@@ -73,23 +79,24 @@ def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, GreedyTrace]:
     States by phi descending; adopt while the running utility stays
     strictly below the next potential.  Equality never adopts.
     """
-    if any(z <= 0 for z in dp.z):
+    L, A, B, z, phi, zphi = dp.image
+    if any(zi <= 0 for zi in z):
         raise SignError("greedy_solve requires all z > 0; use greedy_solve_signed")
-    order = sorted(range(1, dp.n + 1), key=lambda i: (-dp.phi[i - 1], i))
-    num = dp.A
-    den = dp.B
-    chosen = set()
+    # A stable sort keeps ties in phi in ascending state order.
+    order = [i + 1 for i in sorted(range(dp.n), key=phi.__getitem__, reverse=True)]
+    num, den = A * L, B
+    chosen = []
     steps = []
     for i in order:
-        u = num / den
-        accept = u < dp.phi[i - 1]
-        steps.append(GreedyStep(i, u, accept))
+        accept = phi[i - 1] * den > num
+        steps.append(GreedyStep(i, Fraction(num, den * L), accept))
         if not accept:
             break
-        chosen.add(i)
-        num += dp.z[i - 1] * dp.phi[i - 1]
-        den += dp.z[i - 1]
-    return AdoptionSet(frozenset(chosen), num / den), GreedyTrace(tuple(order), tuple(steps))
+        chosen.append(i)
+        num += zphi[i - 1]
+        den += z[i - 1]
+    result = AdoptionSet(frozenset(chosen), Fraction(num, den * L))
+    return result, GreedyTrace(tuple(order), tuple(steps))
 
 
 def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:

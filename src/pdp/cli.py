@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -36,10 +37,21 @@ class SchemaError(ValueError):
     """The document violates the instance schema."""
 
 
+# An ASCII integer or "num/den": the one shape instance documents use.
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(value, path: str) -> Fraction:
+    """An exact rational from a JSON integer or string.  A string of the
+    form `_RATIONAL_TEXT` goes straight to Fraction(num, den); anything else
+    goes through Fraction(value), which gives the same value or exception."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{path}: expected an exact rational, got {value!r}")
     try:
+        match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+        if match:
+            num, den = match.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -299,7 +311,7 @@ def _offer(solver: str, result) -> dict:
 def _solve_agent(dp):
     """The solver's name, its adoption set and the greedy's steps (none for
     the signed solver)."""
-    if all(z > 0 for z in dp.z):
+    if all(z.numerator > 0 for z in dp.z):
         result, trace = agent.greedy_solve(dp)
         return "greedy", result, trace.steps
     return "greedy-signed", agent.greedy_solve_signed(dp), ()

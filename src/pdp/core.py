@@ -3,7 +3,9 @@
 A flower chain has a rest state 0 plus petal states 1..n.  From rest the
 process jumps to petal i with probability p_i.  Petal i loops on itself
 with probability q_i (q_i + y_i when a platform is adopted there) and
-otherwise returns to rest.  All arithmetic is exact over Fraction.
+otherwise returns to rest.  All arithmetic is exact: values are Fractions
+at the edges, and validation and derived_params work on their integer
+numerators and denominators, making one Fraction per derived value.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ProbabilityError(ValueError):
@@ -35,10 +38,11 @@ class ReducibleChain(ValueError):
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'num/den' string."""
+    """Parse a rational from an int, Fraction, or 'num/den' string.  A bool
+    or a float is not an exact rational and raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -75,11 +79,20 @@ class FlowerInstance:
         return scaled_params(self, self.params)
 
 
+def _exact_sum(terms) -> Fraction:
+    """The sum of the rationals num/den given as (num, den) pairs, taken
+    over the lcm of the denominators and normalized once."""
+    terms = list(terms)
+    L = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (L // den) for num, den in terms), L)
+
+
 def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstance:
     """Validate parameters and construct a FlowerInstance.
 
     Raises ProbabilityError, DegenerateState, or NonpositiveCost when the
-    parameters violate the model's standing assumptions.
+    parameters violate the model's standing assumptions.  Every test is
+    made on the integer numerators and denominators.
     """
     vectors = [tuple(rat(v) for v in vec) for vec in (p, q, y, c_life, c_platform, d, cost)]
     p, q, y, c_life, c_platform, d, cost = vectors
@@ -89,20 +102,23 @@ def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstanc
     for vec, name in zip(vectors, ("p", "q", "y", "c_life", "c_platform", "d", "cost")):
         if len(vec) != n:
             raise ProbabilityError(f"{name} has length {len(vec)}, expected {n}")
-    if sum(p) != 1:
-        raise ProbabilityError(f"rest-state jump probabilities sum to {sum(p)}, not 1")
+    total = _exact_sum((v.numerator, v.denominator) for v in p)
+    if total != 1:
+        raise ProbabilityError(f"rest-state jump probabilities sum to {total}, not 1")
     for i in range(n):
-        if p[i] <= 0:
+        qn, qd = q[i].numerator, q[i].denominator
+        yn, yd = y[i].numerator, y[i].denominator
+        if p[i].numerator <= 0:
             raise ProbabilityError(f"p[{i + 1}] = {p[i]} must be positive")
-        if not 0 < q[i] < 1:
+        if not 0 < qn < qd:
             raise ProbabilityError(f"q[{i + 1}] = {q[i]} must lie strictly in (0, 1)")
-        if y[i] == 0:
+        if yn == 0:
             raise DegenerateState(f"y[{i + 1}] = 0: platform would not change the dynamics")
-        if not 0 < q[i] + y[i] < 1:
+        if not 0 < qn * yd + yn * qd < qd * yd:
             raise ProbabilityError(
                 f"q[{i + 1}] + y[{i + 1}] = {q[i] + y[i]} must lie strictly in (0, 1)"
             )
-        if cost[i] <= 0:
+        if cost[i].numerator <= 0:
             raise NonpositiveCost(f"cost[{i + 1}] = {cost[i]} must be positive")
     return FlowerInstance(p, q, y, c_life, c_platform, d, cost)
 
@@ -129,18 +145,68 @@ class DerivedParams:
     def n(self) -> int:
         return len(self.lam)
 
+    @cached_property
+    def image(self) -> IntegerImage:
+        """The agent solvers' integer image, built on first use and kept."""
+        L, (A, B), z, phi = scale_to_integers((self.A, self.B), self.z, self.phi)
+        return IntegerImage(L, A, B, z, phi, tuple(zi * pi for zi, pi in zip(z, phi)))
+
+
+class IntegerImage(NamedTuple):
+    """DerivedParams over one common denominator L.
+
+    A, B, z and phi are the rational values times L, and zphi is
+    z_i * phi_i * L^2.  A subset's utility (A + sum z*phi) / (B + sum z) is
+    then N / (D * L) with N = A * L + sum zphi at scale L^2 and D = B + sum z
+    at scale L, and phi_i > N / (D * L) reads phi_i * D > N, as D > 0.
+    """
+
+    L: int
+    A: int
+    B: int
+    z: tuple[int, ...]
+    phi: tuple[int, ...]
+    zphi: tuple[int, ...]
+
 
 def derived_params(inst: FlowerInstance) -> DerivedParams:
-    n = inst.n
-    lam = tuple(inst.p[i] / (1 - inst.q[i]) for i in range(n))
-    w = tuple(inst.p[i] / (1 - inst.q[i] - inst.y[i]) for i in range(n))
-    z = tuple(w[i] - lam[i] for i in range(n))
-    phi = tuple(
-        (w[i] * inst.c_platform[i] - lam[i] * inst.c_life[i]) / z[i] for i in range(n)
+    """The DerivedParams of `inst`, from integer numerators and denominators.
+
+    Writing xn / xd for a value x in lowest terms (cpn / cpd for c_platform,
+    cln / cld for c_life), a = (1 - q) * qd and b = (1 - q - y) * qd * yd are
+    positive integers, and
+
+        lam = p / (1 - q)          = pn * qd / (pd * a)
+        w   = p / (1 - q - y)      = pn * qd * yd / (pd * b)
+        z   = w - lam              = pn * qd^2 * yn / (pd * a * b)
+        phi = (w*c_pl - lam*c_li) / z
+            = (a * yd * cpn * cld - b * cln * cpd) / (qd * yn * cpd * cld)
+
+    Each value is normalized once, by one Fraction(num, den); A and B are
+    summed over one lcm.
+    """
+    lam, w, z, phi = [], [], [], []
+    for p, q, y, c_li, c_pl in zip(inst.p, inst.q, inst.y, inst.c_life, inst.c_platform):
+        pn, pd = p.numerator, p.denominator
+        qn, qd = q.numerator, q.denominator
+        yn, yd = y.numerator, y.denominator
+        a = qd - qn
+        b = a * yd - yn * qd
+        mass = pn * qd
+        lam.append(Fraction(mass, pd * a))
+        w.append(Fraction(mass * yd, pd * b))
+        z.append(Fraction(mass * qd * yn, pd * a * b))
+        phi.append(
+            Fraction(
+                a * yd * c_pl.numerator * c_li.denominator - b * c_li.numerator * c_pl.denominator,
+                qd * yn * c_pl.denominator * c_li.denominator,
+            )
+        )
+    A = _exact_sum(
+        (v.numerator * c.numerator, v.denominator * c.denominator) for v, c in zip(lam, inst.c_life)
     )
-    A = sum((lam[i] * inst.c_life[i] for i in range(n)), Fraction(0))
-    B = 1 + sum(lam)
-    return DerivedParams(lam, w, z, phi, A, B)
+    B = _exact_sum([(1, 1), *((v.numerator, v.denominator) for v in lam)])
+    return DerivedParams(tuple(lam), tuple(w), tuple(z), tuple(phi), A, B)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pdp.core import build_flower_instance
+from pdp.instances import gen_random_flower
 
 
 # Seconds a test may run before it fails.  The slowest tests take about 13 s
@@ -43,3 +44,22 @@ def make_example():
 def example():
     return make_example()
 
+
+# Identical petals apart from a few reward and cost levels, so that
+# potentials and utilities repeat and the tie-break decides.
+NARROW = {"z_max": 1, "weight_max": 1, "q_steps": 1, "c_life_max": 0,
+          "c_platform_max": 4, "d_max": 4, "cost_max": 3}
+MIXED = {"allow_negative_z": True}
+FLOWER_KINDS = (None, NARROW, MIXED, {**NARROW, **MIXED})
+
+
+@pytest.fixture(scope="session")
+def reference_flowers():
+    """1,000 seeded flowers, n = 1..200, cycling through FLOWER_KINDS.
+
+    The integer solvers and derived_params are checked against their
+    Fraction references on these."""
+    return [
+        gen_random_flower(1 + idx % 200, seed=18000 + idx, ranges=FLOWER_KINDS[idx % 4])
+        for idx in range(1000)
+    ]

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -5,7 +6,8 @@ from itertools import accumulate
 
 import pytest
 
-from pdp import agent
+from conftest import FLOWER_KINDS, NARROW
+from pdp import agent, cli, core
 from pdp.agent import (
     SignError,
     TooLarge,
@@ -15,7 +17,7 @@ from pdp.agent import (
     greedy_solve_signed,
     is_feasible,
 )
-from pdp.core import DerivedParams, agent_utility, all_subsets, derived_params, scale_to_integers
+from pdp.core import AdoptionSet, DerivedParams, agent_utility, all_subsets, derived_params, scale_to_integers
 from pdp.designer import designer_oracle
 from pdp.instances import gen_random_flower
 
@@ -137,12 +139,6 @@ def _blocked_agent_oracle(dp):
             key = (num * bd - bn * den) * (n + 1) + bs - size
     chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
     return chosen, F(bn, bd)
-
-
-# Identical petals apart from a few reward and cost levels, so that
-# potentials and utilities repeat and the tie-break decides.
-NARROW = {"z_max": 1, "weight_max": 1, "q_steps": 1, "c_life_max": 0,
-          "c_platform_max": 4, "d_max": 4, "cost_max": 3}
 
 
 def test_greedy_reference(example):
@@ -447,3 +443,110 @@ def test_oracle_tests_blocks_in_constant_time(monkeypatch):
     result = agent_oracle(dp)
     assert len(calls) < 64, len(calls)
     assert result.utility == greedy_solve(dp)[0].utility
+
+
+# References: the Fraction versions of the greedy and the fixpoint solver,
+# from before both ran on the integer image.  The solvers must return the
+# same sets, utilities and traces, every utility_before included.
+def _ref_solve_signed(dp, offered):
+    offered = list(offered)
+    u = dp.A / dp.B
+    while True:
+        chosen = frozenset(
+            i
+            for i in offered
+            if (dp.phi[i - 1] > u if dp.z[i - 1] > 0 else dp.phi[i - 1] < u)
+        )
+        num = dp.A + sum(dp.z[i - 1] * dp.phi[i - 1] for i in chosen)
+        den = dp.B + sum(dp.z[i - 1] for i in chosen)
+        if num / den == u:
+            return chosen, u
+        u = num / den
+
+
+def _ref_greedy_solve(dp):
+    order = sorted(range(1, dp.n + 1), key=lambda i: (-dp.phi[i - 1], i))
+    num = dp.A
+    den = dp.B
+    chosen = set()
+    steps = []
+    for i in order:
+        u = num / den
+        accept = u < dp.phi[i - 1]
+        steps.append(agent.GreedyStep(i, u, accept))
+        if not accept:
+            break
+        chosen.add(i)
+        num += dp.z[i - 1] * dp.phi[i - 1]
+        den += dp.z[i - 1]
+    return AdoptionSet(frozenset(chosen), num / den), agent.GreedyTrace(tuple(order), tuple(steps))
+
+
+def test_integer_solvers_match_fraction_reference(reference_flowers):
+    rng = random.Random(18)
+    positive = offers = 0
+    for inst in reference_flowers:
+        dp = derived_params(inst)
+        states, utility = _ref_solve_signed(dp, range(1, dp.n + 1))
+        assert greedy_solve_signed(dp) == AdoptionSet(states, utility)
+        if all(z > 0 for z in dp.z):
+            positive += 1
+            result, trace = greedy_solve(dp)
+            assert (result, trace) == _ref_greedy_solve(dp)
+            assert all(type(step.utility_before) is F for step in trace.steps)
+        else:
+            with pytest.raises(SignError):
+                greedy_solve(dp)
+        for _ in range(2):
+            offered = frozenset(i for i in range(1, dp.n + 1) if rng.random() < 0.5)
+            adopted, _ = _ref_solve_signed(dp, offered)
+            assert adopted_response(inst, offered) == adopted
+            assert is_feasible(inst, offered) == (adopted == offered)
+            offers += 1
+    assert positive >= 500 and offers == 2000
+
+
+def _count_images(monkeypatch):
+    # Wrap scale_to_integers where DerivedParams.image looks it up; an
+    # image build is the call that scales (A, B), z and phi.
+    calls = []
+    real = core.scale_to_integers
+
+    def counting(*vectors):
+        calls.append(len(vectors))
+        return real(*vectors)
+
+    monkeypatch.setattr(core, "scale_to_integers", counting)
+    return calls
+
+
+def test_integer_image_built_once_per_params(monkeypatch, tmp_path, capsys):
+    calls = _count_images(monkeypatch)
+    inst = gen_random_flower(12, seed=4, ranges={"allow_negative_z": True})
+    rng = random.Random(4)
+    for _ in range(100):
+        adopted_response(inst, [i for i in range(1, 13) if rng.random() < 0.5])
+    assert calls == [3]
+
+    # One verify runs the solver, the oracle and the FPTAS's feasibility
+    # test; the image is built once, and the designer's ScaledParams once.
+    calls.clear()
+    path = tmp_path / "flower.json"
+    path.write_text(json.dumps(cli.serialize_instance(gen_random_flower(10, seed=6))))
+    assert cli.main(["verify", str(path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c.get("match") for c in checks] == [True, True]
+    assert sorted(calls) == [3, 6]
+
+
+def test_oracle_does_not_use_integer_image(monkeypatch):
+    insts = [gen_random_flower(1 + idx % 12, seed=500 + idx, ranges=FLOWER_KINDS[idx % 4]) for idx in range(48)]
+    expected = [agent_oracle(derived_params(inst)) for inst in insts]
+
+    def broken(self):
+        raise RuntimeError("integer image used")
+
+    monkeypatch.setattr(DerivedParams, "image", property(broken))
+    assert [agent_oracle(derived_params(inst)) for inst in insts] == expected
+    with pytest.raises(RuntimeError):
+        greedy_solve_signed(derived_params(insts[0]))

@@ -39,6 +39,35 @@ def test_parse_rat_rejects_inexact():
             parse_rat(bad, "$")
 
 
+# Strings on and off the ASCII fast path: each must parse to what
+# Fraction(str) gives, or fail with its message under the JSON path.
+_RATIONAL_EDGES = (
+    "1/0", "0/0", "-5/0", "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, " 1/2", "1/2\n",
+    "+1/2", "1_0/3", "1/-2", "\u0663/4", "-0/5", "007/010", "-3", "1.5", "1e3", "", "1/", "/2",
+    "--1", "3/7",
+)
+
+
+@pytest.mark.parametrize("text", _RATIONAL_EDGES, ids=lambda t: repr(t[:12]))
+def test_parse_rat_matches_fraction(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(cli.ParseError) as info:
+            parse_rat(text, "p[0]")
+        assert str(info.value) == f"p[0]: {exc}"
+    else:
+        got = parse_rat(text, "p[0]")
+        assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize("value", (True, False, 1.5, 1e3))
+def test_parse_rat_rejects_booleans_and_floats(value):
+    with pytest.raises(cli.ParseError) as info:
+        parse_rat(value, "p[0]")
+    assert str(info.value) == f"p[0]: expected an exact rational, got {value!r}"
+
+
 def roundtrip(obj):
     return parse_instance(json.loads(json.dumps(serialize_instance(obj))))
 

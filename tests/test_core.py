@@ -8,6 +8,7 @@ import pytest
 import pdp
 from pdp.core import (
     DegenerateState,
+    DerivedParams,
     NonpositiveCost,
     ProbabilityError,
     ReducibleChain,
@@ -21,6 +22,7 @@ from pdp.core import (
     derived_params,
     designer_profit,
     flower_as_general_chain,
+    rat,
     scale_to_integers,
     stationary_distribution_flower,
     steady_state_general,
@@ -36,6 +38,40 @@ def test_derived_params_reference_values(example):
     assert dp.phi == (F(2), F(4))
     assert dp.A == 0
     assert dp.B == 3
+
+
+# Reference: derived_params over Fractions, from before it ran on the
+# integer numerators and denominators.  Both must give equal values.
+def _ref_derived_params(inst):
+    n = inst.n
+    lam = tuple(inst.p[i] / (1 - inst.q[i]) for i in range(n))
+    w = tuple(inst.p[i] / (1 - inst.q[i] - inst.y[i]) for i in range(n))
+    z = tuple(w[i] - lam[i] for i in range(n))
+    phi = tuple(
+        (w[i] * inst.c_platform[i] - lam[i] * inst.c_life[i]) / z[i] for i in range(n)
+    )
+    A = sum((lam[i] * inst.c_life[i] for i in range(n)), F(0))
+    B = 1 + sum(lam)
+    return DerivedParams(lam, w, z, phi, A, B)
+
+
+def test_derived_params_match_fraction_reference(reference_flowers):
+    for inst in reference_flowers:
+        dp = derived_params(inst)
+        assert dp == _ref_derived_params(inst)
+        values = (*dp.lam, *dp.w, *dp.z, *dp.phi, dp.A, dp.B)
+        assert all(type(v) is F for v in values)
+
+
+def test_integer_image_scales_derived_params():
+    dp = derived_params(gen_random_flower(9, seed=3, ranges={"allow_negative_z": True}))
+    image = dp.image
+    assert image is dp.image
+    L = image.L
+    assert (F(image.A, L), F(image.B, L)) == (dp.A, dp.B)
+    assert tuple(F(v, L) for v in image.z) == dp.z
+    assert tuple(F(v, L) for v in image.phi) == dp.phi
+    assert tuple(F(v, L * L) for v in image.zphi) == tuple(z * phi for z, phi in zip(dp.z, dp.phi))
 
 
 def test_agent_utility_reference_values(example):
@@ -120,6 +156,54 @@ def test_validation_errors():
     bad["cost"] = [F(1, 10), F(0)]
     with pytest.raises(NonpositiveCost):
         build_flower_instance(**bad)
+
+
+@pytest.mark.parametrize(
+    "key, values, error, message",
+    [
+        ("p", [F(1), F(0)], ProbabilityError, "p[2] = 0 must be positive"),
+        ("p", [F(3, 2), F(-1, 2)], ProbabilityError, "p[2] = -1/2 must be positive"),
+        ("q", [F(1, 2), F(1)], ProbabilityError, "q[2] = 1 must lie strictly in (0, 1)"),
+        ("q", [F(1, 2), F(0)], ProbabilityError, "q[2] = 0 must lie strictly in (0, 1)"),
+        ("y", [F(1, 4), F(1, 2)], ProbabilityError, "q[2] + y[2] = 1 must lie strictly in (0, 1)"),
+        ("y", [F(1, 4), F(-1, 2)], ProbabilityError, "q[2] + y[2] = 0 must lie strictly in (0, 1)"),
+        ("y", [F(1, 4), F(0)], DegenerateState, "y[2] = 0: platform would not change the dynamics"),
+        ("cost", [F(1, 10), F(-1, 10)], NonpositiveCost, "cost[2] = -1/10 must be positive"),
+    ],
+)
+def test_validation_rejects_each_boundary(key, values, error, message):
+    # Validation runs on integer numerators and denominators; each bound
+    # is strict and each message names the rational value.
+    kwargs = _base_kwargs()
+    kwargs[key] = values
+    with pytest.raises(error) as info:
+        build_flower_instance(**kwargs)
+    assert str(info.value) == message
+
+
+def test_sum_of_p_is_checked_exactly():
+    # Petal weights over several denominators that sum to 1 only exactly.
+    kwargs = _base_kwargs()
+    for key in ("q", "y", "c_life", "c_platform", "d", "cost"):
+        kwargs[key] = kwargs[key][:1] * 3
+    kwargs["p"] = [F(1, 3), F(1, 6), F(1, 2)]
+    assert build_flower_instance(**kwargs).p == (F(1, 3), F(1, 6), F(1, 2))
+    kwargs["p"] = [F(1, 3), F(1, 6), F(1, 2) + F(1, 10**30)]
+    with pytest.raises(ProbabilityError, match=r"sum to 1000000000000000000000000000001/1000000000000000000000000000000, not 1"):
+        build_flower_instance(**kwargs)
+
+
+def test_rat_rejects_bool_and_float():
+    assert rat(3) == 3 and rat("3/4") == F(3, 4) and rat(F(1, 2)) == F(1, 2)
+    for bad in (True, False, 0.5):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            rat(bad)
+    kwargs = _base_kwargs()
+    kwargs["d"] = [True, F(1)]
+    with pytest.raises(TypeError):
+        build_flower_instance(**kwargs)
+    with pytest.raises(TypeError):
+        build_general_chain([[True]])
 
 
 def test_objective_equals_stationary_reward(example):
