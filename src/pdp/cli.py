@@ -92,7 +92,14 @@ def _rationals(count: Callable) -> _Rule:
         size = count(n, k)
         if not isinstance(value, list) or len(value) != size:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
-        return tuple(parse_rat(v, f"{path}[{i}]") for i, v in enumerate(value))
+        try:
+            return tuple(parse_rat(v, path) for v in value)
+        except ParseError:
+            # Parse again up to the first bad value, which fails the same
+            # way: only a failing value's path is formatted.
+            for i, v in enumerate(value):
+                parse_rat(v, f"{path}[{i}]")
+            raise
 
     return _Rule(read, lambda values: [str(v) for v in values])
 

@@ -94,7 +94,10 @@ def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstanc
     parameters violate the model's standing assumptions.  Every test is
     made on the integer numerators and denominators.
     """
-    vectors = [tuple(rat(v) for v in vec) for vec in (p, q, y, c_life, c_platform, d, cost)]
+    vectors = [
+        tuple(v if type(v) is Fraction else rat(v) for v in vec)
+        for vec in (p, q, y, c_life, c_platform, d, cost)
+    ]
     p, q, y, c_life, c_platform, d, cost = vectors
     n = len(p)
     if n == 0:
@@ -230,20 +233,32 @@ class ScaledParams:
 
 def scale_to_integers(*vectors):
     """(L, *scaled): L is the lcm of every denominator in `vectors`, each
-    of which comes back as a tuple of its Fractions times L, as ints."""
-    L = math.lcm(*(v.denominator for vec in vectors for v in vec))
-    return (L, *(tuple(v.numerator * (L // v.denominator) for v in vec) for vec in vectors))
+    of which comes back as a tuple of its values times L, as ints.  A value
+    is a Fraction or a (numerator, denominator) pair in lowest terms with a
+    positive denominator, so L is the same for either form of a value."""
+    vectors = [
+        [v if type(v) is tuple else (v.numerator, v.denominator) for v in vec] for vec in vectors
+    ]
+    L = math.lcm(*(den for vec in vectors for _, den in vec))
+    return (L, *(tuple(num * (L // den) for num, den in vec) for vec in vectors))
+
+
+def _product(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """x * y as a (numerator, denominator) pair in lowest terms."""
+    num, den = x.numerator * y.numerator, x.denominator * y.denominator
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
-    """The ScaledParams of `inst`; L is the lcm of every denominator."""
-    n = inst.n
+    """The ScaledParams of `inst`; L is the lcm of every denominator.  The
+    products z*phi and d*w enter as lowest-terms pairs, one gcd each."""
     L, (A, B), *vectors = scale_to_integers(
         (dp.A, dp.B),
         dp.z,
-        tuple(dp.z[i] * dp.phi[i] for i in range(n)),
+        tuple(map(_product, dp.z, dp.phi)),
         dp.phi,
-        tuple(inst.d[i] * dp.w[i] for i in range(n)),
+        tuple(map(_product, inst.d, dp.w)),
         inst.cost,
     )
     return ScaledParams(L, A, B, *vectors)

@@ -56,8 +56,9 @@ def _fraction_gcd(values) -> Fraction:
     return Fraction(num, den)
 
 
-def _feasible_singleton_profit(sp: ScaledParams, i: int) -> Fraction | None:
-    """Profit of offering {i} alone, or None when the agent would not adopt.
+def _feasible_singleton_profit(sp: ScaledParams, i: int) -> tuple[int, int] | None:
+    """Profit of offering {i} alone as a pair (pnum, den) with profit
+    pnum / (den * L) and den > 0, or None when the agent would not adopt.
 
     The same answers as is_feasible(inst, {i}) and designer_profit(inst,
     {i}, {i}): a lone state is adopted iff its potential lies strictly
@@ -68,7 +69,7 @@ def _feasible_singleton_profit(sp: ScaledParams, i: int) -> Fraction | None:
     if not (base < potential if sp.z[j] > 0 else potential < base):
         return None
     den = sp.B + sp.z[j]
-    return Fraction(sp.dw[j] * sp.L - sp.cost[j] * den, den * sp.L)
+    return sp.dw[j] * sp.L - sp.cost[j] * den, den
 
 
 def preprocess(
@@ -83,30 +84,41 @@ def preprocess(
     K is the best singleton profit; every cost must be at most r_ceiling
     times K; delta must be positive and every surviving z a positive
     multiple of it.
+
+    The screen runs on qi.inst.scaled: each singleton profit is an integer
+    pair (pnum, den) worth pnum / (den * L), K is found by
+    cross-multiplication, and r = max cost / K is max(cost * L) * den / pnum
+    for K's pair.  z = zn/zd is a whole multiple of delta = dn/dd > 0 iff
+    zd * dn divides zn * dd.  K and r are the only Fractions made, besides
+    the default delta.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
     if delta is not None and delta <= 0:
         raise QuantizationError(f"delta = {delta} must be positive")
     dp, sp = inst.params, inst.scaled
-    profits = {}
+    surviving = []
+    k_num, k_den = 0, 1
     for i in range(1, inst.n + 1):
         profit = _feasible_singleton_profit(sp, i)
-        if profit is not None and profit > 0:
-            profits[i] = profit
-    if not profits:
+        if profit is not None and profit[0] > 0:
+            surviving.append(i)
+            if profit[0] * k_den > k_num * profit[1]:
+                k_num, k_den = profit
+    if not surviving:
         raise EmptyInstance("no state has a feasible, profitable singleton")
-    surviving = tuple(profits)
-    K = max(profits.values())
+    surviving = tuple(surviving)
+    K = Fraction(k_num, k_den * sp.L)
     if delta is None:
         delta = _fraction_gcd([dp.z[i - 1] for i in surviving])
+    dn, dd = delta.numerator, delta.denominator
     for i in surviving:
-        ratio = dp.z[i - 1] / delta
-        if ratio.denominator != 1 or ratio <= 0:
+        z = dp.z[i - 1]
+        if z.numerator <= 0 or z.numerator * dd % (z.denominator * dn):
             raise QuantizationError(
-                f"z[{i}] = {dp.z[i - 1]} is not a positive integer multiple of {delta}"
+                f"z[{i}] = {z} is not a positive integer multiple of {delta}"
             )
-    r = max(inst.cost[i - 1] / K for i in surviving)
+    r = Fraction(max(sp.cost[i - 1] for i in surviving) * k_den, k_num)
     if r > r_ceiling:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
     return QuantizedInstance(inst, delta, epsilon, K, r, surviving)
@@ -123,48 +135,66 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
 
     Sums run over the integers of qi.inst.scaled (each rational times L), so
     the rounded profit and revenue come from integer floor division and
-    feasibility from one cross-multiplication.
+    feasibility from one cross-multiplication.  The only Fraction made is
+    the returned profit.
+
+    Each stage walks a snapshot of the table in insertion order, and the
+    result does not depend on that order.  Every snapshot entry yields
+    the same one candidate whatever the order.  A bin keeps the minimum
+    under (sum z*phi, states), a strict total order: a set has one key,
+    so the table never holds two entries with equal states, and each
+    candidate holds the current state, which no snapshot entry does.  So
+    every bin ends a stage with the same representative, and len(table)
+    is the same.  The final pick maximizes (profit, [-s for s in
+    states]), also a total order.  Only the order of each stage's entries
+    in stage_log depends on the walk.
     """
     dp, sp = qi.inst.params, qi.inst.scaled
-    L, A = sp.L, sp.A
-    unit = qi.epsilon * qi.K / (2 * qi.inst.n)
+    L = sp.L
+    # unit = epsilon * K / (2n) = un / ud, not necessarily in lowest terms;
     # ceil(x / unit) for x = a / b, b > 0, is -(-a * ud // (b * un)).
-    un, ud = unit.numerator, unit.denominator
+    eps, K = qi.epsilon, qi.K
+    un = eps.numerator * K.numerator
+    ud = eps.denominator * K.denominator * 2 * qi.inst.n
     Lun = L * un
+    dn, dd = qi.delta.numerator, qi.delta.denominator
 
-    # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, d_steps,
-    # min_phi or None, pnum), scaled by L: N = sum z*phi, den = B + sum z,
-    # d_steps = sum z / delta, and the profit is pnum / (den * L).
-    table = {(0, 0, 0): ((), 0, sp.B, 0, 0, 0, None, 0)}  # zero profit and revenue
+    # Entry: (states tuple sorted, M, den, sum_dw, sum_cost, d_steps,
+    # min_phi, pnum), with M = (A + sum z*phi) * L^2, den =
+    # (B + sum z) * L, sum_dw = sum d*w * L^2, d_steps = sum z / delta and
+    # sum_cost and min_phi scaled by L.  The profit is pnum / (den * L) and
+    # the revenue sum_dw / (den * L), so both round on one divisor.  The
+    # empty set's min_phi lies above every surviving potential.
+    top = max((sp.phi[i - 1] for i in qi.surviving), default=0) + 1
+    table = {(0, 0, 0): ((), sp.A * L, sp.B, 0, 0, 0, top, 0)}  # zero profit and revenue
 
     for k in qi.surviving:
         j = k - 1
-        steps_k = dp.z[j] / qi.delta
-        if steps_k.denominator != 1:
-            raise QuantizationError(
-                f"z[{k}] = {dp.z[j]} is not an integer multiple of {qi.delta}"
-            )
-        steps_k = steps_k.numerator
-        zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
-        for _, (states, N, den, sum_dw, sum_cost, steps, min_phi, _) in sorted(table.items()):
-            new_min = phik if min_phi is None or phik < min_phi else min_phi
-            N2 = N + zphik
+        z = dp.z[j]
+        if z.numerator * dd % (z.denominator * dn):
+            raise QuantizationError(f"z[{k}] = {z} is not an integer multiple of {qi.delta}")
+        steps_k = z.numerator * dd // (z.denominator * dn)
+        zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j] * L, sp.phi[j], sp.dw[j] * L, sp.cost[j]
+        get = table.get
+        for states, M, den, sum_dw, sum_cost, steps, min_phi, _ in list(table.values()):
+            new_min = phik if phik < min_phi else min_phi
+            M2 = M + zphik
             den2 = den + zk
             # All surviving z are positive, so feasibility is exactly
             # the threshold test against the smallest potential.
-            if (A + N2) * L >= new_min * den2:
+            if M2 >= new_min * den2:
                 continue
             dw2 = sum_dw + dwk
             cost2 = sum_cost + costk
-            pnum = dw2 * L - cost2 * den2
+            pnum = dw2 - cost2 * den2
             if pnum <= 0:
                 continue
             steps2 = steps + steps_k
-            key = (-(-pnum * ud // (den2 * Lun)), -(-dw2 * ud // (den2 * un)), steps2)
-            states2 = states + (k,)
-            old = table.get(key)
-            if old is None or N2 < old[1] or (N2 == old[1] and states2 < old[0]):
-                table[key] = (states2, N2, den2, dw2, cost2, steps2, new_min, pnum)
+            divisor = den2 * Lun
+            key = (-(-pnum * ud // divisor), -(-dw2 * ud // divisor), steps2)
+            old = get(key)
+            if old is None or M2 < old[1] or (M2 == old[1] and states + (k,) < old[0]):
+                table[key] = (states + (k,), M2, den2, dw2, cost2, steps2, new_min, pnum)
         if stage_log is not None:
             stage_log.append((k, [e[0] for e in table.values()]))
 

@@ -115,6 +115,19 @@ def test_roundtrip_general_chain():
     assert back == chain
 
 
+def test_rationals_name_the_first_bad_value():
+    # Paths are formatted only for a value that fails; the message names
+    # the first bad value of the list, as parse_rat does on its own.
+    flower = serialize_instance(make_example())
+    for values, index in ((["x", "1/0"], 0), (["1/2", "1/0"], 1), (["1/2", 0.5], 1)):
+        doc = dict(flower, d=values)
+        with pytest.raises(cli.ParseError) as info:
+            parse_instance(doc)
+        with pytest.raises(cli.ParseError) as alone:
+            parse_rat(values[index], f"d[{index}]")
+        assert str(info.value) == str(alone.value)
+
+
 def test_schema_errors_exit_2(tmp_path, capsys):
     bad_p = serialize_instance(make_example())
     bad_p["p"] = ["1/2", "1/3"]

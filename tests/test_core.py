@@ -206,6 +206,20 @@ def test_rat_rejects_bool_and_float():
         build_general_chain([[True]])
 
 
+def test_build_flower_instance_checks_only_non_fractions():
+    # A Fraction is kept as given; ints and strings are read by rat, and a
+    # bool or a float anywhere raises rat's TypeError.
+    kwargs = _base_kwargs()
+    inst = build_flower_instance(**kwargs)
+    assert all(a is b for a, b in zip(inst.cost, kwargs["cost"]))
+    mixed = dict(kwargs, p=["1/2", F(1, 2)], d=[10, "1"], c_life=[0, 0])
+    assert build_flower_instance(**mixed) == inst
+    for key in kwargs:
+        for bad in (True, 0.5):
+            with pytest.raises(TypeError, match=f"cannot interpret {bad!r} as a rational"):
+                build_flower_instance(**dict(kwargs, **{key: [kwargs[key][0], bad]}))
+
+
 def test_objective_equals_stationary_reward(example):
     dp = derived_params(example)
     for S in all_subsets(example.n):

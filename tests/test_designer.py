@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from pdp.agent import TooLarge, is_feasible
+from pdp import designer
 from pdp.core import (
+    ScaledParams,
     all_subsets,
     build_flower_instance,
     derived_params,
     designer_profit,
+    scale_to_integers,
     scaled_params,
 )
 from pdp.designer import (
@@ -24,9 +28,12 @@ from pdp.designer import (
 )
 from pdp.instances import gen_random_flower
 
+from conftest import MIXED
+
 
 # Reference: the FPTAS and its preprocessing computed directly over
-# Fraction.  The integer-scaled solver must match it bin for bin.
+# Fraction.  The integer-scaled solver must match it bin for bin, and
+# preprocess must raise the same errors with the same messages.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,6 +49,8 @@ class _RefQuantized:
 def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
+    if delta is not None and delta <= 0:
+        raise QuantizationError(f"delta = {delta} must be positive")
     dp = derived_params(inst)
     surviving = tuple(
         i
@@ -60,7 +69,9 @@ def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
     for i in surviving:
         ratio = dp.z[i - 1] / delta
         if ratio.denominator != 1 or ratio <= 0:
-            raise QuantizationError(f"z[{i}] is not a positive integer multiple of {delta}")
+            raise QuantizationError(
+                f"z[{i}] = {dp.z[i - 1]} is not a positive integer multiple of {delta}"
+            )
     r = max(inst.cost[i - 1] / K for i in surviving)
     if r > r_ceiling:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
@@ -548,6 +559,13 @@ _NARROW = {"weight_max": 1, "q_steps": 1, "z_max": 2, "c_life_max": 0,
            "c_platform_max": 4, "d_max": 4, "cost_max": 3}
 
 
+def _stage_sets(log):
+    """Each stage's stored sets, in one order: the FPTAS walks its table in
+    insertion order, so only the sets of a stage, not their order, are
+    fixed."""
+    return [(k, sorted(stored)) for k, stored in log]
+
+
 def test_fptas_matches_fraction_reference():
     compared = 0
     for idx in range(260):
@@ -574,7 +592,7 @@ def test_fptas_matches_fraction_reference():
             expected.profit,
             expected.bins,
         )
-        assert log == ref_log
+        assert _stage_sets(log) == _stage_sets(ref_log)
         compared += 1
     assert compared >= 200
 
@@ -590,7 +608,7 @@ def test_fptas_bins_round_up_on_exact_multiples(example):
     log, ref_log, floor_log = [], [], []
     result = fptas_solve(qi, stage_log=log)
     assert _ref_fptas(ref, stage_log=ref_log).bins == result.bins == 3
-    assert log == ref_log == [(1, [(), (1,)]), (2, [(), (1,), (1, 2)])]
+    assert _stage_sets(log) == _stage_sets(ref_log) == [(1, [(), (1,)]), (2, [(), (1,), (1, 2)])]
     assert _ref_fptas(ref, stage_log=floor_log, rounding=math.floor).bins == 4
     assert floor_log[-1] == (2, [(), (1,), (2,), (1, 2)])
 
@@ -602,8 +620,13 @@ def test_singleton_screen_matches_agent_response():
         )
         sp = scaled_params(inst, derived_params(inst))
         for i in range(1, inst.n + 1):
-            expected = designer_profit(inst, {i}, {i}) if is_feasible(inst, {i}) else None
-            assert _feasible_singleton_profit(sp, i) == expected
+            got = _feasible_singleton_profit(sp, i)
+            if not is_feasible(inst, {i}):
+                assert got is None
+                continue
+            pnum, den = got
+            assert den > 0
+            assert F(pnum, den * sp.L) == designer_profit(inst, {i}, {i})
 
 
 def test_fptas_rejects_delta_not_dividing_z(example):
@@ -656,3 +679,216 @@ def test_oracle_matches_table_reference():
         )
         negative_optima += any(derived_params(inst).z[i - 1] < 0 for i in expected)
     assert negative_optima >= 15
+
+
+# Reference: ScaledParams with z*phi and d*w formed as Fraction products
+# before the scaling.  The pair-based scaled_params must give the same
+# integers and the same L.
+def _ref_scaled_params(inst, dp):
+    n = inst.n
+    L, (A, B), *vectors = scale_to_integers(
+        (dp.A, dp.B),
+        dp.z,
+        tuple(dp.z[i] * dp.phi[i] for i in range(n)),
+        dp.phi,
+        tuple(inst.d[i] * dp.w[i] for i in range(n)),
+        inst.cost,
+    )
+    return ScaledParams(L, A, B, *vectors)
+
+
+# Reference: the FPTAS that walked each stage's table in sorted key order,
+# on the Fraction-product ScaledParams.  The insertion-order walk must
+# store the same sets in every bin.
+def _sorted_fptas(qi, stage_log=None):
+    dp = derived_params(qi.inst)
+    sp = _ref_scaled_params(qi.inst, dp)
+    L, A = sp.L, sp.A
+    unit = qi.epsilon * qi.K / (2 * qi.inst.n)
+    un, ud = unit.numerator, unit.denominator
+    Lun = L * un
+    table = {(0, 0, 0): ((), 0, sp.B, 0, 0, 0, None, 0)}
+    for k in qi.surviving:
+        j = k - 1
+        steps_k = dp.z[j] / qi.delta
+        if steps_k.denominator != 1:
+            raise QuantizationError(
+                f"z[{k}] = {dp.z[j]} is not an integer multiple of {qi.delta}"
+            )
+        steps_k = steps_k.numerator
+        zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
+        for _, (states, N, den, sum_dw, sum_cost, steps, min_phi, _) in sorted(table.items()):
+            new_min = phik if min_phi is None or phik < min_phi else min_phi
+            N2 = N + zphik
+            den2 = den + zk
+            if (A + N2) * L >= new_min * den2:
+                continue
+            dw2 = sum_dw + dwk
+            cost2 = sum_cost + costk
+            pnum = dw2 * L - cost2 * den2
+            if pnum <= 0:
+                continue
+            steps2 = steps + steps_k
+            key = (-(-pnum * ud // (den2 * Lun)), -(-dw2 * ud // (den2 * un)), steps2)
+            states2 = states + (k,)
+            old = table.get(key)
+            if old is None or N2 < old[1] or (N2 == old[1] and states2 < old[0]):
+                table[key] = (states2, N2, den2, dw2, cost2, steps2, new_min, pnum)
+        if stage_log is not None:
+            stage_log.append((k, [e[0] for e in table.values()]))
+    best = table[(0, 0, 0)]
+    for e in table.values():
+        cmp = e[7] * best[2] - best[7] * e[2]
+        if cmp > 0 or (cmp == 0 and [-s for s in e[0]] > [-s for s in best[0]]):
+            best = e
+    return DesignSet(frozenset(best[0]), F(best[7], best[2] * L), bins=len(table))
+
+
+def test_scaled_params_reduce_each_product():
+    # d * w = (1/8) * (12/11) = 12/88 = 3/22: over the unreduced 88 the
+    # lcm would be 616, not 308.  Flowers with arbitrary denominators
+    # besides: every field and L equal the Fraction-product reference.
+    inst = build_flower_instance(
+        [F(1)], [F(1, 8)], [F(-1, 24)], [F(7, 8)], [F(3, 2)], [F(1, 8)], [F(1, 7)]
+    )
+    dp = derived_params(inst)
+    assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
+    assert scaled_params(inst, dp).L == 308
+    rng = random.Random(19)
+    built = 0
+    while built < 300:
+        n = rng.randint(1, 4)
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        q = [F(rng.randint(1, 5), rng.randint(6, 12)) for _ in range(n)]
+
+        def some(low=0):
+            return [F(rng.randint(low, 9), rng.randint(1, 9)) for _ in range(n)]
+
+        try:
+            inst = build_flower_instance(
+                [F(w, sum(weights)) for w in weights],
+                q,
+                [F(rng.randint(-20, 20), 84) * (1 - x) for x in q],
+                some(), some(), some(), some(1),
+            )
+        except ValueError:
+            continue
+        dp = derived_params(inst)
+        assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
+        built += 1
+
+
+def _raised(fn, *args, **kwargs):
+    """fn's result, or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _preprocessed(fn, inst, **kwargs):
+    """The fields of fn(inst, **kwargs), or the type and text of its error."""
+    qi = _raised(fn, inst, **kwargs)
+    if isinstance(qi, tuple):
+        return qi
+    return qi.surviving, qi.K, qi.r, qi.delta, qi.epsilon
+
+
+def test_integer_fptas_matches_sorted_reference():
+    # n 1-20, and n 21-40 in one case of nine (the tables grow fast with
+    # n), over the default, narrow (bins collide), mixed-sign and mixed
+    # narrow ranges, at two epsilons, with the default delta and with the
+    # gcd of z divided by 2, 3 or 4.
+    kinds = (None, _NARROW, MIXED, {**_NARROW, **MIXED})
+    outcomes = {}
+    for idx in range(1000):
+        n = 1 + idx % 20 + 20 * (idx % 9 == 8)
+        kind = idx // 20 % 4
+        inst = gen_random_flower(n, seed=19000 + idx, ranges=kinds[kind], delta=F(1, 1 + 3 * (kind >= 2)))
+        dp = derived_params(inst)
+        assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
+        epsilon = F(1, 10) if idx // 80 % 2 == 0 else F(1, 4)
+        delta = None
+        if idx // 160 % 2:
+            delta = F(
+                math.gcd(*(z.numerator for z in dp.z)), math.lcm(*(z.denominator for z in dp.z))
+            ) / (2 + idx % 3)
+        expected = _preprocessed(_ref_preprocess, inst, delta=delta, epsilon=epsilon)
+        assert _preprocessed(preprocess, inst, delta=delta, epsilon=epsilon) == expected
+        if isinstance(expected[0], type):
+            outcomes[expected[0]] = outcomes.get(expected[0], 0) + 1
+            continue
+        qi = preprocess(inst, delta=delta, epsilon=epsilon)
+        outcomes[DesignSet] = outcomes.get(DesignSet, 0) + 1
+        result = fptas_solve(qi)
+        expected = _sorted_fptas(qi)
+        assert (result.states, result.profit, result.bins) == (
+            expected.states,
+            expected.profit,
+            expected.bins,
+        )
+    assert outcomes[DesignSet] >= 900
+    assert outcomes[QuantizationError] >= 40 and outcomes[EmptyInstance] >= 10
+
+
+def test_preprocess_errors_match_fraction_reference(example):
+    # Each check's error, type and text, on the example and on a mixed-sign
+    # flower whose surviving negative z fails the quantization test.
+    mixed = next(
+        inst
+        for seed in range(100)
+        for inst in [gen_random_flower(6, seed=seed, ranges=MIXED, delta=F(1, 16))]
+        if _raised(_ref_preprocess, inst)[0] is QuantizationError
+    )
+    worthless = dataclasses.replace(example, d=(F(0), F(0)))
+    for inst, kwargs in [
+        (example, {"epsilon": F(0)}),
+        (example, {"epsilon": F(1)}),
+        (example, {"delta": F(0)}),
+        (example, {"delta": F(-1, 3)}),
+        (example, {"delta": F(2, 3)}),
+        (example, {"delta": 2}),
+        (example, {"delta": 1}),
+        (example, {"r_ceiling": F(1, 1000)}),
+        (worthless, {}),
+        (mixed, {}),
+        (mixed, {"delta": F(1, 16)}),
+    ]:
+        assert _preprocessed(preprocess, inst, **kwargs) == _preprocessed(
+            _ref_preprocess, inst, **kwargs
+        )
+    assert _raised(preprocess, mixed)[0] is QuantizationError
+
+
+def test_fptas_quantization_error_matches_sorted_reference(example):
+    qi = preprocess(example)
+    for delta in (F(2, 3), F(3, 7), 2):
+        bad = dataclasses.replace(qi, delta=delta)
+        assert _raised(fptas_solve, bad) == _raised(_sorted_fptas, bad)
+        assert _raised(fptas_solve, bad)[0] is QuantizationError
+
+
+def test_fptas_makes_fractions_only_at_the_edges(monkeypatch):
+    # Fractions that designer makes in one preprocess plus fptas_solve: K,
+    # r, the default delta and the returned profit, whatever the size.
+    made = []
+    real = designer.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    counts, bins = [], []
+    for n in (8, 32):
+        inst = gen_random_flower(n, seed=5)
+        inst.scaled  # built before counting: scaled_params lives in core
+        made.clear()
+        monkeypatch.setattr(designer, "Fraction", counting)
+        qi = preprocess(inst)
+        result = fptas_solve(qi)
+        monkeypatch.setattr(designer, "Fraction", real)
+        assert len(qi.surviving) >= n // 2
+        counts.append(len(made))
+        bins.append(result.bins)
+    assert bins[1] > 10 * bins[0]
+    assert counts[0] == counts[1] <= 4
