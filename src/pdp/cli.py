@@ -87,19 +87,22 @@ class _Rule(NamedTuple):
     optional: bool = False
 
 
+def _parse_rats(values: list, path: str) -> tuple[Fraction, ...]:
+    """The JSON list at `path` as rationals; only a failing value's path is formatted."""
+    try:
+        return tuple(parse_rat(v, path) for v in values)
+    except ParseError:
+        for i, v in enumerate(values):
+            parse_rat(v, f"{path}[{i}]")
+        raise
+
+
 def _rationals(count: Callable) -> _Rule:
     def read(value, path, n, k):
         size = count(n, k)
         if not isinstance(value, list) or len(value) != size:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
-        try:
-            return tuple(parse_rat(v, path) for v in value)
-        except ParseError:
-            # Parse again up to the first bad value, which fails the same
-            # way: only a failing value's path is formatted.
-            for i, v in enumerate(value):
-                parse_rat(v, f"{path}[{i}]")
-            raise
+        return _parse_rats(value, path)
 
     return _Rule(read, lambda values: [str(v) for v in values])
 
@@ -151,7 +154,7 @@ _CANDIDATE = (
     ("cost", _RATIONAL),
 )
 # Required in multi-agent, competitive and game documents, which need both
-# steps; a flower's block is optional and read by solve-designer alone.
+# steps; every command checks a flower's optional block, solve-designer reads it.
 _STEPS = (("delta", _POSITIVE), ("delta_prime", _POSITIVE))
 _QUANTIZATION = _STEPS + (("epsilon", _UNIT),)
 _FLOWER_QUANTIZATION = tuple((key, rule._replace(optional=True)) for key, rule in _QUANTIZATION)
@@ -180,6 +183,10 @@ def _build(path: str, builder, *args, **kwargs):
         return builder(*args, **kwargs)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def _flower_quantization(doc) -> dict:
+    return _read(doc.get("quantization", {}), _FLOWER_QUANTIZATION, "quantization", 0)
 
 
 def _steps(doc) -> tuple[Fraction, Fraction]:
@@ -213,7 +220,7 @@ def parse_instance(doc):
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise SchemaError(f"rows[{i}]: expected a list of rationals")
-            parsed.append([parse_rat(v, f"rows[{i}][{j}]") for j, v in enumerate(row)])
+            parsed.append(_parse_rats(row, f"rows[{i}]"))
         start = doc.get("start", 0)
         if not _is_int(start):
             raise SchemaError("start: expected an integer state index")
@@ -224,7 +231,9 @@ def parse_instance(doc):
     if not _is_int(n) or n < 1:
         raise SchemaError("states: expected a positive integer")
     if kind == "flower":
-        return _build("$", build_flower_instance, **_read(doc, _FLOWER, "$", n))
+        flower = _build("$", build_flower_instance, **_read(doc, _FLOWER, "$", n))
+        _flower_quantization(doc)
+        return flower
     if kind == "game":
         chassis = _agents(doc, n, _FLOWER)
         entries = doc.get("designers")
@@ -362,7 +371,7 @@ def _cmd_solve_multiplatform(args):
 def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
     """epsilon and delta for the FPTAS, each checked under the flag or JSON
     path it came from (a flag overrides the document)."""
-    q = _read(doc.get("quantization", {}), _FLOWER_QUANTIZATION, "quantization", 0)
+    q = _flower_quantization(doc)
     for key, rule in _QUANTIZATION:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -372,9 +381,9 @@ def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
 
 def _cmd_solve_designer(args):
     doc, inst = _load_instance(args.instance, FlowerInstance)
+    epsilon, delta = _designer_steps(args, doc)
     if args.exact:
         return _offer("designer-oracle", designer.designer_oracle(inst))
-    epsilon, delta = _designer_steps(args, doc)
     try:
         qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
     except designer.QuantizationError as exc:
@@ -465,7 +474,7 @@ def _csv_ints(text, path):
 
 def _cmd_gen(args):
     if args.kind == "random-flower":
-        return serialize_instance(instances.gen_random_flower(args.n, args.seed))
+        return serialize_instance(_build("--n", instances.gen_random_flower, args.n, args.seed))
     if args.kind == "partition":
         fixture = _build("--a", instances.gen_partition_instance, _csv_ints(args.a, "--a"))
         return {

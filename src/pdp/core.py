@@ -150,7 +150,7 @@ class DerivedParams:
 
     @cached_property
     def image(self) -> IntegerImage:
-        """The agent solvers' integer image, built on first use and kept."""
+        """The solvers' integer image, built on first use and kept."""
         L, (A, B), z, phi = scale_to_integers((self.A, self.B), self.z, self.phi)
         return IntegerImage(L, A, B, z, phi, tuple(zi * pi for zi, pi in zip(z, phi)))
 
@@ -214,19 +214,14 @@ def derived_params(inst: FlowerInstance) -> DerivedParams:
 
 @dataclass(frozen=True)
 class ScaledParams:
-    """Integer image of an instance over one common denominator L.
+    """The designer's d*w and cost over their own common denominator M.
 
-    Every field is the rational value times L (phi is phi_i * L, zphi is
-    z_i * phi_i * L, dw is d_i * w_i * L), so subset sums stay integers
-    and every ratio comparison is an integer cross-multiplication.
+    dw is d_i * w_i * M and cost is cost_i * M.  With B and z from the
+    DerivedParams.image over L, a subset's profit is pnum / (den * M) for
+    den = (B + sum z) * L and pnum = sum dw * L - sum cost * den.
     """
 
-    L: int
-    A: int
-    B: int
-    z: tuple[int, ...]
-    zphi: tuple[int, ...]
-    phi: tuple[int, ...]
+    M: int
     dw: tuple[int, ...]
     cost: tuple[int, ...]
 
@@ -235,7 +230,9 @@ def scale_to_integers(*vectors):
     """(L, *scaled): L is the lcm of every denominator in `vectors`, each
     of which comes back as a tuple of its values times L, as ints.  A value
     is a Fraction or a (numerator, denominator) pair in lowest terms with a
-    positive denominator, so L is the same for either form of a value."""
+    positive denominator, so L is the same for either form of a value.
+    DerivedParams.image puts A, B, z and phi over one such L, and
+    scaled_params puts d*w and cost over another, called M there."""
     vectors = [
         [v if type(v) is tuple else (v.numerator, v.denominator) for v in vec] for vec in vectors
     ]
@@ -251,17 +248,9 @@ def _product(x: Fraction, y: Fraction) -> tuple[int, int]:
 
 
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
-    """The ScaledParams of `inst`; L is the lcm of every denominator.  The
-    products z*phi and d*w enter as lowest-terms pairs, one gcd each."""
-    L, (A, B), *vectors = scale_to_integers(
-        (dp.A, dp.B),
-        dp.z,
-        tuple(map(_product, dp.z, dp.phi)),
-        dp.phi,
-        tuple(map(_product, inst.d, dp.w)),
-        inst.cost,
-    )
-    return ScaledParams(L, A, B, *vectors)
+    """The ScaledParams of `inst`: M is the lcm of the denominators of d*w
+    and cost, the products d*w entering as lowest-terms pairs, one gcd each."""
+    return ScaledParams(*scale_to_integers(tuple(map(_product, inst.d, dp.w)), inst.cost))
 
 
 def all_subsets(n: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .agent import TooLarge
-from .core import FlowerInstance, ScaledParams, designer_profit
+from .core import FlowerInstance, IntegerImage, ScaledParams, designer_profit
 
 
 class QuantizationError(ValueError):
@@ -47,29 +47,22 @@ class QuantizedInstance:
     surviving: tuple[int, ...]
 
 
-def _fraction_gcd(values) -> Fraction:
-    num = 0
-    den = 1
-    for v in values:
-        num = math.gcd(num, v.numerator)
-        den = math.lcm(den, v.denominator)
-    return Fraction(num, den)
-
-
-def _feasible_singleton_profit(sp: ScaledParams, i: int) -> tuple[int, int] | None:
+def _feasible_singleton_profit(
+    image: IntegerImage, sp: ScaledParams, i: int
+) -> tuple[int, int] | None:
     """Profit of offering {i} alone as a pair (pnum, den) with profit
-    pnum / (den * L) and den > 0, or None when the agent would not adopt.
+    pnum / (den * M) and den > 0, or None when the agent would not adopt.
 
     The same answers as is_feasible(inst, {i}) and designer_profit(inst,
     {i}, {i}): a lone state is adopted iff its potential lies strictly
     above the baseline utility A/B (z > 0) or strictly below it (z < 0).
     """
     j = i - 1
-    base, potential = sp.A * sp.L, sp.phi[j] * sp.B
-    if not (base < potential if sp.z[j] > 0 else potential < base):
+    base, potential = image.A * image.L, image.phi[j] * image.B
+    if not (base < potential if image.z[j] > 0 else potential < base):
         return None
-    den = sp.B + sp.z[j]
-    return sp.dw[j] * sp.L - sp.cost[j] * den, den
+    den = image.B + image.z[j]
+    return sp.dw[j] * image.L - sp.cost[j] * den, den
 
 
 def preprocess(
@@ -85,22 +78,24 @@ def preprocess(
     times K; delta must be positive and every surviving z a positive
     multiple of it.
 
-    The screen runs on qi.inst.scaled: each singleton profit is an integer
-    pair (pnum, den) worth pnum / (den * L), K is found by
-    cross-multiplication, and r = max cost / K is max(cost * L) * den / pnum
-    for K's pair.  z = zn/zd is a whole multiple of delta = dn/dd > 0 iff
-    zd * dn divides zn * dd.  K and r are the only Fractions made, besides
-    the default delta.
+    The screen reads A, B, z and phi times L from inst.params.image and
+    d*w and cost times M from inst.scaled: each singleton profit is an
+    integer pair (pnum, den) worth pnum / (den * M), K is found by
+    cross-multiplication, and r = max cost / K is max(cost * M) * den / pnum
+    for K's pair.  The default delta is gcd(z * L) / L over the survivors,
+    and z is a whole multiple of delta = dn/dd > 0 iff L * dn divides
+    z * L * dd.  K and r are the only Fractions made, besides the default
+    delta.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
     if delta is not None and delta <= 0:
         raise QuantizationError(f"delta = {delta} must be positive")
-    dp, sp = inst.params, inst.scaled
+    image, sp = inst.params.image, inst.scaled
     surviving = []
     k_num, k_den = 0, 1
     for i in range(1, inst.n + 1):
-        profit = _feasible_singleton_profit(sp, i)
+        profit = _feasible_singleton_profit(image, sp, i)
         if profit is not None and profit[0] > 0:
             surviving.append(i)
             if profit[0] * k_den > k_num * profit[1]:
@@ -108,15 +103,15 @@ def preprocess(
     if not surviving:
         raise EmptyInstance("no state has a feasible, profitable singleton")
     surviving = tuple(surviving)
-    K = Fraction(k_num, k_den * sp.L)
+    K, L = Fraction(k_num, k_den * sp.M), image.L
     if delta is None:
-        delta = _fraction_gcd([dp.z[i - 1] for i in surviving])
-    dn, dd = delta.numerator, delta.denominator
+        delta = Fraction(math.gcd(*(image.z[i - 1] for i in surviving)), L)
+    Ldn, dd = L * delta.numerator, delta.denominator
     for i in surviving:
-        z = dp.z[i - 1]
-        if z.numerator <= 0 or z.numerator * dd % (z.denominator * dn):
+        z = image.z[i - 1]
+        if z <= 0 or z * dd % Ldn:
             raise QuantizationError(
-                f"z[{i}] = {z} is not a positive integer multiple of {delta}"
+                f"z[{i}] = {Fraction(z, L)} is not a positive integer multiple of {delta}"
             )
     r = Fraction(max(sp.cost[i - 1] for i in surviving) * k_den, k_num)
     if r > r_ceiling:
@@ -133,8 +128,9 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     denominator shift); the set with the smaller objective numerator
     wins a collision, which keeps the most extendable representative.
 
-    Sums run over the integers of qi.inst.scaled (each rational times L), so
-    the rounded profit and revenue come from integer floor division and
+    Sums run over integers: A, B, z, phi (times L) and z*phi (times L^2)
+    from qi.inst.params.image, d*w and cost (times M) from qi.inst.scaled.
+    The rounded profit and revenue come from integer floor division and
     feasibility from one cross-multiplication.  The only Fraction made is
     the returned profit.
 
@@ -149,40 +145,41 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     states]), also a total order.  Only the order of each stage's entries
     in stage_log depends on the walk.
     """
-    dp, sp = qi.inst.params, qi.inst.scaled
-    L = sp.L
+    L, A, B, z, phi, zphi = qi.inst.params.image
+    sp = qi.inst.scaled
     # unit = epsilon * K / (2n) = un / ud, not necessarily in lowest terms;
     # ceil(x / unit) for x = a / b, b > 0, is -(-a * ud // (b * un)).
     eps, K = qi.epsilon, qi.K
     un = eps.numerator * K.numerator
     ud = eps.denominator * K.denominator * 2 * qi.inst.n
-    Lun = L * un
-    dn, dd = qi.delta.numerator, qi.delta.denominator
+    Mun = sp.M * un
+    Ldn, dd = L * qi.delta.numerator, qi.delta.denominator
 
-    # Entry: (states tuple sorted, M, den, sum_dw, sum_cost, d_steps,
-    # min_phi, pnum), with M = (A + sum z*phi) * L^2, den =
-    # (B + sum z) * L, sum_dw = sum d*w * L^2, d_steps = sum z / delta and
-    # sum_cost and min_phi scaled by L.  The profit is pnum / (den * L) and
-    # the revenue sum_dw / (den * L), so both round on one divisor.  The
-    # empty set's min_phi lies above every surviving potential.
-    top = max((sp.phi[i - 1] for i in qi.surviving), default=0) + 1
-    table = {(0, 0, 0): ((), sp.A * L, sp.B, 0, 0, 0, top, 0)}  # zero profit and revenue
+    # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, d_steps,
+    # min_phi, pnum), with N = (A + sum z*phi) * L^2, den = (B + sum z) * L,
+    # sum_dw = sum d*w * M * L, sum_cost = sum cost * M, d_steps =
+    # sum z / delta and min_phi scaled by L.  The profit is pnum / (den * M)
+    # and the revenue sum_dw / (den * M), so both round on one divisor.
+    # The empty set's min_phi lies above every surviving potential.
+    top = max((phi[i - 1] for i in qi.surviving), default=0) + 1
+    table = {(0, 0, 0): ((), A * L, B, 0, 0, 0, top, 0)}  # zero profit and revenue
 
     for k in qi.surviving:
         j = k - 1
-        z = dp.z[j]
-        if z.numerator * dd % (z.denominator * dn):
-            raise QuantizationError(f"z[{k}] = {z} is not an integer multiple of {qi.delta}")
-        steps_k = z.numerator * dd // (z.denominator * dn)
-        zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j] * L, sp.phi[j], sp.dw[j] * L, sp.cost[j]
+        zk, zphik, phik, dwk, costk = z[j], zphi[j], phi[j], sp.dw[j] * L, sp.cost[j]
+        steps_k, off_grid = divmod(zk * dd, Ldn)
+        if off_grid:
+            raise QuantizationError(
+                f"z[{k}] = {Fraction(zk, L)} is not an integer multiple of {qi.delta}"
+            )
         get = table.get
-        for states, M, den, sum_dw, sum_cost, steps, min_phi, _ in list(table.values()):
+        for states, N, den, sum_dw, sum_cost, steps, min_phi, _ in list(table.values()):
             new_min = phik if phik < min_phi else min_phi
-            M2 = M + zphik
+            N2 = N + zphik
             den2 = den + zk
             # All surviving z are positive, so feasibility is exactly
             # the threshold test against the smallest potential.
-            if M2 >= new_min * den2:
+            if N2 >= new_min * den2:
                 continue
             dw2 = sum_dw + dwk
             cost2 = sum_cost + costk
@@ -190,11 +187,11 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
             if pnum <= 0:
                 continue
             steps2 = steps + steps_k
-            divisor = den2 * Lun
+            divisor = den2 * Mun
             key = (-(-pnum * ud // divisor), -(-dw2 * ud // divisor), steps2)
             old = get(key)
-            if old is None or M2 < old[1] or (M2 == old[1] and states + (k,) < old[0]):
-                table[key] = (states + (k,), M2, den2, dw2, cost2, steps2, new_min, pnum)
+            if old is None or N2 < old[1] or (N2 == old[1] and states + (k,) < old[0]):
+                table[key] = (states + (k,), N2, den2, dw2, cost2, steps2, new_min, pnum)
         if stage_log is not None:
             stage_log.append((k, [e[0] for e in table.values()]))
 
@@ -205,7 +202,7 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
         cmp = e[7] * best[2] - best[7] * e[2]
         if cmp > 0 or (cmp == 0 and [-s for s in e[0]] > [-s for s in best[0]]):
             best = e
-    return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * L), bins=len(table))
+    return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * sp.M), bins=len(table))
 
 
 def designer_oracle(inst: FlowerInstance, guard: int = 1 << 22) -> DesignSet:
@@ -217,11 +214,11 @@ def designer_oracle(inst: FlowerInstance, guard: int = 1 << 22) -> DesignSet:
     at most 2^n - 1 of them.  guard is a budget on the sets visited: the
     search raises TooLarge once it is spent, so the guard bounds time.
     """
-    states = _oracle_search(inst.scaled, guard)
+    states = _oracle_search(inst.params.image, inst.scaled, guard)
     return DesignSet(states, designer_profit(inst, states, states))
 
 
-def _oracle_search(sp: ScaledParams, guard: int) -> frozenset[int]:
+def _oracle_search(image: IntegerImage, sp: ScaledParams, guard: int) -> frozenset[int]:
     """Depth-first search over the feasible offered sets, on integer sums.
 
     The agent offered S adopts all of S iff every i in S has
@@ -237,26 +234,30 @@ def _oracle_search(sp: ScaledParams, guard: int) -> frozenset[int]:
     the search fixes k and m first (either may be absent, not both; a
     pair with phi_k <= phi_m is never feasible).  The rest of S is drawn
     from the candidates: the positive-z states before k and the
-    negative-z states after m.  With den = (B + sum z) * L, num =
-    (A + sum z*phi) * L and every phi scaled by L, feasibility is then two
-    integer tests that move one way as candidates join:
+    negative-z states after m.  On the integer image (L, and A, B, z and
+    phi times L, z*phi times L^2), with den = (B + sum z) * L and num =
+    (A + sum z*phi) * L^2, feasibility is then two integer tests that
+    move one way as candidates join:
 
-    - packing: the slack phi_k * den - num * L falls by
+    - packing: the slack phi_k * den - num falls by
       z_j * (phi_j - phi_k) * L^2 >= 0, so a branch is cut once its slack
       is <= 0;
-    - covering: the excess num * L - phi_m * den rises by
+    - covering: the excess num - phi_m * den rises by
       z_j * (phi_j - phi_m) * L^2 >= 0, so a branch is cut once its excess
       plus the rises of every candidate still to come is <= 0.
+
+    A set's profit is pnum / (den * M), with d*w and cost times M from sp
+    and pnum = sum dw * L - sum cost * den.
 
     Each set is visited once, under its own k and m, and each visit
     extends the set by candidates after its last one, so no set is
     visited twice.  TooLarge is raised on visit guard + 1.
     """
-    L, A, B = sp.L, sp.A, sp.B
-    order = sorted(range(len(sp.z)), key=lambda j: (-sp.phi[j], j))
-    pos = [j for j in order if sp.z[j] > 0]
-    neg = [j for j in order if sp.z[j] < 0]
-    # Profits compare as pnum / den (the common factor 1/L drops out);
+    L, A, B, z, phi, zphi = image
+    order = sorted(range(len(z)), key=lambda j: (-phi[j], j))
+    pos = [j for j in order if z[j] > 0]
+    neg = [j for j in order if z[j] < 0]
+    # Profits compare as pnum / den (the common factor 1/M drops out);
     # the empty set has profit 0.  den stays positive, since B = 1 +
     # sum lam and each z_i = w_i - lam_i > -lam_i.
     best_pnum, best_den, best_states = 0, B, ()
@@ -287,7 +288,7 @@ def _oracle_search(sp: ScaledParams, guard: int) -> frozenset[int]:
                 path.append(j)
                 visit(
                     cands, reach, idx + 1, slack + pack, excess + cover,
-                    den + sp.z[j], dw + sp.dw[j], cost + sp.cost[j],
+                    den + z[j], dw + sp.dw[j], cost + sp.cost[j],
                 )
                 path.pop()
 
@@ -299,20 +300,20 @@ def _oracle_search(sp: ScaledParams, guard: int) -> frozenset[int]:
         for m, after_m in ms:
             if k is None and m is None:
                 continue
-            if k is not None and m is not None and sp.phi[k] <= sp.phi[m]:
+            if k is not None and m is not None and phi[k] <= phi[m]:
                 continue
             path[:] = [j for j in (k, m) if j is not None]
-            den = B + sum(sp.z[j] for j in path)
-            num = A + sum(sp.zphi[j] for j in path)
+            den = B + sum(z[j] for j in path)
+            num = A * L + sum(zphi[j] for j in path)
             # An absent k or m leaves its test always passing.
-            slack = sp.phi[k] * den - num * L if k is not None else 1
-            excess = num * L - sp.phi[m] * den if m is not None else 1
+            slack = phi[k] * den - num if k is not None else 1
+            excess = num - phi[m] * den if m is not None else 1
             if slack <= 0:
                 continue
             cands = []
             for j in pos[:before_k] + neg[after_m:]:
-                pack = sp.phi[k] * sp.z[j] - sp.zphi[j] * L if k is not None else 0
-                cover = sp.zphi[j] * L - sp.phi[m] * sp.z[j] if m is not None else 0
+                pack = phi[k] * z[j] - zphi[j] if k is not None else 0
+                cover = zphi[j] - phi[m] * z[j] if m is not None else 0
                 cands.append((pack, cover, j))
             reach = [0] * (len(cands) + 1)
             for idx in range(len(cands) - 1, -1, -1):

@@ -536,7 +536,7 @@ def test_integer_image_built_once_per_params(monkeypatch, tmp_path, capsys):
     assert cli.main(["verify", str(path)]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c.get("match") for c in checks] == [True, True]
-    assert sorted(calls) == [3, 6]
+    assert sorted(calls) == [2, 3]
 
 
 def test_oracle_does_not_use_integer_image(monkeypatch):

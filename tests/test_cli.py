@@ -128,6 +128,28 @@ def test_rationals_name_the_first_bad_value():
         assert str(info.value) == str(alone.value)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["1/2", "1/2"], ["1/3", "x"]], "rows[1][1]: Invalid literal for Fraction: 'x'"),
+        ([["0", "1", "0"], ["1/2", "0", "1/0"], ["1", "0", "0"]], "rows[1][2]: Fraction(1, 0)"),
+        (
+            [["0", "1", "0"], ["1", "0", "0"], ["0", "1/2", 0.5]],
+            "rows[2][2]: expected an exact rational, got 0.5",
+        ),
+    ],
+    ids=["text", "zero-denominator", "float"],
+)
+def test_general_chain_rows_name_the_bad_value(tmp_path, capsys, rows, message):
+    # Each row is parsed under its own path, and a value's path is
+    # formatted only after it fails, wherever the value sits.
+    doc = {"version": 1, "kind": "general-chain", "rows": rows}
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_schema_errors_exit_2(tmp_path, capsys):
     bad_p = serialize_instance(make_example())
     bad_p["p"] = ["1/2", "1/3"]
@@ -250,6 +272,52 @@ def test_solve_designer_rejects_zero_quantization(tmp_path, capsys, example, fla
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epsilon", "2", "epsilon = 2 must lie in (0, 1)"),
+        ("--epsilon", "abc", "Invalid literal for Fraction: 'abc'"),
+        ("--delta", "-1", "delta = -1 must be positive"),
+        ("--delta", "1/0", "Fraction(1, 0)"),
+    ],
+    ids=["epsilon", "epsilon-text", "delta", "delta-text"],
+)
+@pytest.mark.parametrize("exact", [False, True], ids=["fptas", "exact"])
+def test_solve_designer_checks_its_flags(tmp_path, capsys, example, flag, value, message, exact):
+    # The steps are read before the solver is chosen, so the oracle,
+    # which does not use them, rejects a bad one as the FPTAS does.
+    path = write_doc(tmp_path, serialize_instance(example))
+    assert main(["solve-designer", path, flag, value, *["--exact"] * exact]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-designer"], ["solve-designer", "--exact"], ["solve-agent"], ["verify"]],
+    ids=["solve-designer", "exact", "solve-agent", "verify"],
+)
+@pytest.mark.parametrize(
+    "quantization, message",
+    [
+        ({"epsilon": "abc"}, "quantization.epsilon: Invalid literal for Fraction: 'abc'"),
+        ({"delta": "-1/2"}, "quantization.delta: delta = -1/2 must be positive"),
+        ({"delta_prime": True}, "quantization.delta_prime: expected an exact rational, got True"),
+        ({"epsilon": "1"}, "quantization.epsilon: epsilon = 1 must lie in (0, 1)"),
+    ],
+    ids=["epsilon-text", "delta", "delta-prime", "epsilon"],
+)
+def test_flower_quantization_checked_by_every_command(tmp_path, capsys, argv, quantization, message):
+    # parse_instance checks a flower's optional quantization block, so a
+    # command that does not read it rejects it all the same.
+    doc = {**serialize_instance(make_example()), "quantization": quantization}
+    assert main([argv[0], write_doc(tmp_path, doc), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _flower_doc(inst, **fields):
@@ -810,6 +878,14 @@ def test_gen_errors_name_their_flag(capsys, kind, a, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --a: {message}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_random_flower_names_n(capsys, n):
+    assert main(["gen", "--kind", "random-flower", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n: ranges leave no valid instance\n"
 
 
 def test_gen_determinism(capsys):

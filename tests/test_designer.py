@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
@@ -359,7 +360,7 @@ def test_oracle_budget_counts_visited_sets():
     # needs well under a quarter of the 2^20 sets the sweep visits.
     twin = gen_random_flower(20, seed=3, ranges={"allow_negative_z": True}, delta=F(1, 16))
     assert any(z < 0 for z in derived_params(twin).z)
-    expected = _oracle_sweep(scaled_params(twin, derived_params(twin)))
+    expected = _oracle_sweep(_ref_scaled_params(twin, derived_params(twin)))
     assert designer_oracle(twin, guard=(1 << 20) // 4).states == expected
 
 
@@ -385,7 +386,7 @@ def test_oracle_tie_breaks(example):
         profits = {S: designer_profit(inst, S, S) for S in all_subsets(n) if is_feasible(inst, S)}
         assert max(profits.values()) == profit
         assert list(profits.values()).count(profit) >= 2
-        assert _oracle_sweep(scaled_params(inst, derived_params(inst))) == best
+        assert _oracle_sweep(_ref_scaled_params(inst, derived_params(inst))) == best
         assert _ref_oracle_general(inst) == best
         assert designer_oracle(inst) == DesignSet(frozenset(best), profit)
 
@@ -395,7 +396,7 @@ def test_oracle_matches_sweep_reference():
         n = 1 + idx % 12
         ranges = [None, {"allow_negative_z": True}, {**_NARROW, "allow_negative_z": True}][idx % 3]
         inst = gen_random_flower(n, seed=9000 + idx, ranges=ranges, delta=F(1, 16))
-        expected = _oracle_sweep(scaled_params(inst, derived_params(inst)))
+        expected = _oracle_sweep(_ref_scaled_params(inst, derived_params(inst)))
         assert designer_oracle(inst).states == expected
 
 
@@ -618,15 +619,15 @@ def test_singleton_screen_matches_agent_response():
         inst = gen_random_flower(
             2 + idx % 6, seed=idx, ranges={"allow_negative_z": True}, delta=F(1, 16)
         )
-        sp = scaled_params(inst, derived_params(inst))
+        image, sp = derived_params(inst).image, scaled_params(inst, derived_params(inst))
         for i in range(1, inst.n + 1):
-            got = _feasible_singleton_profit(sp, i)
+            got = _feasible_singleton_profit(image, sp, i)
             if not is_feasible(inst, {i}):
                 assert got is None
                 continue
             pnum, den = got
             assert den > 0
-            assert F(pnum, den * sp.L) == designer_profit(inst, {i}, {i})
+            assert F(pnum, den * sp.M) == designer_profit(inst, {i}, {i})
 
 
 def test_fptas_rejects_delta_not_dividing_z(example):
@@ -651,7 +652,7 @@ def test_oracle_matches_table_reference():
     cases.append((5, 7752, narrow))
     for n, seed, ranges in cases:
         inst = gen_random_flower(n, seed=seed, ranges=ranges)
-        expected = _ref_oracle_positive(scaled_params(inst, derived_params(inst)))
+        expected = _ref_oracle_positive(_ref_scaled_params(inst, derived_params(inst)))
         result = designer_oracle(inst)
         assert (result.states, result.profit) == (
             expected,
@@ -681,9 +682,22 @@ def test_oracle_matches_table_reference():
     assert negative_optima >= 15
 
 
-# Reference: ScaledParams with z*phi and d*w formed as Fraction products
-# before the scaling.  The pair-based scaled_params must give the same
-# integers and the same L.
+# Reference: one integer image of a flower over a single common
+# denominator L, with z*phi and d*w formed as Fraction products before the
+# scaling; every field is the rational value times L.  The reference
+# oracles and _sorted_fptas read it, while the solvers read A, B, z and
+# phi over one L (DerivedParams.image) and d*w and cost over another, M.
+class _SingleL(NamedTuple):
+    L: int
+    A: int
+    B: int
+    z: tuple
+    zphi: tuple
+    phi: tuple
+    dw: tuple
+    cost: tuple
+
+
 def _ref_scaled_params(inst, dp):
     n = inst.n
     L, (A, B), *vectors = scale_to_integers(
@@ -694,11 +708,20 @@ def _ref_scaled_params(inst, dp):
         tuple(inst.d[i] * dp.w[i] for i in range(n)),
         inst.cost,
     )
-    return ScaledParams(L, A, B, *vectors)
+    return _SingleL(L, A, B, *vectors)
+
+
+# Reference: ScaledParams with d*w formed as Fraction products before the
+# scaling.  The pair-based scaled_params must give the same integers and
+# the same M.
+def _ref_designer_scaled(inst, dp):
+    return ScaledParams(
+        *scale_to_integers(tuple(d * w for d, w in zip(inst.d, dp.w)), inst.cost)
+    )
 
 
 # Reference: the FPTAS that walked each stage's table in sorted key order,
-# on the Fraction-product ScaledParams.  The insertion-order walk must
+# on the single-L Fraction-product image.  The insertion-order walk must
 # store the same sets in every bin.
 def _sorted_fptas(qi, stage_log=None):
     dp = derived_params(qi.inst)
@@ -745,15 +768,16 @@ def _sorted_fptas(qi, stage_log=None):
 
 
 def test_scaled_params_reduce_each_product():
-    # d * w = (1/8) * (12/11) = 12/88 = 3/22: over the unreduced 88 the
-    # lcm would be 616, not 308.  Flowers with arbitrary denominators
-    # besides: every field and L equal the Fraction-product reference.
+    # d * w = (1/8) * (12/11) = 12/88 = 3/22 and cost = 1/7: over the
+    # unreduced 88 the lcm would be 616, not 154.  Flowers with arbitrary
+    # denominators besides: every field and M equal the Fraction-product
+    # reference.
     inst = build_flower_instance(
         [F(1)], [F(1, 8)], [F(-1, 24)], [F(7, 8)], [F(3, 2)], [F(1, 8)], [F(1, 7)]
     )
     dp = derived_params(inst)
-    assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
-    assert scaled_params(inst, dp).L == 308
+    assert scaled_params(inst, dp) == _ref_designer_scaled(inst, dp)
+    assert scaled_params(inst, dp) == ScaledParams(154, (21,), (22,))
     rng = random.Random(19)
     built = 0
     while built < 300:
@@ -774,7 +798,7 @@ def test_scaled_params_reduce_each_product():
         except ValueError:
             continue
         dp = derived_params(inst)
-        assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
+        assert scaled_params(inst, dp) == _ref_designer_scaled(inst, dp)
         built += 1
 
 
@@ -806,7 +830,7 @@ def test_integer_fptas_matches_sorted_reference():
         kind = idx // 20 % 4
         inst = gen_random_flower(n, seed=19000 + idx, ranges=kinds[kind], delta=F(1, 1 + 3 * (kind >= 2)))
         dp = derived_params(inst)
-        assert scaled_params(inst, dp) == _ref_scaled_params(inst, dp)
+        assert scaled_params(inst, dp) == _ref_designer_scaled(inst, dp)
         epsilon = F(1, 10) if idx // 80 % 2 == 0 else F(1, 4)
         delta = None
         if idx // 160 % 2:
@@ -832,8 +856,10 @@ def test_integer_fptas_matches_sorted_reference():
 
 
 def test_preprocess_errors_match_fraction_reference(example):
-    # Each check's error, type and text, on the example and on a mixed-sign
-    # flower whose surviving negative z fails the quantization test.
+    # Each check's error, type and text, on the example, on a mixed-sign
+    # flower whose surviving negative z fails the quantization test, and on
+    # a flower of fractional z (L = 9324) that 3/16 does not divide, although
+    # it divides every z * L.
     mixed = next(
         inst
         for seed in range(100)
@@ -841,6 +867,8 @@ def test_preprocess_errors_match_fraction_reference(example):
         if _raised(_ref_preprocess, inst)[0] is QuantizationError
     )
     worthless = dataclasses.replace(example, d=(F(0), F(0)))
+    quarters = gen_random_flower(6, seed=0, delta=F(1, 4))
+    assert quarters.params.image.L == 9324
     for inst, kwargs in [
         (example, {"epsilon": F(0)}),
         (example, {"epsilon": F(1)}),
@@ -853,6 +881,9 @@ def test_preprocess_errors_match_fraction_reference(example):
         (worthless, {}),
         (mixed, {}),
         (mixed, {"delta": F(1, 16)}),
+        (quarters, {}),
+        (quarters, {"delta": F(1, 8)}),
+        (quarters, {"delta": F(3, 16)}),
     ]:
         assert _preprocessed(preprocess, inst, **kwargs) == _preprocessed(
             _ref_preprocess, inst, **kwargs
@@ -861,8 +892,12 @@ def test_preprocess_errors_match_fraction_reference(example):
 
 
 def test_fptas_quantization_error_matches_sorted_reference(example):
-    qi = preprocess(example)
-    for delta in (F(2, 3), F(3, 7), 2):
+    # On the example (integer z) and on a flower of fractional z whose L,
+    # 9324, is a multiple of 3: 3/16 divides every z * L but not every z.
+    quarters = preprocess(gen_random_flower(6, seed=0, delta=F(1, 4)))
+    for qi, delta in [(preprocess(example), d) for d in (F(2, 3), F(3, 7), 2)] + [
+        (quarters, F(3, 16))
+    ]:
         bad = dataclasses.replace(qi, delta=delta)
         assert _raised(fptas_solve, bad) == _raised(_sorted_fptas, bad)
         assert _raised(fptas_solve, bad)[0] is QuantizationError
