@@ -24,6 +24,8 @@ from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, scal
 
 # log2 of the steps per block in agent_oracle's sweep.
 _BLOCK_BITS = 8
+# The most states agent_oracle sweeps the 2^n subsets of.
+_ORACLE_STATES = 28
 
 
 class SignError(ValueError):
@@ -39,12 +41,6 @@ class GreedyStep:
     state: int
     utility_before: Fraction
     accepted: bool
-
-
-@dataclass(frozen=True)
-class GreedyTrace:
-    order: tuple[int, ...]
-    steps: tuple[GreedyStep, ...]
 
 
 def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]:
@@ -73,8 +69,8 @@ def _solve_signed(dp: DerivedParams, offered) -> tuple[frozenset[int], Fraction]
         num, den = next_num, next_den
 
 
-def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, GreedyTrace]:
-    """Optimal adoption set when every z is positive.
+def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, tuple[GreedyStep, ...]]:
+    """Optimal adoption set when every z is positive, and the steps taken.
 
     States by phi descending; adopt while the running utility stays
     strictly below the next potential.  Equality never adopts.
@@ -96,7 +92,7 @@ def greedy_solve(dp: DerivedParams) -> tuple[AdoptionSet, GreedyTrace]:
         num += zphi[i - 1]
         den += z[i - 1]
     result = AdoptionSet(frozenset(chosen), Fraction(num, den * L))
-    return result, GreedyTrace(tuple(order), tuple(steps))
+    return result, tuple(steps)
 
 
 def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
@@ -105,7 +101,7 @@ def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
     return AdoptionSet(states, utility)
 
 
-def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
+def agent_oracle(dp: DerivedParams) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
     Ties break toward the smallest cardinality.  Among the optimal sets
@@ -139,8 +135,8 @@ def agent_oracle(dp: DerivedParams, guard: int = 28) -> AdoptionSet:
     O(2^_BLOCK_BITS + n).
     """
     n = dp.n
-    if n > guard:
-        raise TooLarge(f"n = {n} exceeds the enumeration guard {guard}")
+    if n > _ORACLE_STATES:
+        raise TooLarge(f"n = {n} exceeds the enumeration guard {_ORACLE_STATES}")
     _, (a, b), zphis, zs = scale_to_integers(
         (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
     )

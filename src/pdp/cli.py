@@ -154,10 +154,11 @@ _CANDIDATE = (
     ("cost", _RATIONAL),
 )
 # Required in multi-agent, competitive and game documents, which need both
-# steps; every command checks a flower's optional block, solve-designer reads it.
+# steps; every command checks a flower's optional block, solve-designer reads
+# it, and its keys are the keywords of designer.preprocess.
 _STEPS = (("delta", _POSITIVE), ("delta_prime", _POSITIVE))
 _QUANTIZATION = _STEPS + (("epsilon", _UNIT),)
-_FLOWER_QUANTIZATION = tuple((key, rule._replace(optional=True)) for key, rule in _QUANTIZATION)
+_FLOWER_QUANTIZATION = (("delta", _POSITIVE._replace(optional=True)), ("epsilon", _UNIT))
 
 
 def _read(doc, rows, path: str, n: int, k: int = 0) -> dict:
@@ -328,8 +329,7 @@ def _solve_agent(dp):
     """The solver's name, its adoption set and the greedy's steps (none for
     the signed solver)."""
     if all(z.numerator > 0 for z in dp.z):
-        result, trace = agent.greedy_solve(dp)
-        return "greedy", result, trace.steps
+        return "greedy", *agent.greedy_solve(dp)
     return "greedy-signed", agent.greedy_solve_signed(dp), ()
 
 
@@ -368,27 +368,27 @@ def _cmd_solve_multiplatform(args):
     }
 
 
-def _designer_steps(args, doc) -> tuple[Fraction, Fraction | None]:
-    """epsilon and delta for the FPTAS, each checked under the flag or JSON
-    path it came from (a flag overrides the document)."""
+def _designer_steps(args, doc) -> dict:
+    """The delta and epsilon given for the FPTAS, each checked under the
+    flag or JSON path it came from (a flag overrides the document)."""
     q = _flower_quantization(doc)
-    for key, rule in _QUANTIZATION:
-        flag = getattr(args, key, None)
+    for key, rule in _FLOWER_QUANTIZATION:
+        flag = getattr(args, key)
         if flag is not None:
             q[key] = rule.read(flag, f"--{key}", 0, 0)
-    return q.get("epsilon", Fraction(1, 10)), q.get("delta")
+    return q
 
 
 def _cmd_solve_designer(args):
     doc, inst = _load_instance(args.instance, FlowerInstance)
-    epsilon, delta = _designer_steps(args, doc)
+    q = _designer_steps(args, doc)
     if args.exact:
         return _offer("designer-oracle", designer.designer_oracle(inst))
     try:
-        qi = designer.preprocess(inst, delta=delta, epsilon=epsilon)
+        qi = designer.preprocess(inst, **q)
     except designer.QuantizationError as exc:
         # delta came from the flag, else the document, else the gcd of z.
-        at = "--delta" if args.delta is not None else "quantization.delta" if delta else "$"
+        at = "--delta" if args.delta is not None else "quantization.delta" if "delta" in q else "$"
         raise SchemaError(f"{at}: {exc}") from None
     except (designer.EmptyInstance, designer.CostBoundError) as exc:
         raise SchemaError(f"$: {exc}") from None

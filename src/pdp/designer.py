@@ -15,6 +15,11 @@ from fractions import Fraction
 from .agent import TooLarge
 from .core import FlowerInstance, IntegerImage, ScaledParams, designer_profit
 
+# The largest cost/K ratio r the FPTAS accepts, and the most offered sets
+# designer_oracle visits.
+_COST_RATIO = Fraction(1000)
+_ORACLE_VISITS = 1 << 22
+
 
 class QuantizationError(ValueError):
     """A z value is not a positive integer multiple of delta."""
@@ -69,12 +74,11 @@ def preprocess(
     inst: FlowerInstance,
     delta: Fraction | None = None,
     epsilon: Fraction = Fraction(1, 10),
-    r_ceiling: Fraction = Fraction(1000),
 ) -> QuantizedInstance:
     """Filter useless states and validate the quantization assumptions.
 
     A state survives when offering it alone is feasible and profitable.
-    K is the best singleton profit; every cost must be at most r_ceiling
+    K is the best singleton profit; every cost must be at most _COST_RATIO
     times K; delta must be positive and every surviving z a positive
     multiple of it.
 
@@ -114,8 +118,8 @@ def preprocess(
                 f"z[{i}] = {Fraction(z, L)} is not a positive integer multiple of {delta}"
             )
     r = Fraction(max(sp.cost[i - 1] for i in surviving) * k_den, k_num)
-    if r > r_ceiling:
-        raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {r_ceiling}")
+    if r > _COST_RATIO:
+        raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {_COST_RATIO}")
     return QuantizedInstance(inst, delta, epsilon, K, r, surviving)
 
 
@@ -205,20 +209,20 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * sp.M), bins=len(table))
 
 
-def designer_oracle(inst: FlowerInstance, guard: int = 1 << 22) -> DesignSet:
+def designer_oracle(inst: FlowerInstance) -> DesignSet:
     """Exact profit maximizer over every feasible offered set.
 
     Ties break toward the smallest cardinality, then lexicographic.  One
     integer depth-first search covers every mix of z signs with O(n)
     memory; it visits only offered sets that can still become feasible,
-    at most 2^n - 1 of them.  guard is a budget on the sets visited: the
-    search raises TooLarge once it is spent, so the guard bounds time.
+    at most 2^n - 1 of them.  _ORACLE_VISITS is a budget on the sets
+    visited: the search raises TooLarge once it is spent, so it bounds time.
     """
-    states = _oracle_search(inst.params.image, inst.scaled, guard)
+    states = _oracle_search(inst.params.image, inst.scaled)
     return DesignSet(states, designer_profit(inst, states, states))
 
 
-def _oracle_search(image: IntegerImage, sp: ScaledParams, guard: int) -> frozenset[int]:
+def _oracle_search(image: IntegerImage, sp: ScaledParams) -> frozenset[int]:
     """Depth-first search over the feasible offered sets, on integer sums.
 
     The agent offered S adopts all of S iff every i in S has
@@ -251,7 +255,7 @@ def _oracle_search(image: IntegerImage, sp: ScaledParams, guard: int) -> frozens
 
     Each set is visited once, under its own k and m, and each visit
     extends the set by candidates after its last one, so no set is
-    visited twice.  TooLarge is raised on visit guard + 1.
+    visited twice.  TooLarge is raised on visit _ORACLE_VISITS + 1.
     """
     L, A, B, z, phi, zphi = image
     order = sorted(range(len(z)), key=lambda j: (-phi[j], j))
@@ -262,13 +266,13 @@ def _oracle_search(image: IntegerImage, sp: ScaledParams, guard: int) -> frozens
     # sum lam and each z_i = w_i - lam_i > -lam_i.
     best_pnum, best_den, best_states = 0, B, ()
     path = []
-    visits = 0
+    visits, limit = 0, _ORACLE_VISITS
 
     def visit(cands, reach, start, slack, excess, den, dw, cost):
         nonlocal best_pnum, best_den, best_states, visits
         visits += 1
-        if visits > guard:
-            raise TooLarge(f"the search visits more than {guard} offered sets")
+        if visits > limit:
+            raise TooLarge(f"the search visits more than {limit} offered sets")
         if excess > 0:
             pnum = dw * L - cost * den
             cmp = pnum * best_den - best_pnum * den

@@ -30,6 +30,9 @@ from .multiagent import (
     competitive_solve,
 )
 
+# The most strategy profiles pure_nash_search enumerates.
+_NASH_PROFILES = 10**6
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -233,12 +236,12 @@ def _subsets_lex(n: int) -> list[frozenset[int]]:
     return sorted(all_subsets(n), key=lambda s: tuple(sorted(s)))
 
 
-def pure_nash_search(g: GameInstance, guard: int = 10**6):
+def pure_nash_search(g: GameInstance):
     """First profile (lexicographic) where nobody can improve, or None."""
     n = g.n
     total = (1 << n) ** g.num_designers
-    if total > guard:
-        raise TooLarge(f"{total} profiles exceed the guard {guard}")
+    if total > _NASH_PROFILES:
+        raise TooLarge(f"{total} profiles exceed the guard {_NASH_PROFILES}")
     subsets = _subsets_lex(n)
     memo = SearchMemo(g)
     for profile in itertools.product(subsets, repeat=g.num_designers):

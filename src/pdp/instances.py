@@ -20,6 +20,10 @@ from .game import Candidate, GameInstance, build_game_instance
 from .multiagent import MultiAgentInstance, build_multi_agent_instance
 
 
+# The most designer choices gen_setcover_instance admits.
+_SETCOVER_CHOICES = 2 * 10**5
+
+
 class RangeError(ValueError):
     """Generator ranges are empty or inconsistent."""
 
@@ -74,18 +78,10 @@ def gen_random_flower(n: int, seed: int, ranges=None, delta: Fraction = Fraction
     return build_flower_instance(p, q, y, c_life, c_platform, d, cost)
 
 
-def gen_random_multi_agent(
-    n: int,
-    k: int,
-    seed: int,
-    delta: Fraction = Fraction(1),
-    delta_prime: Fraction = Fraction(1, 4),
-    z_max: int = 2,
-    phi_levels: int = 12,
-    d_max: int = 8,
-) -> MultiAgentInstance:
-    """Random double-quantized instance: z multiples of delta, potentials
-    multiples of delta_prime, shared per-state costs."""
+def gen_random_multi_agent(n: int, k: int, seed: int) -> MultiAgentInstance:
+    """Random double-quantized instance: z multiples of delta = 1,
+    potentials multiples of delta_prime = 1/4, shared per-state costs."""
+    delta, delta_prime = Fraction(1), Fraction(1, 4)
     rng = random.Random(seed)
     cost = [Fraction(rng.randint(1, 5), 4) for _ in range(n)]
     agents = []
@@ -99,12 +95,12 @@ def gen_random_multi_agent(
         c_life = [Fraction(rng.randint(0, 2), 4) for _ in range(n)]
         for i in range(n):
             lam = p[i] / (1 - q[i])
-            z = rng.randint(1, z_max) * delta
+            z = rng.randint(1, 2) * delta
             w = lam + z
             y.append((1 - q[i]) - p[i] / w)
-            phi = rng.randint(0, phi_levels) * delta_prime
+            phi = rng.randint(0, 12) * delta_prime
             c_platform.append((phi * z + lam * c_life[i]) / w)
-        d = [Fraction(rng.randint(0, d_max)) for _ in range(n)]
+        d = [Fraction(rng.randint(0, 8)) for _ in range(n)]
         agents.append(build_flower_instance(p, q, y, c_life, c_platform, d, cost))
     return build_multi_agent_instance(agents, delta, delta_prime)
 
@@ -306,7 +302,7 @@ class SetCoverInstance:
         return None
 
 
-def gen_setcover_instance(U, F, k: int, guard: int = 2 * 10**5) -> SetCoverInstance:
+def gen_setcover_instance(U, F, k: int) -> SetCoverInstance:
     universe = tuple(U)
     families = tuple(frozenset(f) for f in F)
     if k < 1 or not universe or not families:
@@ -314,8 +310,8 @@ def gen_setcover_instance(U, F, k: int, guard: int = 2 * 10**5) -> SetCoverInsta
     combos = (1 << len(families)) * math.prod(
         1 + sum(1 for f in families if u in f) for u in universe
     )
-    if combos > guard:
-        raise TooLarge(f"{combos} designer choices exceed the guard {guard}")
+    if combos > _SETCOVER_CHOICES:
+        raise TooLarge(f"{combos} designer choices exceed the guard {_SETCOVER_CHOICES}")
     return SetCoverInstance(universe, families, k)
 
 

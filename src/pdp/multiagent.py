@@ -45,6 +45,8 @@ from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redu
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
 _LEVEL_CEILING = 10**12
+# The most guesses multi_agent_solve and competitive_solve may walk.
+_GRID_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def agent_guess(
                 pl.own
                 and theta is not INF
                 and curve.psi[idx] >= theta
-                and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next)
+                and (idx + 1 == len(curve.platforms) or curve.psi[idx + 1] <= theta_next)
             )
             if selected:
                 f = fall.get(s)
@@ -334,7 +336,7 @@ def multi_agent_profit(mi: MultiAgentInstance, S) -> Fraction:
     return profit
 
 
-def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
+def multi_agent_solve(mi: MultiAgentInstance) -> DesignSet:
     """Exact optimum of the shared-cost multi-agent design problem: the
     competitive problem with no rival platforms."""
     dps = mi.params
@@ -344,9 +346,9 @@ def multi_agent_solve(mi: MultiAgentInstance, budget: int = 10**6) -> DesignSet:
     total = math.prod(len(g) for g in grids) * math.prod(
         mi.n * max(int(z / mi.delta) for z in dp.z) + 1 for dp in dps
     )
-    if total > budget:
-        raise TooLarge(f"(theta, D) grid size {total} exceeds budget {budget}")
-    return competitive_solve(CompetitiveInstance(mi, ()), budget)
+    if total > _GRID_BUDGET:
+        raise TooLarge(f"(theta, D) grid size {total} exceeds budget {_GRID_BUDGET}")
+    return competitive_solve(CompetitiveInstance(mi, ()))
 
 
 @dataclass(frozen=True)
@@ -446,7 +448,7 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     return profit
 
 
-def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet:
+def competitive_solve(ci: CompetitiveInstance) -> DesignSet:
     """Exact optimum when agents also see competitor-owned platforms."""
     curves = ci.curves
     grids = [
@@ -458,6 +460,6 @@ def competitive_solve(ci: CompetitiveInstance, budget: int = 10**6) -> DesignSet
         for ac in curves
     ]
     total = math.prod(len(g) for g in grids)
-    if total > budget:
-        raise TooLarge(f"theta grid size {total} exceeds budget {budget}")
+    if total > _GRID_BUDGET:
+        raise TooLarge(f"theta grid size {total} exceeds budget {_GRID_BUDGET}")
     return _threshold_dp(ci, grids)

@@ -16,6 +16,9 @@ from fractions import Fraction
 from .agent import SignError, TooLarge
 from .core import scale_to_integers
 
+# The most selections multi_oracle enumerates.
+_ORACLE_SELECTIONS = 10**6
+
 
 class FeasibilityError(ValueError):
     """A platform selection picks two platforms for one state."""
@@ -39,14 +42,13 @@ class ParetoCurve:
 
     The points (z, z*phi) of the platforms are the vertices of the upper
     concave hull of the origin and every platform's point, up to the
-    hull's highest point.  slopes[i] is rho between platforms i and i+1;
-    psi[i] is the slope into platform i, so psi[0] is the first
-    platform's phi (the slope from the origin) and psi[1:] is slopes.
+    hull's highest point.  psi[i] is the slope into platform i: psi[0] is
+    the first platform's phi (the slope from the origin), and for i > 0
+    psi[i] is rho between platforms i - 1 and i.
     """
 
     state: int
     platforms: tuple[Platform, ...]
-    slopes: tuple[Fraction, ...]
     psi: tuple[Fraction, ...]
 
 
@@ -91,7 +93,7 @@ def prune_redundant(platforms) -> dict[int, ParetoCurve]:
         while len(psi) > 1 and psi[-1] <= 0:
             hull.pop()
             psi.pop()
-        curves[state] = ParetoCurve(state, tuple(hull), tuple(psi[1:]), tuple(psi))
+        curves[state] = ParetoCurve(state, tuple(hull), tuple(psi))
     return curves
 
 
@@ -175,12 +177,12 @@ def local_optimality_check(curves: dict[int, ParetoCurve], S, A: Fraction, B: Fr
         incoming = curve.psi[idx]
         if incoming < u:
             return False
-        if idx + 1 < len(curve.platforms) and curve.slopes[idx] > u:
+        if idx + 1 < len(curve.platforms) and curve.psi[idx + 1] > u:
             return False
     return True
 
 
-def multi_oracle(platforms, A: Fraction, B: Fraction, guard: int = 10**6) -> SelectionResult:
+def multi_oracle(platforms, A: Fraction, B: Fraction) -> SelectionResult:
     """Exhaustive maximizer over all selections of <= 1 platform per state.
 
     Ties break toward the smallest total z, then lexicographic ids.
@@ -189,8 +191,8 @@ def multi_oracle(platforms, A: Fraction, B: Fraction, guard: int = 10**6) -> Sel
     for pl in platforms:
         by_state.setdefault(pl.state, []).append(pl)
     combos = math.prod(1 + len(g) for g in by_state.values()) if by_state else 1
-    if combos > guard:
-        raise TooLarge(f"{combos} selections exceed the guard {guard}")
+    if combos > _ORACLE_SELECTIONS:
+        raise TooLarge(f"{combos} selections exceed the guard {_ORACLE_SELECTIONS}")
 
     flat = [
         (g, pl)

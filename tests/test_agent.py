@@ -143,18 +143,18 @@ def _blocked_agent_oracle(dp):
 
 def test_greedy_reference(example):
     dp = derived_params(example)
-    result, trace = greedy_solve(dp)
+    result, steps = greedy_solve(dp)
     assert result.states == frozenset({1, 2})
     assert result.utility == F(6, 5)
-    assert trace.order == (2, 1)
+    assert [s.state for s in steps] == [2, 1]
 
 
 def test_greedy_trace_monotone():
     for seed in range(20):
         inst = gen_random_flower(6, seed=seed)
         dp = derived_params(inst)
-        result, trace = greedy_solve(dp)
-        accepted = [s for s in trace.steps if s.accepted]
+        result, steps = greedy_solve(dp)
+        accepted = [s for s in steps if s.accepted]
         for first, second in zip(accepted, accepted[1:]):
             assert first.utility_before < second.utility_before
         # The trace replays to the returned set.
@@ -227,10 +227,11 @@ def test_oracle_single_state():
         assert result.states == frozenset()
 
 
-def test_oracle_guard():
+def test_oracle_guard(monkeypatch):
     inst = gen_random_flower(4, seed=0)
+    monkeypatch.setattr(agent, "_ORACLE_STATES", 3)
     with pytest.raises(TooLarge):
-        agent_oracle(derived_params(inst), guard=3)
+        agent_oracle(derived_params(inst))
 
 
 def test_greedy_matches_oracle_positive_corpus():
@@ -479,7 +480,7 @@ def _ref_greedy_solve(dp):
         chosen.add(i)
         num += dp.z[i - 1] * dp.phi[i - 1]
         den += dp.z[i - 1]
-    return AdoptionSet(frozenset(chosen), num / den), agent.GreedyTrace(tuple(order), tuple(steps))
+    return AdoptionSet(frozenset(chosen), num / den), tuple(steps)
 
 
 def test_integer_solvers_match_fraction_reference(reference_flowers):
@@ -491,9 +492,9 @@ def test_integer_solvers_match_fraction_reference(reference_flowers):
         assert greedy_solve_signed(dp) == AdoptionSet(states, utility)
         if all(z > 0 for z in dp.z):
             positive += 1
-            result, trace = greedy_solve(dp)
-            assert (result, trace) == _ref_greedy_solve(dp)
-            assert all(type(step.utility_before) is F for step in trace.steps)
+            result, steps = greedy_solve(dp)
+            assert (result, steps) == _ref_greedy_solve(dp)
+            assert all(type(step.utility_before) is F for step in steps)
         else:
             with pytest.raises(SignError):
                 greedy_solve(dp)

@@ -383,3 +383,25 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: assert on lines {lines}"
         lines = [node.lineno for node in ast.walk(tree) if names_cache(node)]
         assert not lines, f"{path.name}: process-wide cache on lines {lines}"
+
+
+def test_package_bounds_are_constants():
+    # An enumeration guard, a grid budget or a ceiling is a fixed bound of
+    # the algorithm, kept as a module constant that a test can patch, never
+    # a parameter that a caller can change.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+
+    def is_bound(name):
+        return name in ("guard", "budget") or name.endswith("_ceiling")
+
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [
+            (getattr(node, "name", "lambda"), arg.arg)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+            if is_bound(arg.arg)
+        ]
+        assert not found, f"{path.name}: bound parameters {found}"

@@ -302,9 +302,10 @@ def test_preprocess_empty_instance(example):
         preprocess(inst)
 
 
-def test_preprocess_cost_bound_error(example):
+def test_preprocess_cost_bound_error(example, monkeypatch):
+    monkeypatch.setattr(designer, "_COST_RATIO", F(1, 1000))
     with pytest.raises(CostBoundError):
-        preprocess(example, r_ceiling=F(1, 1000))
+        preprocess(example)
 
 
 def test_preprocess_epsilon_range(example):
@@ -350,18 +351,20 @@ def test_oracle_empty_without_demand(example):
     assert result.profit == 0
 
 
-def test_oracle_guard(example):
+def test_oracle_guard(example, monkeypatch):
+    monkeypatch.setattr(designer, "_ORACLE_VISITS", 1)
     with pytest.raises(TooLarge):
-        designer_oracle(example, guard=1)
+        designer_oracle(example)
 
 
-def test_oracle_budget_counts_visited_sets():
+def test_oracle_budget_counts_visited_sets(monkeypatch):
     # The mixed-sign twin of gen_random_flower(20, seed=3): the search
     # needs well under a quarter of the 2^20 sets the sweep visits.
     twin = gen_random_flower(20, seed=3, ranges={"allow_negative_z": True}, delta=F(1, 16))
     assert any(z < 0 for z in derived_params(twin).z)
     expected = _oracle_sweep(_ref_scaled_params(twin, derived_params(twin)))
-    assert designer_oracle(twin, guard=(1 << 20) // 4).states == expected
+    monkeypatch.setattr(designer, "_ORACLE_VISITS", (1 << 20) // 4)
+    assert designer_oracle(twin).states == expected
 
 
 def test_oracle_tie_breaks(example):
@@ -855,7 +858,7 @@ def test_integer_fptas_matches_sorted_reference():
     assert outcomes[QuantizationError] >= 40 and outcomes[EmptyInstance] >= 10
 
 
-def test_preprocess_errors_match_fraction_reference(example):
+def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
     # Each check's error, type and text, on the example, on a mixed-sign
     # flower whose surviving negative z fails the quantization test, and on
     # a flower of fractional z (L = 9324) that 3/16 does not divide, although
@@ -877,7 +880,6 @@ def test_preprocess_errors_match_fraction_reference(example):
         (example, {"delta": F(2, 3)}),
         (example, {"delta": 2}),
         (example, {"delta": 1}),
-        (example, {"r_ceiling": F(1, 1000)}),
         (worthless, {}),
         (mixed, {}),
         (mixed, {"delta": F(1, 16)}),
@@ -889,6 +891,10 @@ def test_preprocess_errors_match_fraction_reference(example):
             _ref_preprocess, inst, **kwargs
         )
     assert _raised(preprocess, mixed)[0] is QuantizationError
+    monkeypatch.setattr(designer, "_COST_RATIO", F(1, 1000))
+    assert _preprocessed(preprocess, example) == _preprocessed(
+        _ref_preprocess, example, r_ceiling=F(1, 1000)
+    )
 
 
 def test_fptas_quantization_error_matches_sorted_reference(example):

@@ -167,9 +167,10 @@ def test_build_validation():
         build_game_instance(g.chassis, (bad,), g.delta, g.delta_prime)
 
 
-def test_pure_nash_guard():
+def test_pure_nash_guard(monkeypatch):
+    monkeypatch.setattr(game, "_NASH_PROFILES", 1)
     with pytest.raises(TooLarge):
-        pure_nash_search(gen_no_nash_game(), guard=1)
+        pure_nash_search(gen_no_nash_game())
 
 
 def test_solved_games_are_freed():

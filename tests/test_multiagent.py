@@ -174,7 +174,7 @@ def reference_competitive_solve(ci):
                     if (
                         theta[i] is not INF
                         and curve.psi[idx] >= theta[i]
-                        and (idx + 1 == len(curve.platforms) or curve.slopes[idx] <= theta_next[i])
+                        and (idx + 1 == len(curve.platforms) or curve.psi[idx + 1] <= theta_next[i])
                     ):
                         f = fall.get(s)
                         fz = f.z if f else F(0)
@@ -375,20 +375,48 @@ def test_solve_matches_brute_force():
         assert multi_agent_profit(mi, result.states) == result.profit
 
 
-def test_solve_guard():
+def test_solve_guard(monkeypatch):
     mi = gen_random_multi_agent(3, 2, seed=6)
+    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
     with pytest.raises(TooLarge):
-        multi_agent_solve(mi, budget=1)
+        multi_agent_solve(mi)
 
 
-def test_solve_guard_counts_denominator_guesses():
+def test_solve_guard_counts_denominator_guesses(monkeypatch):
     # A budget the theta grid alone fits: the competitive guard passes,
     # and only the multi-agent count of D guesses exceeds it.
     mi = gen_random_multi_agent(3, 2, seed=6)
+    unpatched = multi_agent_solve(mi)
     budget = math.prod(len(theta_grid(dp.phi)) for dp in mi.params)
-    assert competitive_solve(CompetitiveInstance(mi, ()), budget) == multi_agent_solve(mi)
+    monkeypatch.setattr(multiagent, "_GRID_BUDGET", budget)
+    assert competitive_solve(CompetitiveInstance(mi, ())) == unpatched
     with pytest.raises(TooLarge, match=r"\(theta, D\) grid size"):
-        multi_agent_solve(mi, budget=budget)
+        multi_agent_solve(mi)
+
+
+def narrow_multi_agent(n, k, seed):
+    """gen_random_multi_agent(n, k, seed) with potentials phi in 0..2 quarters
+    and demands d in 0..2 instead of 0..12 and 0..8, so that ties repeat.
+    The random draws come in the generator's order."""
+    rng = random.Random(seed)
+    cost = [F(rng.randint(1, 5), 4) for _ in range(n)]
+    agents = []
+    for _ in range(k):
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        p = [F(wt, sum(weights)) for wt in weights]
+        q = [F(rng.randint(1, 8), 10) for _ in range(n)]
+        c_life = [F(rng.randint(0, 2), 4) for _ in range(n)]
+        y, c_platform = [], []
+        for i in range(n):
+            lam = p[i] / (1 - q[i])
+            z = F(rng.randint(1, 2))
+            w = lam + z
+            y.append((1 - q[i]) - p[i] / w)
+            phi = rng.randint(0, 2) * F(1, 4)
+            c_platform.append((phi * z + lam * c_life[i]) / w)
+        d = [F(rng.randint(0, 2)) for _ in range(n)]
+        agents.append(build_flower_instance(p, q, y, c_life, c_platform, d, cost))
+    return build_multi_agent_instance(agents, F(1), F(1, 4))
 
 
 def random_externals(mi, seed, count=None, phi_levels=10):
@@ -431,8 +459,7 @@ def test_integer_core_matches_references():
     for idx in range(200):
         n, k = reference_shape(idx)
         narrow = idx % 3 == 0
-        ranges = {"phi_levels": 2, "d_max": 2} if narrow else {}
-        mi = gen_random_multi_agent(n, k, seed=700 + idx, **ranges)
+        mi = (narrow_multi_agent if narrow else gen_random_multi_agent)(n, k, seed=700 + idx)
         got = multi_agent_solve(mi)
         want = reference_multi_agent_solve(mi)
         assert (got.states, got.profit) == (want.states, want.profit), idx
@@ -494,11 +521,12 @@ def test_competitive_build_validation():
         )
 
 
-def test_competitive_guard():
+def test_competitive_guard(monkeypatch):
     mi = gen_random_multi_agent(3, 2, seed=8)
     ci = build_competitive_instance(mi, random_externals(mi, 8))
+    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
     with pytest.raises(TooLarge):
-        competitive_solve(ci, budget=1)
+        competitive_solve(ci)
 
 
 def test_dominant_externals_kill_the_market():
@@ -613,8 +641,8 @@ def test_key_only_pass_matches_valued_dp(monkeypatch):
     cases = []
     for idx in range(60):
         n, k = reference_shape(idx)
-        ranges = {"phi_levels": 2, "d_max": 2} if idx % 3 == 0 else {}
-        mi = gen_random_multi_agent(n, k, seed=900 + idx, **ranges)
+        generate = narrow_multi_agent if idx % 3 == 0 else gen_random_multi_agent
+        mi = generate(n, k, seed=900 + idx)
         cases.append((multi_agent_solve, mi))
         ci = build_competitive_instance(mi, random_externals(mi, idx, count=1 + idx % 3))
         cases.append((competitive_solve, ci))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pdp import multiplatform
 from pdp.agent import SignError, TooLarge
 from pdp.multiplatform import (
     FeasibilityError,
@@ -64,9 +65,8 @@ def _ref_prune_redundant(platforms) -> dict[int, ParetoCurve]:
                 stack.pop()
             stack.append(pl)
 
-        slopes = tuple(_rho(stack[i], stack[i + 1]) for i in range(len(stack) - 1))
-        psi = (stack[0].phi,) + slopes
-        curves[state] = ParetoCurve(state, tuple(stack), slopes, psi)
+        psi = (stack[0].phi,) + tuple(_rho(a, b) for a, b in zip(stack, stack[1:]))
+        curves[state] = ParetoCurve(state, tuple(stack), psi)
     return curves
 
 
@@ -165,7 +165,6 @@ def test_prune_matches_reference():
             assert [(pl.id, pl.z, pl.phi) for pl in got[state].platforms] == [
                 (pl.id, pl.z, pl.phi) for pl in curve.platforms
             ]
-            assert got[state].slopes == curve.slopes
             assert got[state].psi == curve.psi
 
 
@@ -184,9 +183,10 @@ def test_curve_invariants_on_random_corpus():
             assert zs == sorted(zs) and len(set(zs)) == len(zs)
             assert phis == sorted(phis, reverse=True) and len(set(phis)) == len(phis)
             assert zphis == sorted(zphis) and len(set(zphis)) == len(zphis)
-            assert list(curve.slopes) == sorted(curve.slopes, reverse=True)
-            assert len(set(curve.slopes)) == len(curve.slopes)
-            assert all(s > 0 for s in curve.slopes)
+            slopes = curve.psi[1:]
+            assert list(slopes) == sorted(slopes, reverse=True)
+            assert len(set(slopes)) == len(slopes)
+            assert all(s > 0 for s in slopes)
             for idx, pl in enumerate(curve.platforms):
                 assert curve.psi[idx] <= pl.phi
             assert list(curve.psi) == sorted(curve.psi, reverse=True)
@@ -252,7 +252,7 @@ def test_swap_lemma_interpolation():
                 b = curve.platforms[idx + 1]
                 u_before = selection_utility([a], A, B)
                 u_after = selection_utility([b], A, B)
-                rho = curve.slopes[idx]
+                rho = curve.psi[idx + 1]
                 assert min(u_before, rho) <= u_after <= max(u_before, rho)
 
 
@@ -277,7 +277,8 @@ def test_oracle_tie_breaks():
     assert sel.utility == 2
 
 
-def test_oracle_guard():
+def test_oracle_guard(monkeypatch):
     platforms, A, B = random_platforms(7)
+    monkeypatch.setattr(multiplatform, "_ORACLE_SELECTIONS", 1)
     with pytest.raises(TooLarge):
-        multi_oracle(platforms, A, B, guard=1)
+        multi_oracle(platforms, A, B)

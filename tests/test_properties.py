@@ -73,4 +73,4 @@ def test_pruned_curves_are_strictly_convex(data):
         zphis = [pl.z * pl.phi for pl in curve.platforms]
         assert zs == sorted(zs) and len(set(zs)) == len(zs)
         assert zphis == sorted(zphis) and len(set(zphis)) == len(zphis)
-        assert list(curve.slopes) == sorted(set(curve.slopes), reverse=True)
+        assert list(curve.psi[1:]) == sorted(set(curve.psi[1:]), reverse=True)
