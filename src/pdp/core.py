@@ -240,7 +240,7 @@ def scale_to_integers(*vectors):
     return (L, *(tuple(num * (L // den) for num, den in vec) for vec in vectors))
 
 
-def _product(x: Fraction, y: Fraction) -> tuple[int, int]:
+def product_pair(x: Fraction, y: Fraction) -> tuple[int, int]:
     """x * y as a (numerator, denominator) pair in lowest terms."""
     num, den = x.numerator * y.numerator, x.denominator * y.denominator
     g = math.gcd(num, den)
@@ -250,7 +250,7 @@ def _product(x: Fraction, y: Fraction) -> tuple[int, int]:
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
     """The ScaledParams of `inst`: M is the lcm of the denominators of d*w
     and cost, the products d*w entering as lowest-terms pairs, one gcd each."""
-    return ScaledParams(*scale_to_integers(tuple(map(_product, inst.d, dp.w)), inst.cost))
+    return ScaledParams(*scale_to_integers(tuple(map(product_pair, inst.d, dp.w)), inst.cost))
 
 
 def all_subsets(n: int):

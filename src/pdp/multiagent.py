@@ -9,11 +9,14 @@ equal the true profit.
 
 One core, `_threshold_dp`, runs that DP.  The multi-agent problem is the
 competitive one with no rival platforms, so `multi_agent_solve` checks its
-(theta, D) budget and hands the instance to `competitive_solve`.  Per
-agent and threshold guess, `agent_guess` reads off the agent's Pareto
-curves the candidates it picks, its utility numerator and denominator
-without them (a_hat, b_hat), and the shift each pick adds (sigma, tau);
-with no rival platforms a_hat = A, b_hat = B, sigma = z*phi, tau = z.
+(theta, D) budget and hands the instance to `competitive_solve`.  Each
+agent's Pareto curves have one integer image (`CurveImage`), built with
+the competitive instance's curves.  Per agent and threshold guess,
+`agent_guess` reads off that image the candidates the agent picks, its
+utility numerator and denominator without them (a_hat, b_hat), and the
+shift each pick adds (sigma, tau); with no rival platforms a_hat = A,
+b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` walks the same
+image.
 Everything that depends on the guess alone (slot steps, reachable D,
 consistency bounds) is worked out once per agent and guess.  Slot keys
 and slot values are integers: for each D the value coefficients share
@@ -36,11 +39,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .agent import TooLarge, adopted_response
-from .core import DerivedParams, FlowerInstance, scale_to_integers
+from .core import DerivedParams, FlowerInstance, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
-from .multiplatform import ParetoCurve, Platform, multi_greedy_solve, prune_redundant
+from .multiplatform import ParetoCurve, Platform, prune_redundant
 
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
@@ -77,6 +81,11 @@ class MultiAgentInstance:
     def params(self) -> tuple[DerivedParams, ...]:
         """Each agent's derived parameters, kept on the agent."""
         return tuple(a.params for a in self.agents)
+
+    @cached_property
+    def integer_cost(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, costs times scale), built on first use and kept."""
+        return scale_to_integers(self.cost)
 
 
 def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
@@ -133,10 +142,6 @@ def _windows(grid):
     return zip(grid, (*grid[1:], Fraction(-1)))
 
 
-def _ceil(x: Fraction) -> int:
-    return -(-x.numerator // x.denominator)
-
-
 @dataclass(frozen=True)
 class AgentGuess:
     """One agent under one threshold guess, over integers, with everything
@@ -152,8 +157,8 @@ class AgentGuess:
     per reachable denominator D = b_hat + level*delta in increasing
     order, (level, D*L, lo, hi): a slot with these counters is
     consistent iff its denominator counter equals level and lo <= its
-    numerator counter <= hi (hi None: no upper bound).  L is one integer
-    scale for dw and every D.
+    numerator counter <= hi (hi None: no upper bound).  L is the scale of
+    the agent's CurveImage.
     """
 
     member: tuple[bool, ...]
@@ -164,60 +169,68 @@ class AgentGuess:
     options: tuple[tuple[int, int, int, int | None], ...]
 
 
-def agent_guess(
-    ac: AgentCurves, dw, theta, theta_next, delta: Fraction, dd: Fraction
-) -> AgentGuess:
-    """The AgentGuess of one agent under the window [theta_next, theta).
+def agent_guess(ac: AgentCurves, theta, theta_next, dd: Fraction) -> AgentGuess:
+    """The AgentGuess of one agent under the window [theta_next, theta),
+    read off the agent's CurveImage; dd is delta*delta_prime.
 
     The agent's fallback is its selection on the rival curves alone; it
     picks the designer's candidate at a state when the candidate is the
     selected point of that state's inserted curve, which replaces the
-    fallback there.  dw holds the agent's d_j*w_j and dd is
-    delta*delta_prime.
+    fallback there.  Each psi >= theta test reads psi_num * theta_den >=
+    theta_num * psi_den, as both denominators are positive.
     """
+    im = ac.image
+    n_num, n_den = theta_next.numerator, theta_next.denominator
     fall = {}
-    for s, curve in ac.base.items():
-        pick = None
-        for idx, pl in enumerate(curve.platforms):
-            if theta is not INF and curve.psi[idx] >= theta:
-                pick = pl
-        fall[s] = pick
-    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), Fraction(0))
-    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), Fraction(0))
-    n = ac.dp.n
+    if theta is not INF:
+        t_num, t_den = theta.numerator, theta.denominator
+        for s, curve in im.base.items():
+            pick = None
+            for e in curve:
+                if e.psi * t_den >= t_num * e.psi_den:
+                    pick = e
+            fall[s] = pick
+    a_hat = im.A + sum(f.zphi for f in fall.values() if f)
+    b_hat = im.B + sum(f.z for f in fall.values() if f)
+    n = len(im.dw)
+    dd_num, dd_den = dd.numerator, dd.denominator
+    scale = im.L * dd_num
     member = [False] * n
     a_steps, b_steps, bad = [0] * n, [0] * n, []
-    for s, curve in ac.with_own.items():
-        for idx, pl in enumerate(curve.platforms):
-            selected = (
-                pl.own
-                and theta is not INF
-                and curve.psi[idx] >= theta
-                and (idx + 1 == len(curve.platforms) or curve.psi[idx + 1] <= theta_next)
-            )
-            if selected:
+    if theta is not INF:
+        for s, curve in im.with_own.items():
+            for idx, e in enumerate(curve):
+                if not (e.own and e.psi * t_den >= t_num * e.psi_den):
+                    continue
+                if idx + 1 < len(curve) and curve[idx + 1].psi * n_den > n_num * curve[idx + 1].psi_den:
+                    continue
                 f = fall.get(s)
-                a = (pl.z * pl.phi - (f.z * f.phi if f else 0)) / dd  # sigma / dd
-                b = (pl.z - (f.z if f else 0)) / delta  # tau / delta
-                if a.denominator != 1 or b.denominator != 1:
-                    bad.append(pl.state)
-                j = pl.state - 1
-                member[j] = True
-                a_steps[j], b_steps[j] = int(a), int(b)
-    _, (b_hat_L, delta_L), dw = scale_to_integers((b_hat, delta), dw)
-    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw)
+                # sigma / dd and tau / delta, both taken at scale L.
+                a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
+                b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
+                if a_rest or b_rest:
+                    bad.append(s)
+                member[s - 1] = True
+                a_steps[s - 1], b_steps[s - 1] = a, b
+    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
     if bad:
         return AgentGuess(*scaled, ())
     levels = {0}
     for b, picked in zip(b_steps, member):
         if picked:
             levels |= {s + b for s in levels}
+    # With numerator counter c the utility is (a_hat + c*dd*L) / D over L,
+    # which is >= t = t_num / t_den iff c >= (t_num*D - t_den*a_hat) * dd_den
+    # / (t_den * L * dd_num): lo is that bound's ceiling at theta_next, and
+    # hi one less than it at theta.
     options = []
     for level in sorted(levels):
-        D = b_hat + level * delta
-        lo = _ceil((theta_next * D - a_hat) / dd)
-        hi = None if theta is INF else _ceil((theta * D - a_hat) / dd) - 1
-        options.append((level, b_hat_L + level * delta_L, lo, hi))
+        D = b_hat + level * im.delta
+        lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
+        hi = None
+        if theta is not INF:
+            hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
+        options.append((level, D, lo, hi))
     return AgentGuess(*scaled, tuple(options))
 
 
@@ -257,16 +270,11 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     mi = ci.mi
     k = mi.k
     dd = mi.delta * mi.delta_prime
-    cost_scale, cost = scale_to_integers(mi.cost)
-    guesses = []
-    for grid, a, ac in zip(grids, mi.agents, ci.curves):
-        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
-        guesses.append(
-            [
-                agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
-                for theta, theta_next in _windows(grid)
-            ]
-        )
+    cost_scale, cost = mi.integer_cost
+    guesses = [
+        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, ac in zip(grids, ci.curves)
+    ]
 
     best = None  # (value numerator, its denominator, states)
     for combo in itertools.product(*guesses):
@@ -362,15 +370,87 @@ class ExternalPlatform:
     owner: object = "external"
 
 
+class CurveEntry(NamedTuple):
+    """One point of a Pareto curve, in a CurveImage: the slope into it as
+    psi / psi_den, its index idx on the curve of its state, z and z*phi
+    times L, whether it is the designer's own candidate, and whether it
+    comes from the curves with that candidate inserted."""
+
+    psi: int
+    psi_den: int
+    state: int
+    idx: int
+    z: int
+    zphi: int
+    own: bool
+    inserted: bool
+
+
+class CurveImage(NamedTuple):
+    """One agent's AgentCurves over one common denominator L.
+
+    A, B, delta and dw (d_j * w_j per state) are the rational values times
+    L, as are each entry's z and z*phi, so a selection's utility is
+    (A + sum zphi) / (B + sum z) and the designer's revenue from it is
+    (sum dw) / (B + sum z).  base and with_own hold each state's entries
+    in curve order; entries holds both curve sets' entries in the greedy's
+    order: psi descending, then state, then str(id).
+    """
+
+    L: int
+    A: int
+    B: int
+    delta: int
+    dw: tuple[int, ...]
+    base: dict[int, tuple[CurveEntry, ...]]
+    with_own: dict[int, tuple[CurveEntry, ...]]
+    entries: tuple[CurveEntry, ...]
+
+
+def curve_image(dp: DerivedParams, d, delta: Fraction, base, with_own) -> CurveImage:
+    """The CurveImage of one agent's curves; d holds its rewards d_j."""
+    points = [
+        (psi, state, idx, pl, inserted)
+        for inserted, curves in enumerate((base, with_own))
+        for state, curve in curves.items()
+        for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
+    ]
+    L, (A, B, delta_L), dw, z, zphi = scale_to_integers(
+        (dp.A, dp.B, delta),
+        tuple(map(product_pair, d, dp.w)),
+        [pl.z for _, _, _, pl, _ in points],
+        [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
+    )
+    entries = [
+        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
+        for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
+    ]
+    by_curve = ({}, {})
+    for e in entries:
+        by_curve[e.inserted].setdefault(e.state, []).append(e)
+    # Both sorts are stable (reverse=True included), so this is the order of
+    # the key (-psi, state, str(id)), and equal keys (one str(id) twice on a
+    # curve) keep curve order, as in multi_greedy_solve.
+    order = sorted(range(len(points)), key=lambda t: (points[t][1], str(points[t][3].id)))
+    order.sort(key=lambda t: points[t][0], reverse=True)
+    return CurveImage(
+        L, A, B, delta_L, dw,
+        *({s: tuple(es) for s, es in curves.items()} for curves in by_curve),
+        tuple(entries[t] for t in order),
+    )
+
+
 @dataclass(frozen=True)
 class AgentCurves:
     """One agent's side of a competitive instance: its derived parameters,
-    the Pareto curves of the externals alone, and the curves with the
-    designer's candidate inserted at every state."""
+    the Pareto curves of the externals alone, the curves with the
+    designer's candidate inserted at every state, and their integer image,
+    which agent_guess and competitive_profit read."""
 
     dp: DerivedParams
     base: dict[int, ParetoCurve]
     with_own: dict[int, ParetoCurve]
+    image: CurveImage
 
 
 @dataclass(frozen=True)
@@ -384,19 +464,21 @@ class CompetitiveInstance:
 
     @cached_property
     def curves(self) -> tuple[AgentCurves, ...]:
-        """Per-agent curves, pruned once per instance.  A state's curve
-        depends only on the platforms at that state, so the curves over
-        the externals plus an offered set S are base outside S and
-        with_own inside it."""
+        """Per-agent curves and their integer images, built once per
+        instance.  A state's curve depends only on the platforms at that
+        state, so the curves over the externals plus an offered set S are
+        base outside S and with_own inside it."""
         out = []
-        for i, dp in enumerate(self.mi.params):
+        for i, (a, dp) in enumerate(zip(self.mi.agents, self.mi.params)):
             ext = self.external_platforms(i)
             own = [
                 Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
                 for j in range(1, self.mi.n + 1)
             ]
             base = prune_redundant(ext) if ext else {}
-            out.append(AgentCurves(dp, base, prune_redundant(ext + own)))
+            with_own = prune_redundant(ext + own)
+            image = curve_image(dp, a.d, self.mi.delta, base, with_own)
+            out.append(AgentCurves(dp, base, with_own, image))
         return tuple(out)
 
 
@@ -427,25 +509,51 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
     return CompetitiveInstance(mi, externals)
 
 
+def _own_revenue(im: CurveImage, S: frozenset) -> tuple[int, int]:
+    """The designer's revenue from one agent offered S, as (sum dw, its
+    denominator B + sum z), both over L.
+
+    The agent's exact response is the greedy of multi_greedy_solve over
+    the with_own curves at the states of S and the base curves elsewhere.
+    Its walk over the merged entries skips the other curve set at each
+    state; a state never shows entries of both, so the walk sees the
+    greedy's sorted entries in its order.  It stops once psi <= num / den,
+    read as psi * den <= num * psi_den.
+    """
+    num, den = im.A, im.B
+    selected: dict[int, CurveEntry] = {}
+    for e in im.entries:
+        if e.inserted != (e.state in S):
+            continue
+        if e.psi * den <= num * e.psi_den:
+            break
+        prev = selected.get(e.state)
+        if prev is not None:
+            if e.idx != prev.idx + 1:
+                raise RuntimeError(
+                    f"state {e.state}: curve entry {e.idx} follows entry {prev.idx}, not its predecessor"
+                )
+            num -= prev.zphi
+            den -= prev.z
+        selected[e.state] = e
+        num += e.zphi
+        den += e.z
+    return sum(im.dw[s - 1] for s, e in selected.items() if e.own), den
+
+
 def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     """Ground truth: each agent picks over externals plus the offered
-    candidates; the designer earns only from its own adopted platforms."""
+    candidates; the designer earns only from its own adopted platforms.
+    Runs on the integer costs and curve images; the profit is the only
+    Fraction."""
     S = frozenset(S)
-    mi = ci.mi
-    profit = -sum((mi.cost[j - 1] for j in S), Fraction(0))
-    for a, ac in zip(mi.agents, ci.curves):
-        curves = {s: ac.with_own[s] for s in S}
-        curves.update((s, curve) for s, curve in ac.base.items() if s not in S)
-        if not curves:
-            continue
-        sel = multi_greedy_solve(curves, ac.dp.A, ac.dp.B)
-        den = ac.dp.B + sum((pl.z for pl in sel.platforms), Fraction(0))
-        own_rev = sum(
-            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.own),
-            Fraction(0),
-        )
-        profit += own_rev / den
-    return profit
+    cost_scale, cost = ci.mi.integer_cost
+    num, den = -sum(cost[j - 1] for j in S), cost_scale
+    for ac in ci.curves:
+        rev, D = _own_revenue(ac.image, S)
+        if rev:
+            num, den = num * D + rev * den, den * D
+    return Fraction(num, den)
 
 
 def competitive_solve(ci: CompetitiveInstance) -> DesignSet:

@@ -206,18 +206,21 @@ def multi_oracle(platforms, A: Fraction, B: Fraction) -> SelectionResult:
     for (g, pl), zphi, z in zip(flat, zphis, zs):
         options[g].append((zphi, z, z, pl))
 
-    best = None
+    def ids(combo):
+        return tuple(sorted(str(c[3].id) for c in combo if c[3] is not None))
+
+    best = None  # (num, den, total_z, combo)
     for combo in itertools.product(*options):
         num = base_num + sum(c[0] for c in combo)
         den = base_den + sum(c[1] for c in combo)
         total_z = sum(c[2] for c in combo)
-        ids = tuple(sorted((str(c[3].id) for c in combo if c[3] is not None)))
-        key = (num, den, total_z, ids)
-        if best is None:
-            best = (key, combo)
-            continue
-        cmp = num * best[0][1] - best[0][0] * den
-        if cmp > 0 or (cmp == 0 and (total_z, ids) < (best[0][2], best[0][3])):
-            best = (key, combo)
-    chosen = tuple(sorted((c[3] for c in best[1] if c[3] is not None), key=lambda p: p.state))
-    return SelectionResult(chosen, Fraction(best[0][0], best[0][1]))
+        if best is not None:
+            cmp = num * best[1] - best[0] * den
+            if cmp < 0 or (cmp == 0 and total_z > best[2]):
+                continue
+            # The id tuples are formed only on a tie in utility and total z.
+            if cmp == 0 and total_z == best[2] and ids(combo) >= ids(best[3]):
+                continue
+        best = (num, den, total_z, combo)
+    chosen = tuple(sorted((c[3] for c in best[3] if c[3] is not None), key=lambda p: p.state))
+    return SelectionResult(chosen, Fraction(best[0], best[1]))

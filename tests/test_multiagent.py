@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdp import multiagent
+from pdp import game, multiagent
 from pdp.agent import TooLarge
 from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
@@ -34,7 +34,7 @@ from pdp.multiagent import (
     slot_coefficients,
     theta_grid,
 )
-from pdp.multiplatform import Platform, prune_redundant
+from pdp.multiplatform import Platform, multi_greedy_solve, prune_redundant
 
 
 # Reference solvers: the threshold DP on Fractions, one copy per solver,
@@ -291,11 +291,10 @@ def multi_agent_guesses(mi, theta):
     """Each agent's AgentGuess with no rival platforms at thresholds theta."""
     dd = mi.delta * mi.delta_prime
     guesses = []
-    for i, (a, ac) in enumerate(zip(mi.agents, CompetitiveInstance(mi, ()).curves)):
+    for i, ac in enumerate(CompetitiveInstance(mi, ()).curves):
         grid = theta_grid(ac.dp.phi)
         theta_next = (*grid[1:], F(-1))[grid.index(theta[i])]
-        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
-        guesses.append(agent_guess(ac, dw, theta[i], theta_next, mi.delta, dd))
+        guesses.append(agent_guess(ac, theta[i], theta_next, dd))
     return guesses
 
 
@@ -558,15 +557,10 @@ def _valued_threshold_dp(ci, grids):
     k = mi.k
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
-    guesses = []
-    for grid, a, ac in zip(grids, mi.agents, ci.curves):
-        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
-        guesses.append(
-            [
-                agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
-                for theta, theta_next in _windows(grid)
-            ]
-        )
+    guesses = [
+        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, ac in zip(grids, ci.curves)
+    ]
 
     best = None  # (value numerator, its denominator, states)
     for combo in itertools.product(*guesses):
@@ -680,11 +674,8 @@ def _consistent_pairs(ci):
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
     guesses = [
-        [
-            agent_guess(ac, [d * w for d, w in zip(a.d, ac.dp.w)], theta, theta_next, mi.delta, dd)
-            for theta, theta_next in _windows(grid)
-        ]
-        for grid, a, ac in zip(_solve_grids(ci), mi.agents, ci.curves)
+        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, ac in zip(_solve_grids(ci), ci.curves)
     ]
     pairs = Counter()
     attempted = 0
@@ -766,3 +757,228 @@ def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
     result = _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
     assert calls == [((1, 3, lo, hi),)]
     assert result == DesignSet(frozenset({1}), F(12, 3) - mi.cost[0])
+
+
+# The competitive layer on Fractions, as it stood before the curve images:
+# the profit through multi_greedy_solve and the agent's guess read off the
+# Pareto curves, with the agent's d*w and delta passed in.
+
+
+def reference_competitive_profit(ci, S):
+    S = frozenset(S)
+    mi = ci.mi
+    profit = -sum((mi.cost[j - 1] for j in S), F(0))
+    for a, ac in zip(mi.agents, ci.curves):
+        curves = {s: ac.with_own[s] for s in S}
+        curves.update((s, curve) for s, curve in ac.base.items() if s not in S)
+        if not curves:
+            continue
+        sel = multi_greedy_solve(curves, ac.dp.A, ac.dp.B)
+        den = ac.dp.B + sum((pl.z for pl in sel.platforms), F(0))
+        own_rev = sum(
+            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.own),
+            F(0),
+        )
+        profit += own_rev / den
+    return profit
+
+
+def _ceil(x):
+    return -(-x.numerator // x.denominator)
+
+
+def reference_agent_guess(ac, dw, theta, theta_next, delta, dd):
+    """The AgentGuess on Fractions, and the scale L of its dw and D."""
+    fall = {}
+    for s, curve in ac.base.items():
+        pick = None
+        for idx, pl in enumerate(curve.platforms):
+            if theta is not INF and curve.psi[idx] >= theta:
+                pick = pl
+        fall[s] = pick
+    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), F(0))
+    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), F(0))
+    n = ac.dp.n
+    member = [False] * n
+    a_steps, b_steps, bad = [0] * n, [0] * n, []
+    for s, curve in ac.with_own.items():
+        for idx, pl in enumerate(curve.platforms):
+            selected = (
+                pl.own
+                and theta is not INF
+                and curve.psi[idx] >= theta
+                and (idx + 1 == len(curve.platforms) or curve.psi[idx + 1] <= theta_next)
+            )
+            if selected:
+                f = fall.get(s)
+                a = (pl.z * pl.phi - (f.z * f.phi if f else 0)) / dd
+                b = (pl.z - (f.z if f else 0)) / delta
+                if a.denominator != 1 or b.denominator != 1:
+                    bad.append(pl.state)
+                j = pl.state - 1
+                member[j] = True
+                a_steps[j], b_steps[j] = int(a), int(b)
+    L, (b_hat_L, delta_L), dw = scale_to_integers((b_hat, delta), dw)
+    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw)
+    if bad:
+        return AgentGuess(*scaled, ()), L
+    levels = {0}
+    for b, picked in zip(b_steps, member):
+        if picked:
+            levels |= {s + b for s in levels}
+    options = []
+    for level in sorted(levels):
+        D = b_hat + level * delta
+        lo = _ceil((theta_next * D - a_hat) / dd)
+        hi = None if theta is INF else _ceil((theta * D - a_hat) / dd) - 1
+        options.append((level, b_hat_L + level * delta_L, lo, hi))
+    return AgentGuess(*scaled, tuple(options)), L
+
+
+def assert_guesses_match(ci):
+    """Every agent's guess under every window of competitive_solve's grids
+    equals the reference: member, bad, the levels, lo and hi exactly, the
+    steps at every state whose shifts are whole (the DP raises before it
+    reads any other), and dw and each D up to each side's scale."""
+    mi = ci.mi
+    dd = mi.delta * mi.delta_prime
+    for grid, a, ac in zip(_solve_grids(ci), mi.agents, ci.curves):
+        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
+        for theta, theta_next in _windows(grid):
+            got = agent_guess(ac, theta, theta_next, dd)
+            want, L = reference_agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
+            assert (got.member, got.bad) == (want.member, want.bad)
+            whole = [j for j in range(mi.n) if j + 1 not in got.bad]
+            for steps in ("a_steps", "b_steps"):
+                assert [getattr(got, steps)[j] for j in whole] == [getattr(want, steps)[j] for j in whole]
+            M = ac.image.L
+            assert [F(x, M) for x in got.dw] == [F(x, L) for x in want.dw]
+            assert [(o[0], o[2], o[3]) for o in got.options] == [(o[0], o[2], o[3]) for o in want.options]
+            assert [F(o[1], M) for o in got.options] == [F(o[1], L) for o in want.options]
+
+
+def twin_externals(mi, seed):
+    """Rival platforms identical to the designer's candidate for every
+    agent at one or two states, under ids that sort before and after the
+    candidate's str(id)."""
+    rng = random.Random(seed)
+    externals = []
+    for idx, j in enumerate(rng.sample(range(1, mi.n + 1), min(2, mi.n))):
+        pid = "!twin" if idx == 0 else "~twin"
+        z = tuple(dp.z[j - 1] for dp in mi.params)
+        phi = tuple(dp.phi[j - 1] for dp in mi.params)
+        externals.append(ExternalPlatform(pid, j, z, phi))
+    return externals
+
+
+def reference_instances():
+    """Seeded competitive instances: every third one narrow, so psi ties
+    across states, and every fourth with rivals that copy the designer's
+    candidate."""
+    for idx in range(60):
+        n, k = reference_shape(idx)
+        narrow = idx % 3 == 0
+        mi = (narrow_multi_agent if narrow else gen_random_multi_agent)(n, k, seed=1300 + idx)
+        yield CompetitiveInstance(mi, ())
+        externals = random_externals(mi, idx, count=1 + idx % 3, phi_levels=2 if narrow else 10)
+        if idx % 4 == 0:
+            externals += twin_externals(mi, idx)
+        yield build_competitive_instance(mi, externals)
+
+
+def twin_game(seed):
+    """random_game(seed) with the second designer's candidates replaced by
+    the first's, so every rival build copies the designer's candidate."""
+    g = random_game(seed)
+    return build_game_instance(g.chassis, (g.designers[0],) * 2, g.delta, g.delta_prime)
+
+
+def reference_games():
+    yield gen_no_nash_game()
+    for seed in range(6):
+        yield random_game(seed)
+        yield twin_game(seed)
+
+
+def test_competitive_profit_matches_greedy_reference():
+    """The walk over the curve images gives the Fraction greedy's profit on
+    every offer of seeded competitive instances and on every (designer,
+    profile) of seeded games."""
+    for idx, ci in enumerate(reference_instances()):
+        for S in all_subsets(ci.mi.n):
+            assert competitive_profit(ci, S) == reference_competitive_profit(ci, S), (idx, S)
+    for g in reference_games():
+        memo = game.SearchMemo(g)
+        subsets = list(all_subsets(g.n))
+        for designer in range(g.num_designers):
+            for profile in itertools.product(subsets, repeat=g.num_designers):
+                ci = memo.instance(designer, profile)
+                got = competitive_profit(ci, profile[designer])
+                assert got == reference_competitive_profit(ci, profile[designer]), profile
+
+
+def test_agent_guess_matches_reference():
+    for ci in reference_instances():
+        assert_guesses_match(ci)
+    for g in reference_games():
+        memo = game.SearchMemo(g)
+        for designer in range(g.num_designers):
+            for profile in itertools.product(all_subsets(g.n), repeat=g.num_designers):
+                assert_guesses_match(memo.instance(designer, profile))
+    # The off-grid rival of test_competitive_rejects_shifts_off_the_grid:
+    # both sides find the same state bad.
+    mi = gen_random_multi_agent(1, 1, seed=11)
+    ci = CompetitiveInstance(mi, (ExternalPlatform("x", 1, (mi.delta / 2,), (F(0),)),))
+    assert_guesses_match(ci)
+    dd = mi.delta * mi.delta_prime
+    assert any(
+        agent_guess(ci.curves[0], theta, theta_next, dd).bad == (1,)
+        for theta, theta_next in _windows(_solve_grids(ci)[0])
+    )
+
+
+def test_competitive_profit_raises_on_a_skipped_curve_entry():
+    # An image whose entries skip a curve point breaks the greedy's swap
+    # order, which the walk checks without assert.
+    # Two rivals at state 1, with slopes 100 and 50 into them, both above
+    # the agent's utility, which stays below (A + 100) / (B + 1).
+    mi = gen_random_multi_agent(1, 1, seed=13)
+    ci = CompetitiveInstance(
+        mi,
+        (ExternalPlatform("x1", 1, (F(1),), (F(100),)), ExternalPlatform("x2", 1, (F(2),), (F(75),))),
+    )
+    assert competitive_profit(ci, ()) == reference_competitive_profit(ci, ())
+    im = ci.curves[0].image
+    first, second = im.base[1]
+    broken = im._replace(entries=(first, second._replace(idx=2)))
+    object.__setattr__(ci.curves[0], "image", broken)
+    with pytest.raises(RuntimeError, match="curve entry 2 follows entry 0"):
+        competitive_profit(ci, ())
+
+
+def test_nash_search_builds_each_image_once(monkeypatch):
+    """One pure_nash_search on the no-nash game scales each competitive
+    instance's curves once per agent, and each designer's costs once."""
+    g = gen_no_nash_game()
+    built = []
+    real_instance = game._competitive_instance
+
+    def keeping(*args):
+        built.append(real_instance(*args))
+        return built[-1]
+
+    monkeypatch.setattr(game, "_competitive_instance", keeping)
+    calls = Counter()
+    real_scale = multiagent.scale_to_integers
+
+    def counting(*vectors):
+        calls[len(vectors)] += 1
+        return real_scale(*vectors)
+
+    monkeypatch.setattr(multiagent, "scale_to_integers", counting)
+    assert game.pure_nash_search(g) is None
+    # One instance per (designer, rival builds) the search reaches: 10 of
+    # the 2 * 2^3 on this game.
+    assert len(built) == 10
+    # curve_image scales four vectors; integer_cost scales one.
+    assert calls == {4: len(built) * g.views[0].k, 1: g.num_designers}
