@@ -24,6 +24,7 @@ from .core import (
     all_subsets,
     build_flower_instance,
     build_general_chain,
+    lowest_terms,
     steady_state_general,
 )
 from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
@@ -57,6 +58,19 @@ def parse_rat(value, path: str) -> Fraction:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def parse_pair(value, path: str) -> tuple[int, int]:
+    """parse_rat(value, path) as a lowest-terms (num, den) pair.  A string of
+    the form `_RATIONAL_TEXT` with a nonzero denominator is reduced by one
+    gcd; any other value goes to parse_rat, for its value or its ParseError.
+    int() refuses no string shorter than its digit-limit threshold."""
+    short = type(value) is str and len(value) < sys.int_info.str_digits_check_threshold
+    match = _RATIONAL_TEXT.fullmatch(value) if short else None
+    if match and (den := int(match[2] or 1)):
+        return lowest_terms(int(match[1]), den)
+    value = parse_rat(value, path)
+    return value.numerator, value.denominator
+
+
 def _is_int(value) -> bool:
     """A JSON integer; booleans are not integers."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -87,22 +101,22 @@ class _Rule(NamedTuple):
     optional: bool = False
 
 
-def _parse_rats(values: list, path: str) -> tuple[Fraction, ...]:
-    """The JSON list at `path` as rationals; only a failing value's path is formatted."""
+def _parse_rats(values: list, path: str, parse: Callable = parse_rat) -> tuple:
+    """The JSON list at `path` read by `parse`; only a failing value's path is formatted."""
     try:
-        return tuple(parse_rat(v, path) for v in values)
+        return tuple(parse(v, path) for v in values)
     except ParseError:
         for i, v in enumerate(values):
-            parse_rat(v, f"{path}[{i}]")
+            parse(v, f"{path}[{i}]")
         raise
 
 
-def _rationals(count: Callable) -> _Rule:
+def _rationals(count: Callable, parse: Callable = parse_rat) -> _Rule:
     def read(value, path, n, k):
         size = count(n, k)
         if not isinstance(value, list) or len(value) != size:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
-        return _parse_rats(value, path)
+        return _parse_rats(value, path, parse)
 
     return _Rule(read, lambda values: [str(v) for v in values])
 
@@ -126,7 +140,7 @@ def _step(holds: Callable, claim: str) -> _Rule:
     return _Rule(read, str)
 
 
-_PER_STATE = _rationals(lambda n, k: n)
+_PER_STATE = _rationals(lambda n, k: n, parse_pair)  # flower values, as pairs
 _PER_AGENT = _rationals(lambda n, k: k)
 _RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), str)
 _STATE = _Rule(_state, int)
@@ -328,7 +342,7 @@ def _offer(solver: str, result) -> dict:
 def _solve_agent(dp):
     """The solver's name, its adoption set and the greedy's steps (none for
     the signed solver)."""
-    if all(z.numerator > 0 for z in dp.z):
+    if all(z > 0 for z in dp.image.z):
         return "greedy", *agent.greedy_solve(dp)
     return "greedy-signed", agent.greedy_solve_signed(dp), ()
 

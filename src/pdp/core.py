@@ -3,9 +3,10 @@
 A flower chain has a rest state 0 plus petal states 1..n.  From rest the
 process jumps to petal i with probability p_i.  Petal i loops on itself
 with probability q_i (q_i + y_i when a platform is adopted there) and
-otherwise returns to rest.  All arithmetic is exact: values are Fractions
-at the edges, and validation and derived_params work on their integer
-numerators and denominators, making one Fraction per derived value.
+otherwise returns to rest.  All arithmetic is exact: a flower and its
+derived parameters keep each value as a lowest-terms (numerator,
+denominator) pair of ints, validation and derived_params work on those,
+and a Fraction is built only where a caller reads one.
 """
 
 from __future__ import annotations
@@ -49,26 +50,51 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+# A rational as its (numerator, denominator) in lowest terms, denominator > 0.
+Pair = tuple[int, int]
+
+
+def lowest_terms(num: int, den: int) -> Pair:
+    """num / den (den != 0) as a Pair, by one gcd."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def as_pair(value) -> Pair:
+    """A Fraction or an int, or a Pair, as a Pair; no gcd is taken."""
+    return value if type(value) is tuple else (value.numerator, value.denominator)
+
+
+def _fraction_view(name: str) -> cached_property:
+    """The Fractions of the tuple of Pairs self.pairs.<name>, built on first
+    read and kept."""
+    return cached_property(lambda self: tuple(Fraction(*v) for v in getattr(self.pairs, name)))
+
+
+# A flower's vectors, indexed by petal (position 0 holds petal 1's value).
+FlowerPairs = NamedTuple(
+    "FlowerPairs",
+    [(key, tuple[Pair, ...]) for key in ("p", "q", "y", "c_life", "c_platform", "d", "cost")],
+)
+
+
 @dataclass(frozen=True)
 class FlowerInstance:
     """A flower chain plus the designer's rewards and build costs.
 
-    All vectors are indexed by petal, position 0 holding petal 1's value.
-    params and scaled are computed on first use and kept on the instance,
-    so they live exactly as long as it does.
+    The values are kept as Pairs; p ... cost are their Fraction views,
+    built when something reads them.  params and scaled are computed on
+    first use and kept on the instance, so they live exactly as long as it
+    does.
     """
 
-    p: tuple[Fraction, ...]
-    q: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
-    c_life: tuple[Fraction, ...]
-    c_platform: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
-    cost: tuple[Fraction, ...]
+    pairs: FlowerPairs
+
+    p, q, y, c_life, c_platform, d, cost = map(_fraction_view, FlowerPairs._fields)
 
     @property
     def n(self) -> int:
-        return len(self.p)
+        return len(self.pairs.p)
 
     @cached_property
     def params(self) -> DerivedParams:
@@ -79,51 +105,58 @@ class FlowerInstance:
         return scaled_params(self, self.params)
 
 
-def _exact_sum(terms) -> Fraction:
-    """The sum of the rationals num/den given as (num, den) pairs, taken
-    over the lcm of the denominators and normalized once."""
+def _exact_sum(terms) -> Pair:
+    """The sum of the rationals num/den given as (num, den) pairs with den >
+    0, taken over the lcm of the denominators, as a Pair."""
     terms = list(terms)
     L = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (L // den) for num, den in terms), L)
+    return lowest_terms(sum(num * (L // den) for num, den in terms), L)
 
 
 def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstance:
     """Validate parameters and construct a FlowerInstance.
 
-    Raises ProbabilityError, DegenerateState, or NonpositiveCost when the
-    parameters violate the model's standing assumptions.  Every test is
-    made on the integer numerators and denominators.
+    A value is a Pair, as the CLI reads it, or anything rat reads; a
+    Fraction's Pair is taken with no new gcd.  Raises ProbabilityError,
+    DegenerateState, or NonpositiveCost when the parameters violate the
+    model's standing assumptions.  Every test is made on the Pairs.
     """
-    vectors = [
-        tuple(v if type(v) is Fraction else rat(v) for v in vec)
-        for vec in (p, q, y, c_life, c_platform, d, cost)
-    ]
-    p, q, y, c_life, c_platform, d, cost = vectors
-    n = len(p)
+    pairs = FlowerPairs(
+        *(
+            tuple(v if type(v) is tuple else as_pair(rat(v)) for v in vec)
+            for vec in (p, q, y, c_life, c_platform, d, cost)
+        )
+    )
+    n = len(pairs.p)
     if n == 0:
         raise ProbabilityError("need at least one petal")
-    for vec, name in zip(vectors, ("p", "q", "y", "c_life", "c_platform", "d", "cost")):
+    for vec, name in zip(pairs, FlowerPairs._fields):
         if len(vec) != n:
             raise ProbabilityError(f"{name} has length {len(vec)}, expected {n}")
-    total = _exact_sum((v.numerator, v.denominator) for v in p)
-    if total != 1:
-        raise ProbabilityError(f"rest-state jump probabilities sum to {total}, not 1")
-    for i in range(n):
-        qn, qd = q[i].numerator, q[i].denominator
-        yn, yd = y[i].numerator, y[i].denominator
-        if p[i].numerator <= 0:
-            raise ProbabilityError(f"p[{i + 1}] = {p[i]} must be positive")
+    total = _exact_sum(pairs.p)
+    if total != (1, 1):
+        raise ProbabilityError(f"rest-state jump probabilities sum to {Fraction(*total)}, not 1")
+    petals = zip(pairs.p, pairs.q, pairs.y, pairs.cost)
+    for i, ((pn, pd), (qn, qd), (yn, yd), (cn, cd)) in enumerate(petals, 1):
+        if pn <= 0:
+            raise ProbabilityError(f"p[{i}] = {Fraction(pn, pd)} must be positive")
         if not 0 < qn < qd:
-            raise ProbabilityError(f"q[{i + 1}] = {q[i]} must lie strictly in (0, 1)")
+            raise ProbabilityError(f"q[{i}] = {Fraction(qn, qd)} must lie strictly in (0, 1)")
         if yn == 0:
-            raise DegenerateState(f"y[{i + 1}] = 0: platform would not change the dynamics")
+            raise DegenerateState(f"y[{i}] = 0: platform would not change the dynamics")
         if not 0 < qn * yd + yn * qd < qd * yd:
-            raise ProbabilityError(
-                f"q[{i + 1}] + y[{i + 1}] = {q[i] + y[i]} must lie strictly in (0, 1)"
-            )
-        if cost[i].numerator <= 0:
-            raise NonpositiveCost(f"cost[{i + 1}] = {cost[i]} must be positive")
-    return FlowerInstance(p, q, y, c_life, c_platform, d, cost)
+            stay = Fraction(qn * yd + yn * qd, qd * yd)
+            raise ProbabilityError(f"q[{i}] + y[{i}] = {stay} must lie strictly in (0, 1)")
+        if cn <= 0:
+            raise NonpositiveCost(f"cost[{i}] = {Fraction(cn, cd)} must be positive")
+    return FlowerInstance(pairs)
+
+
+# DerivedParams' values: lam, w, z and phi per petal, then A and B.
+DerivedPairs = NamedTuple(
+    "DerivedPairs",
+    [*((key, tuple[Pair, ...]) for key in ("lam", "w", "z", "phi")), ("A", Pair), ("B", Pair)],
+)
 
 
 @dataclass(frozen=True)
@@ -134,24 +167,26 @@ class DerivedParams:
     a platform, w_i with one, z_i = w_i - lam_i the shift.  phi_i is the
     potential of petal i: the utility level at which the agent is exactly
     indifferent about adopting there.  A and B are the baseline utility
-    numerator and denominator over the platform-free chain.
+    numerator and denominator over the platform-free chain.  The values
+    are kept as Pairs; lam ... B are their Fraction views, built when
+    something reads them.
     """
 
-    lam: tuple[Fraction, ...]
-    w: tuple[Fraction, ...]
-    z: tuple[Fraction, ...]
-    phi: tuple[Fraction, ...]
-    A: Fraction
-    B: Fraction
+    pairs: DerivedPairs
+
+    lam, w, z, phi = map(_fraction_view, DerivedPairs._fields[:4])
+    A = cached_property(lambda self: Fraction(*self.pairs.A))
+    B = cached_property(lambda self: Fraction(*self.pairs.B))
 
     @property
     def n(self) -> int:
-        return len(self.lam)
+        return len(self.pairs.lam)
 
     @cached_property
     def image(self) -> IntegerImage:
         """The solvers' integer image, built on first use and kept."""
-        L, (A, B), z, phi = scale_to_integers((self.A, self.B), self.z, self.phi)
+        pairs = self.pairs
+        L, (A, B), z, phi = scale_to_integers((pairs.A, pairs.B), pairs.z, pairs.phi)
         return IntegerImage(L, A, B, z, phi, tuple(zi * pi for zi, pi in zip(z, phi)))
 
 
@@ -173,7 +208,7 @@ class IntegerImage(NamedTuple):
 
 
 def derived_params(inst: FlowerInstance) -> DerivedParams:
-    """The DerivedParams of `inst`, from integer numerators and denominators.
+    """The DerivedParams of `inst`, from its Pairs.
 
     Writing xn / xd for a value x in lowest terms (cpn / cpd for c_platform,
     cln / cld for c_life), a = (1 - q) * qd and b = (1 - q - y) * qd * yd are
@@ -185,31 +220,20 @@ def derived_params(inst: FlowerInstance) -> DerivedParams:
         phi = (w*c_pl - lam*c_li) / z
             = (a * yd * cpn * cld - b * cln * cpd) / (qd * yn * cpd * cld)
 
-    Each value is normalized once, by one Fraction(num, den); A and B are
-    summed over one lcm.
+    Each value is reduced once, by one gcd; A and B are summed over one lcm.
     """
     lam, w, z, phi = [], [], [], []
-    for p, q, y, c_li, c_pl in zip(inst.p, inst.q, inst.y, inst.c_life, inst.c_platform):
-        pn, pd = p.numerator, p.denominator
-        qn, qd = q.numerator, q.denominator
-        yn, yd = y.numerator, y.denominator
+    for (pn, pd), (qn, qd), (yn, yd), (cln, cld), (cpn, cpd) in zip(*inst.pairs[:5]):
         a = qd - qn
         b = a * yd - yn * qd
         mass = pn * qd
-        lam.append(Fraction(mass, pd * a))
-        w.append(Fraction(mass * yd, pd * b))
-        z.append(Fraction(mass * qd * yn, pd * a * b))
-        phi.append(
-            Fraction(
-                a * yd * c_pl.numerator * c_li.denominator - b * c_li.numerator * c_pl.denominator,
-                qd * yn * c_pl.denominator * c_li.denominator,
-            )
-        )
-    A = _exact_sum(
-        (v.numerator * c.numerator, v.denominator * c.denominator) for v, c in zip(lam, inst.c_life)
-    )
-    B = _exact_sum([(1, 1), *((v.numerator, v.denominator) for v in lam)])
-    return DerivedParams(tuple(lam), tuple(w), tuple(z), tuple(phi), A, B)
+        lam.append(lowest_terms(mass, pd * a))
+        w.append(lowest_terms(mass * yd, pd * b))
+        z.append(lowest_terms(mass * qd * yn, pd * a * b))
+        phi.append(lowest_terms(a * yd * cpn * cld - b * cln * cpd, qd * yn * cpd * cld))
+    A = _exact_sum((ln * cn, ld * cd) for (ln, ld), (cn, cd) in zip(lam, inst.pairs.c_life))
+    B = _exact_sum([(1, 1), *lam])
+    return DerivedParams(DerivedPairs(tuple(lam), tuple(w), tuple(z), tuple(phi), A, B))
 
 
 @dataclass(frozen=True)
@@ -229,28 +253,25 @@ class ScaledParams:
 def scale_to_integers(*vectors):
     """(L, *scaled): L is the lcm of every denominator in `vectors`, each
     of which comes back as a tuple of its values times L, as ints.  A value
-    is a Fraction or a (numerator, denominator) pair in lowest terms with a
-    positive denominator, so L is the same for either form of a value.
+    is a Fraction or a Pair, so L is the same for either form of a value.
     DerivedParams.image puts A, B, z and phi over one such L, and
     scaled_params puts d*w and cost over another, called M there."""
-    vectors = [
-        [v if type(v) is tuple else (v.numerator, v.denominator) for v in vec] for vec in vectors
-    ]
+    vectors = [list(map(as_pair, vec)) for vec in vectors]
     L = math.lcm(*(den for vec in vectors for _, den in vec))
     return (L, *(tuple(num * (L // den) for num, den in vec) for vec in vectors))
 
 
-def product_pair(x: Fraction, y: Fraction) -> tuple[int, int]:
-    """x * y as a (numerator, denominator) pair in lowest terms."""
-    num, den = x.numerator * y.numerator, x.denominator * y.denominator
-    g = math.gcd(num, den)
-    return num // g, den // g
+def product_pair(x, y) -> Pair:
+    """x * y as a Pair; x and y are Fractions or Pairs."""
+    (xn, xd), (yn, yd) = as_pair(x), as_pair(y)
+    return lowest_terms(xn * yn, xd * yd)
 
 
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
     """The ScaledParams of `inst`: M is the lcm of the denominators of d*w
-    and cost, the products d*w entering as lowest-terms pairs, one gcd each."""
-    return ScaledParams(*scale_to_integers(tuple(map(product_pair, inst.d, dp.w)), inst.cost))
+    and cost, the products d*w formed from the Pairs, one gcd each."""
+    d_w = tuple(map(product_pair, inst.pairs.d, dp.pairs.w))
+    return ScaledParams(*scale_to_integers(d_w, inst.pairs.cost))
 
 
 def all_subsets(n: int):

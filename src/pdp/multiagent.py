@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .agent import TooLarge, adopted_response
-from .core import DerivedParams, FlowerInstance, product_pair, scale_to_integers
+from .core import DerivedParams, FlowerInstance, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
 from .multiplatform import ParetoCurve, Platform, prune_redundant
 
@@ -85,7 +85,7 @@ class MultiAgentInstance:
     @cached_property
     def integer_cost(self) -> tuple[int, tuple[int, ...]]:
         """(scale, costs times scale), built on first use and kept."""
-        return scale_to_integers(self.cost)
+        return scale_to_integers(self.agents[0].pairs.cost)
 
 
 def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
@@ -106,22 +106,23 @@ def build_multi_agent_instance(
     for a in agents:
         if a.n != n:
             raise ValueError("all agents must share the state set")
-        if a.cost != agents[0].cost:
+        if a.pairs.cost != agents[0].pairs.cost:
             raise ValueError("platform costs must be shared across agents")
     mi = MultiAgentInstance(agents, delta, delta_prime)
+    (dn, dd), (dpn, dpd) = as_pair(delta), as_pair(delta_prime)
     for i, dp in enumerate(mi.params, 1):
-        for j in range(1, n + 1):
-            l = dp.z[j - 1] / delta
-            lp = dp.phi[j - 1] / delta_prime
-            if l.denominator != 1 or l <= 0:
+        for j, ((zn, zd), (fn, fd)) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1):
+            l, l_rest = divmod(zn * dd, zd * dn)
+            lp, lp_rest = divmod(fn * dpd, fd * dpn)
+            if l_rest or l <= 0:
                 raise QuantizationError(
                     f"agent {i}: z[{j}] = {dp.z[j - 1]} is not a positive multiple of {delta}"
                 )
-            if lp.denominator != 1 or lp < 0:
+            if lp_rest or lp < 0:
                 raise QuantizationError(
                     f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}"
                 )
-            if max(int(l), int(lp)) > _LEVEL_CEILING:
+            if max(l, lp) > _LEVEL_CEILING:
                 raise QuantizationError(
                     f"agent {i}, state {j}: quantization level exceeds {_LEVEL_CEILING}"
                 )
@@ -416,8 +417,8 @@ def curve_image(dp: DerivedParams, d, delta: Fraction, base, with_own) -> CurveI
         for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
     ]
     L, (A, B, delta_L), dw, z, zphi = scale_to_integers(
-        (dp.A, dp.B, delta),
-        tuple(map(product_pair, d, dp.w)),
+        (dp.pairs.A, dp.pairs.B, delta),
+        tuple(map(product_pair, d, dp.pairs.w)),
         [pl.z for _, _, _, pl, _ in points],
         [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
     )
@@ -477,7 +478,7 @@ class CompetitiveInstance:
             ]
             base = prune_redundant(ext) if ext else {}
             with_own = prune_redundant(ext + own)
-            image = curve_image(dp, a.d, self.mi.delta, base, with_own)
+            image = curve_image(dp, a.pairs.d, self.mi.delta, base, with_own)
             out.append(AgentCurves(dp, base, with_own, image))
         return tuple(out)
 

@@ -17,9 +17,24 @@ from pdp.agent import (
     greedy_solve_signed,
     is_feasible,
 )
-from pdp.core import AdoptionSet, DerivedParams, agent_utility, all_subsets, derived_params, scale_to_integers
+from pdp.core import (
+    AdoptionSet,
+    DerivedPairs,
+    DerivedParams,
+    agent_utility,
+    all_subsets,
+    as_pair,
+    derived_params,
+    scale_to_integers,
+)
 from pdp.designer import designer_oracle
 from pdp.instances import gen_random_flower
+
+
+def _params(lam, w, z, phi, A, B):
+    """DerivedParams holding the given Fraction values."""
+    vectors = (tuple(map(as_pair, v)) for v in (lam, w, z, phi))
+    return DerivedParams(DerivedPairs(*vectors, as_pair(A), as_pair(B)))
 
 
 def _lex_key(mask: int, n: int) -> tuple[int, ...]:
@@ -173,7 +188,7 @@ def test_greedy_prefix_property():
 
 
 def test_greedy_rejects_mixed_signs():
-    dp = DerivedParams(
+    dp = _params(
         lam=(F(1), F(1)),
         w=(F(2), F(1, 2)),
         z=(F(1), F(-1, 2)),
@@ -188,7 +203,7 @@ def test_greedy_rejects_mixed_signs():
 def test_signed_greedy_equality_convention():
     # Negative-z state whose potential equals the running utility is not
     # adopted; brute force confirms the value is unaffected.
-    dp = DerivedParams(
+    dp = _params(
         lam=(F(1), F(1)),
         w=(F(2), F(1, 2)),
         z=(F(1), F(-1, 2)),
@@ -307,7 +322,7 @@ def _tight_params(n, rng):
     a = rng.randint(0, 4)
     z = tuple(F(rng.choice([-1, 1, 2])) for _ in range(n))
     B = 1 - sum(x for x in z if x < 0)
-    return DerivedParams(
+    return _params(
         lam=(F(1),) * n,
         w=tuple(1 + x for x in z),
         z=z,
@@ -340,7 +355,7 @@ def _tie_instance(n, core):
     # ties with `core` and has n - len(core) >= 9 more states: the two
     # lie in different blocks of the sweep.
     phi = {1: F(4), 2: F(3)}[len(core)]
-    return DerivedParams(
+    return _params(
         lam=(F(1),) * n,
         w=(F(2),) * n,
         z=(F(1),) * n,

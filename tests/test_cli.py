@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import make_example
+from conftest import MIXED, make_example
 from pdp import agent, cli, core, designer, multiagent, multiplatform
-from pdp.cli import main, parse_instance, parse_rat, serialize_instance
+from pdp.cli import main, parse_instance, parse_pair, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
 from pdp import game
 from pdp.designer import DesignSet
@@ -66,6 +66,48 @@ def test_parse_rat_rejects_booleans_and_floats(value):
     with pytest.raises(cli.ParseError) as info:
         parse_rat(value, "p[0]")
     assert str(info.value) == f"p[0]: expected an exact rational, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    (*_RATIONAL_EDGES, "12/8", "-6/4", "0/7", 5, -3, True, False, 1.5, 1e3, None),
+    ids=lambda v: repr(v)[:12],
+)
+def test_parse_pair_matches_parse_rat(value):
+    # The pair reader gives parse_rat's value as a lowest-terms pair, or
+    # its ParseError with the same text.
+    try:
+        expected = parse_rat(value, "p[0]")
+    except cli.ParseError as exc:
+        with pytest.raises(cli.ParseError) as info:
+            parse_pair(value, "p[0]")
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_pair(value, "p[0]") == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("ranges", (None, MIXED), ids=("greedy", "signed"))
+def test_solve_agent_builds_no_fraction_views(tmp_path, monkeypatch, capsys, ranges):
+    # solve-agent reads the instance's pairs and the integer image only:
+    # no Fraction vector of the instance and no Fraction field of its
+    # DerivedParams is built.
+    parsed = []
+
+    def parse(doc):
+        parsed.append(parse_instance(doc))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_instance", parse)
+    # A fine z grid leaves room for negative z at 200 petals.
+    doc = serialize_instance(gen_random_flower(200, seed=23, ranges=ranges, delta=F(1, 10**5)))
+    assert main(["solve-agent", write_doc(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"] == ("greedy-signed" if ranges else "greedy")
+    (inst,) = parsed
+    dp = inst.params
+    assert "image" in dp.__dict__
+    assert not {"p", "q", "y", "c_life", "c_platform", "d", "cost"} & inst.__dict__.keys()
+    assert not {"lam", "w", "z", "phi", "A", "B"} & dp.__dict__.keys()
+    assert roundtrip(inst) == inst and serialize_instance(roundtrip(inst)) == doc
 
 
 def roundtrip(obj):

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 import pdp
 from pdp.core import (
     DegenerateState,
-    DerivedParams,
+    FlowerPairs,
+    IntegerImage,
     NonpositiveCost,
     ProbabilityError,
     ReducibleChain,
@@ -27,6 +29,7 @@ from pdp.core import (
     stationary_distribution_flower,
     steady_state_general,
 )
+from pdp.cli import SchemaError, parse_instance, serialize_instance
 from pdp.instances import gen_random_flower
 
 
@@ -41,7 +44,7 @@ def test_derived_params_reference_values(example):
 
 
 # Reference: derived_params over Fractions, from before it ran on the
-# integer numerators and denominators.  Both must give equal values.
+# integer numerators and denominators.
 def _ref_derived_params(inst):
     n = inst.n
     lam = tuple(inst.p[i] / (1 - inst.q[i]) for i in range(n))
@@ -52,15 +55,131 @@ def _ref_derived_params(inst):
     )
     A = sum((lam[i] * inst.c_life[i] for i in range(n)), F(0))
     B = 1 + sum(lam)
-    return DerivedParams(lam, w, z, phi, A, B)
+    return lam, w, z, phi, A, B
+
+
+# Reference: build_flower_instance and derived_params as they were before a
+# flower kept its values as (num, den) pairs: the values are Fractions, and
+# validation and derivation read their numerators and denominators.  The
+# builder returns the seven Fraction vectors, derived_params its six values.
+def _fraction_exact_sum(terms):
+    terms = list(terms)
+    L = math.lcm(*(den for _, den in terms))
+    return F(sum(num * (L // den) for num, den in terms), L)
+
+
+def _fraction_build_flower_instance(p, q, y, c_life, c_platform, d, cost):
+    vectors = [
+        tuple(v if type(v) is F else rat(v) for v in vec)
+        for vec in (p, q, y, c_life, c_platform, d, cost)
+    ]
+    p, q, y, c_life, c_platform, d, cost = vectors
+    n = len(p)
+    if n == 0:
+        raise ProbabilityError("need at least one petal")
+    for vec, name in zip(vectors, ("p", "q", "y", "c_life", "c_platform", "d", "cost")):
+        if len(vec) != n:
+            raise ProbabilityError(f"{name} has length {len(vec)}, expected {n}")
+    total = _fraction_exact_sum((v.numerator, v.denominator) for v in p)
+    if total != 1:
+        raise ProbabilityError(f"rest-state jump probabilities sum to {total}, not 1")
+    for i in range(n):
+        qn, qd = q[i].numerator, q[i].denominator
+        yn, yd = y[i].numerator, y[i].denominator
+        if p[i].numerator <= 0:
+            raise ProbabilityError(f"p[{i + 1}] = {p[i]} must be positive")
+        if not 0 < qn < qd:
+            raise ProbabilityError(f"q[{i + 1}] = {q[i]} must lie strictly in (0, 1)")
+        if yn == 0:
+            raise DegenerateState(f"y[{i + 1}] = 0: platform would not change the dynamics")
+        if not 0 < qn * yd + yn * qd < qd * yd:
+            raise ProbabilityError(
+                f"q[{i + 1}] + y[{i + 1}] = {q[i] + y[i]} must lie strictly in (0, 1)"
+            )
+        if cost[i].numerator <= 0:
+            raise NonpositiveCost(f"cost[{i + 1}] = {cost[i]} must be positive")
+    return vectors
+
+
+def _fraction_derived_params(vectors):
+    lam, w, z, phi = [], [], [], []
+    for p, q, y, c_li, c_pl in zip(*vectors[:5]):
+        pn, pd = p.numerator, p.denominator
+        qn, qd = q.numerator, q.denominator
+        yn, yd = y.numerator, y.denominator
+        a = qd - qn
+        b = a * yd - yn * qd
+        mass = pn * qd
+        lam.append(F(mass, pd * a))
+        w.append(F(mass * yd, pd * b))
+        z.append(F(mass * qd * yn, pd * a * b))
+        phi.append(
+            F(
+                a * yd * c_pl.numerator * c_li.denominator - b * c_li.numerator * c_pl.denominator,
+                qd * yn * c_pl.denominator * c_li.denominator,
+            )
+        )
+    c_life = vectors[3]
+    A = _fraction_exact_sum(
+        (v.numerator * c.numerator, v.denominator * c.denominator) for v, c in zip(lam, c_life)
+    )
+    B = _fraction_exact_sum([(1, 1), *((v.numerator, v.denominator) for v in lam)])
+    return tuple(lam), tuple(w), tuple(z), tuple(phi), A, B
+
+
+def _fraction_image(lam, w, z, phi, A, B):
+    L, (A, B), z, phi = scale_to_integers((A, B), z, phi)
+    return IntegerImage(L, A, B, z, phi, tuple(zi * pi for zi, pi in zip(z, phi)))
 
 
 def test_derived_params_match_fraction_reference(reference_flowers):
-    for inst in reference_flowers:
+    # Every field, A, B and the image equal the Fraction references', from
+    # a fresh instance whose views have not been read yet.
+    for flower in reference_flowers:
+        vectors = [getattr(flower, key) for key in FlowerPairs._fields]
+        inst = build_flower_instance(*vectors)
+        ref = _fraction_build_flower_instance(*vectors)
         dp = derived_params(inst)
-        assert dp == _ref_derived_params(inst)
-        values = (*dp.lam, *dp.w, *dp.z, *dp.phi, dp.A, dp.B)
-        assert all(type(v) is F for v in values)
+        ref_dp = _fraction_derived_params(ref)
+        assert dp.image == _fraction_image(*ref_dp)
+        assert [getattr(inst, key) for key in FlowerPairs._fields] == ref
+        fields = (dp.lam, dp.w, dp.z, dp.phi, dp.A, dp.B)
+        assert fields == ref_dp == _ref_derived_params(inst)
+        assert all(type(v) is F for v in (*inst.p, *inst.cost, *dp.phi, dp.A, dp.B))
+
+
+_FAILURES = [
+    ("p", [F(1, 2), F(1, 3)], ProbabilityError, "rest-state jump probabilities sum to 5/6, not 1"),
+    ("p", [F(3, 2), F(-1, 2)], ProbabilityError, "p[2] = -1/2 must be positive"),
+    ("q", [F(1, 2), F(1)], ProbabilityError, "q[2] = 1 must lie strictly in (0, 1)"),
+    ("q", [F(0), F(1, 2)], ProbabilityError, "q[1] = 0 must lie strictly in (0, 1)"),
+    ("y", [F(1, 4), F(0)], DegenerateState, "y[2] = 0: platform would not change the dynamics"),
+    ("y", [F(1, 4), F(1, 2)], ProbabilityError, "q[2] + y[2] = 1 must lie strictly in (0, 1)"),
+    ("y", [F(-3, 4), F(1, 4)], ProbabilityError, "q[1] + y[1] = -1/4 must lie strictly in (0, 1)"),
+    ("cost", [F(1, 10), F(0)], NonpositiveCost, "cost[2] = 0 must be positive"),
+    ("cost", [F(-2, 20), F(1, 10)], NonpositiveCost, "cost[1] = -1/10 must be positive"),
+    ("d", [F(10)], ProbabilityError, "d has length 1, expected 2"),
+]
+
+
+@pytest.mark.parametrize("key, values, error, message", _FAILURES)
+def test_failures_keep_their_messages(key, values, error, message):
+    # Each failure class, from library Fractions and from a document, has
+    # the message the Fraction reference gives.  A document's list of the
+    # wrong length is caught by the reader, before the builder.
+    kwargs = dict(_base_kwargs(), **{key: values})
+    for build in (build_flower_instance, _fraction_build_flower_instance):
+        with pytest.raises(error) as info:
+            build(**kwargs)
+        assert str(info.value) == message
+    doc = dict(serialize_instance(build_flower_instance(**_base_kwargs())))
+    doc[key] = [str(v) for v in values]
+    with pytest.raises(SchemaError) as info:
+        parse_instance(doc)
+    if len(values) == 2:
+        assert str(info.value) == f"$: {message}"
+    else:
+        assert str(info.value) == f"{key}: expected a list of 2 rationals"
 
 
 def test_integer_image_scales_derived_params():
@@ -207,12 +326,13 @@ def test_rat_rejects_bool_and_float():
 
 
 def test_build_flower_instance_checks_only_non_fractions():
-    # A Fraction is kept as given; ints and strings are read by rat, and a
-    # bool or a float anywhere raises rat's TypeError.
+    # A Fraction's pair is read off it and a pair is kept as given; ints
+    # and strings are read by rat, and a bool or a float anywhere raises
+    # rat's TypeError.
     kwargs = _base_kwargs()
     inst = build_flower_instance(**kwargs)
-    assert all(a is b for a, b in zip(inst.cost, kwargs["cost"]))
-    mixed = dict(kwargs, p=["1/2", F(1, 2)], d=[10, "1"], c_life=[0, 0])
+    assert inst.pairs.cost == tuple((v.numerator, v.denominator) for v in kwargs["cost"])
+    mixed = dict(kwargs, p=["1/2", (1, 2)], d=[10, "1"], c_life=[0, 0])
     assert build_flower_instance(**mixed) == inst
     for key in kwargs:
         for bad in (True, 0.5):

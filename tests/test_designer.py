@@ -32,6 +32,11 @@ from pdp.instances import gen_random_flower
 from conftest import MIXED
 
 
+def _replaced(inst, **vectors):
+    """inst with the given vectors in place of its own."""
+    return build_flower_instance(**{**inst.pairs._asdict(), **vectors})
+
+
 # Reference: the FPTAS and its preprocessing computed directly over
 # Fraction.  The integer-scaled solver must match it bin for bin, and
 # preprocess must raise the same errors with the same messages.
@@ -384,7 +389,7 @@ def test_oracle_tie_breaks(example):
     # The example with equal demands and costs: {1}, {2} and {1, 2} tie at
     # 2.  The search meets {2} first, since phi_2 = 4 > phi_1 = 2, and the
     # lexicographically first set of the smallest size replaces it.
-    lex = dataclasses.replace(example, d=(F(10), F(10)), cost=(F(3), F(3)))
+    lex = _replaced(example, d=(F(10), F(10)), cost=(F(3), F(3)))
     for inst, n, best, profit in ((chassis, 3, {2, 3}, F(54, 13)), (lex, 2, {1}, F(2))):
         profits = {S: designer_profit(inst, S, S) for S in all_subsets(n) if is_feasible(inst, S)}
         assert max(profits.values()) == profit
@@ -606,7 +611,7 @@ def test_fptas_bins_round_up_on_exact_multiples(example):
     # exact multiples of the unit; {2} has profit 3.95 and revenue 4.95.
     # Rounding up puts both in bin (40, 50, 1), where {1} wins on its
     # smaller z*phi; rounding down would part them.
-    inst = dataclasses.replace(example, d=(F(10), F(99, 10)), cost=(F(1), F(1)))
+    inst = _replaced(example, d=(F(10), F(99, 10)), cost=(F(1), F(1)))
     qi, ref = preprocess(inst), _ref_preprocess(inst)
     assert qi.K == 4 and qi.epsilon * qi.K / (2 * inst.n) == F(1, 10)
     log, ref_log, floor_log = [], [], []
@@ -869,7 +874,7 @@ def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
         for inst in [gen_random_flower(6, seed=seed, ranges=MIXED, delta=F(1, 16))]
         if _raised(_ref_preprocess, inst)[0] is QuantizationError
     )
-    worthless = dataclasses.replace(example, d=(F(0), F(0)))
+    worthless = _replaced(example, d=(F(0), F(0)))
     quarters = gen_random_flower(6, seed=0, delta=F(1, 4))
     assert quarters.params.image.L == 9324
     for inst, kwargs in [

@@ -266,14 +266,32 @@ def brute_force_competitive(ci):
 
 
 def test_build_validates_quantization():
+    # The levels z/delta and phi/delta_prime are tested on integers; each
+    # message names the rational values.
     mi = gen_random_multi_agent(3, 2, seed=0)
-    with pytest.raises(QuantizationError):
-        build_multi_agent_instance(mi.agents, delta=F(3), delta_prime=mi.delta_prime)
-    with pytest.raises(QuantizationError):
-        build_multi_agent_instance(mi.agents, delta=mi.delta, delta_prime=F(7))
-    # Every z level z/delta is 10^13 or more, past the 10^12 ceiling.
-    with pytest.raises(QuantizationError, match="quantization level exceeds"):
-        build_multi_agent_instance(mi.agents, delta=F(1, 10**13), delta_prime=mi.delta_prime)
+    negative_z = gen_random_flower(3, seed=1, ranges={"allow_negative_z": True})
+    negative_phi = gen_random_flower(2, seed=0, ranges={"c_life_max": 12, "c_platform_max": 2})
+    for agents, delta, delta_prime, message in [
+        (mi.agents, F(3), mi.delta_prime, "agent 1: z[1] = 1 is not a positive multiple of 3"),
+        (mi.agents, F(2, 3), mi.delta_prime, "agent 1: z[1] = 1 is not a positive multiple of 2/3"),
+        (mi.agents, mi.delta, F(7), "agent 1: phi[1] = 1 is not a nonnegative multiple of 7"),
+        # Every z level z/delta is 10^13 or more, past the 10^12 ceiling.
+        (
+            mi.agents, F(1, 10**13), mi.delta_prime,
+            "agent 1, state 1: quantization level exceeds 1000000000000",
+        ),
+        (
+            [negative_z], F(1, 10**6), F(1, 10**9),
+            "agent 1: z[3] = -1 is not a positive multiple of 1/1000000",
+        ),
+        (
+            [negative_phi], F(1), F(1, 72),
+            "agent 1: phi[2] = -1/8 is not a nonnegative multiple of 1/72",
+        ),
+    ]:
+        with pytest.raises(QuantizationError) as info:
+            build_multi_agent_instance(agents, delta=delta, delta_prime=delta_prime)
+        assert str(info.value) == message
 
 
 def test_build_requires_shared_structure():
