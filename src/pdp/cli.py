@@ -586,8 +586,8 @@ def _verify_flower(inst: FlowerInstance) -> list[dict]:
         return _compared(match, approx.profit, exact.profit)
 
     # A negative-z state survived preprocessing, or a cost is too large a
-    # multiple of K: the FPTAS does not cover the instance.  Or the oracle's
-    # search spent its budget.
+    # multiple of K: the FPTAS does not cover the instance.  Or its table or
+    # the oracle's search spent its budget.
     uncovered = (designer.QuantizationError, designer.CostBoundError, agent.TooLarge)
     return [
         _check("agent greedy vs oracle", greedy, agent.TooLarge),
@@ -744,9 +744,17 @@ def _build_parser():
     return parser
 
 
+# The parser, built by the first call of main and reused by every later one
+# in the process: parse_args reads it and never changes it.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     started = time.monotonic()
-    args = _build_parser().parse_args(argv)
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         result = args.run(args)
     except (ParseError, SchemaError, ValueError) as exc:
@@ -754,8 +762,7 @@ def main(argv=None) -> int:
         return 2
     if args.command != "gen":  # a generated document is an instance, not a result
         result["wall_clock_seconds"] = round(time.monotonic() - started, 6)
-    json.dump(result, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0 if result.get("ok", True) else 1
 
 

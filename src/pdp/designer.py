@@ -15,9 +15,11 @@ from fractions import Fraction
 from .agent import TooLarge
 from .core import FlowerInstance, IntegerImage, ScaledParams, designer_profit
 
-# The largest cost/K ratio r the FPTAS accepts, and the most offered sets
-# designer_oracle visits.
+# The largest cost/K ratio r the FPTAS accepts, the most bins its table may
+# hold after a stage, and the most offered sets designer_oracle visits.  The
+# largest table on the benchmark's FPTAS corpus holds about 3,000 bins.
 _COST_RATIO = Fraction(1000)
+_FPTAS_BINS = 1 << 16
 _ORACLE_VISITS = 1 << 22
 
 
@@ -148,6 +150,10 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     is the same.  The final pick maximizes (profit, [-s for s in
     states]), also a total order.  Only the order of each stage's entries
     in stage_log depends on the walk.
+
+    The table is checked after each stage: past _FPTAS_BINS bins the solve
+    raises TooLarge.  So each stage walks at most _FPTAS_BINS entries, and
+    a solve tries at most n * _FPTAS_BINS candidates.
     """
     L, A, B, z, phi, zphi = qi.inst.params.image
     sp = qi.inst.scaled
@@ -196,6 +202,8 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
             old = get(key)
             if old is None or N2 < old[1] or (N2 == old[1] and states + (k,) < old[0]):
                 table[key] = (states + (k,), N2, den2, dw2, cost2, steps2, new_min, pnum)
+        if len(table) > _FPTAS_BINS:
+            raise TooLarge(f"the FPTAS table holds {len(table)} bins, past the budget {_FPTAS_BINS}")
         if stage_log is not None:
             stage_log.append((k, [e[0] for e in table.values()]))
 

@@ -1,11 +1,18 @@
+import argparse
+import io
 import json
+import os
+import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import MIXED, make_example
+import pdp
 from pdp import agent, cli, core, designer, multiagent, multiplatform
 from pdp.cli import main, parse_instance, parse_pair, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
@@ -585,6 +592,47 @@ def test_verify_flower_skips_checks_past_their_guards(tmp_path, capsys, monkeypa
     }
 
 
+def test_fptas_past_its_budget(tmp_path, capsys, monkeypatch):
+    # Past its bin budget the FPTAS raises TooLarge: solve-designer exits 2
+    # and verify skips the FPTAS check after running the agent check.
+    path = write_doc(tmp_path, serialize_instance(make_example()))
+    monkeypatch.setattr(designer, "_FPTAS_BINS", 1)
+    message = "the FPTAS table holds 2 bins, past the budget 1"
+    assert main(["solve-designer", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check["match"] is True
+    assert designer_check == {"check": "designer fptas vs oracle", "skipped": message}
+
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def test_fptas_budget_ends_a_large_mixed_sign_flower(tmp_path, capsys):
+    # The 200-petal mixed-sign flower that is operation 1 of the benchmark's
+    # agent corpus at seed 32: its FPTAS table passes a million bins by
+    # stage 90, so without the budget neither command returned.
+    bench = {"__name__": "perfbench_gen"}
+    exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), bench)
+    doc = bench["operations"]("agent", 32, 1)[1]["doc"]
+    assert doc["states"] == 200
+    path = write_doc(tmp_path, doc)
+    message = f"past the budget {designer._FPTAS_BINS}"
+    assert main(["solve-designer", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"{message}\n")
+    assert main(["verify", path]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["check"] for check in checks if "skipped" in check] == [
+        "agent greedy vs oracle",
+        "designer fptas vs oracle",
+    ]
+    assert checks[1]["skipped"].endswith(message)
+
+
 def test_verify_flower_runs_agent_check_past_25_states(tmp_path, capsys):
     # The agent oracle's guard is 28 states, so verify still runs it here.
     path = write_doc(tmp_path, serialize_instance(gen_random_flower(26, seed=1)))
@@ -890,16 +938,7 @@ _OUTPUT_KEYS = [
 )
 def test_output_keys_in_order(tmp_path, capsys, argv, code, keys, check_keys):
     # Results end with wall_clock_seconds; generated documents carry none.
-    mi = gen_random_multi_agent(2, 2, seed=2)
-    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)))
-    docs = {
-        "flower": serialize_instance(make_example()),
-        "competitive": serialize_instance(build_competitive_instance(mi, [external])),
-        "game": serialize_instance(gen_no_nash_game()),
-        "chain": {"version": 1, "kind": "general-chain", "rows": [["1/2", "1/2"], [1, 0]]},
-    }
-    argv = [write_doc(tmp_path, docs[a], f"{a}.json") if a in docs else a for a in argv]
-    assert main(argv) == code
+    assert main(_with_docs(tmp_path, argv)) == code
     captured = capsys.readouterr()
     if keys is None:
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -908,6 +947,101 @@ def test_output_keys_in_order(tmp_path, capsys, argv, code, keys, check_keys):
     assert list(out) == keys
     if check_keys is not None:
         assert [list(check) for check in out["checks"]] == check_keys
+    # Byte for byte what the reference writer makes of the same document.
+    # wall_clock_seconds compares only with itself: it is read back from
+    # the output, and a float's repr reads back to the same text.
+    assert captured.out == _written_by_json_dump(out)
+
+
+def _with_docs(tmp_path, argv):
+    """argv with each document name replaced by the path of its file."""
+    mi = gen_random_multi_agent(2, 2, seed=2)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)))
+    docs = {
+        "flower": serialize_instance(make_example()),
+        "competitive": serialize_instance(build_competitive_instance(mi, [external])),
+        "game": serialize_instance(gen_no_nash_game()),
+        "chain": {"version": 1, "kind": "general-chain", "rows": [["1/2", "1/2"], [1, 0]]},
+    }
+    return [write_doc(tmp_path, docs[a], f"{a}.json") if a in docs else a for a in argv]
+
+
+def _written_by_json_dump(result) -> str:
+    """The reference writer: what main wrote before it wrote each result in
+    one call, json.dump through the streaming encoder and then a newline."""
+    fp = io.StringIO()
+    json.dump(result, fp, indent=2)
+    fp.write("\n")
+    return fp.getvalue()
+
+
+_WALL_CLOCK = re.compile(r'"wall_clock_seconds": [0-9.e-]+')
+
+# Every command of _OUTPUT_KEYS, then the parser's own exits: a missing
+# required flag, an unknown command, a non-integer option and --help.
+_PARSER_CASES = [row[0] for row in _OUTPUT_KEYS] + [
+    ["best-response", "game", "--profile", "[[],[]]"],
+    ["no-such-command"],
+    ["dynamics", "game", "--init", "[[],[]]", "--max-rounds", "x"],
+    ["--help"],
+]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # One process builds its parser on the first call of main; every later
+    # call, each error exit and --help included, reuses it and behaves the
+    # same each time.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out, err = capsys.readouterr()
+        return code, _WALL_CLOCK.sub('"wall_clock_seconds": T', out), err
+
+    cases = [_with_docs(tmp_path, argv) for argv in _PARSER_CASES]
+    results = [run(cases[0])]
+    assert len(built) == 10  # pdp and its nine commands
+    results += [run(argv) for argv in cases[1:]]
+    assert [run(argv) for argv in cases] == results
+    assert len(built) == 10
+    assert [code for code, _, _ in results[-4:]] == ["SystemExit(2)"] * 3 + ["SystemExit(0)"]
+
+
+def test_import_builds_no_parser():
+    # Importing pdp.cli (the benchmark's set-up) builds no parser; the first
+    # parse builds all ten.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import pdp.cli\n"
+        "at_import = len(built)\n"
+        "try:\n"
+        "    pdp.cli.main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(at_import, len(built))\n"
+    )
+    src = str(Path(pdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.stdout.startswith("usage: pdp")
+    assert run.stdout.endswith("\n0 10\n")
 
 
 @pytest.mark.parametrize(
