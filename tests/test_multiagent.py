@@ -29,6 +29,7 @@ from pdp.multiagent import (
     build_multi_agent_instance,
     competitive_profit,
     competitive_solve,
+    kept_pairs,
     multi_agent_profit,
     multi_agent_solve,
     slot_coefficients,
@@ -487,7 +488,7 @@ def test_integer_core_matches_references():
         assert (got.states, got.profit) == (want.states, want.profit), idx
 
 
-def test_competitive_rejects_shifts_off_the_grid():
+def test_competitive_rejects_shifts_off_the_grid(monkeypatch):
     # Bypassing build_competitive_instance, an external with z off the
     # delta grid makes the own candidate's slot shift fractional once the
     # external is the fallback it replaces.
@@ -497,6 +498,30 @@ def test_competitive_rejects_shifts_off_the_grid():
         competitive_solve(ci)
     with pytest.raises(QuantizationError):
         build_competitive_instance(mi, ci.externals)
+
+    # With k = 2 both agents have bad guesses, agent 1's earlier on its grid
+    # than agent 2's.  The first theta combination in product order that
+    # holds one pairs agent 1's first guess (INF, never bad) with agent 2's
+    # bad guess, so the error names agent 2, as the walk over every
+    # combination did.
+    mi = gen_random_multi_agent(2, 2, seed=11)
+    half, dd = mi.delta / 2, mi.delta * mi.delta_prime
+    ci = CompetitiveInstance(
+        mi,
+        (
+            ExternalPlatform("x", 1, (half, half), (F(0), F(0))),
+            ExternalPlatform("y", 2, (half, 3 * half), (F(1, 4), F(0))),
+        ),
+    )
+    for grid, ac in zip(_solve_grids(ci), ci.curves):
+        assert any(agent_guess(ac, theta, nxt, dd).bad for theta, nxt in _windows(grid))
+    with pytest.raises(QuantizationError) as got:
+        competitive_solve(ci)
+    monkeypatch.setattr(multiagent, "_threshold_dp", _combination_threshold_dp)
+    with pytest.raises(QuantizationError) as want:
+        competitive_solve(ci)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("agent 2, state 1: the slot shifts are not whole")
 
 
 def test_competitive_empty_externals_matches_multi_agent():
@@ -647,9 +672,10 @@ def random_game(seed):
     return build_game_instance(chassis, designers, F(1), F(1, 4))
 
 
-def test_key_only_pass_matches_valued_dp(monkeypatch):
-    """States and exact profit equal the valued reference on seeded
-    multi-agent and competitive instances and on game best responses."""
+def _threshold_dp_cases():
+    """(solve, instance) pairs that run the threshold DP: seeded
+    multi-agent and competitive instances, a two-agent partition fixture
+    and game best responses."""
     cases = []
     for idx in range(60):
         n, k = reference_shape(idx)
@@ -666,12 +692,168 @@ def test_key_only_pass_matches_valued_dp(monkeypatch):
                 frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.5) for _ in range(2)
             )
             cases.append((lambda view: best_response(*view), (g, designer, profile)))
+    return cases
 
+
+def _assert_threshold_dp_matches(monkeypatch, cases, reference):
+    """States and exact profit of every case equal those with the threshold
+    DP swapped for reference."""
     got = [run(inst) for run, inst in cases]
-    monkeypatch.setattr(multiagent, "_threshold_dp", _valued_threshold_dp)
+    monkeypatch.setattr(multiagent, "_threshold_dp", reference)
     want = [run(inst) for run, inst in cases]
     for idx, (g, w) in enumerate(zip(got, want)):
         assert (g.states, g.profit) == (w.states, w.profit), idx
+
+
+def test_key_only_pass_matches_valued_dp(monkeypatch):
+    """States and exact profit equal the valued reference on seeded
+    multi-agent and competitive instances and on game best responses."""
+    _assert_threshold_dp_matches(monkeypatch, _threshold_dp_cases(), _valued_threshold_dp)
+
+
+# The threshold DP before the per-agent pass: every theta combination is
+# walked, and each reachable key is checked against the windows of the
+# option its denominator counters fix.
+
+
+def _ref_in_windows(numerators, option):
+    return all(
+        lo <= a and (hi is None or a <= hi) for a, (_, _, lo, hi) in zip(numerators, option)
+    )
+
+
+def _combination_threshold_dp(ci, grids):
+    mi = ci.mi
+    k = mi.k
+    dd = mi.delta * mi.delta_prime
+    cost_scale, cost = mi.integer_cost
+    guesses = [
+        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, ac in zip(grids, ci.curves)
+    ]
+
+    best = None  # (value numerator, its denominator, states)
+    for combo in itertools.product(*guesses):
+        bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
+        if bad is not None:
+            raise QuantizationError(
+                f"agent {bad[1] + 1}, state {bad[0]}: the slot shifts are not whole"
+                " multiples of delta * delta_prime and delta"
+            )
+        steps = [
+            tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
+            for j in range(mi.n)
+        ]
+        moves = [any(step) for step in steps]
+        keys = {(0,) * (2 * k)}
+        for step, move in zip(steps, moves):
+            if move:
+                keys |= {tuple(map(int.__add__, key, step)) for key in keys}
+        numerators = {}
+        for key in keys:
+            numerators.setdefault(key[k:], []).append(key[:k])
+        by_level = [{o[0]: o for o in g.options} for g in combo]
+        for levels, nums in numerators.items():
+            option = tuple(opts[level] for opts, level in zip(by_level, levels))
+            if not any(_ref_in_windows(a, option) for a in nums):
+                continue
+            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+            table = {(0,) * (2 * k): (0, ())}
+            for t, (step, c) in enumerate(zip(steps, coeffs), 1):
+                if not moves[t - 1] and c <= 0:
+                    continue
+                for key, (val, states) in list(table.items()):
+                    new_key = tuple(map(int.__add__, key, step))
+                    cand = (val + c, states + (t,))
+                    old = table.get(new_key)
+                    if old is None or cand[0] > old[0] or (
+                        cand[0] == old[0] and cand[1] < old[1]
+                    ):
+                        table[new_key] = cand
+            for key, (val, states) in table.items():
+                if key[k:] == levels and _ref_in_windows(key, option):
+                    if best is None:
+                        best = (val, M, states)
+                        continue
+                    cmp = val * best[1] - best[0] * M
+                    if cmp > 0 or (cmp == 0 and states < best[2]):
+                        best = (val, M, states)
+    if best is None:
+        raise RuntimeError("the threshold DP found no consistent (theta, D) guess")
+    return DesignSet(frozenset(best[2]), F(best[0], best[1]))
+
+
+def _three_agent_cases():
+    """Seeded multi-agent and competitive instances with k = 3, where
+    dropping guesses prunes the most combinations."""
+    cases = []
+    for idx in range(12):
+        n = 3 + idx % 3
+        generate = narrow_multi_agent if idx % 3 == 0 else gen_random_multi_agent
+        mi = generate(n, 3, seed=1300 + idx)
+        cases.append((multi_agent_solve, mi))
+        ci = build_competitive_instance(mi, random_externals(mi, idx, count=1 + idx % 3))
+        cases.append((competitive_solve, ci))
+    return cases
+
+
+def test_guess_prefilter_matches_combination_dp(monkeypatch):
+    """States and exact profit equal the reference that walks every theta
+    combination, on the cases of the valued-DP test and on k = 3."""
+    cases = _threshold_dp_cases() + _three_agent_cases()
+    _assert_threshold_dp_matches(monkeypatch, cases, _combination_threshold_dp)
+
+
+def _brute_kept_pairs(g):
+    """kept_pairs(g) by enumerating the subsets of the states g picks."""
+    picked = [j for j, m in enumerate(g.member) if m]
+    by_level = {o[0]: o for o in g.options}
+    kept = {}
+    for size in range(len(picked) + 1):
+        for S in itertools.combinations(picked, size):
+            pair = (sum(g.a_steps[j] for j in S), sum(g.b_steps[j] for j in S))
+            _, _, lo, hi = option = by_level[pair[1]]
+            if lo <= pair[0] and (hi is None or pair[0] <= hi):
+                kept[pair] = option
+    return kept
+
+
+def _empty_offer_utility(ac):
+    """The agent's utility when the designer offers nothing."""
+    if not ac.base:
+        return ac.dp.A / ac.dp.B
+    return multi_greedy_solve(ac.base, ac.dp.A, ac.dp.B).utility
+
+
+def test_kept_pairs_match_brute_force():
+    """Each guess keeps exactly the counter pairs some subset of its picked
+    states reaches inside its option's window, so a guess is dropped iff no
+    such pair exists.  The guess whose window holds the agent's utility
+    under the empty offer keeps the empty slot, so every agent keeps a
+    guess."""
+    instances = []
+    for idx in range(40):
+        n, k = (3 + idx % 2, 3) if idx % 4 == 3 else reference_shape(idx)
+        mi = gen_random_multi_agent(n, k, seed=1500 + idx)
+        instances.append(CompetitiveInstance(mi, ()))
+        instances.append(build_competitive_instance(mi, random_externals(mi, idx)))
+    dropped = 0
+    for ci in instances:
+        dd = ci.mi.delta * ci.mi.delta_prime
+        for grid, ac in zip(_solve_grids(ci), ci.curves):
+            u0 = _empty_offer_utility(ac)
+            holders = 0
+            for theta, theta_next in _windows(grid):
+                g = agent_guess(ac, theta, theta_next, dd)
+                kept = kept_pairs(g)
+                assert kept == _brute_kept_pairs(g), (theta, theta_next)
+                dropped += not kept
+                if theta_next <= u0 and (theta is INF or u0 < theta):
+                    holders += 1
+                    assert (0, 0) in kept, (theta, theta_next, u0)
+            assert holders == 1, u0
+    # The prefilter has guesses to drop on these instances.
+    assert dropped > 0
 
 
 def _solve_grids(ci):
@@ -775,6 +957,17 @@ def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
     result = _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
     assert calls == [((1, 3, lo, hi),)]
     assert result == DesignSet(frozenset({1}), F(12, 3) - mi.cost[0])
+
+
+@pytest.mark.parametrize("lo, hi", [(4, None), (0, 2), (3, 2)], ids=["above", "below", "empty"])
+def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
+    # Level 0's window misses the empty key and level 1's misses (3, 1), so
+    # the one guess keeps no counter pair and no valued DP runs.
+    mi = gen_random_multi_agent(2, 1, seed=12)
+    monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
+    monkeypatch.setattr(multiagent, "slot_coefficients", None)
+    with pytest.raises(RuntimeError, match="no consistent \\(theta, D\\) guess"):
+        _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
 
 
 # The competitive layer on Fractions, as it stood before the curve images:
