@@ -616,7 +616,7 @@ def _verify_threshold_dp(obj) -> list[dict]:
         match = sel.utility == oracle.utility and local
         return _compared(match, sel.utility, oracle.utility, locally_optimal=local)
 
-    checks = [_check(f"{name} dp vs brute force", optimum)]
+    checks = [_check(f"{name} dp vs brute force", optimum, agent.TooLarge)]
     if isinstance(obj, CompetitiveInstance):
         for i in range(obj.mi.k):
             check = f"agent {i + 1} multiplatform greedy vs oracle"
@@ -649,7 +649,9 @@ def _verify_game(g: game.GameInstance) -> list[dict]:
         return {"nash": _profile_doc(profile), "match": match}
 
     checks = [
-        _check(f"designer {d + 1} best response vs brute force", partial(response, d))
+        _check(
+            f"designer {d + 1} best response vs brute force", partial(response, d), agent.TooLarge
+        )
         for d in range(g.num_designers)
     ]
     return [*checks, _check("pure nash vs definition", nash, agent.TooLarge)]

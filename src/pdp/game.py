@@ -5,8 +5,8 @@ build; rivals' built platforms act as external competition.  Best
 responses run through the competitive solver; dynamics and the pure-Nash
 search operate over full strategy profiles.  Within one search, a
 `SearchMemo` keeps every profit and best response already computed, and
-one competitive instance (with its Pareto curves) per designer and rival
-profile; the search drops it when it returns.
+one competitive instance (with each agent's curve entries) per designer
+and rival profile; the search drops it when it returns.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
     # Checked here too: a game without designers never builds a view.
     check_quantization_steps(delta, delta_prime)
     chassis = tuple(chassis)
+    if not chassis:
+        raise ValueError("need at least one agent")
     designers = tuple(tuple(sorted(cands, key=lambda c: c.state)) for cands in designers)
     n = chassis[0].n
     for cands in designers:
@@ -80,8 +82,8 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
         for c in cands:
             if c.cost <= 0:
                 raise ValueError("candidate costs must be positive")
-            if len(c.z) != len(chassis) or len(c.phi) != len(chassis):
-                raise ValueError("candidate needs per-agent z and phi")
+            if not len(c.z) == len(c.phi) == len(c.d) == len(chassis):
+                raise ValueError("candidate needs per-agent z, phi and d")
             # z = -lambda would divide by zero in the designer's view.
             if any(z <= 0 for z in c.z):
                 raise ValueError(f"candidate at state {c.state} needs every z positive")

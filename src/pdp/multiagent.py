@@ -10,13 +10,16 @@ equal the true profit.
 One core, `_threshold_dp`, runs that DP.  The multi-agent problem is the
 competitive one with no rival platforms, so `multi_agent_solve` checks its
 (theta, D) budget and hands the instance to `competitive_solve`.  Each
-agent's Pareto curves have one integer image (`CurveImage`), built with
-the competitive instance's curves.  Per agent and threshold guess,
-`agent_guess` reads off that image the candidates the agent picks, its
-utility numerator and denominator without them (a_hat, b_hat), and the
-shift each pick adds (sigma, tau); with no rival platforms a_hat = A,
-b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` walks the same
-image.
+agent's Pareto curves, over the rival platforms alone and with the
+designer's candidate inserted at every state, take one form: a
+`CurveImage`, one list of integer entries in the greedy's order (psi
+descending), built once per competitive instance.  `competitive_solve`
+takes each agent's theta grid from the entries' psi.  Per agent and
+threshold guess, `agent_guess` walks the entries down to the guess and
+reads off the candidates the agent picks, its utility numerator and
+denominator without them (a_hat, b_hat), and the shift each pick adds
+(sigma, tau); with no rival platforms a_hat = A, b_hat = B, sigma =
+z*phi, tau = z.  `competitive_profit` walks the same entries.
 Everything that depends on the guess alone (slot steps, reachable D,
 consistency bounds) is worked out once per agent and guess.  Slot keys
 and slot values are integers: for each D the value coefficients share
@@ -52,7 +55,7 @@ from typing import NamedTuple
 from .agent import TooLarge, adopted_response
 from .core import DerivedParams, FlowerInstance, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
-from .multiplatform import ParetoCurve, Platform, prune_redundant
+from .multiplatform import Platform, prune_redundant
 
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
@@ -178,49 +181,48 @@ class AgentGuess:
     options: tuple[tuple[int, int, int, int | None], ...]
 
 
-def agent_guess(ac: AgentCurves, theta, theta_next, dd: Fraction) -> AgentGuess:
+def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction) -> AgentGuess:
     """The AgentGuess of one agent under the window [theta_next, theta),
     read off the agent's CurveImage; dd is delta*delta_prime.
 
-    The agent's fallback is its selection on the rival curves alone; it
-    picks the designer's candidate at a state when the candidate is the
-    selected point of that state's inserted curve, which replaces the
-    fallback there.  Each psi >= theta test reads psi_num * theta_den >=
-    theta_num * psi_den, as both denominators are positive.
+    One walk over im.entries, down to the first psi < theta, keeps the
+    last entry per (curve set, state): the point the agent selects on
+    that curve at every utility in the window.  This needs psi to fall
+    strictly along each curve and every psi to be a value of the agent's
+    theta grid, so that no curve has a slope in [theta_next, theta).  On
+    the rival curves that entry is the agent's fallback; the agent picks
+    the designer's candidate at a state when the entry kept on its
+    inserted curve is that candidate, which replaces the fallback there.
+    Each psi >= theta test reads psi_num * theta_den >= theta_num *
+    psi_den, as both denominators are positive.
     """
-    im = ac.image
-    n_num, n_den = theta_next.numerator, theta_next.denominator
-    fall = {}
+    last: dict[tuple[bool, int], CurveEntry] = {}
     if theta is not INF:
         t_num, t_den = theta.numerator, theta.denominator
-        for s, curve in im.base.items():
-            pick = None
-            for e in curve:
-                if e.psi * t_den >= t_num * e.psi_den:
-                    pick = e
-            fall[s] = pick
-    a_hat = im.A + sum(f.zphi for f in fall.values() if f)
-    b_hat = im.B + sum(f.z for f in fall.values() if f)
+        for e in im.entries:
+            if e.psi * t_den < t_num * e.psi_den:
+                break
+            last[e.inserted, e.state] = e
+    fall = {s: e for (inserted, s), e in last.items() if not inserted}
+    a_hat = im.A + sum(f.zphi for f in fall.values())
+    b_hat = im.B + sum(f.z for f in fall.values())
     n = len(im.dw)
     dd_num, dd_den = dd.numerator, dd.denominator
     scale = im.L * dd_num
     member = [False] * n
     a_steps, b_steps, bad = [0] * n, [0] * n, []
-    if theta is not INF:
-        for s, curve in im.with_own.items():
-            for idx, e in enumerate(curve):
-                if not (e.own and e.psi * t_den >= t_num * e.psi_den):
-                    continue
-                if idx + 1 < len(curve) and curve[idx + 1].psi * n_den > n_num * curve[idx + 1].psi_den:
-                    continue
-                f = fall.get(s)
-                # sigma / dd and tau / delta, both taken at scale L.
-                a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
-                b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
-                if a_rest or b_rest:
-                    bad.append(s)
-                member[s - 1] = True
-                a_steps[s - 1], b_steps[s - 1] = a, b
+    # Sorted keys put the inserted curves last, by state, so bad is sorted.
+    for (inserted, s), e in sorted(last.items()):
+        if not (inserted and e.own):
+            continue
+        f = fall.get(s)
+        # sigma / dd and tau / delta, both taken at scale L.
+        a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
+        b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
+        if a_rest or b_rest:
+            bad.append(s)
+        member[s - 1] = True
+        a_steps[s - 1], b_steps[s - 1] = a, b
     scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
     if bad:
         return AgentGuess(*scaled, ())
@@ -232,6 +234,7 @@ def agent_guess(ac: AgentCurves, theta, theta_next, dd: Fraction) -> AgentGuess:
     # which is >= t = t_num / t_den iff c >= (t_num*D - t_den*a_hat) * dd_den
     # / (t_den * L * dd_num): lo is that bound's ceiling at theta_next, and
     # hi one less than it at theta.
+    n_num, n_den = theta_next.numerator, theta_next.denominator
     options = []
     for level in sorted(levels):
         D = b_hat + level * im.delta
@@ -297,8 +300,8 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     guesses = [
-        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
-        for grid, ac in zip(grids, ci.curves)
+        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, im in zip(grids, ci.curves)
     ]
     if any(g.bad for gs in guesses for g in gs):
         # Name the first theta combination, in product order, that holds a
@@ -415,14 +418,17 @@ class CurveEntry(NamedTuple):
 
 
 class CurveImage(NamedTuple):
-    """One agent's AgentCurves over one common denominator L.
+    """One agent's Pareto curves over one common denominator L: those of
+    the rival platforms alone and those with the designer's candidate
+    inserted at every state.
 
     A, B, delta and dw (d_j * w_j per state) are the rational values times
     L, as are each entry's z and z*phi, so a selection's utility is
     (A + sum zphi) / (B + sum z) and the designer's revenue from it is
-    (sum dw) / (B + sum z).  base and with_own hold each state's entries
-    in curve order; entries holds both curve sets' entries in the greedy's
-    order: psi descending, then state, then str(id).
+    (sum dw) / (B + sum z).  entries holds both curve sets' entries in the
+    greedy's order: psi descending, then state, then str(id).  Along each
+    curve psi falls strictly, so each curve's entries appear in curve
+    order.
     """
 
     L: int
@@ -430,55 +436,35 @@ class CurveImage(NamedTuple):
     B: int
     delta: int
     dw: tuple[int, ...]
-    base: dict[int, tuple[CurveEntry, ...]]
-    with_own: dict[int, tuple[CurveEntry, ...]]
     entries: tuple[CurveEntry, ...]
 
 
 def curve_image(dp: DerivedParams, d, delta: Fraction, base, with_own) -> CurveImage:
-    """The CurveImage of one agent's curves; d holds its rewards d_j."""
+    """The CurveImage of one agent's curves: base, over the rival platforms
+    alone, and with_own, with the designer's candidates inserted.  d holds
+    the agent's rewards d_j."""
     points = [
         (psi, state, idx, pl, inserted)
         for inserted, curves in enumerate((base, with_own))
         for state, curve in curves.items()
         for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
     ]
+    # Both sorts are stable (reverse=True included), so this is the order of
+    # the key (-psi, state, str(id)), and equal keys (one str(id) twice on a
+    # curve) keep curve order, as in multi_greedy_solve.
+    points.sort(key=lambda p: (p[1], str(p[3].id)))
+    points.sort(key=lambda p: p[0], reverse=True)
     L, (A, B, delta_L), dw, z, zphi = scale_to_integers(
         (dp.pairs.A, dp.pairs.B, delta),
         tuple(map(product_pair, d, dp.pairs.w)),
         [pl.z for _, _, _, pl, _ in points],
         [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
     )
-    entries = [
+    entries = tuple(
         CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
         for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
-    ]
-    by_curve = ({}, {})
-    for e in entries:
-        by_curve[e.inserted].setdefault(e.state, []).append(e)
-    # Both sorts are stable (reverse=True included), so this is the order of
-    # the key (-psi, state, str(id)), and equal keys (one str(id) twice on a
-    # curve) keep curve order, as in multi_greedy_solve.
-    order = sorted(range(len(points)), key=lambda t: (points[t][1], str(points[t][3].id)))
-    order.sort(key=lambda t: points[t][0], reverse=True)
-    return CurveImage(
-        L, A, B, delta_L, dw,
-        *({s: tuple(es) for s, es in curves.items()} for curves in by_curve),
-        tuple(entries[t] for t in order),
     )
-
-
-@dataclass(frozen=True)
-class AgentCurves:
-    """One agent's side of a competitive instance: its derived parameters,
-    the Pareto curves of the externals alone, the curves with the
-    designer's candidate inserted at every state, and their integer image,
-    which agent_guess and competitive_profit read."""
-
-    dp: DerivedParams
-    base: dict[int, ParetoCurve]
-    with_own: dict[int, ParetoCurve]
-    image: CurveImage
+    return CurveImage(L, A, B, delta_L, dw, entries)
 
 
 @dataclass(frozen=True)
@@ -491,11 +477,11 @@ class CompetitiveInstance:
         return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in self.externals]
 
     @cached_property
-    def curves(self) -> tuple[AgentCurves, ...]:
-        """Per-agent curves and their integer images, built once per
-        instance.  A state's curve depends only on the platforms at that
-        state, so the curves over the externals plus an offered set S are
-        base outside S and with_own inside it."""
+    def curves(self) -> tuple[CurveImage, ...]:
+        """Each agent's CurveImage, built once per instance.  A state's
+        curve depends only on the platforms at that state, so the curves
+        over the externals plus an offered set S are the inserted curves
+        inside S and the rival curves elsewhere."""
         out = []
         for i, (a, dp) in enumerate(zip(self.mi.agents, self.mi.params)):
             ext = self.external_platforms(i)
@@ -505,8 +491,7 @@ class CompetitiveInstance:
             ]
             base = prune_redundant(ext) if ext else {}
             with_own = prune_redundant(ext + own)
-            image = curve_image(dp, a.pairs.d, self.mi.delta, base, with_own)
-            out.append(AgentCurves(dp, base, with_own, image))
+            out.append(curve_image(dp, a.pairs.d, self.mi.delta, base, with_own))
         return tuple(out)
 
 
@@ -542,7 +527,7 @@ def _own_revenue(im: CurveImage, S: frozenset) -> tuple[int, int]:
     denominator B + sum z), both over L.
 
     The agent's exact response is the greedy of multi_greedy_solve over
-    the with_own curves at the states of S and the base curves elsewhere.
+    the inserted curves at the states of S and the rival curves elsewhere.
     Its walk over the merged entries skips the other curve set at each
     state; a state never shows entries of both, so the walk sees the
     greedy's sorted entries in its order.  It stops once psi <= num / den,
@@ -577,8 +562,8 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     S = frozenset(S)
     cost_scale, cost = ci.mi.integer_cost
     num, den = -sum(cost[j - 1] for j in S), cost_scale
-    for ac in ci.curves:
-        rev, D = _own_revenue(ac.image, S)
+    for im in ci.curves:
+        rev, D = _own_revenue(im, S)
         if rev:
             num, den = num * D + rev * den, den * D
     return Fraction(num, den)
@@ -586,15 +571,7 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
 
 def competitive_solve(ci: CompetitiveInstance) -> DesignSet:
     """Exact optimum when agents also see competitor-owned platforms."""
-    curves = ci.curves
-    grids = [
-        theta_grid(
-            psi
-            for curve in itertools.chain(ac.base.values(), ac.with_own.values())
-            for psi in curve.psi
-        )
-        for ac in curves
-    ]
+    grids = [theta_grid(Fraction(e.psi, e.psi_den) for e in im.entries) for im in ci.curves]
     total = math.prod(len(g) for g in grids)
     if total > _GRID_BUDGET:
         raise TooLarge(f"theta grid size {total} exceeds budget {_GRID_BUDGET}")

@@ -796,6 +796,36 @@ def test_verify_game(tmp_path, capsys, monkeypatch, designers):
     assert [c["match"] for c in out["checks"][:designers]] == [False] * designers
 
 
+def test_verify_skips_solvers_past_their_grid_budget(tmp_path, capsys, monkeypatch):
+    # A solver's own guard skips its check, as a brute-force guard does: the
+    # n = 6 document is within the brute force's guard, but its (theta, D)
+    # grid is past the solver's budget.
+    path = write_doc(tmp_path, serialize_instance(gen_random_multi_agent(6, 4, seed=1)))
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert out["checks"] == [
+        {
+            "check": "multi-agent dp vs brute force",
+            "skipped": "(theta, D) grid size 43184232 exceeds budget 1000000",
+        }
+    ]
+    # Each best response of a game runs the competitive solver under the
+    # same budget.
+    game_doc = write_doc(tmp_path, serialize_instance(gen_no_nash_game()), "game.json")
+    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
+    assert main(["verify", game_doc]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    responses = out["checks"][:2]
+    assert [c["check"] for c in responses] == [
+        "designer 1 best response vs brute force",
+        "designer 2 best response vs brute force",
+    ]
+    for c in responses:
+        assert re.fullmatch(r"theta grid size \d+ exceeds budget 1", c["skipped"]), c
+
+
 def test_verify_skips_brute_forces_past_their_budget(tmp_path, capsys, monkeypatch):
     # Each brute force counts the subsets it sweeps against one budget; past
     # it the check is skipped before its solver runs, and the others still run.

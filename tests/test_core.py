@@ -505,6 +505,31 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: process-wide cache on lines {lines}"
 
 
+def test_package_has_no_unused_imports():
+    # Every name a module imports is read in that module; the names that
+    # `__init__.py` lists in `__all__` are its re-exports.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
 def test_package_bounds_are_constants():
     # An enumeration guard, a grid budget or a ceiling is a fixed bound of
     # the algorithm, kept as a module constant that a test can patch, never

@@ -165,6 +165,15 @@ def test_build_validation():
     )
     with pytest.raises(ValueError):
         build_game_instance(g.chassis, (bad,), g.delta, g.delta_prime)
+    # Each candidate needs one z, phi and d per agent, and the game an agent.
+    k = len(g.chassis)
+    first, *rest = g.designers[0]
+    for d in (first.d[: k - 1], first.d + (F(1),)):
+        cands = (Candidate(first.state, first.z, first.phi, d, first.cost), *rest)
+        with pytest.raises(ValueError, match="candidate needs per-agent z, phi and d"):
+            build_game_instance(g.chassis, (cands,), g.delta, g.delta_prime)
+    with pytest.raises(ValueError, match="need at least one agent"):
+        build_game_instance((), g.designers, g.delta, g.delta_prime)
 
 
 def test_pure_nash_guard(monkeypatch):

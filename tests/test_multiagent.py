@@ -310,10 +310,10 @@ def multi_agent_guesses(mi, theta):
     """Each agent's AgentGuess with no rival platforms at thresholds theta."""
     dd = mi.delta * mi.delta_prime
     guesses = []
-    for i, ac in enumerate(CompetitiveInstance(mi, ()).curves):
-        grid = theta_grid(ac.dp.phi)
+    for i, (im, dp) in enumerate(zip(CompetitiveInstance(mi, ()).curves, mi.params)):
+        grid = theta_grid(dp.phi)
         theta_next = (*grid[1:], F(-1))[grid.index(theta[i])]
-        guesses.append(agent_guess(ac, theta[i], theta_next, dd))
+        guesses.append(agent_guess(im, theta[i], theta_next, dd))
     return guesses
 
 
@@ -513,8 +513,8 @@ def test_competitive_rejects_shifts_off_the_grid(monkeypatch):
             ExternalPlatform("y", 2, (half, 3 * half), (F(1, 4), F(0))),
         ),
     )
-    for grid, ac in zip(_solve_grids(ci), ci.curves):
-        assert any(agent_guess(ac, theta, nxt, dd).bad for theta, nxt in _windows(grid))
+    for grid, im in zip(_solve_grids(ci), ci.curves):
+        assert any(agent_guess(im, theta, nxt, dd).bad for theta, nxt in _windows(grid))
     with pytest.raises(QuantizationError) as got:
         competitive_solve(ci)
     monkeypatch.setattr(multiagent, "_threshold_dp", _combination_threshold_dp)
@@ -601,8 +601,8 @@ def _valued_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = [
-        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
-        for grid, ac in zip(grids, ci.curves)
+        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
@@ -728,8 +728,8 @@ def _combination_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     guesses = [
-        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
-        for grid, ac in zip(grids, ci.curves)
+        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
@@ -818,11 +818,12 @@ def _brute_kept_pairs(g):
     return kept
 
 
-def _empty_offer_utility(ac):
-    """The agent's utility when the designer offers nothing."""
-    if not ac.base:
-        return ac.dp.A / ac.dp.B
-    return multi_greedy_solve(ac.base, ac.dp.A, ac.dp.B).utility
+def _empty_offer_utility(base, dp):
+    """The agent's utility over its rival curves base when the designer
+    offers nothing."""
+    if not base:
+        return dp.A / dp.B
+    return multi_greedy_solve(base, dp.A, dp.B).utility
 
 
 def test_kept_pairs_match_brute_force():
@@ -840,11 +841,11 @@ def test_kept_pairs_match_brute_force():
     dropped = 0
     for ci in instances:
         dd = ci.mi.delta * ci.mi.delta_prime
-        for grid, ac in zip(_solve_grids(ci), ci.curves):
-            u0 = _empty_offer_utility(ac)
+        for i, (grid, im) in enumerate(zip(_solve_grids(ci), ci.curves)):
+            u0 = _empty_offer_utility(_ref_agent_curves(ci, i)[0], ci.mi.params[i])
             holders = 0
             for theta, theta_next in _windows(grid):
-                g = agent_guess(ac, theta, theta_next, dd)
+                g = agent_guess(im, theta, theta_next, dd)
                 kept = kept_pairs(g)
                 assert kept == _brute_kept_pairs(g), (theta, theta_next)
                 dropped += not kept
@@ -856,16 +857,17 @@ def test_kept_pairs_match_brute_force():
     assert dropped > 0
 
 
+def _ref_grid(base, with_own):
+    """An agent's theta grid: every psi of its Fraction Pareto curves."""
+    return theta_grid(
+        psi for curve in itertools.chain(base.values(), with_own.values()) for psi in curve.psi
+    )
+
+
 def _solve_grids(ci):
-    """The theta grids competitive_solve hands the threshold DP."""
-    return [
-        theta_grid(
-            psi
-            for curve in itertools.chain(ac.base.values(), ac.with_own.values())
-            for psi in curve.psi
-        )
-        for ac in ci.curves
-    ]
+    """The theta grids competitive_solve hands the threshold DP, read off
+    the Fraction Pareto curves."""
+    return [_ref_grid(*_ref_agent_curves(ci, i)) for i in range(ci.mi.k)]
 
 
 def _consistent_pairs(ci):
@@ -874,8 +876,8 @@ def _consistent_pairs(ci):
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
     guesses = [
-        [agent_guess(ac, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
-        for grid, ac in zip(_solve_grids(ci), ci.curves)
+        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        for grid, im in zip(_solve_grids(ci), ci.curves)
     ]
     pairs = Counter()
     attempted = 0
@@ -975,19 +977,25 @@ def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
 # Pareto curves, with the agent's d*w and delta passed in.
 
 
-def reference_competitive_profit(ci, S):
+def _ref_curves(ci):
+    """Every agent's (base, with_own) Fraction Pareto curves."""
+    return [_ref_agent_curves(ci, i) for i in range(ci.mi.k)]
+
+
+def reference_competitive_profit(ci, ref_curves, S):
+    """The profit of S, with ref_curves = _ref_curves(ci)."""
     S = frozenset(S)
     mi = ci.mi
     profit = -sum((mi.cost[j - 1] for j in S), F(0))
-    for a, ac in zip(mi.agents, ci.curves):
-        curves = {s: ac.with_own[s] for s in S}
-        curves.update((s, curve) for s, curve in ac.base.items() if s not in S)
+    for a, dp, (base, with_own) in zip(mi.agents, mi.params, ref_curves):
+        curves = {s: with_own[s] for s in S}
+        curves.update((s, curve) for s, curve in base.items() if s not in S)
         if not curves:
             continue
-        sel = multi_greedy_solve(curves, ac.dp.A, ac.dp.B)
-        den = ac.dp.B + sum((pl.z for pl in sel.platforms), F(0))
+        sel = multi_greedy_solve(curves, dp.A, dp.B)
+        den = dp.B + sum((pl.z for pl in sel.platforms), F(0))
         own_rev = sum(
-            (a.d[pl.state - 1] * ac.dp.w[pl.state - 1] for pl in sel.platforms if pl.own),
+            (a.d[pl.state - 1] * dp.w[pl.state - 1] for pl in sel.platforms if pl.own),
             F(0),
         )
         profit += own_rev / den
@@ -998,21 +1006,23 @@ def _ceil(x):
     return -(-x.numerator // x.denominator)
 
 
-def reference_agent_guess(ac, dw, theta, theta_next, delta, dd):
-    """The AgentGuess on Fractions, and the scale L of its dw and D."""
+def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
+    """The AgentGuess on Fractions over one agent's (base, with_own)
+    curves, and the scale L of its dw and D."""
+    base, with_own = curves
     fall = {}
-    for s, curve in ac.base.items():
+    for s, curve in base.items():
         pick = None
         for idx, pl in enumerate(curve.platforms):
             if theta is not INF and curve.psi[idx] >= theta:
                 pick = pl
         fall[s] = pick
-    a_hat = ac.dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), F(0))
-    b_hat = ac.dp.B + sum((pl.z for pl in fall.values() if pl), F(0))
-    n = ac.dp.n
+    a_hat = dp.A + sum((pl.z * pl.phi for pl in fall.values() if pl), F(0))
+    b_hat = dp.B + sum((pl.z for pl in fall.values() if pl), F(0))
+    n = dp.n
     member = [False] * n
     a_steps, b_steps, bad = [0] * n, [0] * n, []
-    for s, curve in ac.with_own.items():
+    for s, curve in with_own.items():
         for idx, pl in enumerate(curve.platforms):
             selected = (
                 pl.own
@@ -1046,23 +1056,89 @@ def reference_agent_guess(ac, dw, theta, theta_next, delta, dd):
     return AgentGuess(*scaled, tuple(options)), L
 
 
+# agent_guess as it stood before the one walk over the sorted entries: two
+# loops over per-curve entry dicts, and a theta_next test on the slope into
+# the next point of the inserted curve.
+
+
+def _curve_dicts(im):
+    """The rival and inserted curves' entries per state, in curve order."""
+    by_curve = ({}, {})
+    for e in sorted(im.entries, key=lambda e: (e.state, e.idx)):
+        by_curve[e.inserted].setdefault(e.state, []).append(e)
+    return by_curve
+
+
+def two_loop_agent_guess(im, theta, theta_next, dd):
+    base, with_own = _curve_dicts(im)
+    n_num, n_den = theta_next.numerator, theta_next.denominator
+    fall = {}
+    if theta is not INF:
+        t_num, t_den = theta.numerator, theta.denominator
+        for s, curve in base.items():
+            pick = None
+            for e in curve:
+                if e.psi * t_den >= t_num * e.psi_den:
+                    pick = e
+            fall[s] = pick
+    a_hat = im.A + sum(f.zphi for f in fall.values() if f)
+    b_hat = im.B + sum(f.z for f in fall.values() if f)
+    n = len(im.dw)
+    dd_num, dd_den = dd.numerator, dd.denominator
+    scale = im.L * dd_num
+    member = [False] * n
+    a_steps, b_steps, bad = [0] * n, [0] * n, []
+    if theta is not INF:
+        for s, curve in with_own.items():
+            for idx, e in enumerate(curve):
+                if not (e.own and e.psi * t_den >= t_num * e.psi_den):
+                    continue
+                if idx + 1 < len(curve) and curve[idx + 1].psi * n_den > n_num * curve[idx + 1].psi_den:
+                    continue
+                f = fall.get(s)
+                a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
+                b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
+                if a_rest or b_rest:
+                    bad.append(s)
+                member[s - 1] = True
+                a_steps[s - 1], b_steps[s - 1] = a, b
+    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
+    if bad:
+        return AgentGuess(*scaled, ())
+    levels = {0}
+    for b, picked in zip(b_steps, member):
+        if picked:
+            levels |= {s + b for s in levels}
+    options = []
+    for level in sorted(levels):
+        D = b_hat + level * im.delta
+        lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
+        hi = None
+        if theta is not INF:
+            hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
+        options.append((level, D, lo, hi))
+    return AgentGuess(*scaled, tuple(options))
+
+
 def assert_guesses_match(ci):
     """Every agent's guess under every window of competitive_solve's grids
-    equals the reference: member, bad, the levels, lo and hi exactly, the
+    equals the two-loop reference in every field, and the Fraction
+    reference: member, bad, the levels, lo and hi exactly, the
     steps at every state whose shifts are whole (the DP raises before it
     reads any other), and dw and each D up to each side's scale."""
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
-    for grid, a, ac in zip(_solve_grids(ci), mi.agents, ci.curves):
-        dw = [d * w for d, w in zip(a.d, ac.dp.w)]
-        for theta, theta_next in _windows(grid):
-            got = agent_guess(ac, theta, theta_next, dd)
-            want, L = reference_agent_guess(ac, dw, theta, theta_next, mi.delta, dd)
+    for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ci)):
+        dw = [d * w for d, w in zip(a.d, dp.w)]
+        for theta, theta_next in _windows(_ref_grid(*curves)):
+            got = agent_guess(im, theta, theta_next, dd)
+            assert got == two_loop_agent_guess(im, theta, theta_next, dd)
+            want, L = reference_agent_guess(curves, dp, dw, theta, theta_next, mi.delta, dd)
             assert (got.member, got.bad) == (want.member, want.bad)
             whole = [j for j in range(mi.n) if j + 1 not in got.bad]
             for steps in ("a_steps", "b_steps"):
                 assert [getattr(got, steps)[j] for j in whole] == [getattr(want, steps)[j] for j in whole]
-            M = ac.image.L
+            M = im.L
             assert [F(x, M) for x in got.dw] == [F(x, L) for x in want.dw]
             assert [(o[0], o[2], o[3]) for o in got.options] == [(o[0], o[2], o[3]) for o in want.options]
             assert [F(o[1], M) for o in got.options] == [F(o[1], L) for o in want.options]
@@ -1116,8 +1192,10 @@ def test_competitive_profit_matches_greedy_reference():
     every offer of seeded competitive instances and on every (designer,
     profile) of seeded games."""
     for idx, ci in enumerate(reference_instances()):
+        ref_curves = _ref_curves(ci)
         for S in all_subsets(ci.mi.n):
-            assert competitive_profit(ci, S) == reference_competitive_profit(ci, S), (idx, S)
+            want = reference_competitive_profit(ci, ref_curves, S)
+            assert competitive_profit(ci, S) == want, (idx, S)
     for g in reference_games():
         memo = game.SearchMemo(g)
         subsets = list(all_subsets(g.n))
@@ -1125,7 +1203,8 @@ def test_competitive_profit_matches_greedy_reference():
             for profile in itertools.product(subsets, repeat=g.num_designers):
                 ci = memo.instance(designer, profile)
                 got = competitive_profit(ci, profile[designer])
-                assert got == reference_competitive_profit(ci, profile[designer]), profile
+                want = reference_competitive_profit(ci, _ref_curves(ci), profile[designer])
+                assert got == want, profile
 
 
 def test_agent_guess_matches_reference():
@@ -1148,6 +1227,47 @@ def test_agent_guess_matches_reference():
     )
 
 
+def _solver_grids(ci):
+    """The theta grids competitive_solve builds, caught on their way to the
+    threshold DP."""
+    caught = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiagent, "_threshold_dp", lambda _, grids: caught.append(grids))
+        competitive_solve(ci)
+    return caught[0]
+
+
+def assert_entries_invariant(ci):
+    """What agent_guess's one walk relies on: psi never rises along the
+    entries; each (state, inserted) curve's entries come in idx order 0, 1,
+    2, ... with psi strictly falling; and every psi is a value of the grid
+    competitive_solve builds, which equals the grid of the Fraction curves."""
+    grids = _solver_grids(ci)
+    assert grids == _solve_grids(ci)
+    for im, grid in zip(ci.curves, grids):
+        values = set(grid[1:])
+        for e, f in itertools.pairwise(im.entries):
+            assert f.psi * e.psi_den <= e.psi * f.psi_den, (e, f)
+        curves = {}
+        for e in im.entries:
+            assert F(e.psi, e.psi_den) in values, e
+            curves.setdefault((e.state, e.inserted), []).append(e)
+        for curve in curves.values():
+            assert [e.idx for e in curve] == list(range(len(curve)))
+            for e, f in itertools.pairwise(curve):
+                assert f.psi * e.psi_den < e.psi * f.psi_den, (e, f)
+
+
+def test_curve_entries_hold_the_walk_invariant():
+    for ci in reference_instances():
+        assert_entries_invariant(ci)
+    for g in reference_games():
+        memo = game.SearchMemo(g)
+        for designer in range(g.num_designers):
+            for profile in itertools.product(all_subsets(g.n), repeat=g.num_designers):
+                assert_entries_invariant(memo.instance(designer, profile))
+
+
 def test_competitive_profit_raises_on_a_skipped_curve_entry():
     # An image whose entries skip a curve point breaks the greedy's swap
     # order, which the walk checks without assert.
@@ -1158,11 +1278,11 @@ def test_competitive_profit_raises_on_a_skipped_curve_entry():
         mi,
         (ExternalPlatform("x1", 1, (F(1),), (F(100),)), ExternalPlatform("x2", 1, (F(2),), (F(75),))),
     )
-    assert competitive_profit(ci, ()) == reference_competitive_profit(ci, ())
-    im = ci.curves[0].image
-    first, second = im.base[1]
+    assert competitive_profit(ci, ()) == reference_competitive_profit(ci, _ref_curves(ci), ())
+    im = ci.curves[0]
+    first, second = (e for e in im.entries if not e.inserted)
     broken = im._replace(entries=(first, second._replace(idx=2)))
-    object.__setattr__(ci.curves[0], "image", broken)
+    object.__setattr__(ci, "curves", (broken,))
     with pytest.raises(RuntimeError, match="curve entry 2 follows entry 0"):
         competitive_profit(ci, ())
 
