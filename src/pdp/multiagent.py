@@ -8,8 +8,8 @@ only when it is consistent with the guess, which makes the slot value
 equal the true profit.
 
 One core, `_threshold_dp`, runs that DP.  The multi-agent problem is the
-competitive one with no rival platforms, so `multi_agent_solve` checks its
-(theta, D) budget and hands the instance to `competitive_solve`.  Each
+competitive one with no rival platforms, so `multi_agent_solve` builds
+that competitive instance and hands it to `competitive_solve`.  Each
 agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
 `CurveImage`, one list of integer entries in the greedy's order (psi
@@ -27,20 +27,9 @@ one integer denominator, and consistency is an integer window on the
 numerator counter, so a `Fraction` is made only for the returned profit.
 
 The slot keys depend on the theta guesses alone; only the values depend
-on D.  Consistency is checked per agent, and a joint key restricted to
-one agent is a (numerator, denominator) counter pair that agent reaches
-over the states it picks.  So before any guesses are combined, a small
-key-only pass per agent and guess (`kept_pairs`) keeps the pairs inside
-the window of the D option their denominator counter fixes; a guess that
-keeps none is in no consistent combination and is dropped.  Per
-remaining combination of theta guesses a joint key-only pass then builds
-the set of reachable keys, which is exactly the key set of every valued
-table.  A key is consistent iff each agent's pair is kept, its
-denominator counters fix the one D option it can match, and the valued
-DP runs only on the options that a consistent key matches.  On the
-`multi-agent` benchmark corpus at seed 4401 the guesses fall from 3,826
-to 1,288 and the theta combinations from 9,013 to 1,123, while the
-valued DPs stay at 3,795.
+on D.  So `_threshold_dp` drops each agent's guesses that keep no counter
+pair inside their windows (`kept_pairs`) before it combines them, and it
+bounds its work by one budget, `_DP_WORK`, counted as its tables grow.
 """
 
 from __future__ import annotations
@@ -60,8 +49,11 @@ from .multiplatform import Platform, prune_redundant
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
 _LEVEL_CEILING = 10**12
-# The most guesses multi_agent_solve and competitive_solve may walk.
-_GRID_BUDGET = 10**6
+# The most units of work one threshold DP may do: one per theta combination
+# and per D option of a guess, and each pair set, key set and valued table's
+# size after each state that grows it.  A unit takes about 1 us of CPU on a
+# 2-core x86-64 machine, so this is about 1 s (see README.md, guards).
+_DP_WORK = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,6 +98,19 @@ def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
             raise QuantizationError(f"{name} = {value} must be positive")
 
 
+def _grid_fault(z, phi, delta, delta_prime) -> int | None:
+    """0 if z is not a positive multiple of delta, 1 if phi is not a nonnegative
+    multiple of delta_prime, 2 if a level passes _LEVEL_CEILING, else None."""
+    (zn, zd), (fn, fd), (dn, dd), (dpn, dpd) = map(as_pair, (z, phi, delta, delta_prime))
+    l, l_rest = divmod(zn * dd, zd * dn)
+    if l_rest or l <= 0:
+        return 0
+    lp, lp_rest = divmod(fn * dpd, fd * dpn)
+    if lp_rest or lp < 0:
+        return 1
+    return 2 if max(l, lp) > _LEVEL_CEILING else None
+
+
 def build_multi_agent_instance(
     agents, delta: Fraction, delta_prime: Fraction
 ) -> MultiAgentInstance:
@@ -120,23 +125,14 @@ def build_multi_agent_instance(
         if a.pairs.cost != agents[0].pairs.cost:
             raise ValueError("platform costs must be shared across agents")
     mi = MultiAgentInstance(agents, delta, delta_prime)
-    (dn, dd), (dpn, dpd) = as_pair(delta), as_pair(delta_prime)
     for i, dp in enumerate(mi.params, 1):
-        for j, ((zn, zd), (fn, fd)) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1):
-            l, l_rest = divmod(zn * dd, zd * dn)
-            lp, lp_rest = divmod(fn * dpd, fd * dpn)
-            if l_rest or l <= 0:
-                raise QuantizationError(
-                    f"agent {i}: z[{j}] = {dp.z[j - 1]} is not a positive multiple of {delta}"
-                )
-            if lp_rest or lp < 0:
-                raise QuantizationError(
-                    f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}"
-                )
-            if max(l, lp) > _LEVEL_CEILING:
-                raise QuantizationError(
-                    f"agent {i}, state {j}: quantization level exceeds {_LEVEL_CEILING}"
-                )
+        for j, (z, phi) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1):
+            if (fault := _grid_fault(z, phi, delta, delta_prime)) is not None:
+                raise QuantizationError((
+                    f"agent {i}: z[{j}] = {dp.z[j - 1]} is not a positive multiple of {delta}",
+                    f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}",
+                    f"agent {i}, state {j}: quantization level exceeds {_LEVEL_CEILING}",
+                )[fault])
     return mi
 
 
@@ -266,7 +262,18 @@ def slot_coefficients(guesses, option, cost, cost_scale: int) -> tuple[tuple[int
     return tuple(coeffs), cost_scale * P
 
 
-def kept_pairs(g: AgentGuess) -> dict[tuple[int, int], tuple]:
+class _Work:
+    """One threshold DP's units of work, checked against _DP_WORK as they grow."""
+
+    units = 0
+
+    def add(self, units: int) -> None:
+        self.units += units
+        if self.units > _DP_WORK:
+            raise TooLarge(f"the threshold DP needs more than {_DP_WORK} units of work")
+
+
+def kept_pairs(g: AgentGuess, work: _Work) -> dict[tuple[int, int], tuple]:
     """The (numerator, denominator) counter pairs one agent reaches over
     the states it picks under guess g that lie in the window of their
     option, each mapped to that option.  g must have no bad state."""
@@ -274,6 +281,7 @@ def kept_pairs(g: AgentGuess) -> dict[tuple[int, int], tuple]:
     for a, b in zip(g.a_steps, g.b_steps):
         if a or b:
             pairs |= {(x + a, y + b) for x, y in pairs}
+            work.add(len(pairs))
     by_level = {o[0]: o for o in g.options}
     kept = {}
     for a, b in pairs:
@@ -293,29 +301,34 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     combined.  Per remaining combination a key-only pass finds the
     reachable joint keys; those whose every agent pair is kept fix the D
     options worth a valued DP, and the slots worth reading in it.  Ties
-    break toward the lexicographically smallest state tuple.
+    break toward the lexicographically smallest state tuple.  Past _DP_WORK
+    units of work the DP raises TooLarge.
     """
     mi = ci.mi
     k = mi.k
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
-    guesses = [
-        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
-        for grid, im in zip(grids, ci.curves)
-    ]
-    if any(g.bad for gs in guesses for g in gs):
-        # Name the first theta combination, in product order, that holds a
-        # bad guess, as a walk over every combination would meet it.
-        combo = next(c for c in itertools.product(*guesses) if any(g.bad for g in c))
-        t, i = min((t, i) for i, g in enumerate(combo) for t in g.bad)
-        raise QuantizationError(
-            f"agent {i + 1}, state {t}: the slot shifts are not whole"
-            " multiples of delta * delta_prime and delta"
-        )
-    kept = [[(g, pairs) for g in gs if (pairs := kept_pairs(g))] for gs in guesses]
+    work = _Work()
+    guesses = [[] for _ in grids]
+    for gs, grid, im in zip(guesses, grids, ci.curves):
+        for theta, theta_next in _windows(grid):
+            gs.append(agent_guess(im, theta, theta_next, dd))
+            work.add(len(gs[-1].options))
+    # Name the first theta combination, in product order, with a bad guess.
+    # Guess INF picks nothing, so it is never bad, and that combination holds
+    # one bad guess: the first one of the last agent that has any.
+    for i in reversed(range(k)):
+        t = next((g.bad[0] for g in guesses[i] if g.bad), None)
+        if t is not None:
+            raise QuantizationError(
+                f"agent {i + 1}, state {t}: the slot shifts are not whole"
+                " multiples of delta * delta_prime and delta"
+            )
+    kept = [[(g, pairs) for g in gs if (pairs := kept_pairs(g, work))] for gs in guesses]
 
     best = None  # (value numerator, its denominator, states)
     for choice in itertools.product(*kept):
+        work.add(1)
         combo, pairs = zip(*choice)
         steps = [
             tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
@@ -329,6 +342,7 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
         for step, move in zip(steps, moves):
             if move:
                 keys |= {tuple(map(int.__add__, key, step)) for key in keys}
+                work.add(len(keys))
         targets = {}  # denominator counters -> (their option, consistent keys)
         for key in keys:
             option = tuple(map(dict.get, pairs, zip(key, key[k:])))
@@ -348,6 +362,7 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
                         cand[0] == old[0] and cand[1] < old[1]
                     ):
                         table[new_key] = cand
+                work.add(len(table))
             for key in consistent:
                 val, states = table[key]
                 if best is None:
@@ -378,15 +393,6 @@ def multi_agent_profit(mi: MultiAgentInstance, S) -> Fraction:
 def multi_agent_solve(mi: MultiAgentInstance) -> DesignSet:
     """Exact optimum of the shared-cost multi-agent design problem: the
     competitive problem with no rival platforms."""
-    dps = mi.params
-    grids = [theta_grid(dp.phi) for dp in dps]
-    # The budget counts every guess of theta and of D = B + l*delta with
-    # l up to n * (largest z level), reachable or not.
-    total = math.prod(len(g) for g in grids) * math.prod(
-        mi.n * max(int(z / mi.delta) for z in dp.z) + 1 for dp in dps
-    )
-    if total > _GRID_BUDGET:
-        raise TooLarge(f"(theta, D) grid size {total} exceeds budget {_GRID_BUDGET}")
     return competitive_solve(CompetitiveInstance(mi, ()))
 
 
@@ -508,17 +514,13 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
             raise ValueError(f"external platform {pl.id!r} has bad state {pl.state}")
         if len(pl.z) != k or len(pl.phi) != k:
             raise ValueError(f"external platform {pl.id!r} needs {k} per-agent values")
-        for i in range(k):
-            l = pl.z[i] / mi.delta
-            lp = pl.phi[i] / mi.delta_prime
-            if pl.z[i] <= 0 or l.denominator != 1:
-                raise QuantizationError(
-                    f"external {pl.id!r}: z for agent {i + 1} is not a positive multiple of delta"
-                )
-            if lp.denominator != 1 or lp < 0:
-                raise QuantizationError(
-                    f"external {pl.id!r}: phi for agent {i + 1} is not a nonnegative multiple of delta'"
-                )
+        for i, (z, phi) in enumerate(zip(pl.z, pl.phi), 1):
+            if (fault := _grid_fault(z, phi, mi.delta, mi.delta_prime)) is not None:
+                raise QuantizationError((
+                    f"external {pl.id!r}: z for agent {i} is not a positive multiple of delta",
+                    f"external {pl.id!r}: phi for agent {i} is not a nonnegative multiple of delta'",
+                    f"external {pl.id!r}, agent {i}: quantization level exceeds {_LEVEL_CEILING}",
+                )[fault])
     return CompetitiveInstance(mi, externals)
 
 
@@ -572,7 +574,4 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
 def competitive_solve(ci: CompetitiveInstance) -> DesignSet:
     """Exact optimum when agents also see competitor-owned platforms."""
     grids = [theta_grid(Fraction(e.psi, e.psi_den) for e in im.entries) for im in ci.curves]
-    total = math.prod(len(g) for g in grids)
-    if total > _GRID_BUDGET:
-        raise TooLarge(f"theta grid size {total} exceeds budget {_GRID_BUDGET}")
     return _threshold_dp(ci, grids)

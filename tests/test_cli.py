@@ -796,24 +796,31 @@ def test_verify_game(tmp_path, capsys, monkeypatch, designers):
     assert [c["match"] for c in out["checks"][:designers]] == [False] * designers
 
 
-def test_verify_skips_solvers_past_their_grid_budget(tmp_path, capsys, monkeypatch):
-    # A solver's own guard skips its check, as a brute-force guard does: the
-    # n = 6 document is within the brute force's guard, but its (theta, D)
-    # grid is past the solver's budget.
+def test_verify_skips_solvers_past_their_work_budget(tmp_path, capsys, monkeypatch):
+    # A solver's own guard skips its check, as a brute-force guard does.
+    # Four agents on six states fit the threshold DP's work budget and are
+    # checked; with the budget patched low the same document is skipped.
     path = write_doc(tmp_path, serialize_instance(gen_random_multi_agent(6, 4, seed=1)))
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    [check] = out["checks"]
+    assert check["check"] == "multi-agent dp vs brute force"
+    assert check["match"] is True and check["solver"] == check["oracle"]
+    monkeypatch.setattr(multiagent, "_DP_WORK", 1000)
     assert main(["verify", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
     assert out["checks"] == [
         {
             "check": "multi-agent dp vs brute force",
-            "skipped": "(theta, D) grid size 43184232 exceeds budget 1000000",
+            "skipped": "the threshold DP needs more than 1000 units of work",
         }
     ]
     # Each best response of a game runs the competitive solver under the
     # same budget.
     game_doc = write_doc(tmp_path, serialize_instance(gen_no_nash_game()), "game.json")
-    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
+    monkeypatch.setattr(multiagent, "_DP_WORK", 1)
     assert main(["verify", game_doc]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
@@ -823,7 +830,22 @@ def test_verify_skips_solvers_past_their_grid_budget(tmp_path, capsys, monkeypat
         "designer 2 best response vs brute force",
     ]
     for c in responses:
-        assert re.fullmatch(r"theta grid size \d+ exceeds budget 1", c["skipped"]), c
+        assert c["skipped"] == "the threshold DP needs more than 1 units of work", c
+
+
+def test_competitive_external_past_the_level_ceiling_exits_2(tmp_path, capsys):
+    # An external platform's level z/delta is held to 10^12, as an agent's is.
+    mi = gen_random_multi_agent(2, 2, seed=4)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(0), F(0)))
+    doc = serialize_instance(build_competitive_instance(mi, [external]))
+    doc["platforms"][0]["z"][1] = str(10**13 * mi.delta)
+    path = write_doc(tmp_path, doc)
+    assert main(["solve-multi-agent", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: platforms: external 'x0', agent 2: quantization level exceeds 1000000000000\n"
+    )
 
 
 def test_verify_skips_brute_forces_past_their_budget(tmp_path, capsys, monkeypatch):

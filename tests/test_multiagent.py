@@ -393,22 +393,50 @@ def test_solve_matches_brute_force():
         assert multi_agent_profit(mi, result.states) == result.profit
 
 
+def _dp_units(monkeypatch, solve, inst):
+    """solve(inst), and the units of work its one threshold DP did."""
+    made = []
+
+    class Recorded(multiagent._Work):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(multiagent, "_Work", Recorded)
+        result = solve(inst)
+    assert len(made) == 1
+    return result, made[0].units
+
+
 def test_solve_guard(monkeypatch):
+    # The DP counts its work as it goes: it solves within exactly the units
+    # it needs and raises TooLarge with one unit fewer.
     mi = gen_random_multi_agent(3, 2, seed=6)
-    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
-    with pytest.raises(TooLarge):
+    unpatched, units = _dp_units(monkeypatch, multi_agent_solve, mi)
+    monkeypatch.setattr(multiagent, "_DP_WORK", units)
+    assert multi_agent_solve(mi) == unpatched
+    monkeypatch.setattr(multiagent, "_DP_WORK", units - 1)
+    with pytest.raises(TooLarge, match=f"^the threshold DP needs more than {units - 1} units"):
         multi_agent_solve(mi)
 
 
-def test_solve_guard_counts_denominator_guesses(monkeypatch):
-    # A budget the theta grid alone fits: the competitive guard passes,
-    # and only the multi-agent count of D guesses exceeds it.
-    mi = gen_random_multi_agent(3, 2, seed=6)
-    unpatched = multi_agent_solve(mi)
-    budget = math.prod(len(theta_grid(dp.phi)) for dp in mi.params)
-    monkeypatch.setattr(multiagent, "_GRID_BUDGET", budget)
-    assert competitive_solve(CompetitiveInstance(mi, ())) == unpatched
-    with pytest.raises(TooLarge, match=r"\(theta, D\) grid size"):
+def test_dp_work_admits_many_agents_on_few_states():
+    # Four agents over six states: the (theta, D) product holds 43,184,232
+    # guesses, but the DP does about 10^4 units of work.
+    mi = gen_random_multi_agent(6, 4, seed=1)
+    result = multi_agent_solve(mi)
+    value, states = brute_force_multi(mi)
+    assert result.profit == value
+    assert multi_agent_profit(mi, result.states) == result.profit
+
+
+def test_dp_work_refuses_as_the_tables_grow(monkeypatch):
+    # (10, 2) has only 12 theta combinations, but the tables it grows need
+    # about 2.5 * 10^5 units.
+    mi = gen_random_multi_agent(10, 2, seed=1)
+    monkeypatch.setattr(multiagent, "_DP_WORK", 10**4)
+    with pytest.raises(TooLarge, match="^the threshold DP needs more than 10000 units"):
         multi_agent_solve(mi)
 
 
@@ -566,9 +594,42 @@ def test_competitive_build_validation():
 def test_competitive_guard(monkeypatch):
     mi = gen_random_multi_agent(3, 2, seed=8)
     ci = build_competitive_instance(mi, random_externals(mi, 8))
-    monkeypatch.setattr(multiagent, "_GRID_BUDGET", 1)
-    with pytest.raises(TooLarge):
+    unpatched, units = _dp_units(monkeypatch, competitive_solve, ci)
+    monkeypatch.setattr(multiagent, "_DP_WORK", units)
+    assert competitive_solve(ci) == unpatched
+    monkeypatch.setattr(multiagent, "_DP_WORK", units - 1)
+    with pytest.raises(TooLarge, match=f"^the threshold DP needs more than {units - 1} units"):
         competitive_solve(ci)
+
+
+def test_competitive_build_holds_externals_to_the_level_ceiling():
+    # An external's levels z/delta and phi/delta_prime are capped at 10^12,
+    # as an agent's are; the messages for off-grid values are unchanged.
+    mi = gen_random_multi_agent(2, 2, seed=7)
+    far = 10**13
+    for z, phi, message in [
+        (
+            (far * mi.delta, F(1)), (F(0), F(0)),
+            "external 'x', agent 1: quantization level exceeds 1000000000000",
+        ),
+        (
+            (F(1), F(1)), (F(0), far * mi.delta_prime),
+            "external 'x', agent 2: quantization level exceeds 1000000000000",
+        ),
+        (
+            (F(1), -F(1)), (F(0), F(0)),
+            "external 'x': z for agent 2 is not a positive multiple of delta",
+        ),
+        (
+            (F(1), F(1)), (F(1, 7), F(0)),
+            "external 'x': phi for agent 1 is not a nonnegative multiple of delta'",
+        ),
+    ]:
+        with pytest.raises(QuantizationError) as info:
+            build_competitive_instance(mi, [ExternalPlatform("x", 1, z, phi)])
+        assert str(info.value) == message
+    at_ceiling = ExternalPlatform("x", 1, (10**12 * mi.delta, F(1)), (F(0), F(0)))
+    assert build_competitive_instance(mi, [at_ceiling]).externals == (at_ceiling,)
 
 
 def test_dominant_externals_kill_the_market():
@@ -846,7 +907,7 @@ def test_kept_pairs_match_brute_force():
             holders = 0
             for theta, theta_next in _windows(grid):
                 g = agent_guess(im, theta, theta_next, dd)
-                kept = kept_pairs(g)
+                kept = kept_pairs(g, multiagent._Work())
                 assert kept == _brute_kept_pairs(g), (theta, theta_next)
                 dropped += not kept
                 if theta_next <= u0 and (theta is INF or u0 < theta):
