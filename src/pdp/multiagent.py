@@ -49,10 +49,10 @@ from .multiplatform import Platform, prune_redundant
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
 _LEVEL_CEILING = 10**12
-# The most units of work one threshold DP may do: one per theta combination
-# and per D option of a guess, and each pair set, key set and valued table's
-# size after each state that grows it.  A unit takes about 1 us of CPU on a
-# 2-core x86-64 machine, so this is about 1 s (see README.md, guards).
+# The most units of work one threshold DP may do: one per theta combination,
+# and each D level set, pair set, key set and valued table's size after each
+# state that grows it.  A unit takes about 1 us of CPU on a 2-core x86-64
+# machine, so this is about 1 s (see README.md, guards).
 _DP_WORK = 10**6
 
 
@@ -177,9 +177,10 @@ class AgentGuess:
     options: tuple[tuple[int, int, int, int | None], ...]
 
 
-def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction) -> AgentGuess:
+def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction, work: _Work) -> AgentGuess:
     """The AgentGuess of one agent under the window [theta_next, theta),
-    read off the agent's CurveImage; dd is delta*delta_prime.
+    read off the agent's CurveImage; dd is delta*delta_prime.  The level
+    set of the reachable D is counted on work as it grows.
 
     One walk over im.entries, down to the first psi < theta, keeps the
     last entry per (curve set, state): the point the agent selects on
@@ -223,9 +224,9 @@ def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction) -> AgentGuess:
     if bad:
         return AgentGuess(*scaled, ())
     levels = {0}
-    for b, picked in zip(b_steps, member):
-        if picked:
-            levels |= {s + b for s in levels}
+    for b in filter(None, b_steps):
+        levels |= {s + b for s in levels}
+        work.add(len(levels))
     # With numerator counter c the utility is (a_hat + c*dd*L) / D over L,
     # which is >= t = t_num / t_den iff c >= (t_num*D - t_den*a_hat) * dd_den
     # / (t_den * L * dd_num): lo is that bound's ceiling at theta_next, and
@@ -312,8 +313,7 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     guesses = [[] for _ in grids]
     for gs, grid, im in zip(guesses, grids, ci.curves):
         for theta, theta_next in _windows(grid):
-            gs.append(agent_guess(im, theta, theta_next, dd))
-            work.add(len(gs[-1].options))
+            gs.append(agent_guess(im, theta, theta_next, dd, work))
     # Name the first theta combination, in product order, with a bad guess.
     # Guess INF picks nothing, so it is never bad, and that combination holds
     # one bad guess: the first one of the last agent that has any.

@@ -313,7 +313,7 @@ def multi_agent_guesses(mi, theta):
     for i, (im, dp) in enumerate(zip(CompetitiveInstance(mi, ()).curves, mi.params)):
         grid = theta_grid(dp.phi)
         theta_next = (*grid[1:], F(-1))[grid.index(theta[i])]
-        guesses.append(agent_guess(im, theta[i], theta_next, dd))
+        guesses.append(agent_guess(im, theta[i], theta_next, dd, multiagent._Work()))
     return guesses
 
 
@@ -440,6 +440,41 @@ def test_dp_work_refuses_as_the_tables_grow(monkeypatch):
         multi_agent_solve(mi)
 
 
+def doubling_levels_instance(n):
+    """One agent on n states with z = 1, 2, 4, ..., 2^(n-1) and every phi 2:
+    under its lowest theta guess it picks every state, so the D levels it
+    reaches number 2^n."""
+    p, q, c_life = [F(1, n)] * n, [F(1, 2)] * n, [F(0)] * n
+    y, c_platform = [], []
+    for j in range(n):
+        lam = p[j] / (1 - q[j])
+        w = lam + 2**j
+        y.append((1 - q[j]) - p[j] / w)
+        c_platform.append(2 * 2**j / w)
+    agent = build_flower_instance(p, q, y, c_life, c_platform, [F(1)] * n, [F(1)] * n)
+    return build_multi_agent_instance([agent], F(1), F(1, 4))
+
+
+def test_dp_work_counts_the_level_set_as_it_grows(monkeypatch):
+    # 2^20 reachable D levels: the budget must stop the level set while
+    # agent_guess grows it, at no more than twice the budget, not once it is
+    # built or in a later stage.
+    mi = doubling_levels_instance(20)
+    largest = []
+
+    class Recorded(multiagent._Work):
+        def add(self, units):
+            largest.append(units)
+            super().add(units)
+
+    monkeypatch.setattr(multiagent, "_Work", Recorded)
+    monkeypatch.setattr(multiagent, "kept_pairs", lambda *args: pytest.fail("guess built"))
+    monkeypatch.setattr(multiagent, "_DP_WORK", 10**4)
+    with pytest.raises(TooLarge, match="^the threshold DP needs more than 10000 units"):
+        multi_agent_solve(mi)
+    assert max(largest) <= 2 * 10**4
+
+
 def narrow_multi_agent(n, k, seed):
     """gen_random_multi_agent(n, k, seed) with potentials phi in 0..2 quarters
     and demands d in 0..2 instead of 0..12 and 0..8, so that ties repeat.
@@ -542,7 +577,7 @@ def test_competitive_rejects_shifts_off_the_grid(monkeypatch):
         ),
     )
     for grid, im in zip(_solve_grids(ci), ci.curves):
-        assert any(agent_guess(im, theta, nxt, dd).bad for theta, nxt in _windows(grid))
+        assert any(agent_guess(im, theta, nxt, dd, multiagent._Work()).bad for theta, nxt in _windows(grid))
     with pytest.raises(QuantizationError) as got:
         competitive_solve(ci)
     monkeypatch.setattr(multiagent, "_threshold_dp", _combination_threshold_dp)
@@ -662,7 +697,7 @@ def _valued_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = [
-        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
         for grid, im in zip(grids, ci.curves)
     ]
 
@@ -789,7 +824,7 @@ def _combination_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     guesses = [
-        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
         for grid, im in zip(grids, ci.curves)
     ]
 
@@ -906,7 +941,7 @@ def test_kept_pairs_match_brute_force():
             u0 = _empty_offer_utility(_ref_agent_curves(ci, i)[0], ci.mi.params[i])
             holders = 0
             for theta, theta_next in _windows(grid):
-                g = agent_guess(im, theta, theta_next, dd)
+                g = agent_guess(im, theta, theta_next, dd, multiagent._Work())
                 kept = kept_pairs(g, multiagent._Work())
                 assert kept == _brute_kept_pairs(g), (theta, theta_next)
                 dropped += not kept
@@ -937,7 +972,7 @@ def _consistent_pairs(ci):
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
     guesses = [
-        [agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
         for grid, im in zip(_solve_grids(ci), ci.curves)
     ]
     pairs = Counter()
@@ -1192,7 +1227,7 @@ def assert_guesses_match(ci):
     for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ci)):
         dw = [d * w for d, w in zip(a.d, dp.w)]
         for theta, theta_next in _windows(_ref_grid(*curves)):
-            got = agent_guess(im, theta, theta_next, dd)
+            got = agent_guess(im, theta, theta_next, dd, multiagent._Work())
             assert got == two_loop_agent_guess(im, theta, theta_next, dd)
             want, L = reference_agent_guess(curves, dp, dw, theta, theta_next, mi.delta, dd)
             assert (got.member, got.bad) == (want.member, want.bad)
@@ -1283,7 +1318,7 @@ def test_agent_guess_matches_reference():
     assert_guesses_match(ci)
     dd = mi.delta * mi.delta_prime
     assert any(
-        agent_guess(ci.curves[0], theta, theta_next, dd).bad == (1,)
+        agent_guess(ci.curves[0], theta, theta_next, dd, multiagent._Work()).bad == (1,)
         for theta, theta_next in _windows(_solve_grids(ci)[0])
     )
 
