@@ -42,33 +42,28 @@ class SchemaError(ValueError):
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rat(value, path: str) -> Fraction:
-    """An exact rational from a JSON integer or string.  A string of the
-    form `_RATIONAL_TEXT` goes straight to Fraction(num, den); anything else
-    goes through Fraction(value), which gives the same value or exception."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{path}: expected an exact rational, got {value!r}")
-    try:
-        match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
-        if match:
-            num, den = match.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def parse_pair(value, path: str) -> tuple[int, int]:
-    """parse_rat(value, path) as a lowest-terms (num, den) pair.  A string of
-    the form `_RATIONAL_TEXT` with a nonzero denominator is reduced by one
-    gcd; any other value goes to parse_rat, for its value or its ParseError.
-    int() refuses no string shorter than its digit-limit threshold."""
+    """An exact rational from a JSON integer or string, as a lowest-terms
+    (num, den) pair.  A string of the form `_RATIONAL_TEXT` with a nonzero
+    denominator is reduced by one gcd (int() refuses no string shorter
+    than its digit-limit threshold); anything else goes through
+    Fraction(value), which gives the same value or exception."""
     short = type(value) is str and len(value) < sys.int_info.str_digits_check_threshold
     match = _RATIONAL_TEXT.fullmatch(value) if short else None
     if match and (den := int(match[2] or 1)):
         return lowest_terms(int(match[1]), den)
-    value = parse_rat(value, path)
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ParseError(f"{path}: expected an exact rational, got {value!r}")
+    try:
+        value = Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return value.numerator, value.denominator
+
+
+def parse_rat(value, path: str) -> Fraction:
+    """parse_pair's rational as a Fraction."""
+    return Fraction(*parse_pair(value, path))
 
 
 def _is_int(value) -> bool:
@@ -519,7 +514,12 @@ def _cmd_gen(args):
             for part in args.families.split(";")
             if part != ""
         ]
-        sc = instances.gen_setcover_instance(universe, families, args.k)
+        if not universe:
+            raise SchemaError("--universe: need a nonempty universe")
+        if args.k < 1:
+            raise SchemaError("--k: need k >= 1")
+        # What is left to refuse, the choice guard included, is the families'.
+        sc = _build("--families", instances.gen_setcover_instance, universe, families, args.k)
         built = frozenset(range(sc.m))
         routing = tuple(
             next((i for i in sc.routing_options(j) if i is not None), None)

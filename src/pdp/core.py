@@ -152,6 +152,20 @@ def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstanc
     return FlowerInstance(pairs)
 
 
+def build_flower_from_potentials(p, q, c_life, z, phi, d, cost) -> FlowerInstance:
+    """The flower whose petals have shift z and potential phi, for the given
+    p, q and c_life: derived_params run backward.  With lam = p / (1 - q)
+    and w = lam + z, a petal's y = (1 - q) - p / w and c_platform =
+    (phi*z + lam*c_life) / w.  The values are Fractions."""
+    y, c_platform = [], []
+    for pi, qi, cl, zi, fi in zip(p, q, c_life, z, phi):
+        lam = pi / (1 - qi)
+        w = lam + zi
+        y.append((1 - qi) - pi / w)
+        c_platform.append((fi * zi + lam * cl) / w)
+    return build_flower_instance(p, q, y, c_life, c_platform, d, cost)
+
+
 # DerivedParams' values: lam, w, z and phi per petal, then A and B.
 DerivedPairs = NamedTuple(
     "DerivedPairs",

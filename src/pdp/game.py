@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .agent import TooLarge
-from .core import FlowerInstance, all_subsets, build_flower_instance
+from .core import FlowerInstance, all_subsets, build_flower_from_potentials
 from .designer import DesignSet
 from .multiagent import (
     CompetitiveInstance,
@@ -101,28 +101,14 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
     The chassis fixes p and q (hence lambda and B); the candidate's z
     picks y, and its potential picks the platform reward.
     """
+    cands = g.designers[designer]
+    cost = [c.cost for c in cands]
     agents = []
     for i, base in enumerate(g.chassis):
-        dp = base.params
-        p, q = base.p, base.q
-        y = []
-        c_platform = []
-        for c in g.designers[designer]:
-            j = c.state - 1
-            w = dp.lam[j] + c.z[i]
-            y.append((1 - q[j]) - p[j] / w)
-            c_platform.append((c.phi[i] * c.z[i] + dp.lam[j] * base.c_life[j]) / w)
-        agents.append(
-            build_flower_instance(
-                p,
-                q,
-                y,
-                base.c_life,
-                c_platform,
-                tuple(c.d[i] for c in g.designers[designer]),
-                tuple(c.cost for c in g.designers[designer]),
-            )
-        )
+        z = [c.z[i] for c in cands]
+        phi = [c.phi[i] for c in cands]
+        d = [c.d[i] for c in cands]
+        agents.append(build_flower_from_potentials(base.p, base.q, base.c_life, z, phi, d, cost))
     return build_multi_agent_instance(agents, g.delta, g.delta_prime)
 
 

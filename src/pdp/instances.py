@@ -13,6 +13,7 @@ from .agent import TooLarge
 from .core import (
     FlowerInstance,
     GeneralChain,
+    build_flower_from_potentials,
     build_flower_instance,
     steady_state_general,
 )
@@ -90,18 +91,11 @@ def gen_random_multi_agent(n: int, k: int, seed: int) -> MultiAgentInstance:
         total = sum(weights)
         p = [Fraction(wt, total) for wt in weights]
         q = [Fraction(rng.randint(1, 8), 10) for _ in range(n)]
-        y = []
-        c_platform = []
         c_life = [Fraction(rng.randint(0, 2), 4) for _ in range(n)]
-        for i in range(n):
-            lam = p[i] / (1 - q[i])
-            z = rng.randint(1, 2) * delta
-            w = lam + z
-            y.append((1 - q[i]) - p[i] / w)
-            phi = rng.randint(0, 12) * delta_prime
-            c_platform.append((phi * z + lam * c_life[i]) / w)
+        # Each state's z is drawn just before its phi.
+        z, phi = zip(*((rng.randint(1, 2) * delta, rng.randint(0, 12) * delta_prime) for _ in range(n)))
         d = [Fraction(rng.randint(0, 8)) for _ in range(n)]
-        agents.append(build_flower_instance(p, q, y, c_life, c_platform, d, cost))
+        agents.append(build_flower_from_potentials(p, q, c_life, z, phi, d, cost))
     return build_multi_agent_instance(agents, delta, delta_prime)
 
 
@@ -305,8 +299,12 @@ class SetCoverInstance:
 def gen_setcover_instance(U, F, k: int) -> SetCoverInstance:
     universe = tuple(U)
     families = tuple(frozenset(f) for f in F)
-    if k < 1 or not universe or not families:
-        raise RangeError("need a nonempty universe and family, and k >= 1")
+    if not universe:
+        raise RangeError("need a nonempty universe")
+    if not families:
+        raise RangeError("need a nonempty family")
+    if k < 1:
+        raise RangeError("need k >= 1")
     combos = (1 << len(families)) * math.prod(
         1 + sum(1 for f in families if u in f) for u in universe
     )

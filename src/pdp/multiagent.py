@@ -12,14 +12,16 @@ competitive one with no rival platforms, so `multi_agent_solve` builds
 that competitive instance and hands it to `competitive_solve`.  Each
 agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
-`CurveImage`, one list of integer entries in the greedy's order (psi
-descending), built once per competitive instance.  `competitive_solve`
-takes each agent's theta grid from the entries' psi.  Per agent and
-threshold guess, `agent_guess` walks the entries down to the guess and
-reads off the candidates the agent picks, its utility numerator and
-denominator without them (a_hat, b_hat), and the shift each pick adds
-(sigma, tau); with no rival platforms a_hat = A, b_hat = B, sigma =
-z*phi, tau = z.  `competitive_profit` walks the same entries.
+`CurveImage`, the integer entries `multiplatform.curve_entries` lists in
+the greedy's order (psi descending), built once per competitive
+instance.  `competitive_solve` takes each agent's theta grid from the
+entries' psi.  Per agent and threshold guess, `agent_guess` walks the
+entries down to the guess and reads off the candidates the agent picks,
+its utility numerator and denominator without them (a_hat, b_hat), and
+the shift each pick adds (sigma, tau); with no rival platforms a_hat =
+A, b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` runs
+`multiplatform.greedy_walk`, the greedy `solve-multiplatform-agent` runs
+and `verify` checks against its oracle, over the same entries.
 Everything that depends on the guess alone (slot steps, reachable D,
 consistency bounds) is worked out once per agent and guess.  Slot keys
 and slot values are integers: for each D the value coefficients share
@@ -41,10 +43,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from . import multiplatform
 from .agent import TooLarge, adopted_response
 from .core import DerivedParams, FlowerInstance, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
-from .multiplatform import Platform, prune_redundant
+from .multiplatform import CurveEntry, Platform, curve_entries, prune_redundant
 
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
@@ -407,22 +410,6 @@ class ExternalPlatform:
     owner: object = "external"
 
 
-class CurveEntry(NamedTuple):
-    """One point of a Pareto curve, in a CurveImage: the slope into it as
-    psi / psi_den, its index idx on the curve of its state, z and z*phi
-    times L, whether it is the designer's own candidate, and whether it
-    comes from the curves with that candidate inserted."""
-
-    psi: int
-    psi_den: int
-    state: int
-    idx: int
-    z: int
-    zphi: int
-    own: bool
-    inserted: bool
-
-
 class CurveImage(NamedTuple):
     """One agent's Pareto curves over one common denominator L: those of
     the rival platforms alone and those with the designer's candidate
@@ -431,10 +418,8 @@ class CurveImage(NamedTuple):
     A, B, delta and dw (d_j * w_j per state) are the rational values times
     L, as are each entry's z and z*phi, so a selection's utility is
     (A + sum zphi) / (B + sum z) and the designer's revenue from it is
-    (sum dw) / (B + sum z).  entries holds both curve sets' entries in the
-    greedy's order: psi descending, then state, then str(id).  Along each
-    curve psi falls strictly, so each curve's entries appear in curve
-    order.
+    (sum dw) / (B + sum z).  entries holds both curve sets' entries, as
+    curve_entries lists them.
     """
 
     L: int
@@ -449,26 +434,8 @@ def curve_image(dp: DerivedParams, d, delta: Fraction, base, with_own) -> CurveI
     """The CurveImage of one agent's curves: base, over the rival platforms
     alone, and with_own, with the designer's candidates inserted.  d holds
     the agent's rewards d_j."""
-    points = [
-        (psi, state, idx, pl, inserted)
-        for inserted, curves in enumerate((base, with_own))
-        for state, curve in curves.items()
-        for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
-    ]
-    # Both sorts are stable (reverse=True included), so this is the order of
-    # the key (-psi, state, str(id)), and equal keys (one str(id) twice on a
-    # curve) keep curve order, as in multi_greedy_solve.
-    points.sort(key=lambda p: (p[1], str(p[3].id)))
-    points.sort(key=lambda p: p[0], reverse=True)
-    L, (A, B, delta_L), dw, z, zphi = scale_to_integers(
-        (dp.pairs.A, dp.pairs.B, delta),
-        tuple(map(product_pair, d, dp.pairs.w)),
-        [pl.z for _, _, _, pl, _ in points],
-        [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
-    )
-    entries = tuple(
-        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
-        for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
+    L, (A, B, delta_L), dw, entries = curve_entries(
+        (base, with_own), (dp.pairs.A, dp.pairs.B, delta), tuple(map(product_pair, d, dp.pairs.w))
     )
     return CurveImage(L, A, B, delta_L, dw, entries)
 
@@ -524,48 +491,19 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
     return CompetitiveInstance(mi, externals)
 
 
-def _own_revenue(im: CurveImage, S: frozenset) -> tuple[int, int]:
-    """The designer's revenue from one agent offered S, as (sum dw, its
-    denominator B + sum z), both over L.
-
-    The agent's exact response is the greedy of multi_greedy_solve over
-    the inserted curves at the states of S and the rival curves elsewhere.
-    Its walk over the merged entries skips the other curve set at each
-    state; a state never shows entries of both, so the walk sees the
-    greedy's sorted entries in its order.  It stops once psi <= num / den,
-    read as psi * den <= num * psi_den.
-    """
-    num, den = im.A, im.B
-    selected: dict[int, CurveEntry] = {}
-    for e in im.entries:
-        if e.inserted != (e.state in S):
-            continue
-        if e.psi * den <= num * e.psi_den:
-            break
-        prev = selected.get(e.state)
-        if prev is not None:
-            if e.idx != prev.idx + 1:
-                raise RuntimeError(
-                    f"state {e.state}: curve entry {e.idx} follows entry {prev.idx}, not its predecessor"
-                )
-            num -= prev.zphi
-            den -= prev.z
-        selected[e.state] = e
-        num += e.zphi
-        den += e.z
-    return sum(im.dw[s - 1] for s, e in selected.items() if e.own), den
-
-
 def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     """Ground truth: each agent picks over externals plus the offered
-    candidates; the designer earns only from its own adopted platforms.
-    Runs on the integer costs and curve images; the profit is the only
-    Fraction."""
+    candidates by the greedy walk; the designer earns only from its own
+    adopted platforms, sum dw over the agent's final denominator.  Runs on
+    the integer costs and curve images; the profit is the only Fraction."""
     S = frozenset(S)
     cost_scale, cost = ci.mi.integer_cost
     num, den = -sum(cost[j - 1] for j in S), cost_scale
     for im in ci.curves:
-        rev, D = _own_revenue(im, S)
+        # Read off the module, so a wrapper set there (a tracer's, a test's)
+        # sees these walks and solve-multiplatform-agent's alike.
+        selected, _, D = multiplatform.greedy_walk(im.entries, im.A, im.B, S)
+        rev = sum(im.dw[s - 1] for s, e in selected.items() if e.own)
         if rev:
             num, den = num * D + rev * den, den * D
     return Fraction(num, den)

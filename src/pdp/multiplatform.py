@@ -4,6 +4,12 @@ Redundant platforms are pruned down to a per-state Pareto curve (the
 upper concave hull from the origin of the points (z, z*phi)); the greedy
 then walks all curves by descending psi, swapping along each curve, and
 stops when psi falls to the current utility.
+
+The greedy is written once, over integers: `curve_entries` lists the
+curve points over one common denominator in the greedy's order, and
+`greedy_walk` walks them.  `multi_greedy_solve` runs it over one curve
+set; the competitive layer (multiagent.py) runs it over each agent's
+curves with and without the designer's candidates, for every profit.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .agent import SignError, TooLarge
-from .core import scale_to_integers
+from .core import product_pair, scale_to_integers
 
 # The most selections multi_oracle enumerates.
 _ORACLE_SELECTIONS = 10**6
@@ -105,40 +112,91 @@ class SelectionResult:
     utility: Fraction
 
 
-def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction) -> SelectionResult:
-    """Optimal feasible selection over pruned curves.
+class CurveEntry(NamedTuple):
+    """One point of a Pareto curve, as curve_entries lists it: the slope
+    into it as psi / psi_den, its index idx on the curve of its state, z
+    and z*phi times the common denominator L, whether it is the designer's
+    own candidate, and whether it comes from the second curve set (the
+    curves with that candidate inserted)."""
 
-    Walks all curve entries by descending psi; a state's first entry is
-    added outright, later entries replace the previous one (a swap along
-    the curve); stops as soon as psi(j) <= u(S).
+    psi: int
+    psi_den: int
+    state: int
+    idx: int
+    z: int
+    zphi: int
+    own: bool
+    inserted: bool
+
+
+def curve_entries(curve_sets, *vectors):
+    """(L, *scaled, entries): the vectors, then every point's z and z*phi
+    of the curve sets (dicts state -> ParetoCurve), over one common
+    denominator L, as scale_to_integers returns them; and the points as
+    CurveEntrys in the greedy's order: psi descending, then state, then
+    str(id).  Along each curve psi falls strictly, so each curve's
+    entries appear in curve order."""
+    points = [
+        (psi, state, idx, pl, inserted)
+        for inserted, curves in enumerate(curve_sets)
+        for state, curve in curves.items()
+        for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
+    ]
+    # Both sorts are stable (reverse=True included), so this is the order of
+    # the key (-psi, state, str(id)), and equal keys keep their listing order.
+    points.sort(key=lambda p: (p[1], str(p[3].id)))
+    points.sort(key=lambda p: p[0], reverse=True)
+    L, *scaled, z, zphi = scale_to_integers(
+        *vectors,
+        [pl.z for _, _, _, pl, _ in points],
+        [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
+    )
+    entries = tuple(
+        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
+        for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
+    )
+    return (L, *scaled, entries)
+
+
+def greedy_walk(entries, num: int, den: int, S) -> tuple[dict[int, CurveEntry], int, int]:
+    """The agent's greedy response to the offer S from the utility num / den
+    (den > 0), over the entries curve_entries lists: the selected entry
+    per state, and the utility's final numerator and denominator.
+
+    At the states of S the walk reads the inserted entries, elsewhere the
+    others; a state never shows entries of both, so the walk sees one
+    curve per state, in the greedy's order.  A state's first entry is
+    added outright, and a later one replaces the previous (a swap along
+    the curve), which must be its predecessor on the curve.  The walk
+    stops at the first psi <= num / den, read as psi * den <= num * psi_den.
     """
-    entries = []
-    for state, curve in curves.items():
-        for idx, pl in enumerate(curve.platforms):
-            if pl.z <= 0:
-                raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
-            entries.append((curve.psi[idx], state, idx, pl))
-    entries.sort(key=lambda e: (-e[0], e[1], str(e[3].id)))
-
-    num = A
-    den = B
-    selected: dict[int, tuple[int, Platform]] = {}
-    for psi, state, idx, pl in entries:
-        if psi <= num / den:
+    selected: dict[int, CurveEntry] = {}
+    for e in entries:
+        if e.inserted != (e.state in S):
+            continue
+        if e.psi * den <= num * e.psi_den:
             break
-        if state in selected:
-            prev_idx, prev = selected[state]
-            if idx != prev_idx + 1:
+        prev = selected.get(e.state)
+        if prev is not None:
+            if e.idx != prev.idx + 1:
                 raise RuntimeError(
-                    f"state {state}: curve entry {idx} follows entry {prev_idx}, not its predecessor"
+                    f"state {e.state}: curve entry {e.idx} follows entry {prev.idx}, not its predecessor"
                 )
-            num -= prev.z * prev.phi
+            num -= prev.zphi
             den -= prev.z
-        selected[state] = (idx, pl)
-        num += pl.z * pl.phi
-        den += pl.z
-    chosen = tuple(pl for _, (_, pl) in sorted(selected.items()))
-    return SelectionResult(chosen, num / den)
+        selected[e.state] = e
+        num += e.zphi
+        den += e.z
+    return selected, num, den
+
+
+def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction) -> SelectionResult:
+    """Optimal feasible selection over pruned curves, from the utility A / B
+    (B > 0): the greedy walk over one curve set, offered nothing."""
+    _, (a, b), entries = curve_entries((curves,), (A, B))
+    selected, num, den = greedy_walk(entries, a, b, frozenset())
+    chosen = tuple(curves[s].platforms[e.idx] for s, e in sorted(selected.items()))
+    return SelectionResult(chosen, Fraction(num, den))
 
 
 def selection_utility(selection, A: Fraction, B: Fraction) -> Fraction:

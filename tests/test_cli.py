@@ -15,7 +15,7 @@ from conftest import MIXED, make_example
 import pdp
 from pdp import agent, cli, core, designer, multiagent, multiplatform
 from pdp.cli import main, parse_instance, parse_pair, parse_rat, serialize_instance
-from pdp.core import FlowerInstance, GeneralChain, agent_utility, derived_params
+from pdp.core import FlowerInstance, GeneralChain, agent_utility, all_subsets, derived_params
 from pdp import game
 from pdp.designer import DesignSet
 from pdp.game import GameInstance
@@ -725,17 +725,19 @@ def test_verify_multi_agent(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_verify_competitive(tmp_path, capsys, monkeypatch):
-    mi = gen_random_multi_agent(3, 2, seed=5)
-    ci = build_competitive_instance(
-        mi,
+def _competitive_example():
+    return build_competitive_instance(
+        gen_random_multi_agent(3, 2, seed=5),
         [
             ExternalPlatform("x0", 2, (F(1), F(1)), (F(1, 2), F(3, 4))),
             ExternalPlatform("x1", 2, (F(2), F(1)), (F(5, 2), F(1, 4))),
             ExternalPlatform("x2", 3, (F(1), F(2)), (F(3), F(2))),
         ],
     )
-    path = write_doc(tmp_path, serialize_instance(ci))
+
+
+def test_verify_competitive(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, serialize_instance(_competitive_example()))
     assert main(["verify", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
@@ -766,6 +768,29 @@ def test_verify_competitive(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
     assert [c.get("skipped") for c in out["checks"][1:]] == ["6 selections exceed the guard 1"] * 2
+
+
+def test_one_greedy_walk_serves_verify_and_competitive_profit(tmp_path, capsys, monkeypatch):
+    # A walk that stops one entry short of the greedy's last step fails
+    # verify's greedy-vs-oracle check and changes the competitive profits:
+    # solve-multiplatform-agent and the competitive layer run one walk.
+    ci = _competitive_example()
+    offers = list(all_subsets(ci.mi.n))
+    profits = [multiagent.competitive_profit(ci, S) for S in offers]
+    path = write_doc(tmp_path, serialize_instance(ci))
+    walk = multiplatform.greedy_walk
+
+    def one_entry_early(entries, num, den, S):
+        selected, _, _ = walk(entries, num, den, S)
+        last = max(map(entries.index, selected.values()), default=len(entries))
+        return walk(entries[:last], num, den, S)
+
+    monkeypatch.setattr(multiplatform, "greedy_walk", one_entry_early)
+    assert main(["verify", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["match"] for c in out["checks"][1:]] == [False, False]
+    changed = [multiagent.competitive_profit(ci, S) != p for S, p in zip(offers, profits)]
+    assert changed == [False, True, False, True, False, True, False, True]
 
 
 @pytest.mark.parametrize("designers", [2, 1])
@@ -1097,7 +1122,7 @@ def test_import_builds_no_parser():
 
 
 @pytest.mark.parametrize(
-    "kind, a, message",
+    "kind, arg, message",
     [
         ("partition", "0", "need a nonempty multiset of positive integers"),
         ("two-agent-partition", "0", "need a nonempty multiset of positive integers"),
@@ -1106,13 +1131,19 @@ def test_import_builds_no_parser():
             "1,2,3,4,5,6,7,8,9",
             "agent 1, state 1: quantization level exceeds 1000000000000",
         ),
+        ("set-cover", "--k=0", "need k >= 1"),
+        ("set-cover", "--universe=", "need a nonempty universe"),
+        ("set-cover", "--families=;;", "need a nonempty family"),
+        ("set-cover", "--families=" + ";".join(["1,2"] * 11), "294912 designer choices exceed the guard 200000"),
     ],
 )
-def test_gen_errors_name_their_flag(capsys, kind, a, message):
-    assert main(["gen", "--kind", kind, "--a", a]) == 2
+def test_gen_errors_name_their_flag(capsys, kind, arg, message):
+    # arg is the value of --a, or a whole --flag=value.
+    flag, _, value = arg.partition("=") if arg.startswith("--") else ("--a", "=", arg)
+    assert main(["gen", "--kind", kind, f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --a: {message}\n"
+    assert captured.err == f"error: {flag}: {message}\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -19,6 +19,7 @@ from pdp.core import (
     _reachable,
     agent_utility,
     all_subsets,
+    build_flower_from_potentials,
     build_flower_instance,
     build_general_chain,
     derived_params,
@@ -180,6 +181,28 @@ def test_failures_keep_their_messages(key, values, error, message):
         assert str(info.value) == f"$: {message}"
     else:
         assert str(info.value) == f"{key}: expected a list of 2 rationals"
+
+
+def test_flower_from_potentials_gives_back_z_and_phi():
+    # derived_params of the built flower returns the z and phi it was built
+    # from, with z on either side of 0 and phi of either sign.
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        p = [F(wt, sum(weights)) for wt in weights]
+        q = [F(rng.randint(1, 8), 10) for _ in range(n)]
+        c_life = [F(rng.randint(0, 8), 4) for _ in range(n)]
+        # A negative z above p - lam keeps q + y = 1 - p / (lam + z) above 0.
+        z = [
+            F(rng.randint(1, 12), rng.randint(1, 4))
+            if rng.random() < 0.5
+            else (pi - pi / (1 - qi)) * F(rng.randint(1, 9), 10)
+            for pi, qi in zip(p, q)
+        ]
+        phi = [F(rng.randint(-8, 24), rng.randint(1, 4)) for _ in range(n)]
+        inst = build_flower_from_potentials(p, q, c_life, z, phi, [F(1)] * n, [F(1)] * n)
+        assert inst.params.z == tuple(z) and inst.params.phi == tuple(phi)
 
 
 def test_integer_image_scales_derived_params():

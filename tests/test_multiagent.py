@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdp import game, multiagent
+from pdp import game, multiagent, multiplatform
 from pdp.agent import TooLarge
 from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
@@ -1402,6 +1402,9 @@ def test_nash_search_builds_each_image_once(monkeypatch):
         calls[len(vectors)] += 1
         return real_scale(*vectors)
 
+    # The curve images are scaled in multiplatform.curve_entries, the
+    # designers' costs in multiagent.
+    monkeypatch.setattr(multiplatform, "scale_to_integers", counting)
     monkeypatch.setattr(multiagent, "scale_to_integers", counting)
     assert game.pure_nash_search(g) is None
     # One instance per (designer, rival builds) the search reaches: 10 of
