@@ -234,6 +234,8 @@ def parse_instance(doc):
         start = doc.get("start", 0)
         if not _is_int(start):
             raise SchemaError("start: expected an integer state index")
+        if not 0 <= start < len(rows):
+            raise SchemaError(f"start: state {start} is not in 0..{len(rows) - 1}")
         return _build("rows", build_general_chain, parsed, start)
     if kind not in ("flower", "multi-agent", "competitive", "game"):
         raise SchemaError(f"kind: unknown kind {kind!r}")
@@ -316,7 +318,9 @@ def _load_instance(path: str, *types):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals past int's digit limit; RecursionError, nesting too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     inst = parse_instance(doc)
     if types and not isinstance(inst, types):

@@ -22,16 +22,18 @@ the shift each pick adds (sigma, tau); with no rival platforms a_hat =
 A, b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` runs
 `multiplatform.greedy_walk`, the greedy `solve-multiplatform-agent` runs
 and `verify` checks against its oracle, over the same entries.
-Everything that depends on the guess alone (slot steps, reachable D,
-consistency bounds) is worked out once per agent and guess.  Slot keys
-and slot values are integers: for each D the value coefficients share
-one integer denominator, and consistency is an integer window on the
+Everything that depends on the guess alone (slot steps, the counter
+pairs the picks reach and which of them are consistent) is worked out
+once per agent and guess, in one pass over the pairs.  Slot keys and
+slot values are integers: for each D the value coefficients share one
+integer denominator, and consistency is an integer window on the
 numerator counter, so a `Fraction` is made only for the returned profit.
 
 The slot keys depend on the theta guesses alone; only the values depend
 on D.  So `_threshold_dp` drops each agent's guesses that keep no counter
-pair inside their windows (`kept_pairs`) before it combines them, and it
-bounds its work by one budget, `_DP_WORK`, counted as its tables grow.
+pair inside their windows (`AgentGuess.kept`) before it combines them,
+and it bounds its work by one budget, `_DP_WORK`, counted as its tables
+grow.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from .multiplatform import CurveEntry, Platform, curve_entries, prune_redundant
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
 _LEVEL_CEILING = 10**12
 # The most units of work one threshold DP may do: one per theta combination,
-# and each D level set, pair set, key set and valued table's size after each
-# state that grows it.  A unit takes about 1 us of CPU on a 2-core x86-64
-# machine, so this is about 1 s (see README.md, guards).
+# and each agent guess's counter-pair set, key set and valued table's size
+# after each state that grows it.  A unit takes about 1 us of CPU on a 2-core
+# x86-64 machine, so this is about 1 s (see README.md, guards).
 _DP_WORK = 10**6
 
 
@@ -164,12 +166,11 @@ class AgentGuess:
     to the numerator and tau[j] to the denominator.  a_steps[j] and
     b_steps[j] are the slot-key shifts sigma / (delta*delta') and
     tau / delta (0 for a state not picked); bad lists the picked states
-    whose shifts are not whole.  dw[j] is d_j*w_j*L and options holds,
-    per reachable denominator D = b_hat + level*delta in increasing
-    order, (level, D*L, lo, hi): a slot with these counters is
-    consistent iff its denominator counter equals level and lo <= its
-    numerator counter <= hi (hi None: no upper bound).  L is the scale of
-    the agent's CurveImage.
+    whose shifts are not whole.  dw[j] is d_j*w_j*L.  kept maps each
+    (numerator, denominator) counter pair the agent reaches over its
+    picks whose utility lies in the window to its D*L, where D = b_hat +
+    level*delta at denominator counter level; it is empty if any state is
+    bad.  L is the scale of the agent's CurveImage.
     """
 
     member: tuple[bool, ...]
@@ -177,13 +178,15 @@ class AgentGuess:
     b_steps: tuple[int, ...]
     bad: tuple[int, ...]
     dw: tuple[int, ...]
-    options: tuple[tuple[int, int, int, int | None], ...]
+    kept: dict[tuple[int, int], int]
 
 
 def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction, work: _Work) -> AgentGuess:
     """The AgentGuess of one agent under the window [theta_next, theta),
-    read off the agent's CurveImage; dd is delta*delta_prime.  The level
-    set of the reachable D is counted on work as it grows.
+    read off the agent's CurveImage; dd is delta*delta_prime.  The set of
+    counter pairs the picks reach is built once and counted on work as it
+    grows; a pair's window is worked out the first time its denominator
+    level comes up.
 
     One walk over im.entries, down to the first psi < theta, keeps the
     last entry per (curve set, state): the point the agent selects on
@@ -225,35 +228,41 @@ def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction, work: _Work) ->
         a_steps[s - 1], b_steps[s - 1] = a, b
     scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
     if bad:
-        return AgentGuess(*scaled, ())
-    levels = {0}
-    for b in filter(None, b_steps):
-        levels |= {s + b for s in levels}
-        work.add(len(levels))
+        return AgentGuess(*scaled, {})
+    pairs = {(0, 0)}
+    for a, b in zip(a_steps, b_steps):
+        if a or b:
+            pairs |= {(x + a, y + b) for x, y in pairs}
+            work.add(len(pairs))
     # With numerator counter c the utility is (a_hat + c*dd*L) / D over L,
     # which is >= t = t_num / t_den iff c >= (t_num*D - t_den*a_hat) * dd_den
     # / (t_den * L * dd_num): lo is that bound's ceiling at theta_next, and
-    # hi one less than it at theta.
+    # hi one less than it at theta (None: no upper bound).
     n_num, n_den = theta_next.numerator, theta_next.denominator
-    options = []
-    for level in sorted(levels):
-        D = b_hat + level * im.delta
-        lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
-        hi = None
-        if theta is not INF:
-            hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
-        options.append((level, D, lo, hi))
-    return AgentGuess(*scaled, tuple(options))
+    windows = {}  # denominator counter -> (D*L, lo, hi)
+    kept = {}
+    for a, level in pairs:
+        if level not in windows:
+            D = b_hat + level * im.delta
+            lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
+            hi = None
+            if theta is not INF:
+                hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
+            windows[level] = D, lo, hi
+        D, lo, hi = windows[level]
+        if lo <= a and (hi is None or a <= hi):
+            kept[a, level] = D
+    return AgentGuess(*scaled, kept)
 
 
-def slot_coefficients(guesses, option, cost, cost_scale: int) -> tuple[tuple[int, ...], int]:
+def slot_coefficients(guesses, denominators, cost, cost_scale: int) -> tuple[tuple[int, ...], int]:
     """Per-state marginal values under one (theta, D) guess, as integer
-    numerators over one positive denominator M.
+    numerators over one positive denominator M; denominators holds each
+    agent's D*L.
 
     The value of state j is -cost_j plus d_ij*w_ij / D_i for every agent
     i that picks it; cost holds the costs times cost_scale.
     """
-    denominators = [o[1] for o in option]
     P = math.prod(denominators)
     others = [cost_scale * P // Di for Di in denominators]
     coeffs = []
@@ -277,36 +286,18 @@ class _Work:
             raise TooLarge(f"the threshold DP needs more than {_DP_WORK} units of work")
 
 
-def kept_pairs(g: AgentGuess, work: _Work) -> dict[tuple[int, int], tuple]:
-    """The (numerator, denominator) counter pairs one agent reaches over
-    the states it picks under guess g that lie in the window of their
-    option, each mapped to that option.  g must have no bad state."""
-    pairs = {(0, 0)}
-    for a, b in zip(g.a_steps, g.b_steps):
-        if a or b:
-            pairs |= {(x + a, y + b) for x, y in pairs}
-            work.add(len(pairs))
-    by_level = {o[0]: o for o in g.options}
-    kept = {}
-    for a, b in pairs:
-        option = by_level[b]
-        if option[2] <= a and (option[3] is None or a <= option[3]):
-            kept[a, b] = option
-    return kept
-
-
 def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     """Best consistent slot over every (theta, D) guess.
 
     grids[i] is agent i's theta grid (see theta_grid).  A slot is
-    consistent when each agent's own counter pair is one kept_pairs keeps
-    under that agent's guess, so a guess with no kept pair is in no
-    consistent combination and is dropped before the theta guesses are
-    combined.  Per remaining combination a key-only pass finds the
-    reachable joint keys; those whose every agent pair is kept fix the D
-    options worth a valued DP, and the slots worth reading in it.  Ties
-    break toward the lexicographically smallest state tuple.  Past _DP_WORK
-    units of work the DP raises TooLarge.
+    consistent when each agent's own counter pair is in the kept pairs of
+    that agent's guess, so a guess that keeps none is in no consistent
+    combination and is dropped before the theta guesses are combined.
+    Per remaining combination a key-only pass finds the reachable joint
+    keys; those whose every agent pair is kept fix the agents' D worth a
+    valued DP, and the slots worth reading in it.  Ties break toward the
+    lexicographically smallest state tuple.  Past _DP_WORK units of work
+    the DP raises TooLarge.
     """
     mi = ci.mi
     k = mi.k
@@ -327,32 +318,32 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
                 f"agent {i + 1}, state {t}: the slot shifts are not whole"
                 " multiples of delta * delta_prime and delta"
             )
-    kept = [[(g, pairs) for g in gs if (pairs := kept_pairs(g, work))] for gs in guesses]
+    kept = [[g for g in gs if g.kept] for gs in guesses]
 
     best = None  # (value numerator, its denominator, states)
-    for choice in itertools.product(*kept):
+    for combo in itertools.product(*kept):
         work.add(1)
-        combo, pairs = zip(*choice)
+        pairs = [g.kept for g in combo]
         steps = [
             tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
             for j in range(mi.n)
         ]
         moves = [any(step) for step in steps]
         # Key-only pass: the valued table below holds exactly the keys
-        # reachable over the moving states, so an option no consistent key
+        # reachable over the moving states, so a D no consistent key
         # matches cannot yield a candidate and is skipped.
         keys = {(0,) * (2 * k)}
         for step, move in zip(steps, moves):
             if move:
                 keys |= {tuple(map(int.__add__, key, step)) for key in keys}
                 work.add(len(keys))
-        targets = {}  # denominator counters -> (their option, consistent keys)
+        targets = {}  # denominator counters -> (the agents' D*L, consistent keys)
         for key in keys:
-            option = tuple(map(dict.get, pairs, zip(key, key[k:])))
-            if None not in option:
-                targets.setdefault(key[k:], (option, []))[1].append(key)
-        for option, consistent in targets.values():
-            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+            Ds = tuple(map(dict.get, pairs, zip(key, key[k:])))
+            if None not in Ds:
+                targets.setdefault(key[k:], (Ds, []))[1].append(key)
+        for Ds, consistent in targets.values():
+            coeffs, M = slot_coefficients(combo, Ds, cost, cost_scale)
             table = {(0,) * (2 * k): (0, ())}
             for t, (step, c) in enumerate(zip(steps, coeffs), 1):
                 if not moves[t - 1] and c <= 0:

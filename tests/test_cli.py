@@ -240,6 +240,7 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         ("nash", game, ("designers", 1, "candidates", 0), "x", "designers[1].candidates[0]"),
         ("verify", chain, ("rows", 0), 1, "rows[0]"),
         ("verify", chain, ("start",), "0", "start"),
+        ("verify", chain, ("start",), 5, "start"),
         ("solve-agent", flower, ("states",), True, "states"),
         ("solve-agent", flower, ("version",), True, "version"),
         ("solve-multi-agent", competitive, ("platforms", 0, "state"), True, "platforms[0].state"),
@@ -273,6 +274,27 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     for value in (0, "", []):
         assert main(["solve-designer", write_doc(tmp_path, {**flower, "quantization": value})]) == 2
         assert capsys.readouterr().err == "error: quantization: expected an object\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 200000 + b"]" * 200000,
+        b'{"version": 1, "kind": "\xff\xfe"}',
+        b'{"version": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["nested-too-deep", "not-utf8", "too-many-digits"],
+)
+def test_unreadable_documents_exit_2(tmp_path, capsys, content):
+    # Each fails inside json.load, as a RecursionError or a ValueError that
+    # is not a JSONDecodeError; the message names the file.
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_solve_agent_output(tmp_path, capsys, example):

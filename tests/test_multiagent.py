@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from pdp.multiagent import (
     INF,
     AgentGuess,
     CompetitiveInstance,
+    CurveImage,
     ExternalPlatform,
     _threshold_dp,
     _windows,
@@ -29,13 +31,12 @@ from pdp.multiagent import (
     build_multi_agent_instance,
     competitive_profit,
     competitive_solve,
-    kept_pairs,
     multi_agent_profit,
     multi_agent_solve,
     slot_coefficients,
     theta_grid,
 )
-from pdp.multiplatform import Platform, multi_greedy_solve, prune_redundant
+from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve, prune_redundant
 
 
 # Reference solvers: the threshold DP on Fractions, one copy per solver,
@@ -326,18 +327,23 @@ def test_candidate_grids_shape():
         assert grid[0] is INF
         assert len(grid) <= mi.n + 1
         assert list(grid[1:]) == sorted(set(dp.phi), reverse=True)
-    # Guessing the minimum potential makes every state a pick, so the D
-    # options are B plus every subset sum of the z levels, in steps of delta.
+    # Guessing the minimum potential makes every state a pick, so the
+    # reference's D options are B plus every subset sum of the z levels, in
+    # steps of delta, and each pair the guess keeps has one of those D.
+    dd = mi.delta * mi.delta_prime
     guesses = multi_agent_guesses(mi, tuple(grid[-1] for grid in grids))
-    for guess, dp in zip(guesses, dps):
-        levels = [o[0] for o in guess.options]
+    for guess, dp, im, grid in zip(guesses, dps, CompetitiveInstance(mi, ()).curves, grids):
+        assert all(guess.member)
+        _, options = two_loop_agent_guess(im, grid[-1], F(-1), dd)
+        levels = [o[0] for o in options]
         z_levels = [int(z / mi.delta) for z in dp.z]
         sums = {sum(c) for r in range(mi.n + 1) for c in itertools.combinations(z_levels, r)}
         assert levels == sorted(sums)
         assert levels[0] == 0
-        base = guess.options[0][1]
-        for level, scaled_D, _, _ in guess.options:
-            assert F(scaled_D, base) == (dp.B + level * mi.delta) / dp.B
+        assert guess.kept
+        for (_, level), scaled_D in guess.kept.items():
+            assert level in sums
+            assert F(scaled_D, im.B) == (dp.B + level * mi.delta) / dp.B
 
 
 def test_value_coefficients_extremes():
@@ -346,13 +352,15 @@ def test_value_coefficients_extremes():
     scale = math.lcm(*(c.denominator for c in mi.cost))
     cost = [int(c * scale) for c in mi.cost]
     # Guessing "adopt nothing" for every agent leaves only the costs.
+    # With no rival platforms D = B at denominator counter 0, B*L scaled.
+    B = [im.B for im in CompetitiveInstance(mi, ()).curves]
     guesses = multi_agent_guesses(mi, (INF, INF))
-    coeffs, M = slot_coefficients(guesses, [g.options[0] for g in guesses], cost, scale)
+    coeffs, M = slot_coefficients(guesses, B, cost, scale)
     assert tuple(F(c, M) for c in coeffs) == tuple(-c for c in mi.cost)
     # Guessing the minimum potential makes every state revenue-bearing;
     # take D = B for every agent.
     guesses = multi_agent_guesses(mi, tuple(min(dp.phi) for dp in dps))
-    coeffs, M = slot_coefficients(guesses, [g.options[0] for g in guesses], cost, scale)
+    coeffs, M = slot_coefficients(guesses, B, cost, scale)
     D = tuple(dp.B for dp in dps)
     for j in range(mi.n):
         expected = -mi.cost[j] + sum(
@@ -442,8 +450,8 @@ def test_dp_work_refuses_as_the_tables_grow(monkeypatch):
 
 def doubling_levels_instance(n):
     """One agent on n states with z = 1, 2, 4, ..., 2^(n-1) and every phi 2:
-    under its lowest theta guess it picks every state, so the D levels it
-    reaches number 2^n."""
+    under its lowest theta guess it picks every state, so the D levels and
+    the counter pairs it reaches number 2^n."""
     p, q, c_life = [F(1, n)] * n, [F(1, 2)] * n, [F(0)] * n
     y, c_platform = [], []
     for j in range(n):
@@ -455,8 +463,8 @@ def doubling_levels_instance(n):
     return build_multi_agent_instance([agent], F(1), F(1, 4))
 
 
-def test_dp_work_counts_the_level_set_as_it_grows(monkeypatch):
-    # 2^20 reachable D levels: the budget must stop the level set while
+def test_dp_work_counts_the_pair_set_as_it_grows(monkeypatch):
+    # 2^20 reachable counter pairs: the budget must stop the pair set while
     # agent_guess grows it, at no more than twice the budget, not once it is
     # built or in a later stage.
     mi = doubling_levels_instance(20)
@@ -468,10 +476,11 @@ def test_dp_work_counts_the_level_set_as_it_grows(monkeypatch):
             super().add(units)
 
     monkeypatch.setattr(multiagent, "_Work", Recorded)
-    monkeypatch.setattr(multiagent, "kept_pairs", lambda *args: pytest.fail("guess built"))
     monkeypatch.setattr(multiagent, "_DP_WORK", 10**4)
-    with pytest.raises(TooLarge, match="^the threshold DP needs more than 10000 units"):
+    with pytest.raises(TooLarge, match="^the threshold DP needs more than 10000 units") as info:
         multi_agent_solve(mi)
+    # _threshold_dp builds every guess before it combines any.
+    assert any(entry.name == "agent_guess" for entry in info.traceback)
     assert max(largest) <= 2 * 10**4
 
 
@@ -689,6 +698,8 @@ def test_dominant_externals_kill_the_market():
 
 # The threshold DP before its key-only pass: one valued subset DP per
 # (theta combination, D option), most of which hold no consistent slot.
+# It and the combination DP below read the two-loop reference's guesses
+# and options, not agent_guess.
 
 
 def _valued_threshold_dp(ci, grids):
@@ -697,12 +708,13 @@ def _valued_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = [
-        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
+        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
         for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
-    for combo in itertools.product(*guesses):
+    for choice in itertools.product(*guesses):
+        combo, options = zip(*choice)
         bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
         if bad is not None:
             raise QuantizationError(
@@ -714,8 +726,8 @@ def _valued_threshold_dp(ci, grids):
             for j in range(mi.n)
         ]
         moves = [any(step) for step in steps]
-        for option in itertools.product(*(g.options for g in combo)):
-            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+        for option in itertools.product(*options):
+            coeffs, M = slot_coefficients(combo, [o[1] for o in option], cost, cost_scale)
             table = {(0,) * (2 * k): (0, ())}
             for t, (step, c) in enumerate(zip(steps, coeffs), 1):
                 if not moves[t - 1] and c <= 0:
@@ -813,9 +825,7 @@ def test_key_only_pass_matches_valued_dp(monkeypatch):
 
 
 def _ref_in_windows(numerators, option):
-    return all(
-        lo <= a and (hi is None or a <= hi) for a, (_, _, lo, hi) in zip(numerators, option)
-    )
+    return all(map(_in_window, numerators, option))
 
 
 def _combination_threshold_dp(ci, grids):
@@ -824,12 +834,13 @@ def _combination_threshold_dp(ci, grids):
     dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     guesses = [
-        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
+        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
         for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
-    for combo in itertools.product(*guesses):
+    for choice in itertools.product(*guesses):
+        combo, options = zip(*choice)
         bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
         if bad is not None:
             raise QuantizationError(
@@ -848,12 +859,12 @@ def _combination_threshold_dp(ci, grids):
         numerators = {}
         for key in keys:
             numerators.setdefault(key[k:], []).append(key[:k])
-        by_level = [{o[0]: o for o in g.options} for g in combo]
+        by_level = [{o[0]: o for o in opts} for opts in options]
         for levels, nums in numerators.items():
             option = tuple(opts[level] for opts, level in zip(by_level, levels))
             if not any(_ref_in_windows(a, option) for a in nums):
                 continue
-            coeffs, M = slot_coefficients(combo, option, cost, cost_scale)
+            coeffs, M = slot_coefficients(combo, [o[1] for o in option], cost, cost_scale)
             table = {(0,) * (2 * k): (0, ())}
             for t, (step, c) in enumerate(zip(steps, coeffs), 1):
                 if not moves[t - 1] and c <= 0:
@@ -900,17 +911,18 @@ def test_guess_prefilter_matches_combination_dp(monkeypatch):
     _assert_threshold_dp_matches(monkeypatch, cases, _combination_threshold_dp)
 
 
-def _brute_kept_pairs(g):
-    """kept_pairs(g) by enumerating the subsets of the states g picks."""
+def _brute_kept_pairs(g, options):
+    """g.kept by enumerating the subsets of the states g picks and reading
+    each pair's window off its level's option."""
     picked = [j for j, m in enumerate(g.member) if m]
-    by_level = {o[0]: o for o in g.options}
+    by_level = {o[0]: o for o in options}
     kept = {}
     for size in range(len(picked) + 1):
         for S in itertools.combinations(picked, size):
             pair = (sum(g.a_steps[j] for j in S), sum(g.b_steps[j] for j in S))
-            _, _, lo, hi = option = by_level[pair[1]]
-            if lo <= pair[0] and (hi is None or pair[0] <= hi):
-                kept[pair] = option
+            option = by_level[pair[1]]
+            if _in_window(pair[0], option):
+                kept[pair] = option[1]
     return kept
 
 
@@ -924,10 +936,10 @@ def _empty_offer_utility(base, dp):
 
 def test_kept_pairs_match_brute_force():
     """Each guess keeps exactly the counter pairs some subset of its picked
-    states reaches inside its option's window, so a guess is dropped iff no
-    such pair exists.  The guess whose window holds the agent's utility
-    under the empty offer keeps the empty slot, so every agent keeps a
-    guess."""
+    states reaches inside the window of its level's option in the two-loop
+    reference, so a guess is dropped iff no such pair exists.  The guess
+    whose window holds the agent's utility under the empty offer keeps the
+    empty slot, so every agent keeps a guess."""
     instances = []
     for idx in range(40):
         n, k = (3 + idx % 2, 3) if idx % 4 == 3 else reference_shape(idx)
@@ -942,12 +954,12 @@ def test_kept_pairs_match_brute_force():
             holders = 0
             for theta, theta_next in _windows(grid):
                 g = agent_guess(im, theta, theta_next, dd, multiagent._Work())
-                kept = kept_pairs(g, multiagent._Work())
-                assert kept == _brute_kept_pairs(g), (theta, theta_next)
-                dropped += not kept
+                _, options = two_loop_agent_guess(im, theta, theta_next, dd)
+                assert g.kept == _brute_kept_pairs(g, options), (theta, theta_next)
+                dropped += not g.kept
                 if theta_next <= u0 and (theta is INF or u0 < theta):
                     holders += 1
-                    assert (0, 0) in kept, (theta, theta_next, u0)
+                    assert (0, 0) in g.kept, (theta, theta_next, u0)
             assert holders == 1, u0
     # The prefilter has guesses to drop on these instances.
     assert dropped > 0
@@ -966,24 +978,31 @@ def _solve_grids(ci):
     return [_ref_grid(*_ref_agent_curves(ci, i)) for i in range(ci.mi.k)]
 
 
+def _guess_key(g):
+    """A hashable stand-in for an AgentGuess, whose kept is a dict."""
+    return g.member, g.a_steps, g.b_steps, tuple(sorted(g.kept.items()))
+
+
 def _consistent_pairs(ci):
-    """Every (theta combination, option) pair that holds a consistent slot
-    key, found by enumerating the subsets of the states."""
+    """Every (theta combination, D) pair that holds a consistent slot key,
+    found by enumerating the subsets of the states and the two-loop
+    reference's options."""
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
     guesses = [
-        [agent_guess(im, theta, theta_next, dd, multiagent._Work()) for theta, theta_next in _windows(grid)]
+        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
         for grid, im in zip(_solve_grids(ci), ci.curves)
     ]
     pairs = Counter()
     attempted = 0
-    for combo in itertools.product(*guesses):
+    for choice in itertools.product(*guesses):
+        combo, options = zip(*choice)
         keys = {
             tuple(sum(g.a_steps[j - 1] for j in S) for g in combo)
             + tuple(sum(g.b_steps[j - 1] for j in S) for g in combo)
             for S in all_subsets(mi.n)
         }
-        for option in itertools.product(*(g.options for g in combo)):
+        for option in itertools.product(*options):
             attempted += 1
             if any(
                 all(
@@ -992,18 +1011,18 @@ def _consistent_pairs(ci):
                 )
                 for key in keys
             ):
-                pairs[combo, option] += 1
+                pairs[tuple(map(_guess_key, combo)), tuple(o[1] for o in option)] += 1
     return pairs, attempted
 
 
 def test_threshold_dp_values_only_consistent_options(monkeypatch):
     """One valued DP (one slot_coefficients call) per (theta combination,
-    option) pair that holds a consistent key, and no other."""
+    D) pair that holds a consistent key, and no other."""
     calls = Counter()
 
-    def counting(guesses, option, *args):
-        calls[tuple(guesses), tuple(option)] += 1
-        return slot_coefficients(guesses, option, *args)
+    def counting(guesses, denominators, *args):
+        calls[tuple(map(_guess_key, guesses)), tuple(denominators)] += 1
+        return slot_coefficients(guesses, denominators, *args)
 
     monkeypatch.setattr(multiagent, "slot_coefficients", counting)
     useful = attempted = 0
@@ -1023,15 +1042,10 @@ def test_threshold_dp_values_only_consistent_options(monkeypatch):
 
 def _hand_guess(lo, hi):
     """One agent picking state 1 only: its one nonempty slot key is
-    (3, 1), so each window below holds that key at an edge."""
-    return AgentGuess(
-        member=(True, False),
-        a_steps=(3, 0),
-        b_steps=(1, 0),
-        bad=(),
-        dw=(12, 0),
-        options=((0, 2, 4, None), (1, 3, lo, hi)),
-    )
+    (3, 1), so each window below holds that key at an edge.  Its kept
+    pairs are read off the options (level, D*L, lo, hi)."""
+    g = AgentGuess(member=(True, False), a_steps=(3, 0), b_steps=(1, 0), bad=(), dw=(12, 0), kept={})
+    return replace(g, kept=kept_from_options(g, ((0, 2, 4, None), (1, 3, lo, hi))))
 
 
 @pytest.mark.parametrize(
@@ -1041,19 +1055,19 @@ def _hand_guess(lo, hi):
 )
 def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
     # Level 0's window (numerator 4 and up) misses the empty key, so the
-    # slot of {1} at level 1 is the only consistent one, and skipping its
-    # option leaves no candidate.
+    # slot of {1} at level 1, D*L = 3, is the only consistent one, and
+    # skipping its D leaves no candidate.
     mi = gen_random_multi_agent(2, 1, seed=12)
     monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
     calls = []
 
-    def counting(guesses, option, *args):
-        calls.append(option)
-        return slot_coefficients(guesses, option, *args)
+    def counting(guesses, denominators, *args):
+        calls.append(denominators)
+        return slot_coefficients(guesses, denominators, *args)
 
     monkeypatch.setattr(multiagent, "slot_coefficients", counting)
     result = _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
-    assert calls == [((1, 3, lo, hi),)]
+    assert calls == [(3,)]
     assert result == DesignSet(frozenset({1}), F(12, 3) - mi.cost[0])
 
 
@@ -1066,6 +1080,29 @@ def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
     monkeypatch.setattr(multiagent, "slot_coefficients", None)
     with pytest.raises(RuntimeError, match="no consistent \\(theta, D\\) guess"):
         _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
+
+
+@pytest.mark.parametrize(
+    "theta, theta_next, kept",
+    [
+        (F(3), F(2), {(3, 1): 2}),
+        (F(5, 2), F(3, 2), {(3, 1): 2}),
+        (F(3), F(9, 4), {}),
+        (F(2), F(3, 2), {}),
+    ],
+    ids=["on-lo", "on-hi", "under-lo", "on-theta"],
+)
+def test_agent_guess_keeps_pairs_on_window_edges(theta, theta_next, kept):
+    # A = B = 1 over L = 1, and the designer's candidate at state 1 adds
+    # (3, 1) to the counters.  The empty slot's utility 1 lies under every
+    # window.  That of {1}, (1 + 3) / (1 + 1) = 2 with D*L = 2, lies on
+    # theta_next (on-lo); just under theta, which numerator counter 4 would
+    # reach (on-hi); under theta_next (under-lo); and on theta (on-theta).
+    entry = CurveEntry(psi=3, psi_den=1, state=1, idx=0, z=1, zphi=3, own=True, inserted=True)
+    im = CurveImage(L=1, A=1, B=1, delta=1, dw=(12, 0), entries=(entry,))
+    g = agent_guess(im, theta, theta_next, F(1), multiagent._Work())
+    assert (g.member, g.a_steps, g.b_steps) == ((True, False), (3, 0), (1, 0))
+    assert g.kept == kept
 
 
 # The competitive layer on Fractions, as it stood before the curve images:
@@ -1104,7 +1141,8 @@ def _ceil(x):
 
 def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
     """The AgentGuess on Fractions over one agent's (base, with_own)
-    curves, and the scale L of its dw and D."""
+    curves, its options (level, D*L, lo, hi), and the scale L of its dw
+    and D."""
     base, with_own = curves
     fall = {}
     for s, curve in base.items():
@@ -1136,9 +1174,9 @@ def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
                 member[j] = True
                 a_steps[j], b_steps[j] = int(a), int(b)
     L, (b_hat_L, delta_L), dw = scale_to_integers((b_hat, delta), dw)
-    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw)
+    g = AgentGuess(tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw, {})
     if bad:
-        return AgentGuess(*scaled, ()), L
+        return g, (), L
     levels = {0}
     for b, picked in zip(b_steps, member):
         if picked:
@@ -1149,12 +1187,33 @@ def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
         lo = _ceil((theta_next * D - a_hat) / dd)
         hi = None if theta is INF else _ceil((theta * D - a_hat) / dd) - 1
         options.append((level, b_hat_L + level * delta_L, lo, hi))
-    return AgentGuess(*scaled, tuple(options)), L
+    return replace(g, kept=kept_from_options(g, options)), tuple(options), L
+
+
+def _in_window(a, option):
+    """Whether numerator counter a lies in the window of option = (level,
+    D*L, lo, hi); hi None is no upper bound."""
+    _, _, lo, hi = option
+    return lo <= a and (hi is None or a <= hi)
+
+
+def kept_from_options(g, options):
+    """AgentGuess.kept from the options of the references below: the
+    counter pairs g's picks reach, grown state by state as a set, that lie
+    in the window of their level's option, each mapped to its D*L."""
+    pairs = {(0, 0)}
+    for a, b in zip(g.a_steps, g.b_steps):
+        if a or b:
+            pairs |= {(x + a, y + b) for x, y in pairs}
+    by_level = {o[0]: o for o in options}
+    return {(a, b): by_level[b][1] for a, b in pairs if _in_window(a, by_level[b])}
 
 
 # agent_guess as it stood before the one walk over the sorted entries: two
 # loops over per-curve entry dicts, and a theta_next test on the slope into
-# the next point of the inserted curve.
+# the next point of the inserted curve.  It returns the guess and the
+# options the DP read before the one pass over the counter pairs: per
+# reachable denominator level in increasing order, (level, D*L, lo, hi).
 
 
 def _curve_dicts(im):
@@ -1198,9 +1257,9 @@ def two_loop_agent_guess(im, theta, theta_next, dd):
                     bad.append(s)
                 member[s - 1] = True
                 a_steps[s - 1], b_steps[s - 1] = a, b
-    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
+    g = AgentGuess(tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw, {})
     if bad:
-        return AgentGuess(*scaled, ())
+        return g, ()
     levels = {0}
     for b, picked in zip(b_steps, member):
         if picked:
@@ -1213,31 +1272,38 @@ def two_loop_agent_guess(im, theta, theta_next, dd):
         if theta is not INF:
             hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
         options.append((level, D, lo, hi))
-    return AgentGuess(*scaled, tuple(options))
+    return replace(g, kept=kept_from_options(g, options)), tuple(options)
 
 
 def assert_guesses_match(ci):
     """Every agent's guess under every window of competitive_solve's grids
     equals the two-loop reference in every field, and the Fraction
-    reference: member, bad, the levels, lo and hi exactly, the
-    steps at every state whose shifts are whole (the DP raises before it
-    reads any other), and dw and each D up to each side's scale."""
+    reference: member, bad and the kept pairs exactly, the steps at every
+    state whose shifts are whole (the DP raises before it reads any
+    other), and dw and each kept D up to each side's scale.  The two
+    references' options agree: the levels, lo and hi exactly, and each D
+    up to each side's scale."""
     mi = ci.mi
     dd = mi.delta * mi.delta_prime
     for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ci)):
         dw = [d * w for d, w in zip(a.d, dp.w)]
         for theta, theta_next in _windows(_ref_grid(*curves)):
             got = agent_guess(im, theta, theta_next, dd, multiagent._Work())
-            assert got == two_loop_agent_guess(im, theta, theta_next, dd)
-            want, L = reference_agent_guess(curves, dp, dw, theta, theta_next, mi.delta, dd)
+            two_loop, options = two_loop_agent_guess(im, theta, theta_next, dd)
+            assert got == two_loop
+            want, want_options, L = reference_agent_guess(
+                curves, dp, dw, theta, theta_next, mi.delta, dd
+            )
             assert (got.member, got.bad) == (want.member, want.bad)
             whole = [j for j in range(mi.n) if j + 1 not in got.bad]
             for steps in ("a_steps", "b_steps"):
                 assert [getattr(got, steps)[j] for j in whole] == [getattr(want, steps)[j] for j in whole]
             M = im.L
             assert [F(x, M) for x in got.dw] == [F(x, L) for x in want.dw]
-            assert [(o[0], o[2], o[3]) for o in got.options] == [(o[0], o[2], o[3]) for o in want.options]
-            assert [F(o[1], M) for o in got.options] == [F(o[1], L) for o in want.options]
+            assert got.kept.keys() == want.kept.keys()
+            assert all(F(D, M) == F(want.kept[pair], L) for pair, D in got.kept.items())
+            assert [(o[0], o[2], o[3]) for o in options] == [(o[0], o[2], o[3]) for o in want_options]
+            assert [F(o[1], M) for o in options] == [F(o[1], L) for o in want_options]
 
 
 def twin_externals(mi, seed):
