@@ -520,6 +520,8 @@ def _cmd_gen(args):
         ]
         if not universe:
             raise SchemaError("--universe: need a nonempty universe")
+        if len(set(universe)) < len(universe):
+            raise SchemaError("--universe: universe elements must be distinct")
         if args.k < 1:
             raise SchemaError("--k: need k >= 1")
         # What is left to refuse, the choice guard included, is the families'.
@@ -629,15 +631,20 @@ def _verify_threshold_dp(obj) -> list[dict]:
 
 
 def _verify_game(g: game.GameInstance) -> list[dict]:
-    # The oracle's memo is its own, so the brute force shares no
-    # competitive instance with the solver under test.
-    oracle = game.SearchMemo(g)
     empty = (frozenset(),) * g.num_designers
+
+    def profits(d, profile):
+        """Designer d's profit from each of its sets against the rivals'
+        builds in profile.  The instance is built on its own, with the
+        scale and runs of CompetitiveInstance.curves, so the brute force
+        shares no instance, scale or run with the search's memo."""
+        ci = game.competitive_instance(g, d, profile)
+        return {S: multiagent.competitive_profit(ci, S) for S in all_subsets(g.n)}
 
     def response(d):
         _guard_brute_force(g.n)
         solved = game.best_response(g, d, empty)
-        best = max(oracle.profit(d, empty[:d] + (S,) + empty[d + 1 :]) for S in all_subsets(g.n))
+        best = max(profits(d, empty).values())
         return _compared(solved.profit == best, solved.profit, best)
 
     def nash():
@@ -645,11 +652,8 @@ def _verify_game(g: game.GameInstance) -> list[dict]:
         profile = game.pure_nash_search(g)
         if profile is None:
             raise _Skip("no pure Nash profile")
-        match = not any(
-            oracle.profit(d, profile[:d] + (S,) + profile[d + 1 :]) > oracle.profit(d, profile)
-            for d in range(g.num_designers)
-            for S in all_subsets(g.n)
-        )
+        deviations = [profits(d, profile) for d in range(g.num_designers)]
+        match = all(max(p.values()) <= p[profile[d]] for d, p in enumerate(deviations))
         return {"nash": _profile_doc(profile), "match": match}
 
     checks = [

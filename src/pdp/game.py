@@ -4,9 +4,11 @@ Each designer owns one candidate platform per state and chooses which to
 build; rivals' built platforms act as external competition.  Best
 responses run through the competitive solver; dynamics and the pure-Nash
 search operate over full strategy profiles.  Within one search, a
-`SearchMemo` keeps every profit and best response already computed, and
-one competitive instance (with each agent's curve entries) per designer
-and rival profile; the search drops it when it returns.
+`SearchMemo` keeps every profit and best response already computed, one
+competitive instance per designer and rival profile, and what their
+curves are built from: one integer scale per designer and agent, and one
+curve run per designer, agent, state and rival designers built there.
+The search drops it when it returns.
 """
 
 from __future__ import annotations
@@ -21,14 +23,18 @@ from .core import FlowerInstance, all_subsets, build_flower_from_potentials
 from .designer import DesignSet
 from .multiagent import (
     CompetitiveInstance,
+    CurveImage,
     ExternalPlatform,
     MultiAgentInstance,
     build_competitive_instance,
     build_multi_agent_instance,
     check_quantization_steps,
     competitive_profit,
+    competitive_run,
     competitive_solve,
+    scaled_points,
 )
+from .multiplatform import Platform, merge_runs
 
 # The most strategy profiles pure_nash_search enumerates.
 _NASH_PROFILES = 10**6
@@ -112,7 +118,10 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
     return build_multi_agent_instance(agents, g.delta, g.delta_prime)
 
 
-def _competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
+def competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
+    """The designer's competitive instance against the rivals' builds in
+    profile.  Read alone, its curves are built by CompetitiveInstance.curves
+    on their own scale; SearchMemo.instance fills them from its kept runs."""
     mi = g.views[designer]
     externals = []
     for other, built in enumerate(profile):
@@ -134,8 +143,13 @@ class SearchMemo:
     Profits are keyed by (designer, profile) and best responses by
     (designer, rivals' builds), since a best response ignores the
     designer's own entry.  Competitive instances are kept per (designer,
-    rivals), so their Pareto curves are pruned once.  Misses call
-    `profile_profit` and `best_response` by their module names.
+    rivals), and their curves are built from parts kept for the whole
+    search: one scale per (designer, agent), over every designer's
+    candidates, since every platform a designer can face is some
+    designer's candidate; and one run per (designer, agent, state, rival
+    designers built at that state), since a state's curves depend on
+    nothing else.  An instance's curves then merge n kept runs per agent.
+    Misses call `profile_profit` and `best_response` by their module names.
     """
 
     def __init__(self, g: GameInstance):
@@ -143,13 +157,48 @@ class SearchMemo:
         self.instances: dict = {}
         self.profits: dict = {}
         self.responses: dict = {}
+        self.scales: dict = {}
+        self.runs: dict = {}
 
     def instance(self, designer: int, profile: Profile) -> CompetitiveInstance:
         key = (designer, _rivals(designer, profile))
         ci = self.instances.get(key)
         if ci is None:
-            ci = self.instances[key] = _competitive_instance(self.g, designer, profile)
+            ci = self.instances[key] = competitive_instance(self.g, designer, profile)
+            # Filled from the kept runs, so CompetitiveInstance.curves never runs.
+            k = self.g.views[designer].k
+            vars(ci)["curves"] = tuple(self._image(designer, i, profile) for i in range(k))
         return ci
+
+    def _scaled(self, designer: int, i: int):
+        """scaled_points over every designer's candidates, in designer and
+        state order, with the ids competitive_instance and
+        CompetitiveInstance.curves give them."""
+        key = (designer, i)
+        if key not in self.scales:
+            cands = []
+            for e, designer_cands in enumerate(self.g.designers):
+                own = e == designer
+                cands += [
+                    Platform(("own" if own else e, c.state), c.state, c.z[i], c.phi[i], own=own)
+                    for c in designer_cands
+                ]
+            self.scales[key] = scaled_points(self.g.views[designer], i, cands)
+        return self.scales[key]
+
+    def _image(self, designer: int, i: int, profile: Profile) -> CurveImage:
+        head, points = self._scaled(designer, i)
+        n = self.g.n
+        runs = []
+        for s in range(1, n + 1):
+            built = tuple(e for e, S in enumerate(profile) if e != designer and s in S)
+            key = (designer, i, s, built)
+            run = self.runs.get(key)
+            if run is None:
+                rivals = [points[e * n + s - 1] for e in built]
+                run = self.runs[key] = competitive_run(s, rivals, points[designer * n + s - 1])
+            runs.append(run)
+        return CurveImage(*head, merge_runs(runs))
 
     def profit(self, designer: int, profile: Profile) -> Fraction:
         key = (designer, profile)

@@ -301,8 +301,13 @@ def gen_setcover_instance(U, F, k: int) -> SetCoverInstance:
     families = tuple(frozenset(f) for f in F)
     if not universe:
         raise RangeError("need a nonempty universe")
+    if len(frozenset(universe)) < len(universe):
+        raise RangeError("universe elements must be distinct")
     if not families:
         raise RangeError("need a nonempty family")
+    outside = next((f for f in families if not f <= frozenset(universe)), None)
+    if outside is not None:
+        raise RangeError(f"family {sorted(outside)} has elements outside the universe")
     if k < 1:
         raise RangeError("need k >= 1")
     combos = (1 << len(families)) * math.prod(

@@ -12,11 +12,16 @@ competitive one with no rival platforms, so `multi_agent_solve` builds
 that competitive instance and hands it to `competitive_solve`.  Each
 agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
-`CurveImage`, the integer entries `multiplatform.curve_entries` lists in
-the greedy's order (psi descending), built once per competitive
-instance.  `competitive_solve` takes each agent's theta grid from the
-entries' psi.  Per agent and threshold guess, `agent_guess` walks the
-entries down to the guess and reads off the candidates the agent picks,
+`CurveImage`, integer entries in the greedy's order (psi descending).
+Its values and points are put over one scale, and each state's curves
+are pruned on those integer points (`competitive_run`, the integer hull
+`multiplatform.state_run`), so no `Fraction` is made to build them;
+the states' runs are merged by `multiplatform.merge_runs`.  A state's
+run depends only on the platforms at that state, so a game search keeps
+it for every instance that has them (`game.SearchMemo`).
+`competitive_solve` takes each agent's theta grid from the entries' psi.
+Per agent and threshold guess, `agent_guess` walks the entries down to
+the guess and reads off the candidates the agent picks,
 its utility numerator and denominator without them (a_hat, b_hat), and
 the shift each pick adds (sigma, tau); with no rival platforms a_hat =
 A, b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` runs
@@ -49,7 +54,7 @@ from . import multiplatform
 from .agent import TooLarge, adopted_response
 from .core import DerivedParams, FlowerInstance, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
-from .multiplatform import CurveEntry, Platform, curve_entries, prune_redundant
+from .multiplatform import CurveEntry, Platform, merge_runs, state_run
 
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
@@ -409,8 +414,8 @@ class CurveImage(NamedTuple):
     A, B, delta and dw (d_j * w_j per state) are the rational values times
     L, as are each entry's z and z*phi, so a selection's utility is
     (A + sum zphi) / (B + sum z) and the designer's revenue from it is
-    (sum dw) / (B + sum z).  entries holds both curve sets' entries, as
-    curve_entries lists them.
+    (sum dw) / (B + sum z).  entries holds both curve sets' entries, every
+    state's competitive_run merged by multiplatform.merge_runs.
     """
 
     L: int
@@ -421,14 +426,27 @@ class CurveImage(NamedTuple):
     entries: tuple[CurveEntry, ...]
 
 
-def curve_image(dp: DerivedParams, d, delta: Fraction, base, with_own) -> CurveImage:
-    """The CurveImage of one agent's curves: base, over the rival platforms
-    alone, and with_own, with the designer's candidates inserted.  d holds
-    the agent's rewards d_j."""
-    L, (A, B, delta_L), dw, entries = curve_entries(
-        (base, with_own), (dp.pairs.A, dp.pairs.B, delta), tuple(map(product_pair, d, dp.pairs.w))
+def scaled_points(mi: MultiAgentInstance, i: int, platforms):
+    """Agent i's (0-based) (L, A, B, delta, dw), the CurveImage fields
+    before its entries, and each platform's integer point (z, z*phi,
+    str(id), own) as state_run reads it, all over the one scale L of one
+    scale_to_integers call."""
+    a, dp = mi.agents[i], mi.params[i]
+    L, (A, B, delta), dw, z, zphi = scale_to_integers(
+        (dp.pairs.A, dp.pairs.B, mi.delta),
+        map(product_pair, a.pairs.d, dp.pairs.w),
+        [pl.z for pl in platforms],
+        [product_pair(pl.z, pl.phi) for pl in platforms],
     )
-    return CurveImage(L, A, B, delta_L, dw, entries)
+    points = [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)]
+    return (L, A, B, delta, dw), points
+
+
+def competitive_run(state: int, rivals, own) -> list[CurveEntry]:
+    """One state's run of an agent's curves: over the points of the rival
+    platforms built at the state, and with the designer's candidate own
+    inserted.  It depends on nothing else."""
+    return state_run(state, (rivals, [*rivals, own]))
 
 
 @dataclass(frozen=True)
@@ -442,20 +460,26 @@ class CompetitiveInstance:
 
     @cached_property
     def curves(self) -> tuple[CurveImage, ...]:
-        """Each agent's CurveImage, built once per instance.  A state's
-        curve depends only on the platforms at that state, so the curves
+        """Each agent's CurveImage, built once per instance from one scale
+        over its values and every external and own point.  A state's
+        curves depend only on the platforms at that state, so the curves
         over the externals plus an offered set S are the inserted curves
-        inside S and the rival curves elsewhere."""
+        inside S and the rival curves elsewhere, and each state's are one
+        competitive_run; a game search (game.SearchMemo) keeps the runs."""
+        n = self.mi.n
         out = []
-        for i, (a, dp) in enumerate(zip(self.mi.agents, self.mi.params)):
+        for i, dp in enumerate(self.mi.params):
             ext = self.external_platforms(i)
             own = [
                 Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
-                for j in range(1, self.mi.n + 1)
+                for j in range(1, n + 1)
             ]
-            base = prune_redundant(ext) if ext else {}
-            with_own = prune_redundant(ext + own)
-            out.append(curve_image(dp, a.pairs.d, self.mi.delta, base, with_own))
+            head, points = scaled_points(self.mi, i, ext + own)
+            rivals = [[] for _ in own]
+            for pl, point in zip(ext, points):
+                rivals[pl.state - 1].append(point)
+            runs = map(competitive_run, range(1, n + 1), rivals, points[len(ext) :])
+            out.append(CurveImage(*head, merge_runs(runs)))
         return tuple(out)
 
 

@@ -5,11 +5,15 @@ upper concave hull from the origin of the points (z, z*phi)); the greedy
 then walks all curves by descending psi, swapping along each curve, and
 stops when psi falls to the current utility.
 
-The greedy is written once, over integers: `curve_entries` lists the
-curve points over one common denominator in the greedy's order, and
-`greedy_walk` walks them.  `multi_greedy_solve` runs it over one curve
-set; the competitive layer (multiagent.py) runs it over each agent's
-curves with and without the designer's candidates, for every profit.
+The greedy is written once, over integers.  `state_run` prunes one
+state's platforms, given as integer points over a common denominator, by
+the same monotone chain with cross-multiplied slopes, and lists its
+curve points in the greedy's order; `merge_runs` merges the states' runs,
+and `greedy_walk` walks them.  `multi_greedy_solve` runs it over one
+curve set (`curve_entries`); the competitive layer (multiagent.py, and
+game.py, which keeps each state's run for a whole search) runs it over
+each agent's curves with and without the designer's candidates, for
+every profit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .agent import SignError, TooLarge
@@ -113,11 +118,11 @@ class SelectionResult:
 
 
 class CurveEntry(NamedTuple):
-    """One point of a Pareto curve, as curve_entries lists it: the slope
-    into it as psi / psi_den, its index idx on the curve of its state, z
-    and z*phi times the common denominator L, whether it is the designer's
-    own candidate, and whether it comes from the second curve set (the
-    curves with that candidate inserted)."""
+    """One point of a Pareto curve, as state_run lists it: the slope into
+    it as psi / psi_den (psi_den > 0, not reduced), its index idx on the
+    curve of its state, z and z*phi times the common denominator L, whether
+    it is the designer's own candidate, and whether it comes from the
+    second curve set (the curves with that candidate inserted)."""
 
     psi: int
     psi_den: int
@@ -129,38 +134,85 @@ class CurveEntry(NamedTuple):
     inserted: bool
 
 
-def curve_entries(curve_sets, *vectors):
-    """(L, *scaled, entries): the vectors, then every point's z and z*phi
-    of the curve sets (dicts state -> ParetoCurve), over one common
-    denominator L, as scale_to_integers returns them; and the points as
-    CurveEntrys in the greedy's order: psi descending, then state, then
-    str(id).  Along each curve psi falls strictly, so each curve's
-    entries appear in curve order."""
-    points = [
-        (psi, state, idx, pl, inserted)
-        for inserted, curves in enumerate(curve_sets)
-        for state, curve in curves.items()
-        for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
-    ]
-    # Both sorts are stable (reverse=True included), so this is the order of
-    # the key (-psi, state, str(id)), and equal keys keep their listing order.
-    points.sort(key=lambda p: (p[1], str(p[3].id)))
-    points.sort(key=lambda p: p[0], reverse=True)
+def _hull(points):
+    """The Pareto curve of integer points (z, z*phi, str(id), own) of one
+    state, z > 0, as prune_redundant prunes the platforms they stand for:
+    its points in curve order, and the slope into each as a pair (z*phi
+    step, z step), from the origin for the first.  Slopes are compared by
+    cross-multiplying, as every z step is positive."""
+    hull: list[tuple] = []
+    psi: list[tuple[int, int]] = []
+    for p in sorted(points, key=lambda p: (p[0], -p[1], p[2])):
+        z, zphi = p[0], p[1]
+        if hull and z == hull[-1][0]:
+            continue
+        # hull[-1] goes when it lies on or below the segment from its
+        # predecessor (the origin for hull[0]) to p.
+        while hull:
+            num, den = zphi - hull[-1][1], z - hull[-1][0]
+            if psi[-1][0] * den > num * psi[-1][1]:
+                break
+            hull.pop()
+            psi.pop()
+        psi.append((num, den) if hull else (zphi, z))
+        hull.append(p)
+    # The curve stops at the hull's highest point.
+    while len(psi) > 1 and psi[-1][0] <= 0:
+        hull.pop()
+        psi.pop()
+    return hull, psi
+
+
+def _by_psi(entries: list[CurveEntry]) -> list[CurveEntry]:
+    """entries sorted by psi descending; equal psi keep their order.  Two
+    distinct slopes whose denominators are at most m differ by at least
+    1 / m^2, so psi * m^2, rounded down, orders them as psi does and gives
+    equal slopes equal keys."""
+    m2 = max((e.psi_den for e in entries), default=0) ** 2
+    entries.sort(key=lambda e: e.psi * m2 // e.psi_den, reverse=True)
+    return entries
+
+
+def state_run(state: int, point_sets) -> list[CurveEntry]:
+    """The run of one state: the Pareto curve of each set of integer
+    points (z*L, z*phi*L, str(id), own) at the state, as CurveEntrys, those
+    of every set after the first marked inserted, in the greedy's order:
+    psi descending, then str(id), then the earlier set.  Along each curve
+    psi falls strictly, so each curve's entries appear in curve order."""
+    tagged = []
+    for inserted, points in enumerate(point_sets):
+        hull, psi = _hull(points)
+        for idx, ((z, zphi, sid, own), (num, den)) in enumerate(zip(hull, psi)):
+            tagged.append((sid, CurveEntry(num, den, state, idx, z, zphi, own, inserted > 0)))
+    tagged.sort(key=itemgetter(0))
+    return _by_psi([e for _, e in tagged])
+
+
+def merge_runs(runs) -> tuple[CurveEntry, ...]:
+    """The entries of the runs, given in state order, in the greedy's
+    order: psi descending, then state, then each run's own order."""
+    return tuple(_by_psi([e for run in runs for e in run]))
+
+
+def curve_entries(platforms, *vectors):
+    """(L, *scaled, entries): the vectors, then every platform's z and
+    z*phi, over one common denominator L, as scale_to_integers returns
+    them; and the Pareto curve of each state's platforms, pruned as
+    prune_redundant prunes them, as the entries state_run and merge_runs
+    list in the greedy's order."""
     L, *scaled, z, zphi = scale_to_integers(
-        *vectors,
-        [pl.z for _, _, _, pl, _ in points],
-        [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
+        *vectors, [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
     )
-    entries = tuple(
-        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
-        for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
-    )
-    return (L, *scaled, entries)
+    by_state: dict[int, list[tuple]] = {}
+    for pl, zi, zp in zip(platforms, z, zphi):
+        by_state.setdefault(pl.state, []).append((zi, zp, str(pl.id), pl.own))
+    runs = [state_run(state, (points,)) for state, points in sorted(by_state.items())]
+    return (L, *scaled, merge_runs(runs))
 
 
 def greedy_walk(entries, num: int, den: int, S) -> tuple[dict[int, CurveEntry], int, int]:
     """The agent's greedy response to the offer S from the utility num / den
-    (den > 0), over the entries curve_entries lists: the selected entry
+    (den > 0), over entries in the order merge_runs lists: the selected entry
     per state, and the utility's final numerator and denominator.
 
     At the states of S the walk reads the inserted entries, elsewhere the
@@ -192,8 +244,10 @@ def greedy_walk(entries, num: int, den: int, S) -> tuple[dict[int, CurveEntry], 
 
 def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction) -> SelectionResult:
     """Optimal feasible selection over pruned curves, from the utility A / B
-    (B > 0): the greedy walk over one curve set, offered nothing."""
-    _, (a, b), entries = curve_entries((curves,), (A, B))
+    (B > 0): the greedy walk over one curve set, offered nothing.  The
+    entries' curves are the given ones, which pruning leaves as they are."""
+    platforms = [pl for curve in curves.values() for pl in curve.platforms]
+    _, (a, b), entries = curve_entries(platforms, (A, B))
     selected, num, den = greedy_walk(entries, a, b, frozenset())
     chosen = tuple(curves[s].platforms[e.idx] for s, e in sorted(selected.items()))
     return SelectionResult(chosen, Fraction(num, den))

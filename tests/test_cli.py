@@ -843,6 +843,18 @@ def test_verify_game(tmp_path, capsys, monkeypatch, designers):
     assert [c["match"] for c in out["checks"][:designers]] == [False] * designers
 
 
+def test_verify_game_brute_force_builds_its_own_curves(tmp_path, capsys, monkeypatch):
+    # The brute force builds each instance's curves on its own, so a search
+    # memo whose runs ignore the rivals' builds is caught: on the no-nash
+    # game the search then finds a profile that the definition rejects.
+    path = write_doc(tmp_path, serialize_instance(gen_no_nash_game()))
+    real = game.competitive_run
+    monkeypatch.setattr(game, "competitive_run", lambda state, rivals, own: real(state, [], own))
+    assert main(["verify", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"][-1] == {"check": "pure nash vs definition", "nash": [[1], [3]], "match": False}
+
+
 def test_verify_skips_solvers_past_their_work_budget(tmp_path, capsys, monkeypatch):
     # A solver's own guard skips its check, as a brute-force guard does.
     # Four agents on six states fit the threshold DP's work budget and are
@@ -1156,6 +1168,8 @@ def test_import_builds_no_parser():
         ("set-cover", "--k=0", "need k >= 1"),
         ("set-cover", "--universe=", "need a nonempty universe"),
         ("set-cover", "--families=;;", "need a nonempty family"),
+        ("set-cover", "--universe=1,1,2", "universe elements must be distinct"),
+        ("set-cover", "--families=4", "family [4] has elements outside the universe"),
         ("set-cover", "--families=" + ";".join(["1,2"] * 11), "294912 designer choices exceed the guard 200000"),
     ],
 )
@@ -1205,3 +1219,58 @@ def test_gen_no_nash(capsys):
     assert main(["gen", "--kind", "no-nash"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(parse_instance(doc), GameInstance)
+
+
+def test_game_and_threshold_dp_commands_prune_on_integers(tmp_path, capsys, monkeypatch):
+    # solve-multi-agent (multi-agent and competitive), nash, dynamics and
+    # best-response build every curve with the integer hull: they never
+    # call prune_redundant, under any module's name, and no Fraction is
+    # made while a curve run is built or merged.
+    def no_prune(platforms):
+        raise AssertionError("prune_redundant ran")
+
+    building, calls = [], Counter()
+
+    def integer_only(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            building.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                building.pop()
+
+        return wrapper
+
+    real_new = F.__new__
+
+    def new(cls, *args, **kwargs):
+        assert not building, f"{building[-1]} made a Fraction"
+        return real_new(cls, *args, **kwargs)
+
+    for mod in (multiplatform, multiagent, game):
+        for name in ("state_run", "merge_runs"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, integer_only(getattr(mod, name)))
+        if hasattr(mod, "prune_redundant"):
+            monkeypatch.setattr(mod, "prune_redundant", no_prune)
+    monkeypatch.setattr(F, "__new__", new)
+    mi = gen_random_multi_agent(3, 2, seed=4)
+    external = ExternalPlatform("x0", 1, (F(1), F(1)), (F(7, 2), F(9, 4)))
+    docs = {
+        "multi-agent": serialize_instance(mi),
+        "competitive": serialize_instance(build_competitive_instance(mi, [external])),
+        "game": serialize_instance(gen_no_nash_game()),
+    }
+    paths = {kind: write_doc(tmp_path, doc, f"{kind}.json") for kind, doc in docs.items()}
+    for argv in (
+        ["solve-multi-agent", paths["multi-agent"]],
+        ["solve-multi-agent", paths["competitive"]],
+        ["nash", paths["game"]],
+        ["dynamics", paths["game"], "--init", "[[],[]]"],
+        ["best-response", paths["game"], "--designer", "2", "--profile", "[[1],[]]"],
+    ):
+        calls.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert calls["state_run"] and calls["merge_runs"], argv

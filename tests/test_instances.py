@@ -176,6 +176,10 @@ def test_setcover_guard_and_ranges():
         gen_setcover_instance([], [{1}], k=2)
     with pytest.raises(RangeError):
         gen_setcover_instance([1], [{1}], k=0)
+    with pytest.raises(RangeError, match="distinct"):
+        gen_setcover_instance([1, 1, 2], [{1}, {2}], k=1)
+    with pytest.raises(RangeError, match=r"family \[4\] has elements outside"):
+        gen_setcover_instance([1, 2, 3], [{4}], k=1)
 
 
 def test_no_nash_game_chassis():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdp import game, multiagent, multiplatform
+from pdp import game, multiagent
 from pdp.agent import TooLarge
 from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
 from pdp.designer import DesignSet, QuantizationError, designer_oracle
@@ -1450,31 +1450,46 @@ def test_competitive_profit_raises_on_a_skipped_curve_entry():
 
 
 def test_nash_search_builds_each_image_once(monkeypatch):
-    """One pure_nash_search on the no-nash game scales each competitive
-    instance's curves once per agent, and each designer's costs once."""
+    """One pure_nash_search on the no-nash game scales each (designer,
+    agent) once, builds each (designer, agent, state, rival builds) run
+    once, and reaches 10 instances, whose curves it never builds alone."""
     g = gen_no_nash_game()
     built = []
-    real_instance = game._competitive_instance
+    real_instance = game.competitive_instance
 
     def keeping(*args):
-        built.append(real_instance(*args))
-        return built[-1]
+        built.append(args[1:])
+        return real_instance(*args)
 
-    monkeypatch.setattr(game, "_competitive_instance", keeping)
-    calls = Counter()
+    monkeypatch.setattr(game, "competitive_instance", keeping)
+    scales = Counter()
     real_scale = multiagent.scale_to_integers
 
     def counting(*vectors):
-        calls[len(vectors)] += 1
+        scales[len(vectors)] += 1
         return real_scale(*vectors)
 
-    # The curve images are scaled in multiplatform.curve_entries, the
-    # designers' costs in multiagent.
-    monkeypatch.setattr(multiplatform, "scale_to_integers", counting)
+    # scaled_points scales four vectors, integer_cost one; both in multiagent.
     monkeypatch.setattr(multiagent, "scale_to_integers", counting)
+    runs = []
+    real_run = game.competitive_run
+
+    def running(state, rivals, own):
+        runs.append(state)
+        return real_run(state, rivals, own)
+
+    monkeypatch.setattr(game, "competitive_run", running)
     assert game.pure_nash_search(g) is None
     # One instance per (designer, rival builds) the search reaches: 10 of
     # the 2 * 2^3 on this game.
     assert len(built) == 10
-    # curve_image scales four vectors; integer_cost scales one.
-    assert calls == {4: len(built) * g.views[0].k, 1: g.num_designers}
+    k = g.views[0].k
+    assert scales == {4: g.num_designers * k, 1: g.num_designers}
+    # The rival designers built at each state, over the instances reached.
+    keys = {
+        (d, i, s, tuple(e for e in range(g.num_designers) if e != d and s in profile[e]))
+        for d, profile in built
+        for i in range(k)
+        for s in range(1, g.n + 1)
+    }
+    assert len(runs) == len(keys) < len(built) * k * g.n

@@ -1,20 +1,27 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdp import multiplatform
 from pdp.agent import SignError, TooLarge
+from pdp.core import product_pair, scale_to_integers
 from pdp.multiplatform import (
+    CurveEntry,
     FeasibilityError,
     ParetoCurve,
     Platform,
     _rho,
     local_optimality_check,
+    merge_runs,
     multi_greedy_solve,
     multi_oracle,
     prune_redundant,
     selection_utility,
+    state_run,
 )
 
 
@@ -282,3 +289,82 @@ def test_oracle_guard(monkeypatch):
     monkeypatch.setattr(multiplatform, "_ORACLE_SELECTIONS", 1)
     with pytest.raises(TooLarge):
         multi_oracle(platforms, A, B)
+
+
+# curve_entries as it stood before the integer hull: the entries of curve
+# sets (dicts state -> ParetoCurve, pruned by prune_redundant), sorted on
+# Fraction psi by (-psi, state, str(id)), equal keys in listing order.
+
+
+def _ref_curve_entries(curve_sets, *vectors):
+    points = [
+        (psi, state, idx, pl, inserted)
+        for inserted, curves in enumerate(curve_sets)
+        for state, curve in curves.items()
+        for idx, (pl, psi) in enumerate(zip(curve.platforms, curve.psi))
+    ]
+    points.sort(key=lambda p: (p[1], str(p[3].id)))
+    points.sort(key=lambda p: p[0], reverse=True)
+    L, *scaled, z, zphi = scale_to_integers(
+        *vectors,
+        [pl.z for _, _, _, pl, _ in points],
+        [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
+    )
+    entries = tuple(
+        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
+        for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
+    )
+    return (L, *scaled, entries)
+
+
+def integer_hull_entries(curve_sets):
+    """(L, entries): the unpruned platform lists curve_sets as integer
+    points over one scale L, each state's run by state_run, merged by
+    merge_runs."""
+    platforms = [pl for pls in curve_sets for pl in pls]
+    L, z, zphi = scale_to_integers(
+        [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
+    )
+    points = iter(zip(platforms, z, zphi))
+    by_state = {}
+    for i, pls in enumerate(curve_sets):
+        for pl, zi, zp in itertools.islice(points, len(pls)):
+            sets = by_state.setdefault(pl.state, [[] for _ in curve_sets])
+            sets[i].append((zi, zp, str(pl.id), pl.own))
+    return L, merge_runs(state_run(state, sets) for state, sets in sorted(by_state.items()))
+
+
+def _entry_values(L, entries):
+    """Each entry's state, idx, own, inserted, psi, and z and z*phi over L."""
+    return [
+        (e.state, e.idx, e.own, e.inserted, F(e.psi, e.psi_den), F(e.z, L), F(e.zphi, L))
+        for e in entries
+    ]
+
+
+# Points on small grids, so that equal z, equal phi (z*phi proportional to
+# z), collinear points, phi = 0 and falling slopes all come up; the ids 1
+# and "1" share a str(id).
+_points = st.tuples(
+    st.sampled_from([1, "1", "a", "b"]),
+    st.integers(1, 3),
+    st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3), F(4)]),
+    st.sampled_from([F(k, 2) for k in range(0, 17)]),
+)
+
+
+def _platforms(drawn, own=False):
+    return [Platform(pid, state, z, zphi / z, own=own) for pid, state, z, zphi in drawn]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rivals=st.lists(_points, max_size=9), inserted=st.lists(_points, max_size=4))
+def test_integer_hull_matches_fraction_path(rivals, inserted):
+    """The integer hull's runs, merged, are the entries of prune_redundant
+    followed by the Fraction curve_entries: the same entries in the same
+    order, for one curve set and for a set with platforms inserted."""
+    rivals, own = _platforms(rivals), _platforms(inserted, own=True)
+    for curve_sets in [(rivals,), (rivals, rivals + own)]:
+        got = integer_hull_entries(curve_sets)
+        want = _ref_curve_entries(tuple(prune_redundant(pls) for pls in curve_sets))
+        assert _entry_values(*got) == _entry_values(*want)
