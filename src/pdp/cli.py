@@ -365,8 +365,7 @@ def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
     platforms, their Pareto curves and the greedy's selection over them."""
     dp = ci.mi.params[i]
     pool = ci.external_platforms(i)
-    curves = multiplatform.prune_redundant(pool)
-    return dp, pool, curves, multiplatform.multi_greedy_solve(curves, dp.A, dp.B)
+    return dp, pool, *multiplatform.select_platforms(pool, dp.A, dp.B)
 
 
 def _cmd_solve_multiplatform(args):
@@ -426,7 +425,8 @@ def _cmd_solve_multi_agent(args):
 def _parse_profile(text, g, flag) -> tuple:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError and RecursionError as in _load_instance.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{flag}: {exc}") from None
     if not isinstance(raw, list) or len(raw) != g.num_designers:
         raise SchemaError(f"{flag}: expected {g.num_designers} state lists")

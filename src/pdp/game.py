@@ -26,7 +26,6 @@ from .multiagent import (
     CurveImage,
     ExternalPlatform,
     MultiAgentInstance,
-    build_competitive_instance,
     build_multi_agent_instance,
     check_quantization_steps,
     competitive_profit,
@@ -121,7 +120,9 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
 def competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
     """The designer's competitive instance against the rivals' builds in
     profile.  Read alone, its curves are built by CompetitiveInstance.curves
-    on their own scale; SearchMemo.instance fills them from its kept runs."""
+    on their own scale; SearchMemo.instance fills them from its kept runs.
+    build_competitive_instance's checks are skipped: build_game_instance and
+    the rival's view have checked each external, a rival's candidate."""
     mi = g.views[designer]
     externals = []
     for other, built in enumerate(profile):
@@ -130,7 +131,7 @@ def competitive_instance(g: GameInstance, designer: int, profile: Profile) -> Co
         for s in sorted(built):
             c = g.designers[other][s - 1]
             externals.append(ExternalPlatform((other, s), s, c.z, c.phi))
-    return build_competitive_instance(mi, externals)
+    return CompetitiveInstance(mi, tuple(externals))
 
 
 def _rivals(designer: int, profile: Profile) -> Profile:

@@ -1,19 +1,21 @@
 """The agent's problem with several candidate platforms per state.
 
-Redundant platforms are pruned down to a per-state Pareto curve (the
-upper concave hull from the origin of the points (z, z*phi)); the greedy
-then walks all curves by descending psi, swapping along each curve, and
-stops when psi falls to the current utility.
+Redundant platforms are pruned down to a per-state Pareto curve: the
+upper concave hull, from the origin, of the points (z, z*phi), up to its
+highest point.  Of platforms with equal z only the highest phi is kept,
+the smallest str(id) on equal phi and the first given on equal str(id).
+The greedy then walks all curves by descending psi, swapping along each
+curve, and stops when psi falls to the current utility.
 
-The greedy is written once, over integers.  `state_run` prunes one
-state's platforms, given as integer points over a common denominator, by
-the same monotone chain with cross-multiplied slopes, and lists its
-curve points in the greedy's order; `merge_runs` merges the states' runs,
-and `greedy_walk` walks them.  `multi_greedy_solve` runs it over one
-curve set (`curve_entries`); the competitive layer (multiagent.py, and
-game.py, which keeps each state's run for a whole search) runs it over
-each agent's curves with and without the designer's candidates, for
-every profit.
+Both are written once, over integers.  `_hull` is the one monotone chain
+(Andrew 1979), with cross-multiplied slopes; `state_run` lists one state's
+curve points in the greedy's order, `merge_runs` merges the states' runs,
+and `greedy_walk` walks them.  `select_platforms` reads the `ParetoCurve`s
+and the greedy's selection off one `curve_entries` call (each half is
+`prune_redundant` and `multi_greedy_solve`).  The competitive layer
+(multiagent.py, and game.py, which keeps each state's run for a whole
+search) walks each agent's curves with and without the designer's
+candidates, for every profit.
 """
 
 from __future__ import annotations
@@ -56,57 +58,12 @@ class ParetoCurve:
     concave hull of the origin and every platform's point, up to the
     hull's highest point.  psi[i] is the slope into platform i: psi[0] is
     the first platform's phi (the slope from the origin), and for i > 0
-    psi[i] is rho between platforms i - 1 and i.
+    psi[i] is the slope (z*phi step over z step) from platform i - 1 to i.
     """
 
     state: int
     platforms: tuple[Platform, ...]
     psi: tuple[Fraction, ...]
-
-
-def _rho(a: Platform, b: Platform) -> Fraction:
-    return (b.z * b.phi - a.z * a.phi) / (b.z - a.z)
-
-
-def prune_redundant(platforms) -> dict[int, ParetoCurve]:
-    """Reduce each state's platforms to its Pareto curve.
-
-    One monotone-chain pass (Andrew 1979) per state over the points
-    (z, z*phi) by increasing z, anchored at the origin.  Of platforms
-    with equal z only the highest phi is a candidate: the smallest
-    str(id) on equal phi, the first given on equal str(id).  A point on
-    or below the segment between its neighbours is dropped, and the
-    curve ends before its first segment of slope <= 0.  No selection
-    problem over the survivors has a lower optimal utility than over
-    all platforms.
-    """
-    by_state: dict[int, list[Platform]] = {}
-    for pl in platforms:
-        if pl.z <= 0:
-            raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
-        by_state.setdefault(pl.state, []).append(pl)
-
-    curves = {}
-    for state, group in sorted(by_state.items()):
-        # psi[i] is the slope into hull[i]: from the origin for hull[0].
-        hull: list[Platform] = []
-        psi: list[Fraction] = []
-        for pl in sorted(group, key=lambda p: (p.z, -p.phi, str(p.id))):
-            if hull and pl.z == hull[-1].z:
-                continue
-            # hull[-1] goes when it lies on or below the segment from its
-            # predecessor (the origin for hull[0]) to pl.
-            while hull and psi[-1] <= (rho := _rho(hull[-1], pl)):
-                hull.pop()
-                psi.pop()
-            psi.append(rho if hull else pl.phi)
-            hull.append(pl)
-        # The curve stops at the hull's highest point.
-        while len(psi) > 1 and psi[-1] <= 0:
-            hull.pop()
-            psi.pop()
-        curves[state] = ParetoCurve(state, tuple(hull), tuple(psi))
-    return curves
 
 
 @dataclass(frozen=True)
@@ -136,10 +93,12 @@ class CurveEntry(NamedTuple):
 
 def _hull(points):
     """The Pareto curve of integer points (z, z*phi, str(id), own) of one
-    state, z > 0, as prune_redundant prunes the platforms they stand for:
-    its points in curve order, and the slope into each as a pair (z*phi
-    step, z step), from the origin for the first.  Slopes are compared by
-    cross-multiplying, as every z step is positive."""
+    state, z > 0, by one monotone-chain pass: its points in curve order, and
+    the slope into each as a pair (z*phi step, z step), from the origin for
+    the first.  Of points with equal z it keeps the highest z*phi, then the
+    smallest str(id), then the first given; it drops a point on or below the
+    segment between its neighbours, and ends before the first slope <= 0.
+    Slopes are compared by cross-multiplying, as every z step is positive."""
     hull: list[tuple] = []
     psi: list[tuple[int, int]] = []
     for p in sorted(points, key=lambda p: (p[0], -p[1], p[2])):
@@ -174,11 +133,13 @@ def _by_psi(entries: list[CurveEntry]) -> list[CurveEntry]:
 
 
 def state_run(state: int, point_sets) -> list[CurveEntry]:
-    """The run of one state: the Pareto curve of each set of integer
-    points (z*L, z*phi*L, str(id), own) at the state, as CurveEntrys, those
+    """The run of one state: the Pareto curve of each set of integer points
+    (z*L, z*phi*L, str(id), own) at the state, as CurveEntrys, those
     of every set after the first marked inserted, in the greedy's order:
-    psi descending, then str(id), then the earlier set.  Along each curve
-    psi falls strictly, so each curve's entries appear in curve order."""
+    psi descending, then str(id), then the earlier set.  Each curve is
+    _hull's: of equal z the highest z*phi, then the smallest str(id), then
+    the first given.  Along each curve psi falls strictly, so each curve's
+    entries appear in curve order."""
     tagged = []
     for inserted, points in enumerate(point_sets):
         hull, psi = _hull(points)
@@ -195,19 +156,52 @@ def merge_runs(runs) -> tuple[CurveEntry, ...]:
 
 
 def curve_entries(platforms, *vectors):
-    """(L, *scaled, entries): the vectors, then every platform's z and
-    z*phi, over one common denominator L, as scale_to_integers returns
-    them; and the Pareto curve of each state's platforms, pruned as
-    prune_redundant prunes them, as the entries state_run and merge_runs
-    list in the greedy's order."""
+    """(L, *scaled, entries, curves) for platforms of z > 0: the vectors, then
+    every platform's z and z*phi, over one common denominator L, as
+    scale_to_integers returns them; each state's Pareto curve (_hull), as
+    the entries state_run and merge_runs list in the greedy's order; and the
+    same curves as ParetoCurves, by state.  Each curve point is the
+    platform _hull keeps there: of the state's platforms with that z and
+    z*phi, the smallest str(id), the first given on equal str(id)."""
+    platforms = tuple(platforms)
+    for pl in platforms:
+        if pl.z <= 0:
+            raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
     L, *scaled, z, zphi = scale_to_integers(
         *vectors, [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
     )
     by_state: dict[int, list[tuple]] = {}
+    kept: dict[tuple[int, int, int], Platform] = {}
     for pl, zi, zp in zip(platforms, z, zphi):
-        by_state.setdefault(pl.state, []).append((zi, zp, str(pl.id), pl.own))
-    runs = [state_run(state, (points,)) for state, points in sorted(by_state.items())]
-    return (L, *scaled, merge_runs(runs))
+        sid = str(pl.id)
+        by_state.setdefault(pl.state, []).append((zi, zp, sid, pl.own))
+        key = (pl.state, zi, zp)
+        if key not in kept or sid < str(kept[key].id):
+            kept[key] = pl
+    runs = {state: state_run(state, (points,)) for state, points in sorted(by_state.items())}
+    curves = {}
+    for state, run in runs.items():  # in curve order: a run of one curve
+        pls = tuple(kept[state, e.z, e.zphi] for e in run)
+        curves[state] = ParetoCurve(state, pls, tuple(Fraction(e.psi, e.psi_den) for e in run))
+    return (L, *scaled, merge_runs(runs.values()), curves)
+
+
+def prune_redundant(platforms) -> dict[int, ParetoCurve]:
+    """Reduce each state's platforms to its Pareto curve, as curve_entries
+    prunes them; SignError if a z is <= 0.  No selection problem over the
+    survivors has a lower optimal utility than over all platforms."""
+    return curve_entries(platforms)[-1]
+
+
+def select_platforms(platforms, A: Fraction, B: Fraction) -> tuple[dict, SelectionResult]:
+    """The Pareto curves of the platforms (prune_redundant's) and the optimal
+    feasible selection over them from the utility A / B (B > 0): the greedy
+    walk over one curve set, offered nothing.  Both come from one
+    curve_entries call."""
+    _, (a, b), entries, curves = curve_entries(platforms, (A, B))
+    selected, num, den = greedy_walk(entries, a, b, frozenset())
+    chosen = tuple(curves[s].platforms[e.idx] for s, e in sorted(selected.items()))
+    return curves, SelectionResult(chosen, Fraction(num, den))
 
 
 def greedy_walk(entries, num: int, den: int, S) -> tuple[dict[int, CurveEntry], int, int]:
@@ -244,13 +238,9 @@ def greedy_walk(entries, num: int, den: int, S) -> tuple[dict[int, CurveEntry], 
 
 def multi_greedy_solve(curves: dict[int, ParetoCurve], A: Fraction, B: Fraction) -> SelectionResult:
     """Optimal feasible selection over pruned curves, from the utility A / B
-    (B > 0): the greedy walk over one curve set, offered nothing.  The
-    entries' curves are the given ones, which pruning leaves as they are."""
-    platforms = [pl for curve in curves.values() for pl in curve.platforms]
-    _, (a, b), entries = curve_entries(platforms, (A, B))
-    selected, num, den = greedy_walk(entries, a, b, frozenset())
-    chosen = tuple(curves[s].platforms[e.idx] for s, e in sorted(selected.items()))
-    return SelectionResult(chosen, Fraction(num, den))
+    (B > 0), as select_platforms makes it; pruning leaves the curves as
+    they are."""
+    return select_platforms([pl for curve in curves.values() for pl in curve.platforms], A, B)[1]
 
 
 def selection_utility(selection, A: Fraction, B: Fraction) -> Fraction:

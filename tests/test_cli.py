@@ -297,6 +297,26 @@ def test_unreadable_documents_exit_2(tmp_path, capsys, content):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 5000 + "]" * 5000, "[[" + "1" * 5000 + "],[]]"],
+    ids=["nested-too-deep", "too-many-digits"],
+)
+def test_unreadable_profiles_exit_2(tmp_path, capsys, text):
+    # Each fails inside json.loads, as a RecursionError or a ValueError that
+    # is not a JSONDecodeError; the message names the flag.
+    path = write_doc(tmp_path, serialize_instance(gen_no_nash_game()))
+    for argv, flag in (
+        (["best-response", path, "--designer", "1", "--profile", text], "--profile"),
+        (["dynamics", path, "--init", text], "--init"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: "), captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_solve_agent_output(tmp_path, capsys, example):
     path = write_doc(tmp_path, serialize_instance(example))
     assert main(["solve-agent", path]) == 0
@@ -777,7 +797,9 @@ def test_verify_competitive(tmp_path, capsys, monkeypatch):
 
     # A selection that is not optimal fails both comparisons.
     empty = multiplatform.SelectionResult((), F(0))
-    monkeypatch.setattr(multiplatform, "multi_greedy_solve", lambda curves, A, B: empty)
+    monkeypatch.setattr(
+        multiplatform, "select_platforms", lambda pool, A, B: (multiplatform.prune_redundant(pool), empty)
+    )
     assert main(["verify", path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False
@@ -790,6 +812,37 @@ def test_verify_competitive(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
     assert [c.get("skipped") for c in out["checks"][1:]] == ["6 selections exceed the guard 1"] * 2
+
+
+def test_multiplatform_agent_prunes_once(tmp_path, capsys, monkeypatch):
+    # solve-multiplatform-agent --agent i builds one hull per state that
+    # holds platforms (2 and 3 here), from which both the curves and the
+    # selection come: state_run runs once at each, and prune_redundant,
+    # which would build a second hull, is not called.  verify does the same
+    # once per agent.
+    path = write_doc(tmp_path, serialize_instance(_competitive_example()))
+    calls = Counter()
+    real_run, real_prune = multiplatform.state_run, multiplatform.prune_redundant
+
+    def counted_run(state, point_sets):
+        calls[state] += 1
+        return real_run(state, point_sets)
+
+    def counted_prune(platforms):
+        calls["prune_redundant"] += 1
+        return real_prune(platforms)
+
+    monkeypatch.setattr(multiplatform, "state_run", counted_run)
+    monkeypatch.setattr(multiplatform, "prune_redundant", counted_prune)
+    for i in (1, 2):
+        calls.clear()
+        assert main(["solve-multiplatform-agent", path, "--agent", str(i)]) == 0
+        capsys.readouterr()
+        assert calls == {2: 1, 3: 1}
+    calls.clear()
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+    assert calls == {2: 2, 3: 2}
 
 
 def test_one_greedy_walk_serves_verify_and_competitive_profit(tmp_path, capsys, monkeypatch):

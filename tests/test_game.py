@@ -21,6 +21,7 @@ from pdp.game import (
     pure_nash_search,
 )
 from pdp.instances import gen_no_nash_game, gen_random_multi_agent
+from pdp.multiagent import build_competitive_instance
 
 fs = frozenset
 
@@ -301,3 +302,24 @@ def test_memoized_search_matches_reference_with_fewer_calls(monkeypatch):
             assert got == want
             assert memo_calls["best_response"] <= ref_calls["best_response"]
     assert saved > 0
+
+
+def test_search_instances_pass_the_external_checks(monkeypatch):
+    # competitive_instance skips build_competitive_instance's checks, as each
+    # external is a rival's candidate the game and its views have checked:
+    # those checks accept every instance a search builds and give it back.
+    memos = []
+
+    class Kept(game.SearchMemo):
+        def __init__(self, g):
+            super().__init__(g)
+            memos.append(self)
+
+    monkeypatch.setattr(game, "SearchMemo", Kept)
+    for g in (gen_no_nash_game(), random_game(3)):
+        memos.clear()
+        pure_nash_search(g)
+        (memo,) = memos
+        assert any(ci.externals for ci in memo.instances.values())
+        for (d, _), ci in memo.instances.items():
+            assert build_competitive_instance(g.views[d], ci.externals) == ci

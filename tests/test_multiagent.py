@@ -36,7 +36,8 @@ from pdp.multiagent import (
     slot_coefficients,
     theta_grid,
 )
-from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve, prune_redundant
+from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve
+from test_multiplatform import _chain_prune_redundant
 
 
 # Reference solvers: the threshold DP on Fractions, one copy per solver,
@@ -136,7 +137,7 @@ def _ref_agent_curves(ci, i):
         Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
         for j in range(1, ci.mi.n + 1)
     ]
-    return (prune_redundant(ext) if ext else {}), prune_redundant(ext + own)
+    return (_chain_prune_redundant(ext) if ext else {}), _chain_prune_redundant(ext + own)
 
 
 def reference_competitive_solve(ci):

@@ -14,15 +14,52 @@ from pdp.multiplatform import (
     FeasibilityError,
     ParetoCurve,
     Platform,
-    _rho,
     local_optimality_check,
     merge_runs,
     multi_greedy_solve,
     multi_oracle,
     prune_redundant,
+    select_platforms,
     selection_utility,
     state_run,
 )
+
+
+def _rho(a: Platform, b: Platform) -> F:
+    return (b.z * b.phi - a.z * a.phi) / (b.z - a.z)
+
+
+def _chain_prune_redundant(platforms) -> dict[int, ParetoCurve]:
+    """prune_redundant as it stood on Fractions: one monotone-chain pass
+    (Andrew 1979) per state over the points (z, z*phi) by increasing z,
+    anchored at the origin.  Of platforms with equal z only the highest phi
+    is a candidate: the smallest str(id) on equal phi, the first given on
+    equal str(id).  A point on or below the segment between its neighbours
+    is dropped, and the curve ends before its first segment of slope <= 0."""
+    by_state: dict[int, list[Platform]] = {}
+    for pl in platforms:
+        if pl.z <= 0:
+            raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
+        by_state.setdefault(pl.state, []).append(pl)
+
+    curves = {}
+    for state, group in sorted(by_state.items()):
+        # psi[i] is the slope into hull[i]: from the origin for hull[0].
+        hull: list[Platform] = []
+        psi: list[F] = []
+        for pl in sorted(group, key=lambda p: (p.z, -p.phi, str(p.id))):
+            if hull and pl.z == hull[-1].z:
+                continue
+            while hull and psi[-1] <= (rho := _rho(hull[-1], pl)):
+                hull.pop()
+                psi.pop()
+            psi.append(rho if hull else pl.phi)
+            hull.append(pl)
+        while len(psi) > 1 and psi[-1] <= 0:
+            hull.pop()
+            psi.pop()
+        curves[state] = ParetoCurve(state, tuple(hull), tuple(psi))
+    return curves
 
 
 def _ref_prune_redundant(platforms) -> dict[int, ParetoCurve]:
@@ -162,6 +199,9 @@ def _prune_case(rng):
 
 
 def test_prune_matches_reference():
+    # Against two references: the dominance rules, and the Fraction chain,
+    # whose curves must match down to which of several platforms with equal
+    # z and phi each keeps.
     rng = random.Random(20260)
     for _ in range(3000):
         platforms = _prune_case(rng)
@@ -173,11 +213,18 @@ def test_prune_matches_reference():
                 (pl.id, pl.z, pl.phi) for pl in curve.platforms
             ]
             assert got[state].psi == curve.psi
+        chain = _chain_prune_redundant(platforms)
+        assert list(got.items()) == list(chain.items())
+        assert all(
+            a is b for state in got for a, b in zip(got[state].platforms, chain[state].platforms)
+        )
 
 
 def test_prune_rejects_nonpositive_z():
-    with pytest.raises(SignError):
-        prune_redundant([Platform("a", 1, F(-1), F(5))])
+    for prune in (prune_redundant, lambda pls: select_platforms(pls, F(1), F(1))):
+        for z in (F(-1), F(0)):
+            with pytest.raises(SignError, match="platform 'a' has z = "):
+                prune([Platform("b", 1, F(1), F(5)), Platform("a", 1, z, F(5))])
 
 
 def test_curve_invariants_on_random_corpus():
@@ -292,7 +339,7 @@ def test_oracle_guard(monkeypatch):
 
 
 # curve_entries as it stood before the integer hull: the entries of curve
-# sets (dicts state -> ParetoCurve, pruned by prune_redundant), sorted on
+# sets (dicts state -> ParetoCurve, pruned by the Fraction chain), sorted on
 # Fraction psi by (-psi, state, str(id)), equal keys in listing order.
 
 
@@ -360,11 +407,11 @@ def _platforms(drawn, own=False):
 @settings(max_examples=400, deadline=None)
 @given(rivals=st.lists(_points, max_size=9), inserted=st.lists(_points, max_size=4))
 def test_integer_hull_matches_fraction_path(rivals, inserted):
-    """The integer hull's runs, merged, are the entries of prune_redundant
-    followed by the Fraction curve_entries: the same entries in the same
+    """The integer hull's runs, merged, are the entries of the Fraction
+    chain followed by the Fraction curve_entries: the same entries in the same
     order, for one curve set and for a set with platforms inserted."""
     rivals, own = _platforms(rivals), _platforms(inserted, own=True)
     for curve_sets in [(rivals,), (rivals, rivals + own)]:
         got = integer_hull_entries(curve_sets)
-        want = _ref_curve_entries(tuple(prune_redundant(pls) for pls in curve_sets))
+        want = _ref_curve_entries(tuple(_chain_prune_redundant(pls) for pls in curve_sets))
         assert _entry_values(*got) == _entry_values(*want)
