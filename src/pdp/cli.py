@@ -187,12 +187,12 @@ def _write(obj, rows) -> dict:
     return {key: rule.write(getattr(obj, key)) for key, rule in rows}
 
 
-def _build(path: str, builder, *args, **kwargs):
-    """builder(*args, **kwargs), with its ValueError reported under `path`."""
+def _build(path: str | None, builder, *args, **kwargs):
+    """builder(*args, **kwargs); its ValueError is reported under `path`, if given."""
     try:
         return builder(*args, **kwargs)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise SchemaError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def _flower_quantization(doc) -> dict:
@@ -261,7 +261,7 @@ def parse_instance(doc):
                     for i, c in enumerate(cands)
                 ]
             )
-        return _build("designers", game.build_game_instance, chassis, designers, *_steps(doc))
+        return _build(None, game.build_game_instance, chassis, designers, *_steps(doc))
     agents = _agents(doc, n, _AGENT, **_read(doc, _COST, "$", n))
     mi = _build("agents", multiagent.build_multi_agent_instance, agents, *_steps(doc))
     if kind == "multi-agent":
@@ -364,8 +364,8 @@ def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
     """Agent i's (0-based) derived parameters, its view of the external
     platforms, their Pareto curves and the greedy's selection over them."""
     dp = ci.mi.params[i]
-    pool = ci.external_platforms(i)
-    return dp, pool, *multiplatform.select_platforms(pool, dp.A, dp.B)
+    platforms = multiagent.external_platforms(ci.externals, i)
+    return dp, platforms, *multiplatform.select_platforms(platforms, dp.A, dp.B)
 
 
 def _cmd_solve_multiplatform(args):
@@ -615,8 +615,8 @@ def _verify_threshold_dp(obj) -> list[dict]:
     def multiplatform_greedy(i):
         # What solve-multiplatform-agent --agent i+1 prints, against the
         # oracle over the unpruned platforms and the swap criterion.
-        dp, pool, curves, sel = _multiplatform_greedy(obj, i)
-        oracle = multiplatform.multi_oracle(pool, dp.A, dp.B)
+        dp, platforms, curves, sel = _multiplatform_greedy(obj, i)
+        oracle = multiplatform.multi_oracle(platforms, dp.A, dp.B)
         ids = [pl.id for pl in sel.platforms]
         local = multiplatform.local_optimality_check(curves, ids, dp.A, dp.B)
         match = sel.utility == oracle.utility and local
@@ -635,9 +635,9 @@ def _verify_game(g: game.GameInstance) -> list[dict]:
 
     def profits(d, profile):
         """Designer d's profit from each of its sets against the rivals'
-        builds in profile.  The instance is built on its own, with the
-        scale and runs of CompetitiveInstance.curves, so the brute force
-        shares no instance, scale or run with the search's memo."""
+        builds in profile.  The instance is built on its own, with a
+        curve pool of its externals alone, so the brute force shares no
+        instance, scale or run with the search's memo."""
         ci = game.competitive_instance(g, d, profile)
         return {S: multiagent.competitive_profit(ci, S) for S in all_subsets(g.n)}
 

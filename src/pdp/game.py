@@ -5,35 +5,33 @@ build; rivals' built platforms act as external competition.  Best
 responses run through the competitive solver; dynamics and the pure-Nash
 search operate over full strategy profiles.  Within one search, a
 `SearchMemo` keeps every profit and best response already computed, one
-competitive instance per designer and rival profile, and what their
-curves are built from: one integer scale per designer and agent, and one
-curve run per designer, agent, state and rival designers built there.
-The search drops it when it returns.
+competitive instance per designer and rival profile, and one
+`multiagent.CurvePool` per designer over every rival candidate, which
+builds those instances' curves.  The search drops it when it returns.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .agent import TooLarge
 from .core import FlowerInstance, all_subsets, build_flower_from_potentials
-from .designer import DesignSet
+from .designer import DesignSet, QuantizationError
 from .multiagent import (
+    _LEVEL_CEILING,
     CompetitiveInstance,
-    CurveImage,
+    CurvePool,
     ExternalPlatform,
     MultiAgentInstance,
-    build_multi_agent_instance,
     check_quantization_steps,
     competitive_profit,
-    competitive_run,
     competitive_solve,
-    scaled_points,
+    grid_fault,
 )
-from .multiplatform import Platform, merge_runs
 
 # The most strategy profiles pure_nash_search enumerates.
 _NASH_PROFILES = 10**6
@@ -74,26 +72,39 @@ class GameInstance:
 
 
 def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
-    # Checked here too: a game without designers never builds a view.
+    """The game, checked.  A candidate's fault names its designer as a
+    document does, designers[d] (0-based), and its state."""
     check_quantization_steps(delta, delta_prime)
     chassis = tuple(chassis)
     if not chassis:
         raise ValueError("need at least one agent")
     designers = tuple(tuple(sorted(cands, key=lambda c: c.state)) for cands in designers)
     n = chassis[0].n
-    for cands in designers:
-        if tuple(c.state for c in cands) != tuple(range(1, n + 1)):
-            raise ValueError("each designer needs exactly one candidate per state")
+    if any(a.n != n for a in chassis):
+        raise ValueError("all agents must share the state set")
+    for d, cands in enumerate(designers):
+        states = Counter(c.state for c in cands)
+        for s in sorted({*range(1, n + 1), *states}):
+            if not 1 <= s <= n:
+                raise ValueError(f"designers[{d}]: state {s}: not a state of 1..{n}")
+            if states[s] != 1:
+                raise ValueError(f"designers[{d}]: state {s}: needs one candidate, has {states[s]}")
         for c in cands:
+            at = f"designers[{d}]: state {c.state}"
             if c.cost <= 0:
-                raise ValueError("candidate costs must be positive")
+                raise ValueError(f"{at}: candidate cost must be positive")
             if not len(c.z) == len(c.phi) == len(c.d) == len(chassis):
-                raise ValueError("candidate needs per-agent z, phi and d")
-            # z = -lambda would divide by zero in the designer's view.
-            if any(z <= 0 for z in c.z):
-                raise ValueError(f"candidate at state {c.state} needs every z positive")
+                raise ValueError(f"{at}: candidate needs per-agent z, phi and d")
+            # Before the view (z = -lambda divides by zero there), naming designer and state.
+            for i, (z, phi) in enumerate(zip(c.z, c.phi), 1):
+                if (fault := grid_fault(z, phi, delta, delta_prime)) is not None:
+                    raise QuantizationError((
+                        f"{at}: agent {i}: z = {z} is not a positive multiple of {delta}",
+                        f"{at}: agent {i}: phi = {phi} is not a nonnegative multiple of {delta_prime}",
+                        f"{at}: agent {i}: quantization level exceeds {_LEVEL_CEILING}",
+                    )[fault])
     g = GameInstance(chassis, designers, delta, delta_prime)
-    g.views  # validates quantization eagerly
+    g.views  # built with the game: every game command reads them
     return g
 
 
@@ -114,15 +125,18 @@ def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
         phi = [c.phi[i] for c in cands]
         d = [c.d[i] for c in cands]
         agents.append(build_flower_from_potentials(base.p, base.q, base.c_life, z, phi, d, cost))
-    return build_multi_agent_instance(agents, g.delta, g.delta_prime)
+    # build_game_instance has made build_multi_agent_instance's checks.
+    return MultiAgentInstance(tuple(agents), g.delta, g.delta_prime)
 
 
-def competitive_instance(g: GameInstance, designer: int, profile: Profile) -> CompetitiveInstance:
+def competitive_instance(
+    g: GameInstance, designer: int, profile: Profile, pool: CurvePool | None = None
+) -> CompetitiveInstance:
     """The designer's competitive instance against the rivals' builds in
-    profile.  Read alone, its curves are built by CompetitiveInstance.curves
-    on their own scale; SearchMemo.instance fills them from its kept runs.
-    build_competitive_instance's checks are skipped: build_game_instance and
-    the rival's view have checked each external, a rival's candidate."""
+    profile, each external with id (rival, state).  Its curves come from
+    pool, a CurvePool over rival candidates that include those builds, or
+    else from its externals alone.  build_competitive_instance's checks are
+    skipped: build_game_instance has checked each external, a candidate."""
     mi = g.views[designer]
     externals = []
     for other, built in enumerate(profile):
@@ -131,7 +145,7 @@ def competitive_instance(g: GameInstance, designer: int, profile: Profile) -> Co
         for s in sorted(built):
             c = g.designers[other][s - 1]
             externals.append(ExternalPlatform((other, s), s, c.z, c.phi))
-    return CompetitiveInstance(mi, tuple(externals))
+    return CompetitiveInstance(mi, tuple(externals), pool)
 
 
 def _rivals(designer: int, profile: Profile) -> Profile:
@@ -144,13 +158,9 @@ class SearchMemo:
     Profits are keyed by (designer, profile) and best responses by
     (designer, rivals' builds), since a best response ignores the
     designer's own entry.  Competitive instances are kept per (designer,
-    rivals), and their curves are built from parts kept for the whole
-    search: one scale per (designer, agent), over every designer's
-    candidates, since every platform a designer can face is some
-    designer's candidate; and one run per (designer, agent, state, rival
-    designers built at that state), since a state's curves depend on
-    nothing else.  An instance's curves then merge n kept runs per agent.
-    Misses call `profile_profit` and `best_response` by their module names.
+    rivals), their curves built by one CurvePool per designer over every
+    rival candidate.  Misses call `profile_profit` and `best_response` by
+    their module names.
     """
 
     def __init__(self, g: GameInstance):
@@ -158,48 +168,19 @@ class SearchMemo:
         self.instances: dict = {}
         self.profits: dict = {}
         self.responses: dict = {}
-        self.scales: dict = {}
-        self.runs: dict = {}
+        self.pools: dict = {}
 
     def instance(self, designer: int, profile: Profile) -> CompetitiveInstance:
         key = (designer, _rivals(designer, profile))
         ci = self.instances.get(key)
         if ci is None:
-            ci = self.instances[key] = competitive_instance(self.g, designer, profile)
-            # Filled from the kept runs, so CompetitiveInstance.curves never runs.
-            k = self.g.views[designer].k
-            vars(ci)["curves"] = tuple(self._image(designer, i, profile) for i in range(k))
+            pool = self.pools.get(designer)
+            if pool is None:
+                everyone = (frozenset(range(1, self.g.n + 1)),) * self.g.num_designers
+                rivals = competitive_instance(self.g, designer, everyone).externals
+                pool = self.pools[designer] = CurvePool(self.g.views[designer], rivals)
+            ci = self.instances[key] = competitive_instance(self.g, designer, profile, pool)
         return ci
-
-    def _scaled(self, designer: int, i: int):
-        """scaled_points over every designer's candidates, in designer and
-        state order, with the ids competitive_instance and
-        CompetitiveInstance.curves give them."""
-        key = (designer, i)
-        if key not in self.scales:
-            cands = []
-            for e, designer_cands in enumerate(self.g.designers):
-                own = e == designer
-                cands += [
-                    Platform(("own" if own else e, c.state), c.state, c.z[i], c.phi[i], own=own)
-                    for c in designer_cands
-                ]
-            self.scales[key] = scaled_points(self.g.views[designer], i, cands)
-        return self.scales[key]
-
-    def _image(self, designer: int, i: int, profile: Profile) -> CurveImage:
-        head, points = self._scaled(designer, i)
-        n = self.g.n
-        runs = []
-        for s in range(1, n + 1):
-            built = tuple(e for e, S in enumerate(profile) if e != designer and s in S)
-            key = (designer, i, s, built)
-            run = self.runs.get(key)
-            if run is None:
-                rivals = [points[e * n + s - 1] for e in built]
-                run = self.runs[key] = competitive_run(s, rivals, points[designer * n + s - 1])
-            runs.append(run)
-        return CurveImage(*head, merge_runs(runs))
 
     def profit(self, designer: int, profile: Profile) -> Fraction:
         key = (designer, profile)

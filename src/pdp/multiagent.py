@@ -13,12 +13,12 @@ that competitive instance and hands it to `competitive_solve`.  Each
 agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
 `CurveImage`, integer entries in the greedy's order (psi descending).
-Its values and points are put over one scale, and each state's curves
-are pruned on those integer points (`competitive_run`, the integer hull
-`multiplatform.state_run`), so no `Fraction` is made to build them;
-the states' runs are merged by `multiplatform.merge_runs`.  A state's
-run depends only on the platforms at that state, so a game search keeps
-it for every instance that has them (`game.SearchMemo`).
+One `CurvePool` over a fixed pool of rival platforms builds them: it
+puts each agent's values and points over one scale, prunes each state's
+curves on those integer points (`competitive_run`, the integer hull
+`multiplatform.state_run`), so no `Fraction` is made to build them, and
+keeps each state's run for every set of rivals that has it.  A lone
+instance pools its own externals; a game search, every rival candidate.
 `competitive_solve` takes each agent's theta grid from the entries' psi.
 Per agent and threshold guess, `agent_guess` walks the entries down to
 the guess and reads off the candidates the agent picks,
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -108,7 +108,7 @@ def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
             raise QuantizationError(f"{name} = {value} must be positive")
 
 
-def _grid_fault(z, phi, delta, delta_prime) -> int | None:
+def grid_fault(z, phi, delta, delta_prime) -> int | None:
     """0 if z is not a positive multiple of delta, 1 if phi is not a nonnegative
     multiple of delta_prime, 2 if a level passes _LEVEL_CEILING, else None."""
     (zn, zd), (fn, fd), (dn, dd), (dpn, dpd) = map(as_pair, (z, phi, delta, delta_prime))
@@ -137,7 +137,7 @@ def build_multi_agent_instance(
     mi = MultiAgentInstance(agents, delta, delta_prime)
     for i, dp in enumerate(mi.params, 1):
         for j, (z, phi) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1):
-            if (fault := _grid_fault(z, phi, delta, delta_prime)) is not None:
+            if (fault := grid_fault(z, phi, delta, delta_prime)) is not None:
                 raise QuantizationError((
                     f"agent {i}: z[{j}] = {dp.z[j - 1]} is not a positive multiple of {delta}",
                     f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}",
@@ -426,22 +426,6 @@ class CurveImage(NamedTuple):
     entries: tuple[CurveEntry, ...]
 
 
-def scaled_points(mi: MultiAgentInstance, i: int, platforms):
-    """Agent i's (0-based) (L, A, B, delta, dw), the CurveImage fields
-    before its entries, and each platform's integer point (z, z*phi,
-    str(id), own) as state_run reads it, all over the one scale L of one
-    scale_to_integers call."""
-    a, dp = mi.agents[i], mi.params[i]
-    L, (A, B, delta), dw, z, zphi = scale_to_integers(
-        (dp.pairs.A, dp.pairs.B, mi.delta),
-        map(product_pair, a.pairs.d, dp.pairs.w),
-        [pl.z for pl in platforms],
-        [product_pair(pl.z, pl.phi) for pl in platforms],
-    )
-    points = [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)]
-    return (L, A, B, delta, dw), points
-
-
 def competitive_run(state: int, rivals, own) -> list[CurveEntry]:
     """One state's run of an agent's curves: over the points of the rival
     platforms built at the state, and with the designer's candidate own
@@ -449,38 +433,72 @@ def competitive_run(state: int, rivals, own) -> list[CurveEntry]:
     return state_run(state, (rivals, [*rivals, own]))
 
 
+def external_platforms(externals, i: int) -> list[Platform]:
+    """The external platforms as agent i (0-based) sees them."""
+    return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in externals]
+
+
+class CurvePool:
+    """Each agent's curves against any subset of a fixed pool of external
+    platforms, told apart by id.  Per agent one scale_to_integers call
+    puts A, B, delta, d*w and the z and z*phi of every pool platform and
+    own candidate (id ("own", j) at state j) over one L.  A state's curves
+    depend only on the platforms there, so each state's are one
+    competitive_run, kept per (agent, state, pool platforms there)."""
+
+    def __init__(self, mi: MultiAgentInstance, pool):
+        self.n = mi.n
+        self.index = {pl.id: x for x, pl in enumerate(pool)}
+        if len(self.index) < len(pool):  # as build_competitive_instance checks
+            raise ValueError("two external platforms share an id")
+        self.scaled = []  # per agent: (L, A, B, delta, dw), pool points, own points
+        self.runs: dict = {}
+        for i, (a, dp) in enumerate(zip(mi.agents, mi.params)):
+            ext = external_platforms(pool, i)
+            platforms = ext + [
+                Platform(("own", j), j, z, phi, own=True) for j, (z, phi) in enumerate(zip(dp.z, dp.phi), 1)
+            ]
+            L, (A, B, delta), dw, z, zphi = scale_to_integers(
+                (dp.pairs.A, dp.pairs.B, mi.delta),
+                map(product_pair, a.pairs.d, dp.pairs.w),
+                [pl.z for pl in platforms],
+                [product_pair(pl.z, pl.phi) for pl in platforms],
+            )
+            points = [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)]
+            self.scaled.append(((L, A, B, delta, dw), points[: len(ext)], points[len(ext) :]))
+
+    def images(self, externals) -> tuple[CurveImage, ...]:
+        """Each agent's CurveImage against externals, platforms of the pool:
+        the kept runs of the states, merged by multiplatform.merge_runs."""
+        at = [[] for _ in range(self.n)]
+        for pl in externals:
+            at[pl.state - 1].append(self.index[pl.id])
+        out = []
+        for i, (head, pooled, own) in enumerate(self.scaled):
+            runs = []
+            for s, xs in enumerate(map(tuple, at), 1):
+                run = self.runs.get((i, s, xs))
+                if run is None:
+                    rivals = [pooled[x] for x in xs]
+                    run = self.runs[i, s, xs] = competitive_run(s, rivals, own[s - 1])
+                runs.append(run)
+            out.append(CurveImage(*head, merge_runs(runs)))
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class CompetitiveInstance:
+    """A multi-agent instance against external platforms.  Its curves come
+    from pool when given (a game search's), else from a pool of its own."""
+
     mi: MultiAgentInstance
     externals: tuple[ExternalPlatform, ...]
-
-    def external_platforms(self, i: int) -> list[Platform]:
-        """The external platforms as agent i (0-based) sees them."""
-        return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in self.externals]
+    pool: CurvePool | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def curves(self) -> tuple[CurveImage, ...]:
-        """Each agent's CurveImage, built once per instance from one scale
-        over its values and every external and own point.  A state's
-        curves depend only on the platforms at that state, so the curves
-        over the externals plus an offered set S are the inserted curves
-        inside S and the rival curves elsewhere, and each state's are one
-        competitive_run; a game search (game.SearchMemo) keeps the runs."""
-        n = self.mi.n
-        out = []
-        for i, dp in enumerate(self.mi.params):
-            ext = self.external_platforms(i)
-            own = [
-                Platform(("own", j), j, dp.z[j - 1], dp.phi[j - 1], own=True)
-                for j in range(1, n + 1)
-            ]
-            head, points = scaled_points(self.mi, i, ext + own)
-            rivals = [[] for _ in own]
-            for pl, point in zip(ext, points):
-                rivals[pl.state - 1].append(point)
-            runs = map(competitive_run, range(1, n + 1), rivals, points[len(ext) :])
-            out.append(CurveImage(*head, merge_runs(runs)))
-        return tuple(out)
+        """Each agent's CurveImage, built once per instance."""
+        return (self.pool or CurvePool(self.mi, self.externals)).images(self.externals)
 
 
 def build_competitive_instance(mi: MultiAgentInstance, externals) -> CompetitiveInstance:
@@ -497,7 +515,7 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
         if len(pl.z) != k or len(pl.phi) != k:
             raise ValueError(f"external platform {pl.id!r} needs {k} per-agent values")
         for i, (z, phi) in enumerate(zip(pl.z, pl.phi), 1):
-            if (fault := _grid_fault(z, phi, mi.delta, mi.delta_prime)) is not None:
+            if (fault := grid_fault(z, phi, mi.delta, mi.delta_prime)) is not None:
                 raise QuantizationError((
                     f"external {pl.id!r}: z for agent {i} is not a positive multiple of delta",
                     f"external {pl.id!r}: phi for agent {i} is not a nonnegative multiple of delta'",

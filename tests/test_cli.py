@@ -253,7 +253,7 @@ def test_schema_errors_exit_2(tmp_path, capsys):
             True,
             "designers[0].candidates[1].state",
         ),
-        ("nash", game, ("designers", 0, "candidates", 0, "z", 0), "-1", "designers"),
+        ("nash", game, ("designers", 0, "candidates", 0, "z", 0), "-1", "designers[0]"),
         ("solve-agent", flower, ("p", 1), 0.5, "p[1]"),
         ("solve-multi-agent", multi, ("agents", 1, "q", 0), "1/0", "agents[1].q[0]"),
     ]
@@ -520,6 +520,63 @@ def test_game_rejects_no_designers(tmp_path, capsys, command, designers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: designers: expected a nonempty list\n"
+
+
+def _candidate(doc, designer, index):
+    return doc["designers"][designer]["candidates"][index]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _candidate(doc, 1, 1).update(cost="0"),
+         "designers[1]: state 2: candidate cost must be positive"),
+        (lambda doc: _candidate(doc, 0, 2).update(cost="-1"),
+         "designers[0]: state 3: candidate cost must be positive"),
+        (lambda doc: _candidate(doc, 1, 1).update(z=["0"]),
+         "designers[1]: state 2: agent 1: z = 0 is not a positive multiple of 1"),
+        (lambda doc: doc["designers"][1]["candidates"].pop(2),
+         "designers[1]: state 3: needs one candidate, has 0"),
+        (lambda doc: _candidate(doc, 1, 2).update(state=2),
+         "designers[1]: state 2: needs one candidate, has 2"),
+        (lambda doc: _candidate(doc, 1, 2).update(z=["1/2"]),
+         "designers[1]: state 3: agent 1: z = 1/2 is not a positive multiple of 1"),
+        (lambda doc: _candidate(doc, 1, 2).update(phi=["1/3"]),
+         "designers[1]: state 3: agent 1: phi = 1/3 is not a nonnegative multiple of 50"),
+        (lambda doc: _candidate(doc, 1, 2).update(phi=[str(50 * 10**13)]),
+         "designers[1]: state 3: agent 1: quantization level exceeds 1000000000000"),
+        # The schema reads one value per agent, so a wrong length stops there.
+        (lambda doc: _candidate(doc, 1, 1).update(z=["1", "1"]),
+         "designers[1].candidates[1].z: expected a list of 1 rationals"),
+    ],
+)
+def test_game_errors_name_the_designer(tmp_path, capsys, edit, message):
+    doc = serialize_instance(gen_no_nash_game())
+    edit(doc)
+    assert main(["nash", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_game_builder_errors_name_the_designer():
+    # Faults the schema stops before the builder: a candidate's per-agent
+    # lengths and a state outside 1..n.
+    g = gen_no_nash_game()
+    first, *rest = g.designers[1]
+    faults = [
+        (game.Candidate(first.state, first.z * 2, first.phi, first.d, first.cost),
+         "designers[1]: state 1: candidate needs per-agent z, phi and d"),
+        (game.Candidate(4, first.z, first.phi, first.d, first.cost),
+         "designers[1]: state 1: needs one candidate, has 0"),
+        (game.Candidate(0, first.z, first.phi, first.d, first.cost),
+         "designers[1]: state 0: not a state of 1..3"),
+    ]
+    for cand, message in faults:
+        designers = (g.designers[0], (cand, *rest))
+        with pytest.raises(ValueError) as info:
+            game.build_game_instance(g.chassis, designers, g.delta, g.delta_prime)
+        assert str(info.value) == message
 
 
 def test_game_commands(tmp_path, capsys):
@@ -897,12 +954,26 @@ def test_verify_game(tmp_path, capsys, monkeypatch, designers):
 
 
 def test_verify_game_brute_force_builds_its_own_curves(tmp_path, capsys, monkeypatch):
-    # The brute force builds each instance's curves on its own, so a search
-    # memo whose runs ignore the rivals' builds is caught: on the no-nash
-    # game the search then finds a profile that the definition rejects.
+    # The brute force builds each instance's curves from a pool of its own,
+    # so a search's pool whose kept runs ignore the rivals' builds is
+    # caught: on the no-nash game the search then finds a profile that the
+    # definition rejects.  A lone pool asks for each (agent, state) once, so
+    # the same fault there changes nothing.
+    class ByState(dict):
+        def get(self, key):
+            return super().get(key[:2])
+
+        def __setitem__(self, key, run):
+            super().__setitem__(key[:2], run)
+
+    real_init = multiagent.CurvePool.__init__
+
+    def forgetful(self, *args):
+        real_init(self, *args)
+        self.runs = ByState()
+
     path = write_doc(tmp_path, serialize_instance(gen_no_nash_game()))
-    real = game.competitive_run
-    monkeypatch.setattr(game, "competitive_run", lambda state, rivals, own: real(state, [], own))
+    monkeypatch.setattr(multiagent.CurvePool, "__init__", forgetful)
     assert main(["verify", path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["checks"][-1] == {"check": "pure nash vs definition", "nash": [[1], [3]], "match": False}

@@ -528,6 +528,33 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: process-wide cache on lines {lines}"
 
 
+def test_package_writes_no_attribute_behind_its_object():
+    # An object's attributes are set by its own class: no module writes one
+    # through vars(obj)[...] (or a dict method on vars(obj)), obj.__dict__
+    # or object.__setattr__, which would get round a frozen dataclass.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+    writes = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+    def is_vars(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars"
+
+    def back_door(node):
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, (ast.Store, ast.Del)) and is_vars(node.value)
+        if not isinstance(node, ast.Attribute):
+            return False
+        if node.attr == "__dict__" or (is_vars(node.value) and node.attr in writes):
+            return True
+        obj = node.value
+        return node.attr == "__setattr__" and isinstance(obj, ast.Name) and obj.id == "object"
+
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if back_door(node)]
+        assert not lines, f"{path.name}: attribute written behind its object on lines {lines}"
+
+
 def test_package_has_no_unused_imports():
     # Every name a module imports is read in that module; the names that
     # `__init__.py` lists in `__all__` are its re-exports.

@@ -8,9 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_example
-from pdp import game
+from pdp import game, multiagent
 from pdp.agent import TooLarge
-from pdp.core import build_flower_instance, derived_params
+from pdp.core import all_subsets, build_flower_instance, derived_params
 from pdp.designer import designer_oracle
 from pdp.game import (
     Candidate,
@@ -21,7 +21,7 @@ from pdp.game import (
     pure_nash_search,
 )
 from pdp.instances import gen_no_nash_game, gen_random_multi_agent
-from pdp.multiagent import build_competitive_instance
+from pdp.multiagent import build_competitive_instance, competitive_profit, competitive_solve
 
 fs = frozenset
 
@@ -175,6 +175,10 @@ def test_build_validation():
             build_game_instance(g.chassis, (cands,), g.delta, g.delta_prime)
     with pytest.raises(ValueError, match="need at least one agent"):
         build_game_instance((), g.designers, g.delta, g.delta_prime)
+    # The views take the game's checks as made, this one among them.
+    other = gen_random_multi_agent(g.n + 1, 1, seed=1).agents[0]
+    with pytest.raises(ValueError, match="all agents must share the state set"):
+        build_game_instance((*g.chassis, other), g.designers, g.delta, g.delta_prime)
 
 
 def test_pure_nash_guard(monkeypatch):
@@ -323,3 +327,30 @@ def test_search_instances_pass_the_external_checks(monkeypatch):
         assert any(ci.externals for ci in memo.instances.values())
         for (d, _), ci in memo.instances.items():
             assert build_competitive_instance(g.views[d], ci.externals) == ci
+
+
+def test_search_instances_agree_with_lone_ones(monkeypatch):
+    # A search's instance takes its curves from the designer's pool over
+    # every rival candidate; a lone one, from a pool of its externals alone.
+    # Both give the same best response and the same profit for every offer.
+    pools = Counter()
+
+    class Counted(multiagent.CurvePool):
+        def __init__(self, mi, pool):
+            super().__init__(mi, pool)
+            pools[mi] += 1
+
+    monkeypatch.setattr(game, "CurvePool", Counted)
+    for g in (gen_no_nash_game(), random_game(3), random_game(4)):
+        pools.clear()
+        memo = game.SearchMemo(g)
+        subsets = list(all_subsets(g.n))
+        for d, profile in itertools.product(
+            range(g.num_designers), itertools.product(subsets, repeat=g.num_designers)
+        ):
+            searched, lone = memo.instance(d, profile), game.competitive_instance(g, d, profile)
+            assert searched.pool is not None and lone.pool is None
+            assert competitive_solve(searched) == competitive_solve(lone), (d, profile)
+            for S in subsets:
+                assert competitive_profit(searched, S) == competitive_profit(lone, S)
+        assert pools == Counter(g.views), pools

@@ -561,6 +561,21 @@ def test_integer_core_matches_references():
         assert (got.states, got.profit) == (want.states, want.profit), idx
 
 
+def test_curve_pool_rejects_a_shared_id():
+    # A curve pool finds each external's point by id, so an instance built
+    # past build_competitive_instance with two externals of one id fails
+    # rather than price one of them at the other's point.
+    mi = gen_random_multi_agent(2, 1, seed=3)
+    externals = (
+        ExternalPlatform("x", 1, (mi.delta,), (40 * mi.delta_prime,)),
+        ExternalPlatform("x", 2, (2 * mi.delta,), (mi.delta_prime,)),
+    )
+    with pytest.raises(ValueError, match="two external platforms share an id"):
+        competitive_profit(CompetitiveInstance(mi, externals), {1})
+    with pytest.raises(ValueError, match="is used twice"):
+        build_competitive_instance(mi, externals)
+
+
 def test_competitive_rejects_shifts_off_the_grid(monkeypatch):
     # Bypassing build_competitive_instance, an external with z off the
     # delta grid makes the own candidate's slot shift fractional once the
@@ -1451,16 +1466,19 @@ def test_competitive_profit_raises_on_a_skipped_curve_entry():
 
 
 def test_nash_search_builds_each_image_once(monkeypatch):
-    """One pure_nash_search on the no-nash game scales each (designer,
-    agent) once, builds each (designer, agent, state, rival builds) run
-    once, and reaches 10 instances, whose curves it never builds alone."""
+    """One pure_nash_search on the no-nash game builds one curve pool per
+    designer, which scales each (designer, agent) once and builds each
+    (designer, agent, state, rival builds) run once, and reaches 10
+    instances, whose curves it never builds alone."""
     g = gen_no_nash_game()
-    built = []
+    built, pooled = [], []
     real_instance = game.competitive_instance
 
-    def keeping(*args):
-        built.append(args[1:])
-        return real_instance(*args)
+    def keeping(g, designer, profile, pool=None):
+        # A call without a pool is a pool's own construction: the profile
+        # where every designer builds everything.
+        (pooled if pool is None else built).append((designer, profile))
+        return real_instance(g, designer, profile, pool)
 
     monkeypatch.setattr(game, "competitive_instance", keeping)
     scales = Counter()
@@ -1470,17 +1488,19 @@ def test_nash_search_builds_each_image_once(monkeypatch):
         scales[len(vectors)] += 1
         return real_scale(*vectors)
 
-    # scaled_points scales four vectors, integer_cost one; both in multiagent.
+    # CurvePool scales four vectors, integer_cost one; both in multiagent.
     monkeypatch.setattr(multiagent, "scale_to_integers", counting)
     runs = []
-    real_run = game.competitive_run
+    real_run = multiagent.competitive_run
 
     def running(state, rivals, own):
         runs.append(state)
         return real_run(state, rivals, own)
 
-    monkeypatch.setattr(game, "competitive_run", running)
+    monkeypatch.setattr(multiagent, "competitive_run", running)
     assert game.pure_nash_search(g) is None
+    everything = (frozenset(range(1, g.n + 1)),) * g.num_designers
+    assert pooled == [(d, everything) for d in range(g.num_designers)]
     # One instance per (designer, rival builds) the search reaches: 10 of
     # the 2 * 2^3 on this game.
     assert len(built) == 10
