@@ -2,8 +2,8 @@
 
 The designer offers a set S of platforms; only feasible sets (the agent
 adopts all of S) earn revenue.  The FPTAS hashes partial sets by rounded
-profit, rounded revenue, and the exact scaled denominator shift, keeping
-one representative per bin.
+profit, rounded revenue, and the exact scaled denominator, keeping one
+representative per bin.
 """
 
 from __future__ import annotations
@@ -130,15 +130,18 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
 
     Dynamic program over states: every stored set is extended by the
     current state and kept only when still feasible with positive
-    profit.  Bins collide on (rounded profit, rounded revenue, scaled
-    denominator shift); the set with the smaller objective numerator
-    wins a collision, which keeps the most extendable representative.
+    profit.  Bins collide on (rounded profit, rounded revenue, exact
+    denominator (B + sum z) * L); the set with the smaller objective
+    numerator wins a collision, which keeps the most extendable
+    representative.
 
     Sums run over integers: A, B, z, phi (times L) and z*phi (times L^2)
     from qi.inst.params.image, d*w and cost (times M) from qi.inst.scaled.
     The rounded profit and revenue come from integer floor division and
     feasibility from one cross-multiplication.  The only Fraction made is
-    the returned profit.
+    the returned profit.  delta keys no bin: the solve only checks, by one
+    remainder per state, that delta divides each surviving z, as preprocess
+    does.
 
     Each stage walks a snapshot of the table in insertion order, and the
     result does not depend on that order.  Every snapshot entry yields
@@ -165,25 +168,25 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     Mun = sp.M * un
     Ldn, dd = L * qi.delta.numerator, qi.delta.denominator
 
-    # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, d_steps,
-    # min_phi, pnum), with N = (A + sum z*phi) * L^2, den = (B + sum z) * L,
-    # sum_dw = sum d*w * M * L, sum_cost = sum cost * M, d_steps =
-    # sum z / delta and min_phi scaled by L.  The profit is pnum / (den * M)
-    # and the revenue sum_dw / (den * M), so both round on one divisor.
-    # The empty set's min_phi lies above every surviving potential.
+    # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, min_phi, pnum),
+    # with N = (A + sum z*phi) * L^2, den = (B + sum z) * L, sum_dw =
+    # sum d*w * M * L, sum_cost = sum cost * M and min_phi scaled by L.  The
+    # profit is pnum / (den * M) and the revenue sum_dw / (den * M), so both
+    # round on one divisor.  The empty set's min_phi lies above every
+    # surviving potential.
     top = max((phi[i - 1] for i in qi.surviving), default=0) + 1
-    table = {(0, 0, 0): ((), A * L, B, 0, 0, 0, top, 0)}  # zero profit and revenue
+    empty = (0, 0, B)  # zero profit and revenue
+    table = {empty: ((), A * L, B, 0, 0, top, 0)}
 
     for k in qi.surviving:
         j = k - 1
         zk, zphik, phik, dwk, costk = z[j], zphi[j], phi[j], sp.dw[j] * L, sp.cost[j]
-        steps_k, off_grid = divmod(zk * dd, Ldn)
-        if off_grid:
+        if zk * dd % Ldn:
             raise QuantizationError(
                 f"z[{k}] = {Fraction(zk, L)} is not an integer multiple of {qi.delta}"
             )
         get = table.get
-        for states, N, den, sum_dw, sum_cost, steps, min_phi, _ in list(table.values()):
+        for states, N, den, sum_dw, sum_cost, min_phi, _ in list(table.values()):
             new_min = phik if phik < min_phi else min_phi
             N2 = N + zphik
             den2 = den + zk
@@ -196,25 +199,24 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
             pnum = dw2 - cost2 * den2
             if pnum <= 0:
                 continue
-            steps2 = steps + steps_k
             divisor = den2 * Mun
-            key = (-(-pnum * ud // divisor), -(-dw2 * ud // divisor), steps2)
+            key = (-(-pnum * ud // divisor), -(-dw2 * ud // divisor), den2)
             old = get(key)
             if old is None or N2 < old[1] or (N2 == old[1] and states + (k,) < old[0]):
-                table[key] = (states + (k,), N2, den2, dw2, cost2, steps2, new_min, pnum)
+                table[key] = (states + (k,), N2, den2, dw2, cost2, new_min, pnum)
         if len(table) > _FPTAS_BINS:
             raise TooLarge(f"the FPTAS table holds {len(table)} bins, past the budget {_FPTAS_BINS}")
         if stage_log is not None:
             stage_log.append((k, [e[0] for e in table.values()]))
 
     # Highest profit, ties broken by the larger [-s for s in states].  The
-    # empty set keeps bin (0, 0, 0): every other entry has positive profit.
-    best = table[(0, 0, 0)]
+    # empty set keeps its bin: every other entry has positive profit.
+    best = table[empty]
     for e in table.values():
-        cmp = e[7] * best[2] - best[7] * e[2]
+        cmp = e[6] * best[2] - best[6] * e[2]
         if cmp > 0 or (cmp == 0 and [-s for s in e[0]] > [-s for s in best[0]]):
             best = e
-    return DesignSet(frozenset(best[0]), Fraction(best[7], best[2] * sp.M), bins=len(table))
+    return DesignSet(frozenset(best[0]), Fraction(best[6], best[2] * sp.M), bins=len(table))
 
 
 def designer_oracle(inst: FlowerInstance) -> DesignSet:

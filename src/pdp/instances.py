@@ -99,8 +99,16 @@ def gen_random_multi_agent(n: int, k: int, seed: int) -> MultiAgentInstance:
     return build_multi_agent_instance(agents, delta, delta_prime)
 
 
+class _YesOptimum:
+    """The optimum a partition fixture attains on a yes-instance."""
+
+    @property
+    def yes_optimum(self) -> Fraction:
+        return self.v_star - (len(self.b) // 2 + 1) * self.eta_prime
+
+
 @dataclass(frozen=True)
-class PartitionFixture:
+class PartitionFixture(_YesOptimum):
     """Number-partition reduction: optimum hits the adjusted target value
     exactly when the input multiset splits into two equal halves.
 
@@ -123,29 +131,27 @@ class PartitionFixture:
         yield self.instance
         yield self.v_star
 
-    @property
-    def yes_optimum(self) -> Fraction:
-        return self.v_star - (len(self.b) // 2 + 1) * self.eta_prime
 
-
-def _partition_chain(n: int):
-    """Shared chain geometry: 2n+1 petals with lambda = n^2, z = 1."""
-    count = 2 * n + 1
-    p = [Fraction(1, count)] * count
-    q = [1 - Fraction(1, count * n * n)] * count
-    y = [Fraction(1, count * n * n * (n * n + 1))] * count
-    B = 1 + count * n * n
-    return count, p, q, y, B
-
-
-def gen_partition_instance(a) -> PartitionFixture:
+def _partition_chain(a):
+    """The multiset a as ints, checked; its n, H = n * sum(a) and rewards b
+    (H + a_i, then n copies of H); and the shared chain geometry: 2n+1
+    petals with lambda = n^2, z = 1."""
     a = tuple(int(v) for v in a)
     if not a or any(v <= 0 for v in a):
         raise RangeError("need a nonempty multiset of positive integers")
     n = len(a)
     H = n * sum(a)
     b = tuple(H + v for v in a) + (H,) * n
-    count, p, q, y, B = _partition_chain(n)
+    count = 2 * n + 1
+    p = [Fraction(1, count)] * count
+    q = [1 - Fraction(1, count * n * n)] * count
+    y = [Fraction(1, count * n * n * (n * n + 1))] * count
+    B = 1 + count * n * n
+    return n, H, b, count, p, q, y, B
+
+
+def gen_partition_instance(a) -> PartitionFixture:
+    n, H, b, count, p, q, y, B = _partition_chain(a)
     eta = Fraction(1, 10**6)
     eta_prime = Fraction(1, 10**9)
     phi0 = Fraction(sum(b), 2 * B)
@@ -161,7 +167,7 @@ def gen_partition_instance(a) -> PartitionFixture:
 
 
 @dataclass(frozen=True)
-class TwoAgentPartitionFixture:
+class TwoAgentPartitionFixture(_YesOptimum):
     """Two mirrored agents; only balanced splits satisfy both at once."""
 
     mi: MultiAgentInstance
@@ -172,20 +178,10 @@ class TwoAgentPartitionFixture:
     b: tuple[int, ...]
     special: int
 
-    @property
-    def yes_optimum(self) -> Fraction:
-        return self.v_star - (len(self.b) // 2 + 1) * self.eta_prime
-
 
 def gen_two_agent_partition(a) -> TwoAgentPartitionFixture:
-    a = tuple(int(v) for v in a)
-    if not a or any(v <= 0 for v in a):
-        raise RangeError("need a nonempty multiset of positive integers")
-    n = len(a)
-    H = n * sum(a)
-    b = tuple(H + v for v in a) + (H,) * n
+    n, H, b, count, p, q, y, B = _partition_chain(a)
     b2 = tuple(2 * H - bi for bi in b)
-    count, p, q, y, B = _partition_chain(n)
     delta = Fraction(1)
     delta_prime = Fraction(1, 2 * B * 10**6)
     eta = 100 * delta_prime

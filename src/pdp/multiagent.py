@@ -21,24 +21,30 @@ keeps each state's run for every set of rivals that has it.  A lone
 instance pools its own externals; a game search, every rival candidate.
 `competitive_solve` takes each agent's theta grid from the entries' psi.
 Per agent and threshold guess, `agent_guess` walks the entries down to
-the guess and reads off the candidates the agent picks,
-its utility numerator and denominator without them (a_hat, b_hat), and
-the shift each pick adds (sigma, tau); with no rival platforms a_hat =
-A, b_hat = B, sigma = z*phi, tau = z.  `competitive_profit` runs
+the guess and reads off the candidates the agent picks, its utility
+numerator and denominator without them (a_hat, b_hat), and the shift
+each pick adds (sigma, tau); with no rival platforms a_hat = A, b_hat =
+B, sigma = z*phi, tau = z.  `competitive_profit` runs
 `multiplatform.greedy_walk`, the greedy `solve-multiplatform-agent` runs
 and `verify` checks against its oracle, over the same entries.
-Everything that depends on the guess alone (slot steps, the counter
-pairs the picks reach and which of them are consistent) is worked out
-once per agent and guess, in one pass over the pairs.  Slot keys and
-slot values are integers: for each D the value coefficients share one
-integer denominator, and consistency is an integer window on the
-numerator counter, so a `Fraction` is made only for the returned profit.
+Everything that depends on the guess alone (the shift pairs the picks
+reach and which of them are consistent) is worked out once per agent
+and guess, in one pass over the pairs.  Slot keys and slot values are
+integers: a slot key holds each agent's exact (sigma, tau) sums at the
+scale L of its curves, for each D the value coefficients share one
+integer denominator, and consistency is an integer window on the sum
+of sigma.  Besides the instance's own `Fraction` values (the pool reads
+each agent's z and phi views), the solve makes a `Fraction` for each
+curve entry's psi (the theta grids), one per agent for its windows'
+floor of -1 (`_windows`) and one for the returned profit.
 
-The slot keys depend on the theta guesses alone; only the values depend
-on D.  So `_threshold_dp` drops each agent's guesses that keep no counter
-pair inside their windows (`AgentGuess.kept`) before it combines them,
-and it bounds its work by one budget, `_DP_WORK`, counted as its tables
-grow.
+delta and delta_prime only validate documents: the builders check every
+z and phi against them (`grid_fault`, `_LEVEL_CEILING`), and no table
+is kept in their units.  The slot keys depend on the theta guesses
+alone; only the values depend on D.  So `_threshold_dp` drops each
+agent's guesses that keep no shift pair inside their windows
+(`AgentGuess.kept`) before it combines them, and it bounds its work by
+one budget, `_DP_WORK`, counted as its tables grow.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from .multiplatform import CurveEntry, Platform, merge_runs, state_run
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
 _LEVEL_CEILING = 10**12
 # The most units of work one threshold DP may do: one per theta combination,
-# and each agent guess's counter-pair set, key set and valued table's size
+# and each agent guess's shift-pair set, key set and valued table's size
 # after each state that grows it.  A unit takes about 1 us of CPU on a 2-core
 # x86-64 machine, so this is about 1 s (see README.md, guards).
 _DP_WORK = 10**6
@@ -162,36 +168,30 @@ def _windows(grid):
 
 @dataclass(frozen=True)
 class AgentGuess:
-    """One agent under one threshold guess, over integers, with everything
-    the DP needs from it.
+    """One agent under one threshold guess, over integers at the scale L
+    of the agent's CurveImage, with everything the DP needs from it.
 
     member[j] says whether the agent picks the designer's candidate at
     state j+1.  a_hat and b_hat are the agent's utility numerator and
     denominator without those picks, and picking state j+1 adds sigma[j]
-    to the numerator and tau[j] to the denominator.  a_steps[j] and
-    b_steps[j] are the slot-key shifts sigma / (delta*delta') and
-    tau / delta (0 for a state not picked); bad lists the picked states
-    whose shifts are not whole.  dw[j] is d_j*w_j*L.  kept maps each
-    (numerator, denominator) counter pair the agent reaches over its
-    picks whose utility lies in the window to its D*L, where D = b_hat +
-    level*delta at denominator counter level; it is empty if any state is
-    bad.  L is the scale of the agent's CurveImage.
+    to the numerator and tau[j] to the denominator (both 0 for a state
+    not picked).  dw[j] is d_j*w_j*L.  kept maps each (sum sigma, sum tau)
+    shift pair the agent reaches over its picks whose utility lies in the
+    window to its D = b_hat + sum tau.
     """
 
     member: tuple[bool, ...]
-    a_steps: tuple[int, ...]
-    b_steps: tuple[int, ...]
-    bad: tuple[int, ...]
+    sigma: tuple[int, ...]
+    tau: tuple[int, ...]
     dw: tuple[int, ...]
     kept: dict[tuple[int, int], int]
 
 
-def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction, work: _Work) -> AgentGuess:
+def agent_guess(im: CurveImage, theta, theta_next, work: _Work) -> AgentGuess:
     """The AgentGuess of one agent under the window [theta_next, theta),
-    read off the agent's CurveImage; dd is delta*delta_prime.  The set of
-    counter pairs the picks reach is built once and counted on work as it
-    grows; a pair's window is worked out the first time its denominator
-    level comes up.
+    read off the agent's CurveImage.  The set of shift pairs the picks
+    reach is built once and counted on work as it grows; a pair's window
+    is worked out the first time its denominator shift comes up.
 
     One walk over im.entries, down to the first psi < theta, keeps the
     last entry per (curve set, state): the point the agent selects on
@@ -215,55 +215,44 @@ def agent_guess(im: CurveImage, theta, theta_next, dd: Fraction, work: _Work) ->
     a_hat = im.A + sum(f.zphi for f in fall.values())
     b_hat = im.B + sum(f.z for f in fall.values())
     n = len(im.dw)
-    dd_num, dd_den = dd.numerator, dd.denominator
-    scale = im.L * dd_num
     member = [False] * n
-    a_steps, b_steps, bad = [0] * n, [0] * n, []
-    # Sorted keys put the inserted curves last, by state, so bad is sorted.
-    for (inserted, s), e in sorted(last.items()):
-        if not (inserted and e.own):
-            continue
-        f = fall.get(s)
-        # sigma / dd and tau / delta, both taken at scale L.
-        a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
-        b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
-        if a_rest or b_rest:
-            bad.append(s)
-        member[s - 1] = True
-        a_steps[s - 1], b_steps[s - 1] = a, b
-    scaled = (tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw)
-    if bad:
-        return AgentGuess(*scaled, {})
+    sigma, tau = [0] * n, [0] * n
+    for (inserted, s), e in last.items():
+        if inserted and e.own:
+            f = fall.get(s)
+            member[s - 1] = True
+            sigma[s - 1] = e.zphi - (f.zphi if f else 0)
+            tau[s - 1] = e.z - (f.z if f else 0)
     pairs = {(0, 0)}
-    for a, b in zip(a_steps, b_steps):
+    for a, b in zip(sigma, tau):
         if a or b:
             pairs |= {(x + a, y + b) for x, y in pairs}
             work.add(len(pairs))
-    # With numerator counter c the utility is (a_hat + c*dd*L) / D over L,
-    # which is >= t = t_num / t_den iff c >= (t_num*D - t_den*a_hat) * dd_den
-    # / (t_den * L * dd_num): lo is that bound's ceiling at theta_next, and
-    # hi one less than it at theta (None: no upper bound).
+    # With shifts (a, b) the utility is (a_hat + a) / D, D = b_hat + b,
+    # which is >= t = t_num / t_den iff a >= (t_num*D - t_den*a_hat) / t_den:
+    # lo is that bound's ceiling at theta_next, and hi one less than it at
+    # theta (None: no upper bound).
     n_num, n_den = theta_next.numerator, theta_next.denominator
-    windows = {}  # denominator counter -> (D*L, lo, hi)
+    windows = {}  # denominator shift -> (D, lo, hi)
     kept = {}
-    for a, level in pairs:
-        if level not in windows:
-            D = b_hat + level * im.delta
-            lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
+    for a, b in pairs:
+        if b not in windows:
+            D = b_hat + b
+            lo = -((n_den * a_hat - n_num * D) // n_den)
             hi = None
             if theta is not INF:
-                hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
-            windows[level] = D, lo, hi
-        D, lo, hi = windows[level]
+                hi = -((t_den * a_hat - t_num * D) // t_den) - 1
+            windows[b] = D, lo, hi
+        D, lo, hi = windows[b]
         if lo <= a and (hi is None or a <= hi):
-            kept[a, level] = D
-    return AgentGuess(*scaled, kept)
+            kept[a, b] = D
+    return AgentGuess(tuple(member), tuple(sigma), tuple(tau), im.dw, kept)
 
 
 def slot_coefficients(guesses, denominators, cost, cost_scale: int) -> tuple[tuple[int, ...], int]:
     """Per-state marginal values under one (theta, D) guess, as integer
     numerators over one positive denominator M; denominators holds each
-    agent's D*L.
+    agent's D (times the scale L of its curves).
 
     The value of state j is -cost_j plus d_ij*w_ij / D_i for every agent
     i that picks it; cost holds the costs times cost_scale.
@@ -295,7 +284,7 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     """Best consistent slot over every (theta, D) guess.
 
     grids[i] is agent i's theta grid (see theta_grid).  A slot is
-    consistent when each agent's own counter pair is in the kept pairs of
+    consistent when each agent's own shift pair is in the kept pairs of
     that agent's guess, so a guess that keeps none is in no consistent
     combination and is dropped before the theta guesses are combined.
     Per remaining combination a key-only pass finds the reachable joint
@@ -306,43 +295,31 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
     """
     mi = ci.mi
     k = mi.k
-    dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     work = _Work()
-    guesses = [[] for _ in grids]
-    for gs, grid, im in zip(guesses, grids, ci.curves):
-        for theta, theta_next in _windows(grid):
-            gs.append(agent_guess(im, theta, theta_next, dd, work))
-    # Name the first theta combination, in product order, with a bad guess.
-    # Guess INF picks nothing, so it is never bad, and that combination holds
-    # one bad guess: the first one of the last agent that has any.
-    for i in reversed(range(k)):
-        t = next((g.bad[0] for g in guesses[i] if g.bad), None)
-        if t is not None:
-            raise QuantizationError(
-                f"agent {i + 1}, state {t}: the slot shifts are not whole"
-                " multiples of delta * delta_prime and delta"
-            )
-    kept = [[g for g in gs if g.kept] for gs in guesses]
+    kept = []
+    for grid, im in zip(grids, ci.curves):
+        gs = (agent_guess(im, theta, theta_next, work) for theta, theta_next in _windows(grid))
+        kept.append([g for g in gs if g.kept])
 
     best = None  # (value numerator, its denominator, states)
     for combo in itertools.product(*kept):
         work.add(1)
         pairs = [g.kept for g in combo]
-        steps = [
-            tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
+        shifts = [
+            tuple(g.sigma[j] for g in combo) + tuple(g.tau[j] for g in combo)
             for j in range(mi.n)
         ]
-        moves = [any(step) for step in steps]
+        moves = [any(shift) for shift in shifts]
         # Key-only pass: the valued table below holds exactly the keys
         # reachable over the moving states, so a D no consistent key
         # matches cannot yield a candidate and is skipped.
         keys = {(0,) * (2 * k)}
-        for step, move in zip(steps, moves):
+        for shift, move in zip(shifts, moves):
             if move:
-                keys |= {tuple(map(int.__add__, key, step)) for key in keys}
+                keys |= {tuple(map(int.__add__, key, shift)) for key in keys}
                 work.add(len(keys))
-        targets = {}  # denominator counters -> (the agents' D*L, consistent keys)
+        targets = {}  # denominator shifts -> (the agents' D, consistent keys)
         for key in keys:
             Ds = tuple(map(dict.get, pairs, zip(key, key[k:])))
             if None not in Ds:
@@ -350,11 +327,11 @@ def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
         for Ds, consistent in targets.values():
             coeffs, M = slot_coefficients(combo, Ds, cost, cost_scale)
             table = {(0,) * (2 * k): (0, ())}
-            for t, (step, c) in enumerate(zip(steps, coeffs), 1):
+            for t, (shift, c) in enumerate(zip(shifts, coeffs), 1):
                 if not moves[t - 1] and c <= 0:
                     continue  # the slot stays put and the value cannot rise
                 for key, (val, states) in list(table.items()):
-                    new_key = tuple(map(int.__add__, key, step))
+                    new_key = tuple(map(int.__add__, key, shift))
                     cand = (val + c, states + (t,))
                     old = table.get(new_key)
                     if old is None or cand[0] > old[0] or (
@@ -411,8 +388,8 @@ class CurveImage(NamedTuple):
     the rival platforms alone and those with the designer's candidate
     inserted at every state.
 
-    A, B, delta and dw (d_j * w_j per state) are the rational values times
-    L, as are each entry's z and z*phi, so a selection's utility is
+    A, B and dw (d_j * w_j per state) are the rational values times L,
+    as are each entry's z and z*phi, so a selection's utility is
     (A + sum zphi) / (B + sum z) and the designer's revenue from it is
     (sum dw) / (B + sum z).  entries holds both curve sets' entries, every
     state's competitive_run merged by multiplatform.merge_runs.
@@ -421,7 +398,6 @@ class CurveImage(NamedTuple):
     L: int
     A: int
     B: int
-    delta: int
     dw: tuple[int, ...]
     entries: tuple[CurveEntry, ...]
 
@@ -441,7 +417,7 @@ def external_platforms(externals, i: int) -> list[Platform]:
 class CurvePool:
     """Each agent's curves against any subset of a fixed pool of external
     platforms, told apart by id.  Per agent one scale_to_integers call
-    puts A, B, delta, d*w and the z and z*phi of every pool platform and
+    puts A, B, d*w and the z and z*phi of every pool platform and
     own candidate (id ("own", j) at state j) over one L.  A state's curves
     depend only on the platforms there, so each state's are one
     competitive_run, kept per (agent, state, pool platforms there)."""
@@ -451,21 +427,21 @@ class CurvePool:
         self.index = {pl.id: x for x, pl in enumerate(pool)}
         if len(self.index) < len(pool):  # as build_competitive_instance checks
             raise ValueError("two external platforms share an id")
-        self.scaled = []  # per agent: (L, A, B, delta, dw), pool points, own points
+        self.scaled = []  # per agent: (L, A, B, dw), pool points, own points
         self.runs: dict = {}
         for i, (a, dp) in enumerate(zip(mi.agents, mi.params)):
             ext = external_platforms(pool, i)
             platforms = ext + [
                 Platform(("own", j), j, z, phi, own=True) for j, (z, phi) in enumerate(zip(dp.z, dp.phi), 1)
             ]
-            L, (A, B, delta), dw, z, zphi = scale_to_integers(
-                (dp.pairs.A, dp.pairs.B, mi.delta),
+            L, (A, B), dw, z, zphi = scale_to_integers(
+                (dp.pairs.A, dp.pairs.B),
                 map(product_pair, a.pairs.d, dp.pairs.w),
                 [pl.z for pl in platforms],
                 [product_pair(pl.z, pl.phi) for pl in platforms],
             )
             points = [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)]
-            self.scaled.append(((L, A, B, delta, dw), points[: len(ext)], points[len(ext) :]))
+            self.scaled.append(((L, A, B, dw), points[: len(ext)], points[len(ext) :]))
 
     def images(self, externals) -> tuple[CurveImage, ...]:
         """Each agent's CurveImage against externals, platforms of the pool:

@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from pdp import game, multiagent
 from pdp.agent import TooLarge
 from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
-from pdp.designer import DesignSet, QuantizationError, designer_oracle
+from pdp.designer import DesignSet, QuantizationError, designer_oracle, fptas_solve, preprocess
 from pdp.game import Candidate, best_response, build_game_instance
 from pdp.instances import (
     gen_no_nash_game,
@@ -310,12 +310,11 @@ def test_build_requires_shared_structure():
 
 def multi_agent_guesses(mi, theta):
     """Each agent's AgentGuess with no rival platforms at thresholds theta."""
-    dd = mi.delta * mi.delta_prime
     guesses = []
     for i, (im, dp) in enumerate(zip(CompetitiveInstance(mi, ()).curves, mi.params)):
         grid = theta_grid(dp.phi)
         theta_next = (*grid[1:], F(-1))[grid.index(theta[i])]
-        guesses.append(agent_guess(im, theta[i], theta_next, dd, multiagent._Work()))
+        guesses.append(agent_guess(im, theta[i], theta_next, multiagent._Work()))
     return guesses
 
 
@@ -330,19 +329,20 @@ def test_candidate_grids_shape():
         assert list(grid[1:]) == sorted(set(dp.phi), reverse=True)
     # Guessing the minimum potential makes every state a pick, so the
     # reference's D options are B plus every subset sum of the z levels, in
-    # steps of delta, and each pair the guess keeps has one of those D.
-    dd = mi.delta * mi.delta_prime
+    # steps of delta, and each pair the guess keeps has one of those D: its
+    # denominator shift, over L, is delta times one of those sums.
     guesses = multi_agent_guesses(mi, tuple(grid[-1] for grid in grids))
     for guess, dp, im, grid in zip(guesses, dps, CompetitiveInstance(mi, ()).curves, grids):
         assert all(guess.member)
-        _, options = two_loop_agent_guess(im, grid[-1], F(-1), dd)
+        _, options = two_loop_agent_guess(im, grid[-1], F(-1), mi.delta, mi.delta_prime)
         levels = [o[0] for o in options]
         z_levels = [int(z / mi.delta) for z in dp.z]
         sums = {sum(c) for r in range(mi.n + 1) for c in itertools.combinations(z_levels, r)}
         assert levels == sorted(sums)
         assert levels[0] == 0
         assert guess.kept
-        for (_, level), scaled_D in guess.kept.items():
+        for (_, tau), scaled_D in guess.kept.items():
+            level = F(tau, im.L) / mi.delta
             assert level in sums
             assert F(scaled_D, im.B) == (dp.B + level * mi.delta) / dp.B
 
@@ -402,8 +402,9 @@ def test_solve_matches_brute_force():
         assert multi_agent_profit(mi, result.states) == result.profit
 
 
-def _dp_units(monkeypatch, solve, inst):
-    """solve(inst), and the units of work its one threshold DP did."""
+def _dp_work(monkeypatch, run):
+    """run(), or the TooLarge it raised, and the units of work of each
+    threshold DP it ran, in order."""
     made = []
 
     class Recorded(multiagent._Work):
@@ -413,9 +414,18 @@ def _dp_units(monkeypatch, solve, inst):
 
     with monkeypatch.context() as mp:
         mp.setattr(multiagent, "_Work", Recorded)
-        result = solve(inst)
-    assert len(made) == 1
-    return result, made[0].units
+        try:
+            result = run()
+        except TooLarge as refusal:
+            result = refusal
+    return result, [work.units for work in made]
+
+
+def _dp_units(monkeypatch, solve, inst):
+    """solve(inst), and the units of work its one threshold DP did."""
+    result, units = _dp_work(monkeypatch, lambda: solve(inst))
+    assert len(units) == 1
+    return result, units[0]
 
 
 def test_solve_guard(monkeypatch):
@@ -451,8 +461,8 @@ def test_dp_work_refuses_as_the_tables_grow(monkeypatch):
 
 def doubling_levels_instance(n):
     """One agent on n states with z = 1, 2, 4, ..., 2^(n-1) and every phi 2:
-    under its lowest theta guess it picks every state, so the D levels and
-    the counter pairs it reaches number 2^n."""
+    under its lowest theta guess it picks every state, so the D it reaches
+    and its shift pairs number 2^n."""
     p, q, c_life = [F(1, n)] * n, [F(1, 2)] * n, [F(0)] * n
     y, c_platform = [], []
     for j in range(n):
@@ -465,7 +475,7 @@ def doubling_levels_instance(n):
 
 
 def test_dp_work_counts_the_pair_set_as_it_grows(monkeypatch):
-    # 2^20 reachable counter pairs: the budget must stop the pair set while
+    # 2^20 reachable shift pairs: the budget must stop the pair set while
     # agent_guess grows it, at no more than twice the budget, not once it is
     # built or in a later stage.
     mi = doubling_levels_instance(20)
@@ -483,6 +493,50 @@ def test_dp_work_counts_the_pair_set_as_it_grows(monkeypatch):
     # _threshold_dp builds every guess before it combines any.
     assert any(entry.name == "agent_guess" for entry in info.traceback)
     assert max(largest) <= 2 * 10**4
+
+
+def test_dp_work_figures(monkeypatch):
+    # The figures README.md gives for the _DP_WORK guard.
+    mi = gen_random_multi_agent(12, 2, seed=1)
+    result, units = _dp_work(monkeypatch, lambda: multi_agent_solve(mi))
+    assert isinstance(result, DesignSet) and units == [591_715]
+    for shape, refused_at in [((10, 3), 1_000_188), ((14, 2), 1_004_587)]:
+        mi = gen_random_multi_agent(*shape, seed=1)
+        result, units = _dp_work(monkeypatch, lambda: multi_agent_solve(mi))
+        assert isinstance(result, TooLarge) and units == [refused_at], shape
+
+
+def test_quantization_grid_only_validates(monkeypatch):
+    """Rebuilt on delta / m and delta_prime / m (m = 2, 3), seeded
+    multi-agent and competitive instances and the no-nash game's best
+    responses give the same DesignSets from the same units of work per
+    threshold DP, and a flower's FPTAS on delta / 2 gives the same
+    DesignSet, bins included: no table is kept in the grid's units."""
+    shapes = [(6, 2, 1), (8, 3, 1), (5, 3, 4)]
+    instances = [gen_random_multi_agent(n, k, seed=seed) for n, k, seed in shapes]
+    g = gen_no_nash_game()
+
+    def solve_all(m):
+        got = []
+        for idx, mi in enumerate(instances):
+            fine = build_multi_agent_instance(mi.agents, mi.delta / m, mi.delta_prime / m)
+            ci = build_competitive_instance(fine, random_externals(mi, idx))
+            got.append(_dp_work(monkeypatch, lambda: multi_agent_solve(fine)))
+            got.append(_dp_work(monkeypatch, lambda: competitive_solve(ci)))
+        fine = build_game_instance(g.chassis, g.designers, g.delta / m, g.delta_prime / m)
+        for designer, built in itertools.product(range(2), all_subsets(g.n)):
+            got.append(_dp_work(monkeypatch, lambda: best_response(fine, designer, (built, built))))
+        return got
+
+    coarse = solve_all(1)
+    assert all(isinstance(result, DesignSet) for result, _ in coarse)
+    assert solve_all(2) == coarse
+    assert solve_all(3) == coarse
+
+    qi = preprocess(gen_random_flower(12, seed=5))
+    coarse = fptas_solve(qi)
+    assert fptas_solve(replace(qi, delta=qi.delta / 2)) == coarse
+    assert coarse.bins > 1
 
 
 def narrow_multi_agent(n, k, seed):
@@ -576,40 +630,42 @@ def test_curve_pool_rejects_a_shared_id():
         build_competitive_instance(mi, externals)
 
 
-def test_competitive_rejects_shifts_off_the_grid(monkeypatch):
-    # Bypassing build_competitive_instance, an external with z off the
-    # delta grid makes the own candidate's slot shift fractional once the
-    # external is the fallback it replaces.
+def off_grid_instances():
+    """Competitive instances built past build_competitive_instance with
+    externals whose z is off the delta grid, which gives the designer's
+    candidate a denominator shift off the grid where such an external is
+    the fallback it replaces: k = 1 with one external, and k = 2 with two."""
     mi = gen_random_multi_agent(1, 1, seed=11)
-    ci = CompetitiveInstance(mi, (ExternalPlatform("x", 1, (mi.delta / 2,), (F(0),)),))
-    with pytest.raises(QuantizationError, match="agent 1, state 1: the slot shifts are not whole"):
-        competitive_solve(ci)
-    with pytest.raises(QuantizationError):
-        build_competitive_instance(mi, ci.externals)
-
-    # With k = 2 both agents have bad guesses, agent 1's earlier on its grid
-    # than agent 2's.  The first theta combination in product order that
-    # holds one pairs agent 1's first guess (INF, never bad) with agent 2's
-    # bad guess, so the error names agent 2, as the walk over every
-    # combination did.
+    yield CompetitiveInstance(mi, (ExternalPlatform("x", 1, (mi.delta / 2,), (F(0),)),))
     mi = gen_random_multi_agent(2, 2, seed=11)
-    half, dd = mi.delta / 2, mi.delta * mi.delta_prime
-    ci = CompetitiveInstance(
+    half = mi.delta / 2
+    yield CompetitiveInstance(
         mi,
         (
             ExternalPlatform("x", 1, (half, half), (F(0), F(0))),
             ExternalPlatform("y", 2, (half, 3 * half), (F(1, 4), F(0))),
         ),
     )
-    for grid, im in zip(_solve_grids(ci), ci.curves):
-        assert any(agent_guess(im, theta, nxt, dd, multiagent._Work()).bad for theta, nxt in _windows(grid))
-    with pytest.raises(QuantizationError) as got:
-        competitive_solve(ci)
-    monkeypatch.setattr(multiagent, "_threshold_dp", _combination_threshold_dp)
-    with pytest.raises(QuantizationError) as want:
-        competitive_solve(ci)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("agent 2, state 1: the slot shifts are not whole")
+
+
+def test_competitive_solves_shifts_off_the_grid():
+    # The DP keys each pick on its exact shifts, so delta only validates
+    # documents: an instance whose shifts leave the grid gets its exact
+    # optimum, and build_competitive_instance still refuses its externals.
+    for ci in off_grid_instances():
+        taus = {
+            F(t, im.L)
+            for grid, im in zip(_solve_grids(ci), ci.curves)
+            for theta, theta_next in _windows(grid)
+            for t in agent_guess(im, theta, theta_next, multiagent._Work()).tau
+        }
+        assert any(t % ci.mi.delta for t in taus)
+        result = competitive_solve(ci)
+        assert result.profit == max(competitive_profit(ci, S) for S in all_subsets(ci.mi.n))
+        assert competitive_profit(ci, result.states) == result.profit
+        with pytest.raises(QuantizationError) as info:
+            build_competitive_instance(ci.mi, ci.externals)
+        assert str(info.value) == "external 'x': z for agent 1 is not a positive multiple of delta"
 
 
 def test_competitive_empty_externals_matches_multi_agent():
@@ -721,22 +777,18 @@ def test_dominant_externals_kill_the_market():
 def _valued_threshold_dp(ci, grids):
     mi = ci.mi
     k = mi.k
-    dd = mi.delta * mi.delta_prime
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = [
-        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [
+            two_loop_agent_guess(im, theta, theta_next, mi.delta, mi.delta_prime)
+            for theta, theta_next in _windows(grid)
+        ]
         for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
     for choice in itertools.product(*guesses):
         combo, options = zip(*choice)
-        bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
-        if bad is not None:
-            raise QuantizationError(
-                f"agent {bad[1] + 1}, state {bad[0]}: the slot shifts are not whole"
-                " multiples of delta * delta_prime and delta"
-            )
         steps = [
             tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
             for j in range(mi.n)
@@ -847,22 +899,18 @@ def _ref_in_windows(numerators, option):
 def _combination_threshold_dp(ci, grids):
     mi = ci.mi
     k = mi.k
-    dd = mi.delta * mi.delta_prime
     cost_scale, cost = mi.integer_cost
     guesses = [
-        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [
+            two_loop_agent_guess(im, theta, theta_next, mi.delta, mi.delta_prime)
+            for theta, theta_next in _windows(grid)
+        ]
         for grid, im in zip(grids, ci.curves)
     ]
 
     best = None  # (value numerator, its denominator, states)
     for choice in itertools.product(*guesses):
         combo, options = zip(*choice)
-        bad = min(((t, i) for i, g in enumerate(combo) for t in g.bad), default=None)
-        if bad is not None:
-            raise QuantizationError(
-                f"agent {bad[1] + 1}, state {bad[0]}: the slot shifts are not whole"
-                " multiples of delta * delta_prime and delta"
-            )
         steps = [
             tuple(g.a_steps[j] for g in combo) + tuple(g.b_steps[j] for g in combo)
             for j in range(mi.n)
@@ -951,9 +999,10 @@ def _empty_offer_utility(base, dp):
 
 
 def test_kept_pairs_match_brute_force():
-    """Each guess keeps exactly the counter pairs some subset of its picked
-    states reaches inside the window of its level's option in the two-loop
-    reference, so a guess is dropped iff no such pair exists.  The guess
+    """Each guess keeps exactly the shift pairs of the counter pairs some
+    subset of its picked states reaches inside the window of its level's
+    option in the two-loop reference, so a guess is dropped iff no such
+    pair exists.  The guess
     whose window holds the agent's utility under the empty offer keeps the
     empty slot, so every agent keeps a guess."""
     instances = []
@@ -964,14 +1013,15 @@ def test_kept_pairs_match_brute_force():
         instances.append(build_competitive_instance(mi, random_externals(mi, idx)))
     dropped = 0
     for ci in instances:
-        dd = ci.mi.delta * ci.mi.delta_prime
+        steps = ci.mi.delta, ci.mi.delta_prime
         for i, (grid, im) in enumerate(zip(_solve_grids(ci), ci.curves)):
             u0 = _empty_offer_utility(_ref_agent_curves(ci, i)[0], ci.mi.params[i])
             holders = 0
             for theta, theta_next in _windows(grid):
-                g = agent_guess(im, theta, theta_next, dd, multiagent._Work())
-                _, options = two_loop_agent_guess(im, theta, theta_next, dd)
-                assert g.kept == _brute_kept_pairs(g, options), (theta, theta_next)
+                g = agent_guess(im, theta, theta_next, multiagent._Work())
+                ref, options = two_loop_agent_guess(im, theta, theta_next, *steps)
+                brute = replace(ref, kept=_brute_kept_pairs(ref, options))
+                assert g.kept == in_shifts(brute, im.L, *steps).kept, (theta, theta_next)
                 dropped += not g.kept
                 if theta_next <= u0 and (theta is INF or u0 < theta):
                     holders += 1
@@ -996,7 +1046,7 @@ def _solve_grids(ci):
 
 def _guess_key(g):
     """A hashable stand-in for an AgentGuess, whose kept is a dict."""
-    return g.member, g.a_steps, g.b_steps, tuple(sorted(g.kept.items()))
+    return g.member, g.sigma, g.tau, tuple(sorted(g.kept.items()))
 
 
 def _consistent_pairs(ci):
@@ -1004,15 +1054,18 @@ def _consistent_pairs(ci):
     found by enumerating the subsets of the states and the two-loop
     reference's options."""
     mi = ci.mi
-    dd = mi.delta * mi.delta_prime
+    steps = mi.delta, mi.delta_prime
     guesses = [
-        [two_loop_agent_guess(im, theta, theta_next, dd) for theta, theta_next in _windows(grid)]
+        [
+            (two_loop_agent_guess(im, theta, theta_next, *steps), im.L)
+            for theta, theta_next in _windows(grid)
+        ]
         for grid, im in zip(_solve_grids(ci), ci.curves)
     ]
     pairs = Counter()
     attempted = 0
     for choice in itertools.product(*guesses):
-        combo, options = zip(*choice)
+        (combo, options), scales = zip(*(guess for guess, _ in choice)), [L for _, L in choice]
         keys = {
             tuple(sum(g.a_steps[j - 1] for j in S) for g in combo)
             + tuple(sum(g.b_steps[j - 1] for j in S) for g in combo)
@@ -1027,7 +1080,8 @@ def _consistent_pairs(ci):
                 )
                 for key in keys
             ):
-                pairs[tuple(map(_guess_key, combo)), tuple(o[1] for o in option)] += 1
+                solver_guesses = (in_shifts(g, L, *steps) for g, L in zip(combo, scales))
+                pairs[tuple(map(_guess_key, solver_guesses)), tuple(o[1] for o in option)] += 1
     return pairs, attempted
 
 
@@ -1059,9 +1113,10 @@ def test_threshold_dp_values_only_consistent_options(monkeypatch):
 def _hand_guess(lo, hi):
     """One agent picking state 1 only: its one nonempty slot key is
     (3, 1), so each window below holds that key at an edge.  Its kept
-    pairs are read off the options (level, D*L, lo, hi)."""
-    g = AgentGuess(member=(True, False), a_steps=(3, 0), b_steps=(1, 0), bad=(), dw=(12, 0), kept={})
-    return replace(g, kept=kept_from_options(g, ((0, 2, 4, None), (1, 3, lo, hi))))
+    pairs are read off the options (denominator shift, D, lo, hi)."""
+    options = ((0, 2, 4, None), (1, 3, lo, hi))
+    kept = kept_from_options((3, 0), (1, 0), options)
+    return AgentGuess(member=(True, False), sigma=(3, 0), tau=(1, 0), dw=(12, 0), kept=kept)
 
 
 @pytest.mark.parametrize(
@@ -1070,8 +1125,8 @@ def _hand_guess(lo, hi):
     ids=["on-lo", "on-hi", "on-lo-unbounded", "unbounded"],
 )
 def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
-    # Level 0's window (numerator 4 and up) misses the empty key, so the
-    # slot of {1} at level 1, D*L = 3, is the only consistent one, and
+    # Shift 0's window (numerator 4 and up) misses the empty key, so the
+    # slot of {1} at denominator shift 1, D = 3, is the only consistent one, and
     # skipping its D leaves no candidate.
     mi = gen_random_multi_agent(2, 1, seed=12)
     monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
@@ -1089,8 +1144,8 @@ def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
 
 @pytest.mark.parametrize("lo, hi", [(4, None), (0, 2), (3, 2)], ids=["above", "below", "empty"])
 def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
-    # Level 0's window misses the empty key and level 1's misses (3, 1), so
-    # the one guess keeps no counter pair and no valued DP runs.
+    # Shift 0's window misses the empty key and shift 1's misses (3, 1), so
+    # the one guess keeps no shift pair and no valued DP runs.
     mi = gen_random_multi_agent(2, 1, seed=12)
     monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
     monkeypatch.setattr(multiagent, "slot_coefficients", None)
@@ -1109,15 +1164,16 @@ def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
     ids=["on-lo", "on-hi", "under-lo", "on-theta"],
 )
 def test_agent_guess_keeps_pairs_on_window_edges(theta, theta_next, kept):
-    # A = B = 1 over L = 1, and the designer's candidate at state 1 adds
-    # (3, 1) to the counters.  The empty slot's utility 1 lies under every
-    # window.  That of {1}, (1 + 3) / (1 + 1) = 2 with D*L = 2, lies on
-    # theta_next (on-lo); just under theta, which numerator counter 4 would
-    # reach (on-hi); under theta_next (under-lo); and on theta (on-theta).
+    # A = B = 1 over L = 1, and the designer's candidate at state 1 shifts
+    # the utility's numerator by 3 and its denominator by 1.  The empty
+    # slot's utility 1 lies under every window.  That of {1}, (1 + 3) /
+    # (1 + 1) = 2 with D = 2, lies on theta_next (on-lo); just under theta,
+    # which numerator shift 4 would reach (on-hi); under theta_next
+    # (under-lo); and on theta (on-theta).
     entry = CurveEntry(psi=3, psi_den=1, state=1, idx=0, z=1, zphi=3, own=True, inserted=True)
-    im = CurveImage(L=1, A=1, B=1, delta=1, dw=(12, 0), entries=(entry,))
-    g = agent_guess(im, theta, theta_next, F(1), multiagent._Work())
-    assert (g.member, g.a_steps, g.b_steps) == ((True, False), (3, 0), (1, 0))
+    im = CurveImage(L=1, A=1, B=1, dw=(12, 0), entries=(entry,))
+    g = agent_guess(im, theta, theta_next, multiagent._Work())
+    assert (g.member, g.sigma, g.tau) == ((True, False), (3, 0), (1, 0))
     assert g.kept == kept
 
 
@@ -1155,10 +1211,46 @@ def _ceil(x):
     return -(-x.numerator // x.denominator)
 
 
+@dataclass(frozen=True)
+class RefGuess:
+    """A reference's guess on the quantization grid: picking state j+1
+    adds a_steps[j] = sigma / (delta*delta') to the numerator counter and
+    b_steps[j] = tau / delta to the denominator counter, and kept maps each
+    counter pair the picks reach inside its window to its D*L.  member and
+    dw are as in AgentGuess."""
+
+    member: tuple[bool, ...]
+    a_steps: tuple[int, ...]
+    b_steps: tuple[int, ...]
+    dw: tuple[int, ...]
+    kept: dict[tuple[int, int], int]
+
+
+def _whole(x):
+    assert x.denominator == 1, x
+    return x.numerator
+
+
+def in_shifts(g, L, delta, delta_prime):
+    """The AgentGuess a reference's RefGuess g stands for: each counter
+    read as the shift it counts at scale L."""
+    a_unit, b_unit = delta * delta_prime * L, delta * L
+
+    def shift(a, b):
+        return _whole(a * a_unit), _whole(b * b_unit)
+
+    sigma, tau = zip(*map(shift, g.a_steps, g.b_steps))
+    kept = {shift(*pair): D for pair, D in g.kept.items()}
+    return AgentGuess(g.member, sigma, tau, g.dw, kept)
+
+
+def _off_grid(state):
+    return ValueError(f"state {state}: the shifts are not whole multiples of the grid")
+
+
 def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
-    """The AgentGuess on Fractions over one agent's (base, with_own)
-    curves, its options (level, D*L, lo, hi), and the scale L of its dw
-    and D."""
+    """The RefGuess on Fractions over one agent's (base, with_own) curves,
+    its options (level, D*L, lo, hi), and the scale L of its dw and D."""
     base, with_own = curves
     fall = {}
     for s, curve in base.items():
@@ -1171,7 +1263,7 @@ def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
     b_hat = dp.B + sum((pl.z for pl in fall.values() if pl), F(0))
     n = dp.n
     member = [False] * n
-    a_steps, b_steps, bad = [0] * n, [0] * n, []
+    a_steps, b_steps = [0] * n, [0] * n
     for s, curve in with_own.items():
         for idx, pl in enumerate(curve.platforms):
             selected = (
@@ -1185,14 +1277,11 @@ def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
                 a = (pl.z * pl.phi - (f.z * f.phi if f else 0)) / dd
                 b = (pl.z - (f.z if f else 0)) / delta
                 if a.denominator != 1 or b.denominator != 1:
-                    bad.append(pl.state)
+                    raise _off_grid(pl.state)
                 j = pl.state - 1
                 member[j] = True
                 a_steps[j], b_steps[j] = int(a), int(b)
     L, (b_hat_L, delta_L), dw = scale_to_integers((b_hat, delta), dw)
-    g = AgentGuess(tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), dw, {})
-    if bad:
-        return g, (), L
     levels = {0}
     for b, picked in zip(b_steps, member):
         if picked:
@@ -1203,33 +1292,36 @@ def reference_agent_guess(curves, dp, dw, theta, theta_next, delta, dd):
         lo = _ceil((theta_next * D - a_hat) / dd)
         hi = None if theta is INF else _ceil((theta * D - a_hat) / dd) - 1
         options.append((level, b_hat_L + level * delta_L, lo, hi))
-    return replace(g, kept=kept_from_options(g, options)), tuple(options), L
+    kept = kept_from_options(a_steps, b_steps, options)
+    return RefGuess(tuple(member), tuple(a_steps), tuple(b_steps), dw, kept), tuple(options), L
 
 
 def _in_window(a, option):
-    """Whether numerator counter a lies in the window of option = (level,
-    D*L, lo, hi); hi None is no upper bound."""
+    """Whether numerator a lies in the window of option = (denominator,
+    D, lo, hi); hi None is no upper bound."""
     _, _, lo, hi = option
     return lo <= a and (hi is None or a <= hi)
 
 
-def kept_from_options(g, options):
-    """AgentGuess.kept from the options of the references below: the
-    counter pairs g's picks reach, grown state by state as a set, that lie
-    in the window of their level's option, each mapped to its D*L."""
+def kept_from_options(a_steps, b_steps, options):
+    """The kept pairs of a guess from its options: the (numerator,
+    denominator) pairs its steps reach, grown state by state as a set,
+    that lie in the window of their denominator's option, each mapped to
+    the option's D."""
     pairs = {(0, 0)}
-    for a, b in zip(g.a_steps, g.b_steps):
+    for a, b in zip(a_steps, b_steps):
         if a or b:
             pairs |= {(x + a, y + b) for x, y in pairs}
     by_level = {o[0]: o for o in options}
     return {(a, b): by_level[b][1] for a, b in pairs if _in_window(a, by_level[b])}
 
 
-# agent_guess as it stood before the one walk over the sorted entries: two
-# loops over per-curve entry dicts, and a theta_next test on the slope into
-# the next point of the inserted curve.  It returns the guess and the
-# options the DP read before the one pass over the counter pairs: per
-# reachable denominator level in increasing order, (level, D*L, lo, hi).
+# agent_guess as it stood before the one walk over the sorted entries, on
+# the counters of the quantization grid: two loops over per-curve entry
+# dicts, and a theta_next test on the slope into the next point of the
+# inserted curve.  It returns a RefGuess and the options the DP read
+# before the one pass over the counter pairs: per reachable denominator
+# level in increasing order, (level, D*L, lo, hi).
 
 
 def _curve_dicts(im):
@@ -1240,7 +1332,7 @@ def _curve_dicts(im):
     return by_curve
 
 
-def two_loop_agent_guess(im, theta, theta_next, dd):
+def two_loop_agent_guess(im, theta, theta_next, delta, delta_prime):
     base, with_own = _curve_dicts(im)
     n_num, n_den = theta_next.numerator, theta_next.denominator
     fall = {}
@@ -1255,10 +1347,11 @@ def two_loop_agent_guess(im, theta, theta_next, dd):
     a_hat = im.A + sum(f.zphi for f in fall.values() if f)
     b_hat = im.B + sum(f.z for f in fall.values() if f)
     n = len(im.dw)
+    dd = delta * delta_prime
     dd_num, dd_den = dd.numerator, dd.denominator
     scale = im.L * dd_num
     member = [False] * n
-    a_steps, b_steps, bad = [0] * n, [0] * n, []
+    a_steps, b_steps = [0] * n, [0] * n
     if theta is not INF:
         for s, curve in with_own.items():
             for idx, e in enumerate(curve):
@@ -1268,56 +1361,55 @@ def two_loop_agent_guess(im, theta, theta_next, dd):
                     continue
                 f = fall.get(s)
                 a, a_rest = divmod((e.zphi - (f.zphi if f else 0)) * dd_den, scale)
-                b, b_rest = divmod(e.z - (f.z if f else 0), im.delta)
+                b, b_rest = divmod(
+                    (e.z - (f.z if f else 0)) * delta.denominator, im.L * delta.numerator
+                )
                 if a_rest or b_rest:
-                    bad.append(s)
+                    raise _off_grid(s)
                 member[s - 1] = True
                 a_steps[s - 1], b_steps[s - 1] = a, b
-    g = AgentGuess(tuple(member), tuple(a_steps), tuple(b_steps), tuple(bad), im.dw, {})
-    if bad:
-        return g, ()
     levels = {0}
     for b, picked in zip(b_steps, member):
         if picked:
             levels |= {s + b for s in levels}
     options = []
     for level in sorted(levels):
-        D = b_hat + level * im.delta
+        D = b_hat + _whole(level * delta * im.L)
         lo = -((n_den * a_hat - n_num * D) * dd_den // (n_den * scale))
         hi = None
         if theta is not INF:
             hi = -((t_den * a_hat - t_num * D) * dd_den // (t_den * scale)) - 1
         options.append((level, D, lo, hi))
-    return replace(g, kept=kept_from_options(g, options)), tuple(options)
+    kept = kept_from_options(a_steps, b_steps, options)
+    return RefGuess(tuple(member), tuple(a_steps), tuple(b_steps), im.dw, kept), tuple(options)
 
 
-def assert_guesses_match(ci):
+def assert_guesses_match(ci, delta=None, delta_prime=None):
     """Every agent's guess under every window of competitive_solve's grids
-    equals the two-loop reference in every field, and the Fraction
-    reference: member, bad and the kept pairs exactly, the steps at every
-    state whose shifts are whole (the DP raises before it reads any
-    other), and dw and each kept D up to each side's scale.  The two
-    references' options agree: the levels, lo and hi exactly, and each D
-    up to each side's scale."""
+    equals the two-loop reference's on the grid of delta and delta_prime
+    (the instance's by default), its counters read as shifts at the
+    curves' scale.  The two-loop reference equals the Fraction reference:
+    member, the steps and the kept pairs exactly, and dw and each kept D
+    up to each side's scale.  The two references' options agree: the
+    levels, lo and hi exactly, and each D up to each side's scale."""
     mi = ci.mi
-    dd = mi.delta * mi.delta_prime
+    delta = mi.delta if delta is None else delta
+    delta_prime = mi.delta_prime if delta_prime is None else delta_prime
     for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ci)):
         dw = [d * w for d, w in zip(a.d, dp.w)]
         for theta, theta_next in _windows(_ref_grid(*curves)):
-            got = agent_guess(im, theta, theta_next, dd, multiagent._Work())
-            two_loop, options = two_loop_agent_guess(im, theta, theta_next, dd)
-            assert got == two_loop
+            got = agent_guess(im, theta, theta_next, multiagent._Work())
+            two_loop, options = two_loop_agent_guess(im, theta, theta_next, delta, delta_prime)
+            assert got == in_shifts(two_loop, im.L, delta, delta_prime)
             want, want_options, L = reference_agent_guess(
-                curves, dp, dw, theta, theta_next, mi.delta, dd
+                curves, dp, dw, theta, theta_next, delta, delta * delta_prime
             )
-            assert (got.member, got.bad) == (want.member, want.bad)
-            whole = [j for j in range(mi.n) if j + 1 not in got.bad]
-            for steps in ("a_steps", "b_steps"):
-                assert [getattr(got, steps)[j] for j in whole] == [getattr(want, steps)[j] for j in whole]
+            steps = ("member", "a_steps", "b_steps")
+            assert [getattr(two_loop, f) for f in steps] == [getattr(want, f) for f in steps]
             M = im.L
-            assert [F(x, M) for x in got.dw] == [F(x, L) for x in want.dw]
-            assert got.kept.keys() == want.kept.keys()
-            assert all(F(D, M) == F(want.kept[pair], L) for pair, D in got.kept.items())
+            assert [F(x, M) for x in two_loop.dw] == [F(x, L) for x in want.dw]
+            assert two_loop.kept.keys() == want.kept.keys()
+            assert all(F(D, M) == F(want.kept[pair], L) for pair, D in two_loop.kept.items())
             assert [(o[0], o[2], o[3]) for o in options] == [(o[0], o[2], o[3]) for o in want_options]
             assert [F(o[1], M) for o in options] == [F(o[1], L) for o in want_options]
 
@@ -1393,16 +1485,10 @@ def test_agent_guess_matches_reference():
         for designer in range(g.num_designers):
             for profile in itertools.product(all_subsets(g.n), repeat=g.num_designers):
                 assert_guesses_match(memo.instance(designer, profile))
-    # The off-grid rival of test_competitive_rejects_shifts_off_the_grid:
-    # both sides find the same state bad.
-    mi = gen_random_multi_agent(1, 1, seed=11)
-    ci = CompetitiveInstance(mi, (ExternalPlatform("x", 1, (mi.delta / 2,), (F(0),)),))
-    assert_guesses_match(ci)
-    dd = mi.delta * mi.delta_prime
-    assert any(
-        agent_guess(ci.curves[0], theta, theta_next, dd, multiagent._Work()).bad == (1,)
-        for theta, theta_next in _windows(_solve_grids(ci)[0])
-    )
+    # The rivals off the delta grid of test_competitive_solves_shifts_off_the_grid:
+    # the references count their shifts on the grid of delta / 2.
+    for ci in off_grid_instances():
+        assert_guesses_match(ci, ci.mi.delta / 2, ci.mi.delta_prime)
 
 
 def _solver_grids(ci):
