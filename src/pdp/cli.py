@@ -329,8 +329,13 @@ def _load_instance(path: str, *types):
 
 
 def _exact(key: str, value: Fraction) -> dict:
-    """`value` under `key` as an exact rational and under `key_decimal` as a float."""
-    return {key: str(value), f"{key}_decimal": float(value)}
+    """`value` under `key` as an exact rational and under `key_decimal` as a
+    float, or None (null) when the value is outside the float range."""
+    try:
+        decimal = float(value)
+    except OverflowError:
+        decimal = None
+    return {key: str(value), f"{key}_decimal": decimal}
 
 
 def _offer(solver: str, result) -> dict:

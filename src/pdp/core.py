@@ -281,6 +281,12 @@ def product_pair(x, y) -> Pair:
     return lowest_terms(xn * yn, xd * yd)
 
 
+def sum_pair(x: Pair, y: Pair) -> Pair:
+    """x + y as a Pair, by one gcd."""
+    (xn, xd), (yn, yd) = x, y
+    return lowest_terms(xn * yd + yn * xd, xd * yd)
+
+
 def scaled_params(inst: FlowerInstance, dp: DerivedParams) -> ScaledParams:
     """The ScaledParams of `inst`: M is the lcm of the denominators of d*w
     and cost, the products d*w formed from the Pairs, one gcd each."""

@@ -1,13 +1,19 @@
 """Strategic play between several designers sharing one agent population.
 
 Each designer owns one candidate platform per state and chooses which to
-build; rivals' built platforms act as external competition.  Best
-responses run through the competitive solver; dynamics and the pure-Nash
-search operate over full strategy profiles.  Within one search, a
-`SearchMemo` keeps every profit and best response already computed, one
-competitive instance per designer and rival profile, and one
-`multiagent.CurvePool` per designer over every rival candidate, which
-builds those instances' curves.  The search drops it when it returns.
+build; rivals' built platforms act as external competition.  Each
+designer sees the game through one view, a `MultiAgentInstance` of
+`ViewAgent`s: per chassis agent, the chassis's lambda, A and B with the
+designer's candidates as its platforms (w = lambda + z), and their d and
+costs, all as Pairs.  No flower is built for a view.  Best responses run
+through the competitive solver; dynamics and the pure-Nash search
+operate over full strategy profiles.  Within one search, a `SearchMemo`
+keeps every profit, as `competitive_profit_pair`'s (num, den), and every
+best response already computed, one competitive instance per designer
+and rival profile, and one `multiagent.CurvePool` per designer over
+every rival candidate, which builds those instances' curves.  The search
+compares profits by cross-multiplying and drops the memo when it
+returns.
 """
 
 from __future__ import annotations
@@ -17,9 +23,19 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .agent import TooLarge
-from .core import FlowerInstance, all_subsets, build_flower_from_potentials
+from .core import (
+    DerivedPairs,
+    DerivedParams,
+    FlowerInstance,
+    Pair,
+    _fraction_view,
+    all_subsets,
+    as_pair,
+    sum_pair,
+)
 from .designer import DesignSet, QuantizationError
 from .multiagent import (
     _LEVEL_CEILING,
@@ -28,7 +44,7 @@ from .multiagent import (
     ExternalPlatform,
     MultiAgentInstance,
     check_quantization_steps,
-    competitive_profit,
+    competitive_profit_pair,
     competitive_solve,
     grid_fault,
 )
@@ -46,6 +62,28 @@ class Candidate:
     phi: tuple[Fraction, ...]
     d: tuple[Fraction, ...]
     cost: Fraction
+
+
+# A view agent's vectors, indexed by state: the candidates' d for the agent
+# and their costs.
+ViewPairs = NamedTuple("ViewPairs", [("d", tuple[Pair, ...]), ("cost", tuple[Pair, ...])])
+
+
+@dataclass(frozen=True)
+class ViewAgent:
+    """One chassis agent as a designer's view sees it: params holds the
+    agent's derived values with the designer's candidates as its
+    platforms.  It has what the competitive layer reads of an agent
+    (params, n, pairs.d, pairs.cost and cost) and no y or c_platform."""
+
+    pairs: ViewPairs
+    params: DerivedParams
+
+    cost = _fraction_view("cost")
+
+    @property
+    def n(self) -> int:
+        return len(self.pairs.d)
 
 
 @dataclass(frozen=True)
@@ -112,19 +150,23 @@ Profile = tuple  # one frozenset of states per designer
 
 
 def _designer_view(g: GameInstance, designer: int) -> MultiAgentInstance:
-    """Designer's candidates recast as per-agent flower instances.
+    """Designer's candidates as one ViewAgent per chassis agent.
 
-    The chassis fixes p and q (hence lambda and B); the candidate's z
-    picks y, and its potential picks the platform reward.
+    The chassis fixes lambda, A and B, which every designer shares; the
+    candidate's z and phi are the agent's own, and w = lambda + z.  These
+    are the Pairs derived_params gives the flower whose platforms have
+    that z and phi (core.build_flower_from_potentials).
     """
     cands = g.designers[designer]
-    cost = [c.cost for c in cands]
+    cost = tuple(as_pair(c.cost) for c in cands)
     agents = []
     for i, base in enumerate(g.chassis):
-        z = [c.z[i] for c in cands]
-        phi = [c.phi[i] for c in cands]
-        d = [c.d[i] for c in cands]
-        agents.append(build_flower_from_potentials(base.p, base.q, base.c_life, z, phi, d, cost))
+        own = base.params.pairs
+        z = tuple(as_pair(c.z[i]) for c in cands)
+        phi = tuple(as_pair(c.phi[i]) for c in cands)
+        w = tuple(map(sum_pair, own.lam, z))
+        params = DerivedParams(DerivedPairs(own.lam, w, z, phi, own.A, own.B))
+        agents.append(ViewAgent(ViewPairs(tuple(as_pair(c.d[i]) for c in cands), cost), params))
     # build_game_instance has made build_multi_agent_instance's checks.
     return MultiAgentInstance(tuple(agents), g.delta, g.delta_prime)
 
@@ -159,8 +201,9 @@ class SearchMemo:
     (designer, rivals' builds), since a best response ignores the
     designer's own entry.  Competitive instances are kept per (designer,
     rivals), their curves built by one CurvePool per designer over every
-    rival candidate.  Misses call `profile_profit` and `best_response` by
-    their module names.
+    rival candidate.  A profit is kept as competitive_profit_pair's (num,
+    den), den > 0.  Misses call `competitive_profit_pair` and
+    `best_response` by their module names.
     """
 
     def __init__(self, g: GameInstance):
@@ -182,10 +225,11 @@ class SearchMemo:
             ci = self.instances[key] = competitive_instance(self.g, designer, profile, pool)
         return ci
 
-    def profit(self, designer: int, profile: Profile) -> Fraction:
+    def profit(self, designer: int, profile: Profile) -> tuple[int, int]:
         key = (designer, profile)
         if key not in self.profits:
-            self.profits[key] = profile_profit(self.g, designer, profile, self)
+            ci = self.instance(designer, profile)
+            self.profits[key] = competitive_profit_pair(ci, profile[designer])
         return self.profits[key]
 
     def response(self, designer: int, profile: Profile) -> DesignSet:
@@ -201,7 +245,7 @@ def profile_profit(
     """Designer's exact profit under a full strategy profile.  A search
     passes its memo, which supplies the competitive instance."""
     ci = (memo or SearchMemo(g)).instance(designer, profile)
-    return competitive_profit(ci, profile[designer])
+    return Fraction(*competitive_profit_pair(ci, profile[designer]))
 
 
 def best_response(
@@ -256,7 +300,9 @@ def _subsets_lex(n: int) -> list[frozenset[int]]:
 
 
 def pure_nash_search(g: GameInstance):
-    """First profile (lexicographic) where nobody can improve, or None."""
+    """First profile (lexicographic) where nobody can improve, or None.
+    Profits are compared as (num, den) pairs by cross-multiplying, as
+    both denominators are positive."""
     n = g.n
     total = (1 << n) ** g.num_designers
     if total > _NASH_PROFILES:
@@ -266,12 +312,13 @@ def pure_nash_search(g: GameInstance):
     for profile in itertools.product(subsets, repeat=g.num_designers):
         is_nash = True
         for d in range(g.num_designers):
-            current = memo.profit(d, profile)
+            num, den = memo.profit(d, profile)
             for alt in subsets:
                 if alt == profile[d]:
                     continue
                 deviated = profile[:d] + (alt,) + profile[d + 1 :]
-                if memo.profit(d, deviated) > current:
+                alt_num, alt_den = memo.profit(d, deviated)
+                if alt_num * den > num * alt_den:
                     is_nash = False
                     break
             if not is_nash:

@@ -24,19 +24,23 @@ Per agent and threshold guess, `agent_guess` walks the entries down to
 the guess and reads off the candidates the agent picks, its utility
 numerator and denominator without them (a_hat, b_hat), and the shift
 each pick adds (sigma, tau); with no rival platforms a_hat = A, b_hat =
-B, sigma = z*phi, tau = z.  `competitive_profit` runs
+B, sigma = z*phi, tau = z.  `competitive_profit_pair` runs
 `multiplatform.greedy_walk`, the greedy `solve-multiplatform-agent` runs
-and `verify` checks against its oracle, over the same entries.
+and `verify` checks against its oracle, over the same entries, and gives
+the profit as an integer (num, den), which a game search compares as it
+is; `competitive_profit` is its Fraction.
 Everything that depends on the guess alone (the shift pairs the picks
 reach and which of them are consistent) is worked out once per agent
 and guess, in one pass over the pairs.  Slot keys and slot values are
 integers: a slot key holds each agent's exact (sigma, tau) sums at the
 scale L of its curves, for each D the value coefficients share one
 integer denominator, and consistency is an integer window on the sum
-of sigma.  Besides the instance's own `Fraction` values (the pool reads
-each agent's z and phi views), the solve makes a `Fraction` for each
-curve entry's psi (the theta grids), one per agent for its windows'
-floor of -1 (`_windows`) and one for the returned profit.
+of sigma.  The pool reads each agent's values as Pairs, and so an
+agent may be a game's view (`game.ViewAgent`) as well as a flower.
+Besides the external platforms' own `Fraction` z and phi, the solve
+makes a `Fraction` for each curve entry's psi (the theta grids), one per
+agent for its windows' floor of -1 (`_windows`) and one for the
+returned profit.
 
 delta and delta_prime only validate documents: the builders check every
 z and phi against them (`grid_fault`, `_LEVEL_CEILING`), and no table
@@ -77,7 +81,10 @@ class MultiAgentInstance:
     """Several agents over one state set; the designer pays shared costs.
 
     Every z_ij must be a positive integer multiple of delta and every
-    potential phi_i(j) a nonnegative integer multiple of delta_prime.
+    potential phi_i(j) a nonnegative integer multiple of delta_prime.  An
+    agent is a FlowerInstance, or in a game's designer view a
+    game.ViewAgent, which has only what the solvers read of an agent:
+    params, n, pairs.d, pairs.cost and cost.
     """
 
     agents: tuple[FlowerInstance, ...]
@@ -432,7 +439,8 @@ class CurvePool:
         for i, (a, dp) in enumerate(zip(mi.agents, mi.params)):
             ext = external_platforms(pool, i)
             platforms = ext + [
-                Platform(("own", j), j, z, phi, own=True) for j, (z, phi) in enumerate(zip(dp.z, dp.phi), 1)
+                Platform(("own", j), j, z, phi, own=True)
+                for j, (z, phi) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1)
             ]
             L, (A, B), dw, z, zphi = scale_to_integers(
                 (dp.pairs.A, dp.pairs.B),
@@ -503,8 +511,14 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
 def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
     """Ground truth: each agent picks over externals plus the offered
     candidates by the greedy walk; the designer earns only from its own
-    adopted platforms, sum dw over the agent's final denominator.  Runs on
-    the integer costs and curve images; the profit is the only Fraction."""
+    adopted platforms, sum dw over the agent's final denominator.  The
+    profit of competitive_profit_pair, the only Fraction made."""
+    return Fraction(*competitive_profit_pair(ci, S))
+
+
+def competitive_profit_pair(ci: CompetitiveInstance, S) -> tuple[int, int]:
+    """competitive_profit as (num, den), den > 0 and not reduced, from the
+    integer costs and curve images alone."""
     S = frozenset(S)
     cost_scale, cost = ci.mi.integer_cost
     num, den = -sum(cost[j - 1] for j in S), cost_scale
@@ -515,7 +529,7 @@ def competitive_profit(ci: CompetitiveInstance, S) -> Fraction:
         rev = sum(im.dw[s - 1] for s, e in selected.items() if e.own)
         if rev:
             num, den = num * D + rev * den, den * D
-    return Fraction(num, den)
+    return num, den
 
 
 def competitive_solve(ci: CompetitiveInstance) -> DesignSet:

@@ -329,6 +329,25 @@ def test_solve_agent_output(tmp_path, capsys, example):
     assert agent_utility(dp, set(out["adopted"])) == F(out["utility"])
 
 
+@pytest.mark.parametrize(
+    "command, field, key",
+    [("solve-designer", "d", "profit"), ("solve-agent", "c_platform", "utility")],
+)
+def test_decimal_is_null_outside_the_float_range(tmp_path, capsys, example, command, field, key):
+    # A reward of 10^400 at state 1 takes the exact result past the float
+    # range: its decimal is null, and the exact value, the keys' order and
+    # the exit code are those of any other result.
+    doc = serialize_instance(example)
+    assert main([command, write_doc(tmp_path, doc)]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    doc[field] = [str(10**400), doc[field][1]]
+    assert main([command, write_doc(tmp_path, doc, "big.json")]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert captured.err == "" and list(out) == keys
+    assert 10**399 < F(out[key]) < 10**400 and out[f"{key}_decimal"] is None
+
+
 def test_solve_designer_output(tmp_path, capsys, example):
     path = write_doc(tmp_path, serialize_instance(example))
     assert main(["solve-designer", path]) == 0

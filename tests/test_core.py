@@ -580,6 +580,30 @@ def test_package_has_no_unused_imports():
         assert not unused, f"{path.name}: unused imports (line, name) {unused}"
 
 
+def test_package_calls_float_only_for_decimal_output():
+    # Solver paths never use floats: the package's one float() call is
+    # cli._exact's, the decimal written beside an exact result.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+
+    def float_calls(tree):
+        return {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+        }
+
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            (exact,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_exact")
+            allowed = float_calls(exact)
+            assert allowed
+        lines = sorted(float_calls(tree) - allowed)
+        assert not lines, f"{path.name}: float() on lines {lines}"
+
+
 def test_package_bounds_are_constants():
     # An enumeration guard, a grid budget or a ceiling is a fixed bound of
     # the algorithm, kept as a module constant that a test can patch, never

@@ -1,16 +1,25 @@
 import gc
 import itertools
+import json
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import make_example
-from pdp import game, multiagent
+from pdp import core, game, multiagent
 from pdp.agent import TooLarge
-from pdp.core import all_subsets, build_flower_instance, derived_params
+from pdp.cli import main, parse_instance, serialize_instance
+from pdp.core import (
+    all_subsets,
+    build_flower_from_potentials,
+    build_flower_instance,
+    derived_params,
+)
 from pdp.designer import designer_oracle
 from pdp.game import (
     Candidate,
@@ -21,7 +30,12 @@ from pdp.game import (
     pure_nash_search,
 )
 from pdp.instances import gen_no_nash_game, gen_random_multi_agent
-from pdp.multiagent import build_competitive_instance, competitive_profit, competitive_solve
+from pdp.multiagent import (
+    MultiAgentInstance,
+    build_competitive_instance,
+    competitive_profit,
+    competitive_solve,
+)
 
 fs = frozenset
 
@@ -285,7 +299,9 @@ def test_memoized_search_matches_reference_with_fewer_calls(monkeypatch):
 
         monkeypatch.setattr(game, name, wrapper)
 
-    counted("profile_profit")
+    # Memo misses and the reference's profile_profit both evaluate a
+    # profit through game.competitive_profit_pair.
+    counted("competitive_profit_pair")
     counted("best_response")
 
     def run(search, *args):
@@ -298,8 +314,9 @@ def test_memoized_search_matches_reference_with_fewer_calls(monkeypatch):
         got, memo_calls = run(pure_nash_search, g)
         want, ref_calls = run(reference_pure_nash_search, g)
         assert got == want
-        assert memo_calls["profile_profit"] <= ref_calls["profile_profit"]
-        saved += ref_calls["profile_profit"] - memo_calls["profile_profit"]
+        profits = memo_calls["competitive_profit_pair"], ref_calls["competitive_profit_pair"]
+        assert 0 < profits[0] <= profits[1]
+        saved += profits[1] - profits[0]
         for initial in [(fs(), fs()), (fs(range(1, g.n + 1)), fs({1}))]:
             got, memo_calls = run(best_response_dynamics, g, initial)
             want, ref_calls = run(reference_dynamics, g, initial)
@@ -354,3 +371,83 @@ def test_search_instances_agree_with_lone_ones(monkeypatch):
             for S in subsets:
                 assert competitive_profit(searched, S) == competitive_profit(lone, S)
         assert pools == Counter(g.views), pools
+
+
+# The designer views as game.py built them before its ViewAgents: a whole
+# flower per chassis agent, its y and c_platform worked out by
+# build_flower_from_potentials for derived_params to give back z and phi.
+
+
+def reference_designer_view(g, designer):
+    cands = g.designers[designer]
+    cost = [c.cost for c in cands]
+    agents = []
+    for i, base in enumerate(g.chassis):
+        z = [c.z[i] for c in cands]
+        phi = [c.phi[i] for c in cands]
+        d = [c.d[i] for c in cands]
+        agents.append(build_flower_from_potentials(base.p, base.q, base.c_life, z, phi, d, cost))
+    return MultiAgentInstance(tuple(agents), g.delta, g.delta_prime)
+
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def bench_game_docs(seed, seconds=15):
+    """Every game document of the benchmark's multi-agent corpus at seed."""
+    bench = {"__name__": "perfbench_gen"}
+    exec(compile(GEN.read_text(encoding="utf-8"), str(GEN), "exec"), bench)
+    ops = bench["operations"]("multi-agent", seed, seconds)
+    return [op["doc"] for op in ops if op["doc"]["kind"] == "game"]
+
+
+def assert_views_match_reference(g):
+    """Each view's DerivedPairs, d, costs and integer costs equal those of
+    the reference view's flowers, under derived_params."""
+    for designer, view in enumerate(g.views):
+        ref = reference_designer_view(g, designer)
+        assert (view.n, view.k) == (ref.n, ref.k)
+        for got, want in zip(view.agents, ref.agents):
+            assert got.params.pairs == derived_params(want).pairs
+            assert got.pairs.d == want.pairs.d
+            assert got.pairs.cost == want.pairs.cost
+            assert got.cost == want.cost
+        assert view.integer_cost == ref.integer_cost
+
+
+def test_views_match_the_flower_reference():
+    for g in [gen_no_nash_game(), *map(random_game, range(16))]:
+        assert_views_match_reference(g)
+    docs = bench_game_docs(seed=34)
+    assert len(docs) == 169
+    for doc in docs:
+        assert_views_match_reference(parse_instance(doc))
+
+
+def test_game_commands_build_no_flower(tmp_path, capsys, monkeypatch):
+    # nash, dynamics, best-response and verify on a game document read the
+    # views, which are built without build_flower_from_potentials.
+    paths = []
+    for idx, g in enumerate([gen_no_nash_game(), random_game(3)]):
+        paths.append(tmp_path / f"game{idx}.json")
+        paths[-1].write_text(json.dumps(serialize_instance(g)))
+    original = core.build_flower_from_potentials
+
+    def refused(*args):
+        raise AssertionError("build_flower_from_potentials was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "pdp" or name.startswith("pdp."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refused)
+    for path in paths:
+        for argv in [
+            ["nash"],
+            ["dynamics", "--init", "[[], []]"],
+            ["best-response", "--designer", "1", "--profile", "[[1], [2]]"],
+            ["verify"],
+        ]:
+            assert main([argv[0], str(path), *argv[1:]]) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.err == "" and json.loads(captured.out), argv

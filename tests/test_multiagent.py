@@ -9,7 +9,13 @@ import pytest
 
 from pdp import game, multiagent
 from pdp.agent import TooLarge
-from pdp.core import all_subsets, build_flower_instance, derived_params, scale_to_integers
+from pdp.core import (
+    all_subsets,
+    build_flower_from_potentials,
+    build_flower_instance,
+    derived_params,
+    scale_to_integers,
+)
 from pdp.designer import DesignSet, QuantizationError, designer_oracle, fptas_solve, preprocess
 from pdp.game import Candidate, best_response, build_game_instance
 from pdp.instances import (
@@ -37,6 +43,7 @@ from pdp.multiagent import (
     theta_grid,
 )
 from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve
+from test_game import reference_designer_view
 from test_multiplatform import _chain_prune_redundant
 
 
@@ -1177,6 +1184,71 @@ def test_agent_guess_keeps_pairs_on_window_edges(theta, theta_next, kept):
     assert g.kept == kept
 
 
+def edge_instances():
+    """Competitive instances whose utilities fall on and just under window
+    bounds.  One agent with lambda = 1 at both states (A = 0, B = 3) sees
+    two rivals at state 1, at points (1, 4) and (3, 9), so its curves there
+    have slopes 4 and 5/2; the designer's candidate at state 1 is
+    dominated, and the one at state 2 ranges over z in 1..3 and phi in
+    0, 1/2, ..., 10.  Under the window [5/2, 4) the agent falls back on the
+    rival at (1, 4): picking (z, phi) = (1, 8) gives utility 12/5, 1/10
+    under theta_next, where the numerator bound 17/2 lies half a unit above
+    the shift 8."""
+    half = F(1, 2)
+    rivals = [ExternalPlatform("r1", 1, (F(1),), (F(4),)), ExternalPlatform("r2", 1, (F(3),), (F(3),))]
+    for z in (1, 2, 3):
+        for phi in range(21):
+            agent = build_flower_from_potentials(
+                [half] * 2, [half] * 2, [F(0)] * 2, [F(1), F(z)], [F(0), phi * half], [F(1)] * 2, [F(1)] * 2
+            )
+            mi = build_multi_agent_instance([agent], F(1), half)
+            yield build_competitive_instance(mi, rivals)
+
+
+def brute_force_window(im, g, theta, theta_next):
+    """The pairs AgentGuess g should keep, by enumerating the subsets of the
+    states it picks on Fractions, and the edges they meet: a shift a whose
+    window bound x (theta_next * D - a_hat, or theta * D - a_hat) has a = x
+    (on) or a < x < a + 1 (under)."""
+    fall = {}
+    for e in im.entries:  # along a curve in idx order
+        if not e.inserted and theta is not INF and F(e.psi, e.psi_den) >= theta:
+            fall[e.state] = e
+    a_hat = im.A + sum(e.zphi for e in fall.values())
+    b_hat = im.B + sum(e.z for e in fall.values())
+    picked = [j for j, m in enumerate(g.member) if m]
+    kept, edges = {}, Counter()
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(picked, size) for size in range(len(picked) + 1)
+    ):
+        a, b = sum(g.sigma[j] for j in S), sum(g.tau[j] for j in S)
+        D = b_hat + b
+        u = F(a_hat + a, D)
+        if theta_next <= u and (theta is INF or u < theta):
+            kept[a, b] = D
+        for name, bound in (("theta_next", theta_next), ("theta", theta)):
+            if bound is not INF:
+                x = bound * D - a_hat
+                edges[f"on {name}"] += a == x
+                edges[f"under {name}"] += a < x < a + 1
+    return kept, edges
+
+
+def test_agent_guess_keeps_pairs_on_window_edges_of_real_curves():
+    """On the curves of edge_instances, whose picks reach every edge of a
+    window (on theta_next and theta, and less than one numerator unit under
+    each), every guess keeps exactly the brute force's pairs."""
+    edges = Counter()
+    for ci in edge_instances():
+        (grid,), (im,) = _solver_grids(ci), ci.curves
+        for theta, theta_next in _windows(grid):
+            g = agent_guess(im, theta, theta_next, multiagent._Work())
+            kept, met = brute_force_window(im, g, theta, theta_next)
+            assert g.kept == kept, (ci.mi.params[0].pairs, theta, theta_next)
+            edges += met
+    assert set(edges) == {"on theta_next", "under theta_next", "on theta", "under theta"}, edges
+
+
 # The competitive layer on Fractions, as it stood before the curve images:
 # the profit through multi_greedy_solve and the agent's guess read off the
 # Pareto curves, with the agent's d*w and delta passed in.
@@ -1384,18 +1456,21 @@ def two_loop_agent_guess(im, theta, theta_next, delta, delta_prime):
     return RefGuess(tuple(member), tuple(a_steps), tuple(b_steps), im.dw, kept), tuple(options)
 
 
-def assert_guesses_match(ci, delta=None, delta_prime=None):
+def assert_guesses_match(ci, delta=None, delta_prime=None, ref=None):
     """Every agent's guess under every window of competitive_solve's grids
     equals the two-loop reference's on the grid of delta and delta_prime
     (the instance's by default), its counters read as shifts at the
-    curves' scale.  The two-loop reference equals the Fraction reference:
-    member, the steps and the kept pairs exactly, and dw and each kept D
-    up to each side's scale.  The two references' options agree: the
-    levels, lo and hi exactly, and each D up to each side's scale."""
-    mi = ci.mi
+    curves' scale.  The two-loop reference equals the Fraction reference,
+    read off ref (by default ci; a game's instance passes its reference
+    instance): member, the steps and the kept pairs exactly, and dw and
+    each kept D up to each side's scale.  The two references' options
+    agree: the levels, lo and hi exactly, and each D up to each side's
+    scale."""
+    ref = ref or ci
+    mi = ref.mi
     delta = mi.delta if delta is None else delta
     delta_prime = mi.delta_prime if delta_prime is None else delta_prime
-    for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ci)):
+    for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ref)):
         dw = [d * w for d, w in zip(a.d, dp.w)]
         for theta, theta_next in _windows(_ref_grid(*curves)):
             got = agent_guess(im, theta, theta_next, multiagent._Work())
@@ -1457,6 +1532,21 @@ def reference_games():
         yield twin_game(seed)
 
 
+def reference_game_instances():
+    """(S, instance, reference) for every (designer, profile) of the
+    reference games: the designer's own builds S, the search memo's
+    instance, and one over the same externals whose view holds the flowers
+    of reference_designer_view, so the Fraction references derive the
+    agents' values by the old path."""
+    for g in reference_games():
+        memo = game.SearchMemo(g)
+        views = [reference_designer_view(g, d) for d in range(g.num_designers)]
+        profiles = list(itertools.product(all_subsets(g.n), repeat=g.num_designers))
+        for designer, profile in itertools.product(range(g.num_designers), profiles):
+            ci = memo.instance(designer, profile)
+            yield profile[designer], ci, CompetitiveInstance(views[designer], ci.externals)
+
+
 def test_competitive_profit_matches_greedy_reference():
     """The walk over the curve images gives the Fraction greedy's profit on
     every offer of seeded competitive instances and on every (designer,
@@ -1466,25 +1556,16 @@ def test_competitive_profit_matches_greedy_reference():
         for S in all_subsets(ci.mi.n):
             want = reference_competitive_profit(ci, ref_curves, S)
             assert competitive_profit(ci, S) == want, (idx, S)
-    for g in reference_games():
-        memo = game.SearchMemo(g)
-        subsets = list(all_subsets(g.n))
-        for designer in range(g.num_designers):
-            for profile in itertools.product(subsets, repeat=g.num_designers):
-                ci = memo.instance(designer, profile)
-                got = competitive_profit(ci, profile[designer])
-                want = reference_competitive_profit(ci, _ref_curves(ci), profile[designer])
-                assert got == want, profile
+    for S, ci, ref in reference_game_instances():
+        want = reference_competitive_profit(ref, _ref_curves(ref), S)
+        assert competitive_profit(ci, S) == want, (S, ci.externals)
 
 
 def test_agent_guess_matches_reference():
     for ci in reference_instances():
         assert_guesses_match(ci)
-    for g in reference_games():
-        memo = game.SearchMemo(g)
-        for designer in range(g.num_designers):
-            for profile in itertools.product(all_subsets(g.n), repeat=g.num_designers):
-                assert_guesses_match(memo.instance(designer, profile))
+    for _, ci, ref in reference_game_instances():
+        assert_guesses_match(ci, ref=ref)
     # The rivals off the delta grid of test_competitive_solves_shifts_off_the_grid:
     # the references count their shifts on the grid of delta / 2.
     for ci in off_grid_instances():
@@ -1501,13 +1582,14 @@ def _solver_grids(ci):
     return caught[0]
 
 
-def assert_entries_invariant(ci):
+def assert_entries_invariant(ci, ref=None):
     """What agent_guess's one walk relies on: psi never rises along the
     entries; each (state, inserted) curve's entries come in idx order 0, 1,
     2, ... with psi strictly falling; and every psi is a value of the grid
-    competitive_solve builds, which equals the grid of the Fraction curves."""
+    competitive_solve builds, which equals the grid of the Fraction curves
+    of ref (by default ci)."""
     grids = _solver_grids(ci)
-    assert grids == _solve_grids(ci)
+    assert grids == _solve_grids(ref or ci)
     for im, grid in zip(ci.curves, grids):
         values = set(grid[1:])
         for e, f in itertools.pairwise(im.entries):
@@ -1525,11 +1607,8 @@ def assert_entries_invariant(ci):
 def test_curve_entries_hold_the_walk_invariant():
     for ci in reference_instances():
         assert_entries_invariant(ci)
-    for g in reference_games():
-        memo = game.SearchMemo(g)
-        for designer in range(g.num_designers):
-            for profile in itertools.product(all_subsets(g.n), repeat=g.num_designers):
-                assert_entries_invariant(memo.instance(designer, profile))
+    for _, ci, ref in reference_game_instances():
+        assert_entries_invariant(ci, ref)
 
 
 def test_competitive_profit_raises_on_a_skipped_curve_entry():
