@@ -14,17 +14,19 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import NamedTuple
 
 from . import agent, designer, game, instances, multiagent, multiplatform
 from .core import (
     FlowerInstance,
+    FlowerPairs,
     GeneralChain,
+    Pair,
     ReducibleChain,
     all_subsets,
-    build_flower_instance,
+    build_flower_from_pairs,
     build_general_chain,
-    lowest_terms,
     steady_state_general,
 )
 from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
@@ -38,20 +40,14 @@ class SchemaError(ValueError):
     """The document violates the instance schema."""
 
 
-# An ASCII integer or "num/den": the one shape instance documents use.
-_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# An ASCII integer or "num/den" with a nonzero denominator: the one shape
+# instance documents use.  A list of them, joined by commas, is one match.
+_RATIONAL_LIST = re.compile("{0}(?:,{0})*".format(r"-?[0-9]+(?:/0*[1-9][0-9]*)?"))
 
 
-def parse_pair(value, path: str) -> tuple[int, int]:
-    """An exact rational from a JSON integer or string, as a lowest-terms
-    (num, den) pair.  A string of the form `_RATIONAL_TEXT` with a nonzero
-    denominator is reduced by one gcd (int() refuses no string shorter
-    than its digit-limit threshold); anything else goes through
-    Fraction(value), which gives the same value or exception."""
-    short = type(value) is str and len(value) < sys.int_info.str_digits_check_threshold
-    match = _RATIONAL_TEXT.fullmatch(value) if short else None
-    if match and (den := int(match[2] or 1)):
-        return lowest_terms(int(match[1]), den)
+def _fraction_pair(value, path: str) -> Pair:
+    """One JSON value read by Fraction(value), as a lowest-terms pair; a
+    bool or a float is refused."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{path}: expected an exact rational, got {value!r}")
     try:
@@ -59,6 +55,40 @@ def parse_pair(value, path: str) -> tuple[int, int]:
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     return value.numerator, value.denominator
+
+
+def _read_pairs(values: list, name: Callable[[int], str]) -> tuple[Pair, ...]:
+    """The exact rationals `values` as lowest-terms pairs.
+
+    A list of strings that joins into one `_RATIONAL_LIST` match is read in
+    one pass, one gcd per value.  Any other list goes whole to
+    `_fraction_pair`, the value at index i named `name(i)`: a non-string,
+    a value off the pattern, and a comma inside a value or a value past
+    int()'s digit limit, where int() raises ValueError.  So every list
+    reads as Fraction(str) reads it, or fails with the same message.
+    """
+    try:
+        if _RATIONAL_LIST.fullmatch(",".join(values)):
+            pairs = []
+            append = pairs.append
+            for v in values:
+                num, slash, den = v.partition("/")
+                if slash:
+                    num, den = int(num), int(den)
+                    g = gcd(num, den)
+                    append((num // g, den // g))
+                else:
+                    append((int(num), 1))
+            return tuple(pairs)
+    except (TypeError, ValueError):  # join refused a non-string; int() a value
+        pass
+    return tuple(_fraction_pair(v, name(i)) for i, v in enumerate(values))
+
+
+def parse_pair(value, path: str) -> Pair:
+    """An exact rational from a JSON integer or string, as a lowest-terms
+    (num, den) pair: the list reader on [value], named `path`."""
+    return _read_pairs([value], lambda i: path)[0]
 
 
 def parse_rat(value, path: str) -> Fraction:
@@ -96,22 +126,22 @@ class _Rule(NamedTuple):
     optional: bool = False
 
 
-def _parse_rats(values: list, path: str, parse: Callable = parse_rat) -> tuple:
-    """The JSON list at `path` read by `parse`; only a failing value's path is formatted."""
-    try:
-        return tuple(parse(v, path) for v in values)
-    except ParseError:
-        for i, v in enumerate(values):
-            parse(v, f"{path}[{i}]")
-        raise
+def _parse_pairs(values: list, path: str) -> tuple[Pair, ...]:
+    """The JSON list at `path` as lowest-terms pairs; a failing value is named `path[i]`."""
+    return _read_pairs(values, lambda i: f"{path}[{i}]")
 
 
-def _rationals(count: Callable, parse: Callable = parse_rat) -> _Rule:
+def _parse_rats(values: list, path: str) -> tuple[Fraction, ...]:
+    """The JSON list at `path` as Fractions; a failing value is named `path[i]`."""
+    return tuple(Fraction(*v) for v in _parse_pairs(values, path))
+
+
+def _rationals(count: Callable, parse: Callable = _parse_rats) -> _Rule:
     def read(value, path, n, k):
         size = count(n, k)
         if not isinstance(value, list) or len(value) != size:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
-        return _parse_rats(value, path, parse)
+        return parse(value, path)
 
     return _Rule(read, lambda values: [str(v) for v in values])
 
@@ -135,7 +165,7 @@ def _step(holds: Callable, claim: str) -> _Rule:
     return _Rule(read, str)
 
 
-_PER_STATE = _rationals(lambda n, k: n, parse_pair)  # flower values, as pairs
+_PER_STATE = _rationals(lambda n, k: n, _parse_pairs)  # flower values, as pairs
 _PER_AGENT = _rationals(lambda n, k: k)
 _RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), str)
 _STATE = _Rule(_state, int)
@@ -211,7 +241,8 @@ def _agents(doc, n: int, rows, **shared) -> list[FlowerInstance]:
     flowers = []
     for i, a in enumerate(agents):
         path = f"agents[{i}]"
-        flowers.append(_build(path, build_flower_instance, **_read(a, rows, path, n), **shared))
+        pairs = FlowerPairs(**_read(a, rows, path, n), **shared)
+        flowers.append(_build(path, build_flower_from_pairs, pairs))
     return flowers
 
 
@@ -243,7 +274,7 @@ def parse_instance(doc):
     if not _is_int(n) or n < 1:
         raise SchemaError("states: expected a positive integer")
     if kind == "flower":
-        flower = _build("$", build_flower_instance, **_read(doc, _FLOWER, "$", n))
+        flower = _build("$", build_flower_from_pairs, FlowerPairs(**_read(doc, _FLOWER, "$", n)))
         _flower_quantization(doc)
         return flower
     if kind == "game":

@@ -116,17 +116,28 @@ def _exact_sum(terms) -> Pair:
 def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstance:
     """Validate parameters and construct a FlowerInstance.
 
-    A value is a Pair, as the CLI reads it, or anything rat reads; a
-    Fraction's Pair is taken with no new gcd.  Raises ProbabilityError,
-    DegenerateState, or NonpositiveCost when the parameters violate the
-    model's standing assumptions.  Every test is made on the Pairs.
+    A value is a Pair or anything rat reads; a Fraction's Pair is taken
+    with no new gcd.  The Pairs are then checked by
+    build_flower_from_pairs.
     """
-    pairs = FlowerPairs(
-        *(
-            tuple(v if type(v) is tuple else as_pair(rat(v)) for v in vec)
-            for vec in (p, q, y, c_life, c_platform, d, cost)
+    return build_flower_from_pairs(
+        FlowerPairs(
+            *(
+                tuple(v if type(v) is tuple else as_pair(rat(v)) for v in vec)
+                for vec in (p, q, y, c_life, c_platform, d, cost)
+            )
         )
     )
+
+
+def build_flower_from_pairs(pairs: FlowerPairs) -> FlowerInstance:
+    """Validate a flower's lowest-terms Pairs, as the CLI reads them, and
+    construct its FlowerInstance.
+
+    Raises ProbabilityError, DegenerateState, or NonpositiveCost when the
+    parameters violate the model's standing assumptions.  Every test is
+    made on the Pairs.
+    """
     n = len(pairs.p)
     if n == 0:
         raise ProbabilityError("need at least one petal")

@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MIXED, make_example
 import pdp
@@ -91,6 +93,90 @@ def test_parse_pair_matches_parse_rat(value):
         assert str(info.value) == str(exc)
     else:
         assert parse_pair(value, "p[0]") == (expected.numerator, expected.denominator)
+
+
+# Reference: the per-value list reader the one-pass list reader replaced.
+# Each value goes through Fraction(value) alone, and on a failure the list
+# is walked again so that the failing value is named `path[i]`.
+def _per_value_pair(value, path):
+    if isinstance(value, bool) or isinstance(value, float):
+        raise cli.ParseError(f"{path}: expected an exact rational, got {value!r}")
+    try:
+        value = F(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise cli.ParseError(f"{path}: {exc}") from None
+    return value.numerator, value.denominator
+
+
+def _per_value_rat(value, path):
+    return F(*_per_value_pair(value, path))
+
+
+def _per_value_parse_rats(values, path, parse):
+    try:
+        return tuple(parse(v, path) for v in values)
+    except cli.ParseError:
+        for i, v in enumerate(values):
+            parse(v, f"{path}[{i}]")
+        raise
+
+
+def _assert_list_readers_match(values):
+    # The pair and the Fraction list readers give the reference's tuple, or
+    # its ParseError with the same text, naming the same `[i]`.
+    for read, parse in ((cli._parse_pairs, _per_value_pair), (cli._parse_rats, _per_value_rat)):
+        try:
+            expected = _per_value_parse_rats(values, "agents[1].q", parse)
+        except cli.ParseError as exc:
+            with pytest.raises(cli.ParseError) as info:
+                read(values, "agents[1].q")
+            assert str(info.value) == str(exc)
+        else:
+            got = read(values, "agents[1].q")
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+_VALID_LIST = ["1/2", "-3", "0", "7/10", "12/8", "-6/4", "5"]
+_LIST_EDGES = (
+    *_RATIONAL_EDGES, "1,2", "1/2,3", "1/2/3", "1/00", "0/0", "-0/5", "1 /2", "1/ 2", "- 1",
+    "0/07", "-0", 5, True, 1.5, None, [1],
+)
+
+
+@pytest.mark.parametrize("at", (0, 3, 6), ids=("first", "middle", "last"))
+@pytest.mark.parametrize("value", _LIST_EDGES, ids=lambda v: repr(v)[:12])
+def test_list_reader_matches_per_value_reader(value, at):
+    values = list(_VALID_LIST)
+    values[at] = value
+    _assert_list_readers_match(values)
+
+
+def test_list_reader_matches_per_value_reader_on_whole_lists():
+    _assert_list_readers_match(_VALID_LIST)
+    _assert_list_readers_match([])
+    _assert_list_readers_match(["1,2", "3"])  # joins into a valid-looking "1,2,3"
+    _assert_list_readers_match([1, 2, "3/4"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(), max_size=12))
+def test_list_reader_matches_per_value_reader_on_fractions(fractions):
+    _assert_list_readers_match([str(v) for v in fractions])
+
+
+def test_documents_take_the_one_pass_reader(tmp_path, monkeypatch, capsys):
+    # Every value of a generated document is read by the one-pass reader:
+    # with the per-value fallback made to fail, both commands still succeed.
+    def fallback(value, path):
+        raise AssertionError(f"{path}: {value!r} went to the per-value reader")
+
+    monkeypatch.setattr(cli, "_fraction_pair", fallback)
+    flower = serialize_instance(gen_random_flower(200, seed=23))
+    multi = serialize_instance(gen_random_multi_agent(4, 3, seed=5))
+    assert main(["solve-agent", write_doc(tmp_path, flower, "flower.json")]) == 0
+    assert main(["solve-multi-agent", write_doc(tmp_path, multi, "multi.json")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("ranges", (None, MIXED), ids=("greedy", "signed"))
