@@ -15,25 +15,34 @@ solvers it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import AdoptionSet, DerivedParams, FlowerInstance, check_subset, scale_to_integers
+from .core import (
+    AdoptionSet,
+    DerivedParams,
+    FlowerInstance,
+    TooLarge,
+    check_subset,
+    scale_to_integers,
+)
 
 
 # log2 of the steps per block in agent_oracle's sweep.
 _BLOCK_BITS = 8
 # The most states agent_oracle sweeps the 2^n subsets of.
 _ORACLE_STATES = 28
+# (bit, enters) for each step of a block's reflected Gray code after the
+# empty set; a block of b < _BLOCK_BITS bits walks the first 2^b - 1.
+_GRAY_STEPS = tuple(
+    ((t & -t).bit_length() - 1, bool((t ^ t >> 1) & t & -t)) for t in range(1, 1 << _BLOCK_BITS)
+)
 
 
 class SignError(ValueError):
     """A z sign the chosen solver does not handle."""
-
-
-class TooLarge(ValueError):
-    """Instance exceeds an enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -101,21 +110,42 @@ def greedy_solve_signed(dp: DerivedParams) -> AdoptionSet:
     return AdoptionSet(states, utility)
 
 
+def _sweep_order(a: int, b: int, zphis, zs) -> list[int]:
+    """The states, numbered from 0, by descending sign(z)*(phi - A/B), ties
+    by index, from agent_oracle's scaled a = A*L, b = B*L, z*phi*L and z*L.
+
+    With b > 0, sign(z)*(phi - A/B) orders as (zphi*b - a*z) / |z|, which
+    the lcm of the |z| turns into integers."""
+    m = math.lcm(*zs)
+    gains = [(zphi * b - a * z) * (m // abs(z)) for zphi, z in zip(zphis, zs)]
+    return sorted(range(len(zs)), key=gains.__getitem__, reverse=True)
+
+
 def agent_oracle(dp: DerivedParams) -> AdoptionSet:
     """Exhaustive maximizer of agent_utility over all subsets.
 
     Ties break toward the smallest cardinality.  Among the optimal sets
     the smallest is unique: at the optimal utility u*, it is exactly the
     set of states with z*(phi - u*) > 0, and every other optimal set adds
-    states that leave the ratio at u*.  So the visit order does not
-    change the result.
+    states that leave the ratio at u*.  So neither the visit order nor
+    the labelling of the states changes the result.
+
+    Bit b of the sweep holds the state of rank b in descending
+    sign(z)*(phi - A/B) (`_sweep_order`), and the chosen mask is mapped
+    back to state labels at the end.  The order labels bits only: every
+    subset is still tested, so correctness rests on exhaustiveness alone,
+    not on any property of the order, and the oracle takes no threshold
+    or Dinkelbach step from the solvers it checks.  It puts the states
+    most likely adopted in the low bits, so the optimum usually lies in
+    the first block and few incumbents follow.
 
     The sweep splits a subset into its low bits = min(_BLOCK_BITS, n)
     states and the rest.  A reflected Gray code (Knuth, TAOCP 4A,
     7.2.1.1) walks the sets of the rest, one block each, and within each
-    block a second one walks the low sets from the empty set, so every
-    subset lies in exactly one block.  Given the incumbent's numerator
-    bn, denominator bd and size bs, each subset S has the integer key
+    block a second one walks the low sets from the empty set
+    (`_GRAY_STEPS`), so every subset lies in exactly one block.  Given
+    the incumbent's numerator bn, denominator bd and size bs, each subset
+    S has the integer key
 
         K(S) = (num(S)*bd - bn*den(S)) * (n + 1) + bs - |S|,
 
@@ -123,15 +153,13 @@ def agent_oracle(dp: DerivedParams) -> AdoptionSet:
     fewer states (den > 0 always and |bs - |S|| <= n).  K is linear in
     membership: a step that puts state i in adds
     D_i = (zphi_i*bd - bn*z_i) * (n + 1) - 1, and one that takes it out
-    subtracts D_i.  So every block has the same key increments `incs`,
-    and a block holds a subset beating the incumbent exactly when its
-    first key plus top = max(accumulate(incs, initial=0)) is positive:
-    on integers, max(accumulate(incs, initial=key)) == key + top.  Only a
-    block that passes is scanned; its first subset of maximal key becomes
-    the incumbent, `incs` and `top` are recomputed, and the block is
-    tested again.  Each incumbent beats the last, so the rescans end.
-    The sweep uses no phi order, threshold or Dinkelbach step, so it
-    stays independent of the greedy solvers it checks.  Memory is
+    subtracts D_i.  So every block has the same key increments, kept per
+    incumbent as their prefix sums from 0, `prefix`, and a block holds a
+    subset beating the incumbent exactly when its first key plus
+    top = max(prefix) is positive.  Only a block that passes is scanned:
+    its first subset of maximal key, at prefix.index(top), becomes the
+    incumbent, `prefix` and `top` are recomputed, and the block is tested
+    again.  Each incumbent beats the last, so the rescans end.  Memory is
     O(2^_BLOCK_BITS + n).
     """
     n = dp.n
@@ -140,25 +168,23 @@ def agent_oracle(dp: DerivedParams) -> AdoptionSet:
     _, (a, b), zphis, zs = scale_to_integers(
         (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
     )
+    order = _sweep_order(a, b, zphis, zs)
+    zphis = [zphis[i] for i in order]
+    zs = [zs[i] for i in order]
     bits = min(_BLOCK_BITS, n)
+    steps = _GRAY_STEPS[: (1 << bits) - 1]
 
     def sums(mask):
         states = [i for i in range(n) if mask >> i & 1]
         return a + sum(zphis[i] for i in states), b + sum(zs[i] for i in states), len(states)
 
-    # (state, enters) for each step of the inner Gray code after the empty set.
-    steps = []
-    for t in range(1, 1 << bits):
-        low = t & -t
-        steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
-
     def increments(bn, bd):
         d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
-        incs = [d[i] if enters else -d[i] for i, enters in steps]
-        return d, incs, max(accumulate(incs, initial=0))
+        prefix = list(accumulate((d[i] if enters else -d[i] for i, enters in steps), initial=0))
+        return d, prefix, max(prefix)
 
     best, bn, bd, bs = 0, a, b, 0
-    d, incs, top = increments(bn, bd)
+    d, prefix, top = increments(bn, bd)
     key = 0
     for t0 in range(1 << (n - bits)):
         outer = (t0 ^ t0 >> 1) << bits
@@ -166,13 +192,13 @@ def agent_oracle(dp: DerivedParams) -> AdoptionSet:
             i = bits + (t0 & -t0).bit_length() - 1
             key += d[i] if outer >> i & 1 else -d[i]
         while key + top > 0:
-            t = list(accumulate(incs, initial=key)).index(key + top)
+            t = prefix.index(top)
             best = outer | (t ^ t >> 1)
             bn, bd, bs = sums(best)
-            d, incs, top = increments(bn, bd)
+            d, prefix, top = increments(bn, bd)
             num, den, size = sums(outer)
             key = (num * bd - bn * den) * (n + 1) + bs - size
-    chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
+    chosen = frozenset(order[i] + 1 for i in range(n) if best >> i & 1)
     return AdoptionSet(chosen, Fraction(bn, bd))
 
 

@@ -715,7 +715,7 @@ def _verify_chain(chain: GeneralChain) -> list[dict]:
         )
         return {"pi": [str(v) for v in pi], "match": match}
 
-    return [_check("steady state is stationary", stationary, ReducibleChain)]
+    return [_check("steady state is stationary", stationary, ReducibleChain, agent.TooLarge)]
 
 
 _CHECKERS = {

@@ -156,6 +156,50 @@ def _blocked_agent_oracle(dp):
     return chosen, F(bn, bd)
 
 
+# Reference: the blocked sweep with bit i holding state i + 1, from
+# before the oracle labelled its bits by rank.  It tests blocks in O(1)
+# and rescans with a second accumulate.  The oracle must return the same
+# set and utility.
+def _unordered_agent_oracle(dp):
+    n = dp.n
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    bits = min(8, n)
+
+    def sums(mask):
+        states = [i for i in range(n) if mask >> i & 1]
+        return a + sum(zphis[i] for i in states), b + sum(zs[i] for i in states), len(states)
+
+    steps = []
+    for t in range(1, 1 << bits):
+        low = t & -t
+        steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
+
+    def increments(bn, bd):
+        d = [(zphi * bd - bn * z) * (n + 1) - 1 for zphi, z in zip(zphis, zs)]
+        incs = [d[i] if enters else -d[i] for i, enters in steps]
+        return d, incs, max(accumulate(incs, initial=0))
+
+    best, bn, bd, bs = 0, a, b, 0
+    d, incs, top = increments(bn, bd)
+    key = 0
+    for t0 in range(1 << (n - bits)):
+        outer = (t0 ^ t0 >> 1) << bits
+        if t0:
+            i = bits + (t0 & -t0).bit_length() - 1
+            key += d[i] if outer >> i & 1 else -d[i]
+        while key + top > 0:
+            t = list(accumulate(incs, initial=key)).index(key + top)
+            best = outer | (t ^ t >> 1)
+            bn, bd, bs = sums(best)
+            d, incs, top = increments(bn, bd)
+            num, den, size = sums(outer)
+            key = (num * bd - bn * den) * (n + 1) + bs - size
+    chosen = frozenset(i + 1 for i in range(n) if best >> i & 1)
+    return chosen, F(bn, bd)
+
+
 def test_greedy_reference(example):
     dp = derived_params(example)
     result, steps = greedy_solve(dp)
@@ -346,7 +390,8 @@ def test_oracle_matches_gray_code_reference():
         else:
             dp = _tight_params(n, rng)
         result = agent_oracle(dp)
-        assert (result.states, result.utility) == _gray_agent_oracle(dp), (n, idx)
+        expected = _gray_agent_oracle(dp)
+        assert (result.states, result.utility) == expected == _unordered_agent_oracle(dp), (n, idx)
 
 
 def _tie_instance(n, core):
@@ -423,42 +468,173 @@ def _count_accumulate(monkeypatch, limit=None):
     return calls
 
 
+def _wide_params(n, rng):
+    # Potentials in a narrow band far above the base utility 0, and a few
+    # negative-z states with potentials below it: the optimum holds about
+    # every state, so more than 8 and past the first block of any sweep.
+    z = tuple(F(rng.choice([-1, 1, 1, 2, 3])) for _ in range(n))
+    B = 1 - sum(x for x in z if x < 0)
+    return _params(
+        lam=(F(1),) * n,
+        w=tuple(1 + x for x in z),
+        z=z,
+        phi=tuple(F(20 + rng.randint(0, 2)) if x > 0 else F(rng.randint(-3, 0)) for x in z),
+        A=F(0),
+        B=F(B),
+    )
+
+
+def _identity(a, b, zphis, zs):
+    return list(range(len(zs)))
+
+
+def _recording(monkeypatch, labelling):
+    # Patch the oracle's labelling and keep the order of each call.
+    orders = []
+
+    def recorded(*args):
+        orders.append(labelling(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(agent, "_sweep_order", recorded)
+    return orders
+
+
 def test_oracle_block_test_matches_blocked_sweep(monkeypatch):
     # The O(1) block test must rescan exactly the blocks that hold a
     # better subset, in every block and after every change of incumbent.
-    # Tight integers and cross-block ties at n = 9..13, and flowers of
-    # each kind, about half with the optimum in an odd block, where the
-    # blocked reference walks the inner sets from a nonempty one, so in
-    # another order than the oracle.  Each incumbent beats the last, so
-    # a sweep makes at most 1 + 2 * (2^n - 1) calls to accumulate.
-    calls = _count_accumulate(monkeypatch, limit=3 << 13)
+    # Tight integers and cross-block ties at n = 9..13, flowers of each
+    # kind and optima of more than 8 states.  With bits labelled by state,
+    # about half the optima lie in an odd block, where the blocked
+    # reference walks the inner sets from a nonempty one, so in another
+    # order than the oracle.  Each incumbent beats the last, so a sweep
+    # makes at most 1 + (2^n - 1) calls to accumulate.
+    calls = _count_accumulate(monkeypatch, limit=1 << 13)
     kinds = [None, NARROW, {"allow_negative_z": True}, {**NARROW, "allow_negative_z": True}]
     rng = random.Random(14)
     cases = [_tie_instance(n, core) for n in (10, 11, 13) for core in ({1}, {n}, {8, 9}, {n - 1, n})]
-    for idx in range(120):
+    for idx in range(140):
         n = 9 + idx % 5
-        kind = idx // 5 % 6
+        kind = idx // 5 % 7
         if kind < 4:
             cases.append(derived_params(gen_random_flower(n, seed=14000 + idx, ranges=kinds[kind])))
-        else:
+        elif kind < 6:
             cases.append(_tight_params(n, rng))
-    odd = 0
-    for dp in cases:
-        calls.clear()
-        result = agent_oracle(dp)
-        assert (result.states, result.utility) == _blocked_agent_oracle(dp) == _gray_agent_oracle(dp)
-        odd += _gray_rank(sum(1 << (i - 1) for i in result.states)) >> 8 & 1
+        else:
+            cases.append(_wide_params(n, rng))
+    expected = [_blocked_agent_oracle(dp) for dp in cases]
+    assert expected == [_gray_agent_oracle(dp) for dp in cases]
+    odd = sum(_gray_rank(sum(1 << (i - 1) for i in states)) >> 8 & 1 for states, _ in expected)
     assert odd >= 40, odd
+    assert sum(len(states) > 8 for states, _ in expected) >= 20
+    # The final incumbent is set by a rescan of the block that holds it,
+    # so an optimum past the sweep's first block shows a rescan there.
+    # Under the rank labelling those are mostly the optima of more than 8
+    # states; under the identity, the optima that hold a state above 8.
+    later = {}
+    for name, labelling in (("ranked", agent._sweep_order), ("identity", _identity)):
+        orders = _recording(monkeypatch, labelling)
+        later[name] = 0
+        for dp, want in zip(cases, expected):
+            calls.clear()
+            result = agent_oracle(dp)
+            assert (result.states, result.utility) == want, name
+            rank = orders[-1]
+            later[name] += sum(1 << rank.index(i - 1) for i in result.states) >> 8 != 0
+    assert later["ranked"] >= 30 and later["identity"] >= 100, later
 
 
 def test_oracle_tests_blocks_in_constant_time(monkeypatch):
-    # One prefix maximum at the start, then one rescan and one prefix
-    # maximum per incumbent: far fewer calls than the 2^10 blocks.
+    # One prefix-sum list at the start and one per incumbent: 4 on this
+    # flower, whose optimum {8, 15, 16} the rank labelling puts in the
+    # first of its 2^10 blocks, found after 3 incumbents.
     calls = _count_accumulate(monkeypatch)
     dp = derived_params(gen_random_flower(18, seed=11))
     result = agent_oracle(dp)
-    assert len(calls) < 64, len(calls)
+    assert len(calls) == 4, len(calls)
+    assert result.states == frozenset({8, 15, 16})
     assert result.utility == greedy_solve(dp)[0].utility
+
+
+def test_gray_steps_match_per_call_steps():
+    # The inner Gray code's steps for every block width up to
+    # _BLOCK_BITS, as the oracle built them on each call, are a prefix of
+    # the one module constant.
+    assert agent._BLOCK_BITS == 8 and len(agent._GRAY_STEPS) == 255
+    for bits in range(9):
+        steps = []
+        for t in range(1, 1 << bits):
+            low = t & -t
+            steps.append((low.bit_length() - 1, bool((t ^ t >> 1) & low)))
+        assert list(agent._GRAY_STEPS[: (1 << bits) - 1]) == steps, bits
+
+
+def test_sweep_order_ranks_by_signed_gain():
+    # Descending sign(z) * (phi - A/B), ties by state; A/B = 2 here.
+    dp = _params(
+        lam=(F(1),) * 6,
+        w=(F(2), F(3), F(1, 2), F(2), F(3, 2), F(1, 3)),
+        z=(F(1), F(2), F(-1, 2), F(1), F(1, 2), F(-2, 3)),
+        phi=(F(3), F(5, 2), F(1), F(3), F(2), F(3)),
+        A=F(4),
+        B=F(2),
+    )
+    _, (a, b), zphis, zs = scale_to_integers(
+        (dp.A, dp.B), [z * phi for z, phi in zip(dp.z, dp.phi)], dp.z
+    )
+    # Gains 1, 1/2, 1, 1, 0, -1 for states 1..6.
+    assert agent._sweep_order(a, b, zphis, zs) == [0, 2, 3, 1, 4, 5]
+
+
+def test_oracle_answer_does_not_depend_on_labelling(monkeypatch):
+    # Under the identity, the reversed and seeded shuffled labellings, the
+    # oracle returns what the references return, which label bits by
+    # state: on every flower kind, tight integers and cross-block ties.
+    rng = random.Random(36)
+    cases = [_tie_instance(n, core) for n in (10, 11) for core in ({1}, {n}, {8, 9}, {1, n}, {n - 1, n})]
+    for idx in range(96):
+        n = 1 + idx % 12
+        kind = idx // 12 % 6
+        if kind < 4:
+            cases.append(derived_params(gen_random_flower(n, seed=36000 + idx, ranges=FLOWER_KINDS[kind])))
+        elif kind == 4:
+            cases.append(_tight_params(n, rng))
+        else:
+            cases.append(_wide_params(n, rng))
+    expected = [_ref_agent_oracle(dp) for dp in cases]
+    assert expected == [_gray_agent_oracle(dp) for dp in cases]
+    assert expected == [_unordered_agent_oracle(dp) for dp in cases]
+
+    def shuffled(a, b, zphis, zs):
+        order = list(range(len(zs)))
+        rng.shuffle(order)
+        return order
+
+    def reversed_(a, b, zphis, zs):
+        return list(range(len(zs)))[::-1]
+
+    for labelling in (_identity, reversed_, shuffled):
+        orders = _recording(monkeypatch, labelling)
+        for dp, want in zip(cases, expected):
+            result = agent_oracle(dp)
+            assert (result.states, result.utility) == want, (labelling.__name__, orders[-1])
+        assert len(orders) == len(cases)
+
+
+def test_oracle_relabels_with_the_petals():
+    # Permuting a flower's petals permutes the oracle's answer the same way.
+    rng = random.Random(3601)
+    for idx in range(24):
+        inst = gen_random_flower(10, seed=36100 + idx, ranges=FLOWER_KINDS[idx % 4])
+        perm = list(range(inst.n))
+        rng.shuffle(perm)
+        # Petal j + 1 of the relabelled flower is petal perm[j] + 1.
+        fields = core.FlowerPairs._fields
+        moved = core.build_flower_instance(**{f: [getattr(inst, f)[i] for i in perm] for f in fields})
+        result = agent_oracle(derived_params(inst))
+        relabelled = agent_oracle(derived_params(moved))
+        assert relabelled.utility == result.utility
+        assert relabelled.states == frozenset(j + 1 for j, i in enumerate(perm) if i + 1 in result.states)
 
 
 # References: the Fraction versions of the greedy and the fixpoint solver,

@@ -922,6 +922,23 @@ def test_verify_general_chain(tmp_path, capsys, monkeypatch):
     assert out["ok"] is False and out["checks"][0]["match"] is False
 
 
+def test_verify_general_chain_skips_past_its_guard(tmp_path, capsys, monkeypatch):
+    # A chain of more states than core._CHAIN_STATES is not eliminated:
+    # verify reports the stationarity check as skipped and exits 0.
+    rows = [["1/2", "1/2", 0], [0, "1/2", "1/2"], ["1/2", 0, "1/2"]]
+    path = write_doc(tmp_path, {"version": 1, "kind": "general-chain", "rows": rows})
+    assert main(["verify", path]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["match"] is True and check["pi"] == ["1/3", "1/3", "1/3"]
+    monkeypatch.setattr(core, "_CHAIN_STATES", 2)
+    assert main(["verify", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert out["checks"] == [
+        {"check": "steady state is stationary", "skipped": "m = 3 states exceed the chain guard 2"}
+    ]
+
+
 def test_verify_multi_agent(tmp_path, capsys):
     mi = gen_random_multi_agent(2, 2, seed=4)
     path = write_doc(tmp_path, serialize_instance(mi))

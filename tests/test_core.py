@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pdp
+from pdp import agent, core
 from pdp.core import (
     DegenerateState,
     FlowerPairs,
@@ -15,6 +16,7 @@ from pdp.core import (
     ProbabilityError,
     ReducibleChain,
     SubsetError,
+    TooLarge,
     _closed_classes,
     _reachable,
     agent_utility,
@@ -424,6 +426,18 @@ def test_steady_state_ignores_unreachable_states():
         ],
         start=0,
     )
+    assert steady_state_general(chain) == (F(1), F(0))
+
+
+def test_steady_state_guard(monkeypatch):
+    # Past _CHAIN_STATES states the elimination is refused, reachable or
+    # not; at the guard it runs.  agent re-exports the one TooLarge.
+    assert agent.TooLarge is TooLarge
+    chain = build_general_chain([[F(1), F(0)], [F(1, 2), F(1, 2)]])
+    monkeypatch.setattr(core, "_CHAIN_STATES", 1)
+    with pytest.raises(TooLarge, match="m = 2 states exceed the chain guard 1"):
+        steady_state_general(chain)
+    monkeypatch.setattr(core, "_CHAIN_STATES", 2)
     assert steady_state_general(chain) == (F(1), F(0))
 
 
