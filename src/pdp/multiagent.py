@@ -7,10 +7,10 @@ numerator/denominator shifts each candidate set induces.  A slot is kept
 only when it is consistent with the guess, which makes the slot value
 equal the true profit.
 
-One core, `_threshold_dp`, runs that DP.  The multi-agent problem is the
-competitive one with no rival platforms, so `multi_agent_solve` builds
-that competitive instance and hands it to `competitive_solve`.  Each
-agent's Pareto curves, over the rival platforms alone and with the
+One core, `competitive_solve`, runs that DP.  The multi-agent problem
+is the competitive one with no rival platforms, so `multi_agent_solve`
+builds that competitive instance and hands it to `competitive_solve`.
+Each agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
 `CurveImage`, integer entries in the greedy's order (psi descending).
 One `CurvePool` over a fixed pool of rival platforms builds them: it
@@ -19,12 +19,12 @@ curves on those integer points (`competitive_run`, the integer hull
 `multiplatform.state_run`), so no `Fraction` is made to build them, and
 keeps each state's run for every set of rivals that has it.  A lone
 instance pools its own externals; a game search, every rival candidate.
-`competitive_solve` takes each agent's theta grid from the entries' psi.
-Per agent and threshold guess, `agent_guess` walks the entries down to
-the guess and reads off the candidates the agent picks, its utility
-numerator and denominator without them (a_hat, b_hat), and the shift
-each pick adds (sigma, tau); with no rival platforms a_hat = A, b_hat =
-B, sigma = z*phi, tau = z.  `competitive_profit_pair` runs
+Per agent, `agent_guesses` walks the entries once and yields a guess
+above every psi, then one per distinct psi, each window bounded by the
+entries' own psi.  Each guess reads off the candidates the agent picks,
+its utility numerator and denominator without them (a_hat, b_hat), and
+the shift each pick adds (sigma, tau); with no rival platforms a_hat =
+A, b_hat = B, sigma = z*phi, tau = z.  `competitive_profit_pair` runs
 `multiplatform.greedy_walk`, the greedy `solve-multiplatform-agent` runs
 and `verify` checks against its oracle, over the same entries, and gives
 the profit as an integer (num, den), which a game search compares as it
@@ -38,14 +38,12 @@ integer denominator, and consistency is an integer window on the sum
 of sigma.  The pool reads each agent's values as Pairs, and so an
 agent may be a game's view (`game.ViewAgent`) as well as a flower.
 Besides the external platforms' own `Fraction` z and phi, the solve
-makes a `Fraction` for each curve entry's psi (the theta grids), one per
-agent for its windows' floor of -1 (`_windows`) and one for the
-returned profit.
+makes one `Fraction`: the returned profit.
 
 delta and delta_prime only validate documents: the builders check every
 z and phi against them (`grid_fault`, `_LEVEL_CEILING`), and no table
 is kept in their units.  The slot keys depend on the theta guesses
-alone; only the values depend on D.  So `_threshold_dp` drops each
+alone; only the values depend on D.  So `competitive_solve` drops each
 agent's guesses that keep no shift pair inside their windows
 (`AgentGuess.kept`) before it combines them, and it bounds its work by
 one budget, `_DP_WORK`, counted as its tables grow.
@@ -159,20 +157,6 @@ def build_multi_agent_instance(
     return mi
 
 
-INF = None  # theta value meaning "adopt nothing"
-
-
-def theta_grid(values) -> tuple:
-    """An agent's threshold guesses: INF, then the distinct values descending."""
-    return (INF, *sorted(set(values), reverse=True))
-
-
-def _windows(grid):
-    """(theta, theta_next) per guess, so the guesses' windows
-    [theta_next, theta) cover every utility >= -1."""
-    return zip(grid, (*grid[1:], Fraction(-1)))
-
-
 @dataclass(frozen=True)
 class AgentGuess:
     """One agent under one threshold guess, over integers at the scale L
@@ -194,66 +178,73 @@ class AgentGuess:
     kept: dict[tuple[int, int], int]
 
 
-def agent_guess(im: CurveImage, theta, theta_next, work: _Work) -> AgentGuess:
-    """The AgentGuess of one agent under the window [theta_next, theta),
-    read off the agent's CurveImage.  The set of shift pairs the picks
-    reach is built once and counted on work as it grows; a pair's window
-    is worked out the first time its denominator shift comes up.
+def agent_guesses(im: CurveImage, work: _Work):
+    """Each AgentGuess of one agent, read off its CurveImage in one walk
+    over im.entries: first the guess above every psi, then one per
+    distinct psi, descending.  The guess yielded where a run of equal psi
+    begins has the window [that psi, the previous run's psi), with no
+    upper bound for the first; the last one's floor is -1.  So the
+    windows cover every utility >= -1.  Bounds are (psi, psi_den) pairs.
+    The set of shift pairs a guess's picks reach is built once and
+    counted on work as it grows; a pair's window is worked out the first
+    time its denominator shift comes up.
 
-    One walk over im.entries, down to the first psi < theta, keeps the
-    last entry per (curve set, state): the point the agent selects on
-    that curve at every utility in the window.  This needs psi to fall
-    strictly along each curve and every psi to be a value of the agent's
-    theta grid, so that no curve has a slope in [theta_next, theta).  On
+    The walk keeps the last entry per (curve set, state) as it goes: at a
+    guess, the point the agent selects on that curve at every utility in
+    the window.  This needs psi to fall strictly along each curve, and
+    equal psi to lie next to each other, as merge_runs lists them.  On
     the rival curves that entry is the agent's fallback; the agent picks
     the designer's candidate at a state when the entry kept on its
     inserted curve is that candidate, which replaces the fallback there.
-    Each psi >= theta test reads psi_num * theta_den >= theta_num *
-    psi_den, as both denominators are positive.
     """
     last: dict[tuple[bool, int], CurveEntry] = {}
-    if theta is not INF:
-        t_num, t_den = theta.numerator, theta.denominator
-        for e in im.entries:
-            if e.psi * t_den < t_num * e.psi_den:
-                break
-            last[e.inserted, e.state] = e
-    fall = {s: e for (inserted, s), e in last.items() if not inserted}
-    a_hat = im.A + sum(f.zphi for f in fall.values())
-    b_hat = im.B + sum(f.z for f in fall.values())
+    top = None  # the window's upper bound; None: none
     n = len(im.dw)
-    member = [False] * n
-    sigma, tau = [0] * n, [0] * n
-    for (inserted, s), e in last.items():
-        if inserted and e.own:
-            f = fall.get(s)
-            member[s - 1] = True
-            sigma[s - 1] = e.zphi - (f.zphi if f else 0)
-            tau[s - 1] = e.z - (f.z if f else 0)
-    pairs = {(0, 0)}
-    for a, b in zip(sigma, tau):
-        if a or b:
-            pairs |= {(x + a, y + b) for x, y in pairs}
-            work.add(len(pairs))
-    # With shifts (a, b) the utility is (a_hat + a) / D, D = b_hat + b,
-    # which is >= t = t_num / t_den iff a >= (t_num*D - t_den*a_hat) / t_den:
-    # lo is that bound's ceiling at theta_next, and hi one less than it at
-    # theta (None: no upper bound).
-    n_num, n_den = theta_next.numerator, theta_next.denominator
-    windows = {}  # denominator shift -> (D, lo, hi)
-    kept = {}
-    for a, b in pairs:
-        if b not in windows:
-            D = b_hat + b
-            lo = -((n_den * a_hat - n_num * D) // n_den)
-            hi = None
-            if theta is not INF:
-                hi = -((t_den * a_hat - t_num * D) // t_den) - 1
-            windows[b] = D, lo, hi
-        D, lo, hi = windows[b]
-        if lo <= a and (hi is None or a <= hi):
-            kept[a, b] = D
-    return AgentGuess(tuple(member), tuple(sigma), tuple(tau), im.dw, kept)
+
+    def guess(floor):
+        fall = {s: e for (inserted, s), e in last.items() if not inserted}
+        a_hat = im.A + sum(f.zphi for f in fall.values())
+        b_hat = im.B + sum(f.z for f in fall.values())
+        member = [False] * n
+        sigma, tau = [0] * n, [0] * n
+        for (inserted, s), e in last.items():
+            if inserted and e.own:
+                f = fall.get(s)
+                member[s - 1] = True
+                sigma[s - 1] = e.zphi - (f.zphi if f else 0)
+                tau[s - 1] = e.z - (f.z if f else 0)
+        pairs = {(0, 0)}
+        for a, b in zip(sigma, tau):
+            if a or b:
+                pairs |= {(x + a, y + b) for x, y in pairs}
+                work.add(len(pairs))
+        # With shifts (a, b) the utility is (a_hat + a) / D, D = b_hat + b,
+        # which is >= t = t_num / t_den (t_den > 0) iff a >= (t_num*D -
+        # t_den*a_hat) / t_den: lo is that bound's ceiling at the floor,
+        # and hi one less than it at the top (None: no upper bound).
+        n_num, n_den = floor
+        windows = {}  # denominator shift -> (D, lo, hi)
+        kept = {}
+        for a, b in pairs:
+            if b not in windows:
+                D = b_hat + b
+                lo = -((n_den * a_hat - n_num * D) // n_den)
+                hi = None
+                if top is not None:
+                    t_num, t_den = top
+                    hi = -((t_den * a_hat - t_num * D) // t_den) - 1
+                windows[b] = D, lo, hi
+            D, lo, hi = windows[b]
+            if lo <= a and (hi is None or a <= hi):
+                kept[a, b] = D
+        return AgentGuess(tuple(member), tuple(sigma), tuple(tau), im.dw, kept)
+
+    for e in im.entries:
+        if top is None or e.psi * top[1] != top[0] * e.psi_den:
+            yield guess((e.psi, e.psi_den))
+            top = e.psi, e.psi_den
+        last[e.inserted, e.state] = e
+    yield guess((-1, 1))
 
 
 def slot_coefficients(guesses, denominators, cost, cost_scale: int) -> tuple[tuple[int, ...], int]:
@@ -287,27 +278,26 @@ class _Work:
             raise TooLarge(f"the threshold DP needs more than {_DP_WORK} units of work")
 
 
-def _threshold_dp(ci: CompetitiveInstance, grids) -> DesignSet:
-    """Best consistent slot over every (theta, D) guess.
+def competitive_solve(ci: CompetitiveInstance) -> DesignSet:
+    """Exact optimum when agents also see competitor-owned platforms: the
+    best consistent slot over every (theta, D) guess.
 
-    grids[i] is agent i's theta grid (see theta_grid).  A slot is
-    consistent when each agent's own shift pair is in the kept pairs of
-    that agent's guess, so a guess that keeps none is in no consistent
-    combination and is dropped before the theta guesses are combined.
-    Per remaining combination a key-only pass finds the reachable joint
-    keys; those whose every agent pair is kept fix the agents' D worth a
-    valued DP, and the slots worth reading in it.  Ties break toward the
-    lexicographically smallest state tuple.  Past _DP_WORK units of work
-    the DP raises TooLarge.
+    Each agent's theta guesses are those agent_guesses reads off its
+    curves.  A slot is consistent when each agent's own shift pair is in
+    the kept pairs of that agent's guess, so a guess that keeps none is
+    in no consistent combination and is dropped before the theta guesses
+    are combined.  Per remaining combination a key-only pass finds the
+    reachable joint keys; those whose every agent pair is kept fix the
+    agents' D worth a valued DP, and the slots worth reading in it.  Ties
+    break toward the lexicographically smallest state tuple.  Past
+    _DP_WORK units of work the DP raises TooLarge.  The returned profit
+    is the one Fraction the solve makes.
     """
     mi = ci.mi
     k = mi.k
     cost_scale, cost = mi.integer_cost
     work = _Work()
-    kept = []
-    for grid, im in zip(grids, ci.curves):
-        gs = (agent_guess(im, theta, theta_next, work) for theta, theta_next in _windows(grid))
-        kept.append([g for g in gs if g.kept])
+    kept = [[g for g in agent_guesses(im, work) if g.kept] for im in ci.curves]
 
     best = None  # (value numerator, its denominator, states)
     for combo in itertools.product(*kept):
@@ -531,8 +521,3 @@ def competitive_profit_pair(ci: CompetitiveInstance, S) -> tuple[int, int]:
             num, den = num * D + rev * den, den * D
     return num, den
 
-
-def competitive_solve(ci: CompetitiveInstance) -> DesignSet:
-    """Exact optimum when agents also see competitor-owned platforms."""
-    grids = [theta_grid(Fraction(e.psi, e.psi_den) for e in im.entries) for im in ci.curves]
-    return _threshold_dp(ci, grids)

@@ -25,14 +25,11 @@ from pdp.instances import (
     gen_two_agent_partition,
 )
 from pdp.multiagent import (
-    INF,
     AgentGuess,
     CompetitiveInstance,
     CurveImage,
     ExternalPlatform,
-    _threshold_dp,
-    _windows,
-    agent_guess,
+    agent_guesses,
     build_competitive_instance,
     build_multi_agent_instance,
     competitive_profit,
@@ -40,11 +37,86 @@ from pdp.multiagent import (
     multi_agent_profit,
     multi_agent_solve,
     slot_coefficients,
-    theta_grid,
 )
 from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve
 from test_game import reference_designer_view
 from test_multiplatform import _chain_prune_redundant
+
+
+# The guess layer as it stood before agent_guesses read the guesses off
+# the curve entries in one walk: a Fraction theta grid per agent, with INF
+# for "adopt nothing", its windows, and one walk down the entries per
+# window.  The references below and the tests of agent_guesses read them.
+
+INF = None  # theta value meaning "adopt nothing"
+
+
+def theta_grid(values) -> tuple:
+    """An agent's threshold guesses: INF, then the distinct values descending."""
+    return (INF, *sorted(set(values), reverse=True))
+
+
+def _windows(grid):
+    """(theta, theta_next) per guess, so the guesses' windows
+    [theta_next, theta) cover every utility >= -1."""
+    return zip(grid, (*grid[1:], F(-1)))
+
+
+def _entry_grids(ci):
+    """Each agent's theta grid over the psi of its curve entries."""
+    return [theta_grid(F(e.psi, e.psi_den) for e in im.entries) for im in ci.curves]
+
+
+def agent_guess(im, theta, theta_next, work):
+    """The AgentGuess of one agent under the window [theta_next, theta):
+    one walk over im.entries, down to the first psi < theta, keeps the
+    last entry per (curve set, state)."""
+    last = {}
+    if theta is not INF:
+        t_num, t_den = theta.numerator, theta.denominator
+        for e in im.entries:
+            if e.psi * t_den < t_num * e.psi_den:
+                break
+            last[e.inserted, e.state] = e
+    fall = {s: e for (inserted, s), e in last.items() if not inserted}
+    a_hat = im.A + sum(f.zphi for f in fall.values())
+    b_hat = im.B + sum(f.z for f in fall.values())
+    n = len(im.dw)
+    member = [False] * n
+    sigma, tau = [0] * n, [0] * n
+    for (inserted, s), e in last.items():
+        if inserted and e.own:
+            f = fall.get(s)
+            member[s - 1] = True
+            sigma[s - 1] = e.zphi - (f.zphi if f else 0)
+            tau[s - 1] = e.z - (f.z if f else 0)
+    pairs = {(0, 0)}
+    for a, b in zip(sigma, tau):
+        if a or b:
+            pairs |= {(x + a, y + b) for x, y in pairs}
+            work.add(len(pairs))
+    n_num, n_den = theta_next.numerator, theta_next.denominator
+    windows = {}  # denominator shift -> (D, lo, hi)
+    kept = {}
+    for a, b in pairs:
+        if b not in windows:
+            D = b_hat + b
+            lo = -((n_den * a_hat - n_num * D) // n_den)
+            hi = None
+            if theta is not INF:
+                hi = -((t_den * a_hat - t_num * D) // t_den) - 1
+            windows[b] = D, lo, hi
+        D, lo, hi = windows[b]
+        if lo <= a and (hi is None or a <= hi):
+            kept[a, b] = D
+    return AgentGuess(tuple(member), tuple(sigma), tuple(tau), im.dw, kept)
+
+
+def windowed_guesses(im, grid):
+    """(theta, theta_next, agent_guesses' guess) per window of grid, in
+    order; a guess too many or too few fails."""
+    guesses = agent_guesses(im, multiagent._Work())
+    return [(*window, g) for window, g in zip(_windows(grid), guesses, strict=True)]
 
 
 # Reference solvers: the threshold DP on Fractions, one copy per solver,
@@ -483,7 +555,7 @@ def doubling_levels_instance(n):
 
 def test_dp_work_counts_the_pair_set_as_it_grows(monkeypatch):
     # 2^20 reachable shift pairs: the budget must stop the pair set while
-    # agent_guess grows it, at no more than twice the budget, not once it is
+    # agent_guesses grows it, at no more than twice the budget, not once it is
     # built or in a later stage.
     mi = doubling_levels_instance(20)
     largest = []
@@ -497,8 +569,8 @@ def test_dp_work_counts_the_pair_set_as_it_grows(monkeypatch):
     monkeypatch.setattr(multiagent, "_DP_WORK", 10**4)
     with pytest.raises(TooLarge, match="^the threshold DP needs more than 10000 units") as info:
         multi_agent_solve(mi)
-    # _threshold_dp builds every guess before it combines any.
-    assert any(entry.name == "agent_guess" for entry in info.traceback)
+    # competitive_solve builds every guess before it combines any.
+    assert any(entry.name == "agent_guesses" for entry in info.traceback)
     assert max(largest) <= 2 * 10**4
 
 
@@ -511,6 +583,40 @@ def test_dp_work_figures(monkeypatch):
         mi = gen_random_multi_agent(*shape, seed=1)
         result, units = _dp_work(monkeypatch, lambda: multi_agent_solve(mi))
         assert isinstance(result, TooLarge) and units == [refused_at], shape
+
+
+def test_dp_work_baselines(monkeypatch):
+    # The DesignSets and units of work of two seeded solves, with the budget
+    # out of the way: a baseline for changes to the guess order.
+    monkeypatch.setattr(multiagent, "_DP_WORK", 10**7)
+    for shape, states, profit, want in [
+        ((8, 3, 1), {1, 4}, F(7662403391, 842539860), 121_044),
+        ((10, 2, 1), {3, 6, 10}, F(225697, 36332), 245_722),
+    ]:
+        mi = gen_random_multi_agent(*shape[:2], seed=shape[2])
+        result, units = _dp_work(monkeypatch, lambda: multi_agent_solve(mi))
+        assert (result, units) == (DesignSet(frozenset(states), profit), [want]), shape
+
+
+def test_competitive_solve_makes_one_fraction(monkeypatch):
+    # The threshold DP works on integers from the curve entries to its
+    # best slot: its one Fraction is the returned profit, whatever the
+    # number of agents, rivals and curve entries.
+    made = []
+    real = multiagent.Fraction
+
+    def counting(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(multiagent, "Fraction", counting)
+    for n, k, seed in [(3, 1, 21), (4, 2, 22), (3, 3, 23)]:
+        mi = gen_random_multi_agent(n, k, seed=seed)
+        ci = build_competitive_instance(mi, random_externals(mi, seed, count=3))
+        made.clear()
+        result = competitive_solve(ci)
+        assert sum(len(im.entries) for im in ci.curves) > n
+        assert made == [result.profit]
 
 
 def test_quantization_grid_only_validates(monkeypatch):
@@ -661,10 +767,7 @@ def test_competitive_solves_shifts_off_the_grid():
     # optimum, and build_competitive_instance still refuses its externals.
     for ci in off_grid_instances():
         taus = {
-            F(t, im.L)
-            for grid, im in zip(_solve_grids(ci), ci.curves)
-            for theta, theta_next in _windows(grid)
-            for t in agent_guess(im, theta, theta_next, multiagent._Work()).tau
+            F(t, im.L) for im in ci.curves for g in agent_guesses(im, multiagent._Work()) for t in g.tau
         }
         assert any(t % ci.mi.delta for t in taus)
         result = competitive_solve(ci)
@@ -778,11 +881,12 @@ def test_dominant_externals_kill_the_market():
 # The threshold DP before its key-only pass: one valued subset DP per
 # (theta combination, D option), most of which hold no consistent slot.
 # It and the combination DP below read the two-loop reference's guesses
-# and options, not agent_guess.
+# and options over the entries' theta grids, not agent_guesses.
 
 
-def _valued_threshold_dp(ci, grids):
+def _valued_threshold_dp(ci):
     mi = ci.mi
+    grids = _entry_grids(ci)
     k = mi.k
     cost_scale, cost = scale_to_integers(mi.cost)
     guesses = [
@@ -855,6 +959,11 @@ def random_game(seed):
     return build_game_instance(chassis, designers, F(1), F(1, 4))
 
 
+def _competitive_solve(ci):
+    """competitive_solve, looked up on the module at each call."""
+    return multiagent.competitive_solve(ci)
+
+
 def _threshold_dp_cases():
     """(solve, instance) pairs that run the threshold DP: seeded
     multi-agent and competitive instances, a two-agent partition fixture
@@ -866,7 +975,7 @@ def _threshold_dp_cases():
         mi = generate(n, k, seed=900 + idx)
         cases.append((multi_agent_solve, mi))
         ci = build_competitive_instance(mi, random_externals(mi, idx, count=1 + idx % 3))
-        cases.append((competitive_solve, ci))
+        cases.append((_competitive_solve, ci))
     cases.append((multi_agent_solve, gen_two_agent_partition((1, 2, 3)).mi))
     rng = random.Random(17)
     for g in [gen_no_nash_game()] + [random_game(seed) for seed in range(12)]:
@@ -879,10 +988,12 @@ def _threshold_dp_cases():
 
 
 def _assert_threshold_dp_matches(monkeypatch, cases, reference):
-    """States and exact profit of every case equal those with the threshold
-    DP swapped for reference."""
+    """States and exact profit of every case equal those with
+    competitive_solve, which runs the threshold DP for every case, swapped
+    for reference."""
     got = [run(inst) for run, inst in cases]
-    monkeypatch.setattr(multiagent, "_threshold_dp", reference)
+    monkeypatch.setattr(multiagent, "competitive_solve", reference)
+    monkeypatch.setattr(game, "competitive_solve", reference)
     want = [run(inst) for run, inst in cases]
     for idx, (g, w) in enumerate(zip(got, want)):
         assert (g.states, g.profit) == (w.states, w.profit), idx
@@ -903,8 +1014,9 @@ def _ref_in_windows(numerators, option):
     return all(map(_in_window, numerators, option))
 
 
-def _combination_threshold_dp(ci, grids):
+def _combination_threshold_dp(ci):
     mi = ci.mi
+    grids = _entry_grids(ci)
     k = mi.k
     cost_scale, cost = mi.integer_cost
     guesses = [
@@ -971,7 +1083,7 @@ def _three_agent_cases():
         mi = generate(n, 3, seed=1300 + idx)
         cases.append((multi_agent_solve, mi))
         ci = build_competitive_instance(mi, random_externals(mi, idx, count=1 + idx % 3))
-        cases.append((competitive_solve, ci))
+        cases.append((_competitive_solve, ci))
     return cases
 
 
@@ -1024,8 +1136,7 @@ def test_kept_pairs_match_brute_force():
         for i, (grid, im) in enumerate(zip(_solve_grids(ci), ci.curves)):
             u0 = _empty_offer_utility(_ref_agent_curves(ci, i)[0], ci.mi.params[i])
             holders = 0
-            for theta, theta_next in _windows(grid):
-                g = agent_guess(im, theta, theta_next, multiagent._Work())
+            for theta, theta_next, g in windowed_guesses(im, grid):
                 ref, options = two_loop_agent_guess(im, theta, theta_next, *steps)
                 brute = replace(ref, kept=_brute_kept_pairs(ref, options))
                 assert g.kept == in_shifts(brute, im.L, *steps).kept, (theta, theta_next)
@@ -1046,8 +1157,8 @@ def _ref_grid(base, with_own):
 
 
 def _solve_grids(ci):
-    """The theta grids competitive_solve hands the threshold DP, read off
-    the Fraction Pareto curves."""
+    """Each agent's theta grid over its Fraction Pareto curves: the
+    windows of the guesses agent_guesses yields, in order."""
     return [_ref_grid(*_ref_agent_curves(ci, i)) for i in range(ci.mi.k)]
 
 
@@ -1136,7 +1247,7 @@ def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
     # slot of {1} at denominator shift 1, D = 3, is the only consistent one, and
     # skipping its D leaves no candidate.
     mi = gen_random_multi_agent(2, 1, seed=12)
-    monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
+    monkeypatch.setattr(multiagent, "agent_guesses", lambda im, work: [_hand_guess(lo, hi)])
     calls = []
 
     def counting(guesses, denominators, *args):
@@ -1144,7 +1255,7 @@ def test_threshold_dp_keeps_slot_on_window_edge(monkeypatch, lo, hi):
         return slot_coefficients(guesses, denominators, *args)
 
     monkeypatch.setattr(multiagent, "slot_coefficients", counting)
-    result = _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
+    result = competitive_solve(CompetitiveInstance(mi, ()))
     assert calls == [(3,)]
     assert result == DesignSet(frozenset({1}), F(12, 3) - mi.cost[0])
 
@@ -1154,10 +1265,10 @@ def test_threshold_dp_raises_when_no_guess_is_kept(monkeypatch, lo, hi):
     # Shift 0's window misses the empty key and shift 1's misses (3, 1), so
     # the one guess keeps no shift pair and no valued DP runs.
     mi = gen_random_multi_agent(2, 1, seed=12)
-    monkeypatch.setattr(multiagent, "agent_guess", lambda *args: _hand_guess(lo, hi))
+    monkeypatch.setattr(multiagent, "agent_guesses", lambda im, work: [_hand_guess(lo, hi)])
     monkeypatch.setattr(multiagent, "slot_coefficients", None)
     with pytest.raises(RuntimeError, match="no consistent \\(theta, D\\) guess"):
-        _threshold_dp(CompetitiveInstance(mi, ()), [(INF,)])
+        competitive_solve(CompetitiveInstance(mi, ()))
 
 
 @pytest.mark.parametrize(
@@ -1176,10 +1287,15 @@ def test_agent_guess_keeps_pairs_on_window_edges(theta, theta_next, kept):
     # slot's utility 1 lies under every window.  That of {1}, (1 + 3) /
     # (1 + 1) = 2 with D = 2, lies on theta_next (on-lo); just under theta,
     # which numerator shift 4 would reach (on-hi); under theta_next
-    # (under-lo); and on theta (on-theta).
-    entry = CurveEntry(psi=3, psi_den=1, state=1, idx=0, z=1, zphi=3, own=True, inserted=True)
-    im = CurveImage(L=1, A=1, B=1, dw=(12, 0), entries=(entry,))
-    g = agent_guess(im, theta, theta_next, multiagent._Work())
+    # (under-lo); and on theta (on-theta).  The entries' psi set the
+    # window of agent_guesses' second guess: the candidate's is theta, and
+    # a point of no one's own on state 2's inserted curve has theta_next.
+    entries = (
+        CurveEntry(theta.numerator, theta.denominator, 1, 0, z=1, zphi=3, own=True, inserted=True),
+        CurveEntry(theta_next.numerator, theta_next.denominator, 2, 0, 1, 1, own=False, inserted=True),
+    )
+    im = CurveImage(L=1, A=1, B=1, dw=(12, 0), entries=entries)
+    _, g, _ = agent_guesses(im, multiagent._Work())
     assert (g.member, g.sigma, g.tau) == ((True, False), (3, 0), (1, 0))
     assert g.kept == kept
 
@@ -1240,9 +1356,8 @@ def test_agent_guess_keeps_pairs_on_window_edges_of_real_curves():
     each), every guess keeps exactly the brute force's pairs."""
     edges = Counter()
     for ci in edge_instances():
-        (grid,), (im,) = _solver_grids(ci), ci.curves
-        for theta, theta_next in _windows(grid):
-            g = agent_guess(im, theta, theta_next, multiagent._Work())
+        (grid,), (im,) = _entry_grids(ci), ci.curves
+        for theta, theta_next, g in windowed_guesses(im, grid):
             kept, met = brute_force_window(im, g, theta, theta_next)
             assert g.kept == kept, (ci.mi.params[0].pairs, theta, theta_next)
             edges += met
@@ -1388,12 +1503,12 @@ def kept_from_options(a_steps, b_steps, options):
     return {(a, b): by_level[b][1] for a, b in pairs if _in_window(a, by_level[b])}
 
 
-# agent_guess as it stood before the one walk over the sorted entries, on
-# the counters of the quantization grid: two loops over per-curve entry
-# dicts, and a theta_next test on the slope into the next point of the
-# inserted curve.  It returns a RefGuess and the options the DP read
-# before the one pass over the counter pairs: per reachable denominator
-# level in increasing order, (level, D*L, lo, hi).
+# The per-window guess as it stood before its one walk over the sorted
+# entries, on the counters of the quantization grid: two loops over
+# per-curve entry dicts, and a theta_next test on the slope into the next
+# point of the inserted curve.  It returns a RefGuess and the options the
+# DP read before the one pass over the counter pairs: per reachable
+# denominator level in increasing order, (level, D*L, lo, hi).
 
 
 def _curve_dicts(im):
@@ -1457,8 +1572,9 @@ def two_loop_agent_guess(im, theta, theta_next, delta, delta_prime):
 
 
 def assert_guesses_match(ci, delta=None, delta_prime=None, ref=None):
-    """Every agent's guess under every window of competitive_solve's grids
-    equals the two-loop reference's on the grid of delta and delta_prime
+    """Every guess agent_guesses yields, one per window of the grid of the
+    Fraction curves and in order, equals the per-window reference's and
+    the two-loop reference's on the grid of delta and delta_prime
     (the instance's by default), its counters read as shifts at the
     curves' scale.  The two-loop reference equals the Fraction reference,
     read off ref (by default ci; a game's instance passes its reference
@@ -1472,8 +1588,8 @@ def assert_guesses_match(ci, delta=None, delta_prime=None, ref=None):
     delta_prime = mi.delta_prime if delta_prime is None else delta_prime
     for a, dp, im, curves in zip(mi.agents, mi.params, ci.curves, _ref_curves(ref)):
         dw = [d * w for d, w in zip(a.d, dp.w)]
-        for theta, theta_next in _windows(_ref_grid(*curves)):
-            got = agent_guess(im, theta, theta_next, multiagent._Work())
+        for theta, theta_next, got in windowed_guesses(im, _ref_grid(*curves)):
+            assert got == agent_guess(im, theta, theta_next, multiagent._Work())
             two_loop, options = two_loop_agent_guess(im, theta, theta_next, delta, delta_prime)
             assert got == in_shifts(two_loop, im.L, delta, delta_prime)
             want, want_options, L = reference_agent_guess(
@@ -1561,6 +1677,40 @@ def test_competitive_profit_matches_greedy_reference():
         assert competitive_profit(ci, S) == want, (S, ci.externals)
 
 
+def tie_instance():
+    """One agent over two states with a rival at state 1, whose curve
+    entries tie: the rival's point (z 1, phi 3) is the first on both of
+    state 1's curves, psi 3, and the candidate there (z 2, phi 2) follows
+    it on the inserted curve at slope 1, the psi of state 2's candidate
+    (z 1, phi 1)."""
+    half = F(1, 2)
+    agent = build_flower_from_potentials(
+        [half] * 2, [half] * 2, [F(0)] * 2, [F(2), F(1)], [F(2), F(1)], [F(1)] * 2, [F(1)] * 2
+    )
+    mi = build_multi_agent_instance([agent], F(1), half)
+    return build_competitive_instance(mi, [ExternalPlatform("r", 1, (F(1),), (F(3),))])
+
+
+def test_agent_guesses_yield_one_guess_per_distinct_psi():
+    ci = tie_instance()
+    (im,) = ci.curves
+    psi = [F(e.psi, e.psi_den) for e in im.entries]
+    assert psi == [3, 3, 1, 1]
+    assert [(e.state, e.inserted, e.own) for e in im.entries] == [
+        (1, False, False), (1, True, False), (1, True, True), (2, True, True)
+    ]
+    # One guess above every psi, then one per distinct psi, each equal to
+    # the reference's for its window.
+    grid = theta_grid(psi)
+    assert grid == (INF, 3, 1)
+    guesses = windowed_guesses(im, grid)
+    for theta, theta_next, g in guesses:
+        assert g == agent_guess(im, theta, theta_next, multiagent._Work())
+    assert [g.member for _, _, g in guesses] == [(False, False), (False, False), (True, True)]
+    result = competitive_solve(ci)
+    assert result.profit == max(competitive_profit(ci, S) for S in all_subsets(2))
+
+
 def test_agent_guess_matches_reference():
     for ci in reference_instances():
         assert_guesses_match(ci)
@@ -1572,23 +1722,12 @@ def test_agent_guess_matches_reference():
         assert_guesses_match(ci, ci.mi.delta / 2, ci.mi.delta_prime)
 
 
-def _solver_grids(ci):
-    """The theta grids competitive_solve builds, caught on their way to the
-    threshold DP."""
-    caught = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiagent, "_threshold_dp", lambda _, grids: caught.append(grids))
-        competitive_solve(ci)
-    return caught[0]
-
-
 def assert_entries_invariant(ci, ref=None):
-    """What agent_guess's one walk relies on: psi never rises along the
+    """What agent_guesses's one walk relies on: psi never rises along the
     entries; each (state, inserted) curve's entries come in idx order 0, 1,
-    2, ... with psi strictly falling; and every psi is a value of the grid
-    competitive_solve builds, which equals the grid of the Fraction curves
-    of ref (by default ci)."""
-    grids = _solver_grids(ci)
+    2, ... with psi strictly falling; and the entries' psi are the values
+    of the grid of the Fraction curves of ref (by default ci)."""
+    grids = _entry_grids(ci)
     assert grids == _solve_grids(ref or ci)
     for im, grid in zip(ci.curves, grids):
         values = set(grid[1:])
