@@ -24,6 +24,7 @@ from .core import (
     GeneralChain,
     Pair,
     ReducibleChain,
+    TooLarge,
     all_subsets,
     build_flower_from_pairs,
     build_general_chain,
@@ -600,11 +601,12 @@ def _guard_brute_force(n: int, sweeps: int = 1) -> None:
 
 
 def _check(name: str, run: Callable[[], dict], *skips: type[ValueError]) -> dict:
-    """Check `name` with the fields `run()` returns, in order; a `_Skip` or
-    one of `skips` from `run` reports the check as skipped, for its reason."""
+    """Check `name` with the fields `run()` returns, in order; a `_Skip`, a
+    TooLarge (a guard or budget spent) or one of `skips` from `run` reports
+    the check as skipped, for its reason."""
     try:
         return {"check": name, **run()}
-    except (_Skip, *skips) as exc:
+    except (_Skip, TooLarge, *skips) as exc:
         return {"check": name, "skipped": str(exc)}
 
 
@@ -631,11 +633,10 @@ def _verify_flower(inst: FlowerInstance) -> list[dict]:
         return _compared(match, approx.profit, exact.profit)
 
     # A negative-z state survived preprocessing, or a cost is too large a
-    # multiple of K: the FPTAS does not cover the instance.  Or its table or
-    # the oracle's search spent its budget.
-    uncovered = (designer.QuantizationError, designer.CostBoundError, agent.TooLarge)
+    # multiple of K: the FPTAS does not cover the instance.
+    uncovered = (designer.QuantizationError, designer.CostBoundError)
     return [
-        _check("agent greedy vs oracle", greedy, agent.TooLarge),
+        _check("agent greedy vs oracle", greedy),
         _check("designer fptas vs oracle", fptas, *uncovered),
     ]
 
@@ -661,11 +662,11 @@ def _verify_threshold_dp(obj) -> list[dict]:
         match = sel.utility == oracle.utility and local
         return _compared(match, sel.utility, oracle.utility, locally_optimal=local)
 
-    checks = [_check(f"{name} dp vs brute force", optimum, agent.TooLarge)]
+    checks = [_check(f"{name} dp vs brute force", optimum)]
     if isinstance(obj, CompetitiveInstance):
         for i in range(obj.mi.k):
             check = f"agent {i + 1} multiplatform greedy vs oracle"
-            checks.append(_check(check, partial(multiplatform_greedy, i), agent.TooLarge))
+            checks.append(_check(check, partial(multiplatform_greedy, i)))
     return checks
 
 
@@ -696,12 +697,10 @@ def _verify_game(g: game.GameInstance) -> list[dict]:
         return {"nash": _profile_doc(profile), "match": match}
 
     checks = [
-        _check(
-            f"designer {d + 1} best response vs brute force", partial(response, d), agent.TooLarge
-        )
+        _check(f"designer {d + 1} best response vs brute force", partial(response, d))
         for d in range(g.num_designers)
     ]
-    return [*checks, _check("pure nash vs definition", nash, agent.TooLarge)]
+    return [*checks, _check("pure nash vs definition", nash)]
 
 
 def _verify_chain(chain: GeneralChain) -> list[dict]:
@@ -715,7 +714,7 @@ def _verify_chain(chain: GeneralChain) -> list[dict]:
         )
         return {"pi": [str(v) for v in pi], "match": match}
 
-    return [_check("steady state is stationary", stationary, ReducibleChain, agent.TooLarge)]
+    return [_check("steady state is stationary", stationary, ReducibleChain)]
 
 
 _CHECKERS = {

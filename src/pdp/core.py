@@ -75,7 +75,7 @@ def as_pair(value) -> Pair:
     return value if type(value) is tuple else (value.numerator, value.denominator)
 
 
-def _fraction_view(name: str) -> cached_property:
+def fraction_view(name: str) -> cached_property:
     """The Fractions of the tuple of Pairs self.pairs.<name>, built on first
     read and kept."""
     return cached_property(lambda self: tuple(Fraction(*v) for v in getattr(self.pairs, name)))
@@ -100,7 +100,7 @@ class FlowerInstance:
 
     pairs: FlowerPairs
 
-    p, q, y, c_life, c_platform, d, cost = map(_fraction_view, FlowerPairs._fields)
+    p, q, y, c_life, c_platform, d, cost = map(fraction_view, FlowerPairs._fields)
 
     @property
     def n(self) -> int:
@@ -209,7 +209,7 @@ class DerivedParams:
 
     pairs: DerivedPairs
 
-    lam, w, z, phi = map(_fraction_view, DerivedPairs._fields[:4])
+    lam, w, z, phi = map(fraction_view, DerivedPairs._fields[:4])
     A = cached_property(lambda self: Fraction(*self.pairs.A))
     B = cached_property(lambda self: Fraction(*self.pairs.B))
 

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import TooLarge
-from .core import FlowerInstance, IntegerImage, ScaledParams, designer_profit
+from .core import FlowerInstance, IntegerImage, ScaledParams, TooLarge, designer_profit
 
 # The largest cost/K ratio r the FPTAS accepts, the most bins its table may
 # hold after a stage, and the most offered sets designer_oracle visits.  The

@@ -25,28 +25,27 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .agent import TooLarge
 from .core import (
     DerivedPairs,
     DerivedParams,
     FlowerInstance,
     Pair,
-    _fraction_view,
+    TooLarge,
     all_subsets,
     as_pair,
+    fraction_view,
     sum_pair,
 )
-from .designer import DesignSet, QuantizationError
+from .designer import DesignSet
 from .multiagent import (
-    _LEVEL_CEILING,
     CompetitiveInstance,
     CurvePool,
     ExternalPlatform,
     MultiAgentInstance,
-    check_quantization_steps,
+    check_agent_set,
+    check_grid,
     competitive_profit_pair,
     competitive_solve,
-    grid_fault,
 )
 
 # The most strategy profiles pure_nash_search enumerates.
@@ -79,7 +78,7 @@ class ViewAgent:
     pairs: ViewPairs
     params: DerivedParams
 
-    cost = _fraction_view("cost")
+    cost = fraction_view("cost")
 
     @property
     def n(self) -> int:
@@ -112,14 +111,9 @@ class GameInstance:
 def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
     """The game, checked.  A candidate's fault names its designer as a
     document does, designers[d] (0-based), and its state."""
-    check_quantization_steps(delta, delta_prime)
-    chassis = tuple(chassis)
-    if not chassis:
-        raise ValueError("need at least one agent")
+    chassis = check_agent_set(chassis, delta, delta_prime)
     designers = tuple(tuple(sorted(cands, key=lambda c: c.state)) for cands in designers)
     n = chassis[0].n
-    if any(a.n != n for a in chassis):
-        raise ValueError("all agents must share the state set")
     for d, cands in enumerate(designers):
         states = Counter(c.state for c in cands)
         for s in sorted({*range(1, n + 1), *states}):
@@ -135,12 +129,7 @@ def build_game_instance(chassis, designers, delta, delta_prime) -> GameInstance:
                 raise ValueError(f"{at}: candidate needs per-agent z, phi and d")
             # Before the view (z = -lambda divides by zero there), naming designer and state.
             for i, (z, phi) in enumerate(zip(c.z, c.phi), 1):
-                if (fault := grid_fault(z, phi, delta, delta_prime)) is not None:
-                    raise QuantizationError((
-                        f"{at}: agent {i}: z = {z} is not a positive multiple of {delta}",
-                        f"{at}: agent {i}: phi = {phi} is not a nonnegative multiple of {delta_prime}",
-                        f"{at}: agent {i}: quantization level exceeds {_LEVEL_CEILING}",
-                    )[fault])
+                check_grid(z, phi, delta, delta_prime, "{}: agent {}", at, i)
     g = GameInstance(chassis, designers, delta, delta_prime)
     g.views  # built with the game: every game command reads them
     return g
@@ -239,13 +228,9 @@ class SearchMemo:
         return self.responses[key]
 
 
-def profile_profit(
-    g: GameInstance, designer: int, profile: Profile, memo: SearchMemo | None = None
-) -> Fraction:
-    """Designer's exact profit under a full strategy profile.  A search
-    passes its memo, which supplies the competitive instance."""
-    ci = (memo or SearchMemo(g)).instance(designer, profile)
-    return Fraction(*competitive_profit_pair(ci, profile[designer]))
+def profile_profit(g: GameInstance, designer: int, profile: Profile) -> Fraction:
+    """Designer's exact profit under a full strategy profile."""
+    return Fraction(*SearchMemo(g).profit(designer, profile))
 
 
 def best_response(

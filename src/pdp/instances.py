@@ -9,10 +9,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agent import TooLarge
 from .core import (
     FlowerInstance,
     GeneralChain,
+    TooLarge,
     build_flower_from_potentials,
     build_flower_instance,
     steady_state_general,

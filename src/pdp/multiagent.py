@@ -40,13 +40,14 @@ agent may be a game's view (`game.ViewAgent`) as well as a flower.
 Besides the external platforms' own `Fraction` z and phi, the solve
 makes one `Fraction`: the returned profit.
 
-delta and delta_prime only validate documents: the builders check every
-z and phi against them (`grid_fault`, `_LEVEL_CEILING`), and no table
-is kept in their units.  The slot keys depend on the theta guesses
-alone; only the values depend on D.  So `competitive_solve` drops each
-agent's guesses that keep no shift pair inside their windows
-(`AgentGuess.kept`) before it combines them, and it bounds its work by
-one budget, `_DP_WORK`, counted as its tables grow.
+delta and delta_prime only validate documents: every builder checks
+them and its agents with `check_agent_set`, and each z and phi against
+them with `check_grid`; no table is kept in their units.  The slot keys
+depend on the theta guesses alone; only the values depend on D.  So
+`competitive_solve` drops each agent's guesses that keep no shift pair
+inside their windows (`AgentGuess.kept`) before it combines them, and
+it bounds its work by one budget, `_DP_WORK`, counted as its tables
+grow.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import multiplatform
-from .agent import TooLarge, adopted_response
-from .core import DerivedParams, FlowerInstance, as_pair, product_pair, scale_to_integers
+from .agent import adopted_response
+from .core import DerivedParams, FlowerInstance, TooLarge, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
 from .multiplatform import CurveEntry, Platform, merge_runs, state_run
 
@@ -112,49 +113,51 @@ class MultiAgentInstance:
         return scale_to_integers(self.agents[0].pairs.cost)
 
 
-def check_quantization_steps(delta: Fraction, delta_prime: Fraction) -> None:
-    """Both quantization steps must be positive; the builders divide by them."""
+def check_agent_set(agents, delta: Fraction, delta_prime: Fraction) -> tuple:
+    """agents as a tuple, checked: both quantization steps are positive (the
+    builders divide by them), and there is at least one agent, all on one
+    state set."""
     for name, value in (("delta", delta), ("delta_prime", delta_prime)):
         if value <= 0:
             raise QuantizationError(f"{name} = {value} must be positive")
+    agents = tuple(agents)
+    if not agents:
+        raise ValueError("need at least one agent")
+    if any(a.n != agents[0].n for a in agents):
+        raise ValueError("all agents must share the state set")
+    return agents
 
 
-def grid_fault(z, phi, delta, delta_prime) -> int | None:
-    """0 if z is not a positive multiple of delta, 1 if phi is not a nonnegative
-    multiple of delta_prime, 2 if a level passes _LEVEL_CEILING, else None."""
+def check_grid(z, phi, delta, delta_prime, label: str, *args) -> None:
+    """Raise QuantizationError unless z is a positive multiple of delta and
+    phi a nonnegative multiple of delta_prime, each level at most
+    _LEVEL_CEILING.  Values are Fractions, ints or Pairs; the message starts
+    with label.format(*args), built only when it raises."""
     (zn, zd), (fn, fd), (dn, dd), (dpn, dpd) = map(as_pair, (z, phi, delta, delta_prime))
     l, l_rest = divmod(zn * dd, zd * dn)
-    if l_rest or l <= 0:
-        return 0
     lp, lp_rest = divmod(fn * dpd, fd * dpn)
-    if lp_rest or lp < 0:
-        return 1
-    return 2 if max(l, lp) > _LEVEL_CEILING else None
+    if l_rest or l <= 0:
+        fault = f"z = {Fraction(zn, zd)} is not a positive multiple of {Fraction(dn, dd)}"
+    elif lp_rest or lp < 0:
+        fault = f"phi = {Fraction(fn, fd)} is not a nonnegative multiple of {Fraction(dpn, dpd)}"
+    elif max(l, lp) > _LEVEL_CEILING:
+        fault = f"quantization level exceeds {_LEVEL_CEILING}"
+    else:
+        return
+    raise QuantizationError(f"{label.format(*args)}: {fault}")
 
 
 def build_multi_agent_instance(
     agents, delta: Fraction, delta_prime: Fraction
 ) -> MultiAgentInstance:
-    check_quantization_steps(delta, delta_prime)
-    agents = tuple(agents)
-    if not agents:
-        raise ValueError("need at least one agent")
-    n = agents[0].n
-    for a in agents:
-        if a.n != n:
-            raise ValueError("all agents must share the state set")
-        if a.pairs.cost != agents[0].pairs.cost:
-            raise ValueError("platform costs must be shared across agents")
-    mi = MultiAgentInstance(agents, delta, delta_prime)
-    for i, dp in enumerate(mi.params, 1):
-        for j, (z, phi) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1):
-            if (fault := grid_fault(z, phi, delta, delta_prime)) is not None:
-                raise QuantizationError((
-                    f"agent {i}: z[{j}] = {dp.z[j - 1]} is not a positive multiple of {delta}",
-                    f"agent {i}: phi[{j}] = {dp.phi[j - 1]} is not a nonnegative multiple of {delta_prime}",
-                    f"agent {i}, state {j}: quantization level exceeds {_LEVEL_CEILING}",
-                )[fault])
-    return mi
+    agents = check_agent_set(agents, delta, delta_prime)
+    if any(a.pairs.cost != agents[0].pairs.cost for a in agents):
+        raise ValueError("platform costs must be shared across agents")
+    for i, a in enumerate(agents, 1):
+        dp = a.params.pairs
+        for j, (z, phi) in enumerate(zip(dp.z, dp.phi), 1):
+            check_grid(z, phi, delta, delta_prime, "agent {}, state {}", i, j)
+    return MultiAgentInstance(agents, delta, delta_prime)
 
 
 @dataclass(frozen=True)
@@ -489,12 +492,7 @@ def build_competitive_instance(mi: MultiAgentInstance, externals) -> Competitive
         if len(pl.z) != k or len(pl.phi) != k:
             raise ValueError(f"external platform {pl.id!r} needs {k} per-agent values")
         for i, (z, phi) in enumerate(zip(pl.z, pl.phi), 1):
-            if (fault := grid_fault(z, phi, mi.delta, mi.delta_prime)) is not None:
-                raise QuantizationError((
-                    f"external {pl.id!r}: z for agent {i} is not a positive multiple of delta",
-                    f"external {pl.id!r}: phi for agent {i} is not a nonnegative multiple of delta'",
-                    f"external {pl.id!r}, agent {i}: quantization level exceeds {_LEVEL_CEILING}",
-                )[fault])
+            check_grid(z, phi, mi.delta, mi.delta_prime, "external {!r}, agent {}", pl.id, i)
     return CompetitiveInstance(mi, externals)
 
 

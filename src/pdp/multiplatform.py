@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
-from .agent import SignError, TooLarge
-from .core import product_pair, scale_to_integers
+from .agent import SignError
+from .core import TooLarge, product_pair, scale_to_integers
 
 # The most selections multi_oracle enumerates.
 _ORACLE_SELECTIONS = 10**6

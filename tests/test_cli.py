@@ -1138,6 +1138,37 @@ def test_verify_skips_solvers_past_their_work_budget(tmp_path, capsys, monkeypat
         assert c["skipped"] == "the threshold DP needs more than 1 units of work", c
 
 
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        # Agent 1's z and phi at state 1 are 1 and 3/2.
+        ("multi-agent", lambda doc: doc["quantization"].update(delta="3"),
+         "agents: agent 1, state 1: z = 1 is not a positive multiple of 3"),
+        ("multi-agent", lambda doc: doc["quantization"].update(delta_prime="1/3"),
+         "agents: agent 1, state 1: phi = 3/2 is not a nonnegative multiple of 1/3"),
+        # delta is 1 and delta_prime 1/4; the external's z is (1, 1), its phi (0, 0).
+        ("competitive", lambda doc: doc["platforms"][0].update(z=["1/2", "1"]),
+         "platforms: external 'x0', agent 1: z = 1/2 is not a positive multiple of 1"),
+        ("competitive", lambda doc: doc["platforms"][0].update(phi=["1/7", "0"]),
+         "platforms: external 'x0', agent 1: phi = 1/7 is not a nonnegative multiple of 1/4"),
+    ],
+)
+def test_off_grid_values_exit_2(tmp_path, capsys, kind, edit, message):
+    # A z or phi off the quantization grid names the agent and its state, or
+    # the external and the agent, with the value and the step.
+    mi = gen_random_multi_agent(2, 2, seed=4)
+    obj = mi
+    if kind == "competitive":
+        obj = build_competitive_instance(mi, [ExternalPlatform("x0", 1, (F(1), F(1)), (F(0), F(0)))])
+    doc = serialize_instance(obj)
+    assert doc["kind"] == kind
+    edit(doc)
+    assert main(["solve-multi-agent", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_competitive_external_past_the_level_ceiling_exits_2(tmp_path, capsys):
     # An external platform's level z/delta is held to 10^12, as an agent's is.
     mi = gen_random_multi_agent(2, 2, seed=4)

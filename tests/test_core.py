@@ -594,6 +594,23 @@ def test_package_has_no_unused_imports():
         assert not unused, f"{path.name}: unused imports (line, name) {unused}"
 
 
+def test_package_imports_no_private_names():
+    # A name one module imports from another is public: a leading
+    # underscore marks what only its own module reads.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private = sorted(
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        assert not private, f"{path.name}: private names imported (line, name) {private}"
+
+
 def test_package_calls_float_only_for_decimal_output():
     # Solver paths never use floats: the package's one float() call is
     # cli._exact's, the decimal written beside an exact result.

@@ -349,14 +349,14 @@ def brute_force_competitive(ci):
 
 def test_build_validates_quantization():
     # The levels z/delta and phi/delta_prime are tested on integers; each
-    # message names the rational values.
+    # message names the agent, the state and the rational values.
     mi = gen_random_multi_agent(3, 2, seed=0)
     negative_z = gen_random_flower(3, seed=1, ranges={"allow_negative_z": True})
     negative_phi = gen_random_flower(2, seed=0, ranges={"c_life_max": 12, "c_platform_max": 2})
     for agents, delta, delta_prime, message in [
-        (mi.agents, F(3), mi.delta_prime, "agent 1: z[1] = 1 is not a positive multiple of 3"),
-        (mi.agents, F(2, 3), mi.delta_prime, "agent 1: z[1] = 1 is not a positive multiple of 2/3"),
-        (mi.agents, mi.delta, F(7), "agent 1: phi[1] = 1 is not a nonnegative multiple of 7"),
+        (mi.agents, F(3), mi.delta_prime, "agent 1, state 1: z = 1 is not a positive multiple of 3"),
+        (mi.agents, F(2, 3), mi.delta_prime, "agent 1, state 1: z = 1 is not a positive multiple of 2/3"),
+        (mi.agents, mi.delta, F(7), "agent 1, state 1: phi = 1 is not a nonnegative multiple of 7"),
         # Every z level z/delta is 10^13 or more, past the 10^12 ceiling.
         (
             mi.agents, F(1, 10**13), mi.delta_prime,
@@ -364,11 +364,11 @@ def test_build_validates_quantization():
         ),
         (
             [negative_z], F(1, 10**6), F(1, 10**9),
-            "agent 1: z[3] = -1 is not a positive multiple of 1/1000000",
+            "agent 1, state 3: z = -1 is not a positive multiple of 1/1000000",
         ),
         (
             [negative_phi], F(1), F(1, 72),
-            "agent 1: phi[2] = -1/8 is not a nonnegative multiple of 1/72",
+            "agent 1, state 2: phi = -1/8 is not a nonnegative multiple of 1/72",
         ),
     ]:
         with pytest.raises(QuantizationError) as info:
@@ -775,7 +775,7 @@ def test_competitive_solves_shifts_off_the_grid():
         assert competitive_profit(ci, result.states) == result.profit
         with pytest.raises(QuantizationError) as info:
             build_competitive_instance(ci.mi, ci.externals)
-        assert str(info.value) == "external 'x': z for agent 1 is not a positive multiple of delta"
+        assert str(info.value) == "external 'x', agent 1: z = 1/2 is not a positive multiple of 1"
 
 
 def test_competitive_empty_externals_matches_multi_agent():
@@ -830,7 +830,8 @@ def test_competitive_guard(monkeypatch):
 
 def test_competitive_build_holds_externals_to_the_level_ceiling():
     # An external's levels z/delta and phi/delta_prime are capped at 10^12,
-    # as an agent's are; the messages for off-grid values are unchanged.
+    # as an agent's are.  An off-grid value's message names the external,
+    # the agent, the value and the step, in the shape an agent's takes.
     mi = gen_random_multi_agent(2, 2, seed=7)
     far = 10**13
     for z, phi, message in [
@@ -844,11 +845,11 @@ def test_competitive_build_holds_externals_to_the_level_ceiling():
         ),
         (
             (F(1), -F(1)), (F(0), F(0)),
-            "external 'x': z for agent 2 is not a positive multiple of delta",
+            "external 'x', agent 2: z = -1 is not a positive multiple of 1",
         ),
         (
             (F(1), F(1)), (F(1, 7), F(0)),
-            "external 'x': phi for agent 1 is not a nonnegative multiple of delta'",
+            "external 'x', agent 1: phi = 1/7 is not a nonnegative multiple of 1/4",
         ),
     ]:
         with pytest.raises(QuantizationError) as info:
