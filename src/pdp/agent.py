@@ -24,6 +24,7 @@ from .core import (
     AdoptionSet,
     DerivedParams,
     FlowerInstance,
+    SignError,
     TooLarge,
     check_subset,
     scale_to_integers,
@@ -39,10 +40,6 @@ _ORACLE_STATES = 28
 _GRAY_STEPS = tuple(
     ((t & -t).bit_length() - 1, bool((t ^ t >> 1) & t & -t)) for t in range(1, 1 << _BLOCK_BITS)
 )
-
-
-class SignError(ValueError):
-    """A z sign the chosen solver does not handle."""
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .core import (
     GeneralChain,
     Pair,
     ReducibleChain,
+    SignError,
     TooLarge,
     all_subsets,
     build_flower_from_pairs,
@@ -436,10 +437,10 @@ def _cmd_solve_designer(args):
     try:
         qi = designer.preprocess(inst, **q)
     except designer.QuantizationError as exc:
-        # delta came from the flag, else the document, else the gcd of z.
-        at = "--delta" if args.delta is not None else "quantization.delta" if "delta" in q else "$"
+        # Only an explicit delta misses a z: the default, the gcd of the survivors, divides each.
+        at = "--delta" if args.delta is not None else "quantization.delta"
         raise SchemaError(f"{at}: {exc}") from None
-    except (designer.EmptyInstance, designer.CostBoundError) as exc:
+    except (SignError, designer.EmptyInstance, designer.CostBoundError) as exc:
         raise SchemaError(f"$: {exc}") from None
     result = designer.fptas_solve(qi)
     return {**_offer("designer-fptas", result), "bins": result.bins}
@@ -634,7 +635,7 @@ def _verify_flower(inst: FlowerInstance) -> list[dict]:
 
     # A negative-z state survived preprocessing, or a cost is too large a
     # multiple of K: the FPTAS does not cover the instance.
-    uncovered = (designer.QuantizationError, designer.CostBoundError)
+    uncovered = (SignError, designer.CostBoundError)
     return [
         _check("agent greedy vs oracle", greedy),
         _check("designer fptas vs oracle", fptas, *uncovered),
@@ -805,7 +806,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         result = args.run(args)
-    except (ParseError, SchemaError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and SchemaError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command != "gen":  # a generated document is an instance, not a result

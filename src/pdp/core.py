@@ -48,6 +48,10 @@ class TooLarge(ValueError):
     """Instance exceeds an enumeration guard."""
 
 
+class SignError(ValueError):
+    """A z sign the chosen solver does not handle."""
+
+
 def rat(value) -> Fraction:
     """Parse a rational from an int, Fraction, or 'num/den' string.  A bool
     or a float is not an exact rational and raises TypeError."""

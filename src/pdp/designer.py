@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FlowerInstance, IntegerImage, ScaledParams, TooLarge, designer_profit
+from .core import FlowerInstance, IntegerImage, ScaledParams, SignError, TooLarge, designer_profit
 
 # The largest cost/K ratio r the FPTAS accepts, the most bins its table may
 # hold after a stage, and the most offered sets designer_oracle visits.  The
@@ -23,7 +23,7 @@ _ORACLE_VISITS = 1 << 22
 
 
 class QuantizationError(ValueError):
-    """A z value is not a positive integer multiple of delta."""
+    """A quantization step is not positive, or a value lies off its grid."""
 
 
 class EmptyInstance(ValueError):
@@ -76,12 +76,12 @@ def preprocess(
     delta: Fraction | None = None,
     epsilon: Fraction = Fraction(1, 10),
 ) -> QuantizedInstance:
-    """Filter useless states and validate the quantization assumptions.
+    """Filter useless states and check the FPTAS's input; fptas_solve does not.
 
     A state survives when offering it alone is feasible and profitable.
     K is the best singleton profit; every cost must be at most _COST_RATIO
-    times K; delta must be positive and every surviving z a positive
-    multiple of it.
+    times K; delta must be positive.  Each survivor, in state order, is
+    tested for its sign (a negative z raises SignError), then for the grid.
 
     The screen reads A, B, z and phi times L from inst.params.image and
     d*w and cost times M from inst.scaled: each singleton profit is an
@@ -114,7 +114,11 @@ def preprocess(
     Ldn, dd = L * delta.numerator, delta.denominator
     for i in surviving:
         z = image.z[i - 1]
-        if z <= 0 or z * dd % Ldn:
+        if z < 0:
+            raise SignError(
+                f"z[{i}] = {Fraction(z, L)} is negative; the FPTAS needs every surviving z positive"
+            )
+        if z * dd % Ldn:
             raise QuantizationError(
                 f"z[{i}] = {Fraction(z, L)} is not a positive integer multiple of {delta}"
             )
@@ -138,9 +142,8 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     from qi.inst.params.image, d*w and cost (times M) from qi.inst.scaled.
     The rounded profit and revenue come from integer floor division and
     feasibility from one cross-multiplication.  The only Fraction made is
-    the returned profit.  delta keys no bin: the solve only checks, by one
-    remainder per state, that delta divides each surviving z, as preprocess
-    does.
+    the returned profit.  delta is not read: it keys no bin and preprocess
+    checked every surviving z, so any delta gets the same DesignSet.
 
     Each stage walks a snapshot of the table in insertion order, and the
     result does not depend on that order.  Every snapshot entry yields
@@ -165,7 +168,6 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     un = eps.numerator * K.numerator
     ud = eps.denominator * K.denominator * 2 * qi.inst.n
     Mun = sp.M * un
-    Ldn, dd = L * qi.delta.numerator, qi.delta.denominator
 
     # Entry: (states tuple sorted, N, den, sum_dw, sum_cost, min_phi, pnum),
     # with N = (A + sum z*phi) * L^2, den = (B + sum z) * L, sum_dw =
@@ -180,10 +182,6 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     for k in qi.surviving:
         j = k - 1
         zk, zphik, phik, dwk, costk = z[j], zphi[j], phi[j], sp.dw[j] * L, sp.cost[j]
-        if zk * dd % Ldn:
-            raise QuantizationError(
-                f"z[{k}] = {Fraction(zk, L)} is not an integer multiple of {qi.delta}"
-            )
         get = table.get
         for states, N, den, sum_dw, sum_cost, min_phi, _ in list(table.values()):
             new_min = phik if phik < min_phi else min_phi

@@ -27,8 +27,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
-from .agent import SignError
-from .core import TooLarge, product_pair, scale_to_integers
+from .core import SignError, TooLarge, product_pair, scale_to_integers
 
 # The most selections multi_oracle enumerates.
 _ORACLE_SELECTIONS = 10**6

@@ -250,6 +250,12 @@ def test_roundtrip_general_chain():
     assert back == chain
 
 
+def test_serialize_refuses_other_objects():
+    with pytest.raises(TypeError) as info:
+        serialize_instance(object())
+    assert str(info.value) == "cannot serialize object"
+
+
 def test_rationals_name_the_first_bad_value():
     # Paths are formatted only for a value that fails; the message names
     # the first bad value of the list, as parse_rat does on its own.
@@ -531,23 +537,33 @@ def _flower_doc(inst, **fields):
     return {**serialize_instance(inst), **fields}
 
 
+# A flower whose state 5, of z = -1/16, survives preprocessing.
+_MIXED_FLOWER = gen_random_flower(12, seed=0, ranges={"allow_negative_z": True}, delta=F(1, 16))
+_NEGATIVE_Z = "z[5] = -1/16 is negative; the FPTAS needs every surviving z positive"
+
+
 @pytest.mark.parametrize(
     "doc, flags, message",
     [
         # `pdp gen --kind random-flower`, whose z[1] = 3 is no multiple of 7.
-        (_flower_doc(gen_random_flower(4, seed=0)), ["--delta", "7"], "--delta: z[1] = 3 is not"),
+        (
+            _flower_doc(gen_random_flower(4, seed=0)),
+            ["--delta", "7"],
+            "--delta: z[1] = 3 is not a positive integer multiple of 7",
+        ),
         (
             _flower_doc(gen_random_flower(4, seed=0), quantization={"delta": "7"}),
             [],
-            "quantization.delta: z[1] = 3 is not",
+            "quantization.delta: z[1] = 3 is not a positive integer multiple of 7",
         ),
-        # A negative-z state survives preprocessing; delta is the gcd of z.
+        # A sign fault is the instance's, whatever delta is given: the
+        # default (the gcd of z), the flag's or the document's.
+        (_flower_doc(_MIXED_FLOWER), [], f"$: {_NEGATIVE_Z}"),
+        (_flower_doc(_MIXED_FLOWER), ["--delta", "1/16"], f"$: {_NEGATIVE_Z}"),
         (
-            _flower_doc(
-                gen_random_flower(12, seed=0, ranges={"allow_negative_z": True}, delta=F(1, 16))
-            ),
+            _flower_doc(_MIXED_FLOWER, quantization={"delta": "1/16"}),
             [],
-            "$: z[5] = -1/16 is not",
+            f"$: {_NEGATIVE_Z}",
         ),
         (
             _flower_doc(make_example(), d=["0", "0"]),
@@ -562,13 +578,21 @@ def _flower_doc(inst, **fields):
             "$: cost/K ratio 4999999 exceeds the ceiling 1000",
         ),
     ],
-    ids=["flag-delta", "document-delta", "negative-z", "no-survivor", "cost-bound"],
+    ids=[
+        "flag-delta",
+        "document-delta",
+        "negative-z",
+        "negative-z-flag-delta",
+        "negative-z-document-delta",
+        "no-survivor",
+        "cost-bound",
+    ],
 )
 def test_solve_designer_preprocess_errors_name_their_source(tmp_path, capsys, doc, flags, message):
     assert main(["solve-designer", write_doc(tmp_path, doc), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -743,16 +767,26 @@ def test_verify_flower(tmp_path, capsys, inst):
 def test_verify_flower_skips_unquantizable_fptas(tmp_path, capsys):
     # State 5 has z = -1/16 and survives preprocessing, so the FPTAS does
     # not apply; the agent check still runs.
-    inst = gen_random_flower(12, seed=0, ranges={"allow_negative_z": True}, delta=F(1, 16))
-    assert main(["verify", write_doc(tmp_path, serialize_instance(inst))]) == 0
+    assert main(["verify", write_doc(tmp_path, serialize_instance(_MIXED_FLOWER))]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
     agent_check, designer_check = out["checks"]
     assert agent_check["match"] is True
     assert designer_check == {
         "check": "designer fptas vs oracle",
-        "skipped": "z[5] = -1/16 is not a positive integer multiple of 1/16",
+        "skipped": _NEGATIVE_Z,
     }
+
+
+def test_verify_flower_skips_fptas_with_no_surviving_state(tmp_path, capsys):
+    # Every d is 0, so no singleton earns: preprocess finds no survivor.
+    doc = _flower_doc(make_example(), d=["0", "0"])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    agent_check, designer_check = out["checks"]
+    assert agent_check["check"] == "agent greedy vs oracle" and agent_check["match"] is True
+    assert designer_check == {"check": "designer fptas vs oracle", "skipped": "no surviving state"}
 
 
 def test_verify_flower_skips_fptas_past_cost_bound(tmp_path, capsys):
@@ -955,6 +989,16 @@ def _competitive_example():
             ExternalPlatform("x2", 3, (F(1), F(2)), (F(3), F(2))),
         ],
     )
+
+
+@pytest.mark.parametrize("agent_id", ["0", "3"])
+def test_solve_multiplatform_names_a_missing_agent(tmp_path, capsys, agent_id):
+    # The example has agents 1 and 2.
+    path = write_doc(tmp_path, serialize_instance(_competitive_example()))
+    assert main(["solve-multiplatform-agent", path, "--agent", agent_id]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --agent: no agent {agent_id}\n"
 
 
 def test_verify_competitive(tmp_path, capsys, monkeypatch):
@@ -1436,6 +1480,7 @@ def test_import_builds_no_parser():
     "kind, arg, message",
     [
         ("partition", "0", "need a nonempty multiset of positive integers"),
+        ("partition", "x", "invalid literal for int() with base 10: 'x'"),
         ("two-agent-partition", "0", "need a nonempty multiset of positive integers"),
         (
             "two-agent-partition",

@@ -21,6 +21,7 @@ from pdp.core import (
     _reachable,
     agent_utility,
     all_subsets,
+    build_flower_from_pairs,
     build_flower_from_potentials,
     build_flower_instance,
     build_general_chain,
@@ -183,6 +184,12 @@ def test_failures_keep_their_messages(key, values, error, message):
         assert str(info.value) == f"$: {message}"
     else:
         assert str(info.value) == f"{key}: expected a list of 2 rationals"
+
+
+def test_flower_needs_a_petal():
+    with pytest.raises(ProbabilityError) as info:
+        build_flower_from_pairs(FlowerPairs(*[()] * len(FlowerPairs._fields)))
+    assert str(info.value) == "need at least one petal"
 
 
 def test_flower_from_potentials_gives_back_z_and_phi():
@@ -609,6 +616,38 @@ def test_package_imports_no_private_names():
             if alias.name.startswith("_")
         )
         assert not private, f"{path.name}: private names imported (line, name) {private}"
+
+
+def test_package_imports_each_name_from_its_module():
+    # `from .module import Name` names the module whose top level defines
+    # Name, not one that imports it in turn: TooLarge and SignError, say,
+    # come from core, though agent re-exports them.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(pdp.__file__).parent.glob("*.py"))
+    }
+    assert trees
+
+    def defined(tree):
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        return names
+
+    defines = {stem: defined(tree) for stem, tree in trees.items()}
+    for stem, tree in trees.items():
+        borrowed = sorted(
+            (node.lineno, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+            if alias.name not in defines[node.module]
+        )
+        assert not borrowed, f"{stem}.py: names not defined where imported from {borrowed}"
 
 
 def test_package_calls_float_only_for_decimal_output():

@@ -10,6 +10,7 @@ from pdp.agent import TooLarge, is_feasible
 from pdp import designer
 from pdp.core import (
     ScaledParams,
+    SignError,
     all_subsets,
     build_flower_instance,
     derived_params,
@@ -73,8 +74,11 @@ def _ref_preprocess(inst, delta=None, epsilon=F(1, 10), r_ceiling=F(1000)):
             den = math.lcm(den, dp.z[i - 1].denominator)
         delta = F(num, den)
     for i in surviving:
-        ratio = dp.z[i - 1] / delta
-        if ratio.denominator != 1 or ratio <= 0:
+        if dp.z[i - 1] < 0:
+            raise SignError(
+                f"z[{i}] = {dp.z[i - 1]} is negative; the FPTAS needs every surviving z positive"
+            )
+        if (dp.z[i - 1] / delta).denominator != 1:
             raise QuantizationError(
                 f"z[{i}] = {dp.z[i - 1]} is not a positive integer multiple of {delta}"
             )
@@ -638,11 +642,21 @@ def test_singleton_screen_matches_agent_response():
             assert F(pnum, den * sp.M) == designer_profit(inst, {i}, {i})
 
 
-def test_fptas_rejects_delta_not_dividing_z(example):
-    qi = preprocess(example)
-    assert qi.delta == 1
-    with pytest.raises(QuantizationError):
-        fptas_solve(dataclasses.replace(qi, delta=F(2, 3)))
+def _off_grid(example):
+    """Preprocessed instances, each with a delta that does not divide every
+    surviving z: the example (integer z) at 2/3, 3/7 and 2, and a flower of
+    fractional z whose L, 9324, is a multiple of 3 at 3/16, which divides
+    every z * L but not every z."""
+    quarters = preprocess(gen_random_flower(6, seed=0, delta=F(1, 4)))
+    return [(preprocess(example), d) for d in (F(2, 3), F(3, 7), 2)] + [(quarters, F(3, 16))]
+
+
+def test_fptas_reads_no_delta(example):
+    # preprocess is the one check of the FPTAS's input: a hand-built
+    # instance with any delta solves as the one preprocess built.
+    assert preprocess(example).delta == 1
+    for qi, delta in _off_grid(example):
+        assert fptas_solve(dataclasses.replace(qi, delta=delta)) == fptas_solve(qi)
 
 
 def test_preprocess_rejects_nonpositive_delta(example):
@@ -741,12 +755,8 @@ def _sorted_fptas(qi, stage_log=None):
     table = {(0, 0, 0): ((), 0, sp.B, 0, 0, 0, None, 0)}
     for k in qi.surviving:
         j = k - 1
+        # Steps of delta, whole or not, key a bin as sum z does.
         steps_k = dp.z[j] / qi.delta
-        if steps_k.denominator != 1:
-            raise QuantizationError(
-                f"z[{k}] = {dp.z[j]} is not an integer multiple of {qi.delta}"
-            )
-        steps_k = steps_k.numerator
         zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
         for _, (states, N, den, sum_dw, sum_cost, steps, min_phi, _) in sorted(table.items()):
             new_min = phik if min_phi is None or phik < min_phi else min_phi
@@ -859,21 +869,25 @@ def test_integer_fptas_matches_sorted_reference():
             expected.profit,
             expected.bins,
         )
-    assert outcomes[DesignSet] >= 900
-    assert outcomes[QuantizationError] >= 40 and outcomes[EmptyInstance] >= 10
+    # Each delta given divides every z, so no grid fault; a surviving
+    # negative z is a sign fault.
+    assert outcomes == {DesignSet: 932, SignError: 48, EmptyInstance: 20}
 
 
 def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
     # Each check's error, type and text, on the example, on a mixed-sign
-    # flower whose surviving negative z fails the quantization test, and on
-    # a flower of fractional z (L = 9324) that 3/16 does not divide, although
-    # it divides every z * L.
+    # flower whose surviving negative z fails the sign test, and on a flower
+    # of fractional z (L = 9324) that 3/16 does not divide, although it
+    # divides every z * L.  The twelve-petal mixed flower's survivors are
+    # states 3, 5, 6, 9 and 11, with z[3] = 1/4 and z[5] = -1/16: each state
+    # is tested for its sign, then for the grid, in state order.
     mixed = next(
         inst
         for seed in range(100)
         for inst in [gen_random_flower(6, seed=seed, ranges=MIXED, delta=F(1, 16))]
-        if _raised(_ref_preprocess, inst)[0] is QuantizationError
+        if _raised(_ref_preprocess, inst)[0] is SignError
     )
+    mixed12 = gen_random_flower(12, seed=0, ranges=MIXED, delta=F(1, 16))
     worthless = _replaced(example, d=(F(0), F(0)))
     quarters = gen_random_flower(6, seed=0, delta=F(1, 4))
     assert quarters.params.image.L == 9324
@@ -888,6 +902,9 @@ def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
         (worthless, {}),
         (mixed, {}),
         (mixed, {"delta": F(1, 16)}),
+        (mixed12, {}),
+        (mixed12, {"delta": F(1, 8)}),
+        (mixed12, {"delta": F(3, 16)}),
         (quarters, {}),
         (quarters, {"delta": F(1, 8)}),
         (quarters, {"delta": F(3, 16)}),
@@ -895,23 +912,30 @@ def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
         assert _preprocessed(preprocess, inst, **kwargs) == _preprocessed(
             _ref_preprocess, inst, **kwargs
         )
-    assert _raised(preprocess, mixed)[0] is QuantizationError
+    assert _raised(preprocess, mixed)[0] is SignError
+    # -1/16 is off the grid of 1/8, and the sign test comes first.
+    negative = (SignError, "z[5] = -1/16 is negative; the FPTAS needs every surviving z positive")
+    assert _raised(preprocess, mixed12) == _raised(preprocess, mixed12, delta=F(1, 8)) == negative
+    assert _raised(preprocess, mixed12, delta=F(3, 16)) == (
+        QuantizationError,
+        "z[3] = 1/4 is not a positive integer multiple of 3/16",
+    )
     monkeypatch.setattr(designer, "_COST_RATIO", F(1, 1000))
     assert _preprocessed(preprocess, example) == _preprocessed(
         _ref_preprocess, example, r_ceiling=F(1, 1000)
     )
 
 
-def test_fptas_quantization_error_matches_sorted_reference(example):
-    # On the example (integer z) and on a flower of fractional z whose L,
-    # 9324, is a multiple of 3: 3/16 divides every z * L but not every z.
-    quarters = preprocess(gen_random_flower(6, seed=0, delta=F(1, 4)))
-    for qi, delta in [(preprocess(example), d) for d in (F(2, 3), F(3, 7), 2)] + [
-        (quarters, F(3, 16))
-    ]:
-        bad = dataclasses.replace(qi, delta=delta)
-        assert _raised(fptas_solve, bad) == _raised(_sorted_fptas, bad)
-        assert _raised(fptas_solve, bad)[0] is QuantizationError
+def test_fptas_off_grid_delta_matches_sorted_reference(example):
+    # The FPTAS reads no delta; the sorted reference keys on steps of it.
+    for qi, delta in _off_grid(example):
+        off = dataclasses.replace(qi, delta=delta)
+        result, expected = fptas_solve(off), _sorted_fptas(off)
+        assert (result.states, result.profit, result.bins) == (
+            expected.states,
+            expected.profit,
+            expected.bins,
+        )
 
 
 def test_fptas_makes_fractions_only_at_the_edges(monkeypatch):

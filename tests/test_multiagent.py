@@ -370,6 +370,8 @@ def test_build_validates_quantization():
             [negative_phi], F(1), F(1, 72),
             "agent 1, state 2: phi = -1/8 is not a nonnegative multiple of 1/72",
         ),
+        (mi.agents, F(0), mi.delta_prime, "delta = 0 must be positive"),
+        (mi.agents, mi.delta, F(0), "delta_prime = 0 must be positive"),
     ]:
         with pytest.raises(QuantizationError) as info:
             build_multi_agent_instance(agents, delta=delta, delta_prime=delta_prime)

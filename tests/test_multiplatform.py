@@ -294,6 +294,28 @@ def test_local_optimality_rejects_double_selection():
         local_optimality_check(curves, ["a", "b"], F(10), F(10))
 
 
+def test_local_optimality_rejects_unknown_id():
+    curves = prune_redundant(canonical_pair())
+    with pytest.raises(FeasibilityError) as info:
+        local_optimality_check(curves, ["c"], F(10), F(10))
+    assert str(info.value) == "platform 'c' is not on any curve"
+
+
+def test_local_optimality_reads_each_slope():
+    # The curve of state 1 is a (z 1, phi 5) then b (z 2, phi 4): psi is
+    # (5, 3).  Each test of the swap criterion fails on its own: the
+    # unselected state's and the incoming slope's here, the outgoing
+    # slope's in test_local_optimality_rejects_suboptimal_choice.
+    curves = prune_redundant(canonical_pair())
+    assert curves[1].psi == (F(5), F(3))
+    # Offered nothing, u = 1: state 1 is unselected and a's phi 5 lies above.
+    assert not local_optimality_check(curves, [], F(10), F(10))
+    # With b from A / B = 10, u = 18/3 = 6 lies above b's incoming slope 3.
+    assert not local_optimality_check(curves, ["b"], F(10), F(1))
+    # With a from A / B = 3, u = 4 lies between the two slopes.
+    assert local_optimality_check(curves, ["a"], F(3), F(1))
+
+
 def test_swap_lemma_interpolation():
     # Swapping along a curve lands the utility between the old utility
     # and the segment slope.
