@@ -27,8 +27,10 @@ from .core import (
     SignError,
     TooLarge,
     all_subsets,
+    as_pair,
     build_flower_from_pairs,
     build_general_chain,
+    rat,
     steady_state_general,
 )
 from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
@@ -48,15 +50,12 @@ _RATIONAL_LIST = re.compile("{0}(?:,{0})*".format(r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
 
 
 def _fraction_pair(value, path: str) -> Pair:
-    """One JSON value read by Fraction(value), as a lowest-terms pair; a
-    bool or a float is refused."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{path}: expected an exact rational, got {value!r}")
+    """One JSON value read by core.rat, as a lowest-terms pair; rat's error
+    becomes a ParseError naming `path`."""
     try:
-        value = Fraction(value)
+        return as_pair(rat(value))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return value.numerator, value.denominator
 
 
 def _read_pairs(values: list, name: Callable[[int], str]) -> tuple[Pair, ...]:

@@ -53,15 +53,15 @@ class SignError(ValueError):
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'num/den' string.  A bool
-    or a float is not an exact rational and raises TypeError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    """The one reader of an exact rational: a (num, den) tuple as
+    Fraction(num, den), so reduced, and any other value as Fraction(value)
+    reads it.  A bool or a float is not exact and raises TypeError."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an exact rational, got {value!r}")
+    if type(value) is tuple:
+        num, den = value
+        return Fraction(num, den)
+    return Fraction(value)
 
 
 # A rational as its (numerator, denominator) in lowest terms, denominator > 0.
@@ -130,16 +130,13 @@ def _exact_sum(terms) -> Pair:
 def build_flower_instance(p, q, y, c_life, c_platform, d, cost) -> FlowerInstance:
     """Validate parameters and construct a FlowerInstance.
 
-    A value is a Pair or anything rat reads; a Fraction's Pair is taken
-    with no new gcd.  The Pairs are then checked by
-    build_flower_from_pairs.
+    Every value is read by rat, so every Pair is in lowest terms however
+    it is spelled; a Fraction's Pair is taken with no new gcd.  The Pairs
+    are then checked by build_flower_from_pairs.
     """
     return build_flower_from_pairs(
         FlowerPairs(
-            *(
-                tuple(v if type(v) is tuple else as_pair(rat(v)) for v in vec)
-                for vec in (p, q, y, c_life, c_platform, d, cost)
-            )
+            *(tuple(as_pair(rat(v)) for v in vec) for vec in (p, q, y, c_life, c_platform, d, cost))
         )
     )
 

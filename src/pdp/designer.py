@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FlowerInstance, IntegerImage, ScaledParams, SignError, TooLarge, designer_profit
+from .core import FlowerInstance, IntegerImage, ScaledParams, SignError, TooLarge, designer_profit, rat
 
 # The largest cost/K ratio r the FPTAS accepts, the most bins its table may
 # hold after a stage, and the most offered sets designer_oracle visits.  The
@@ -78,54 +78,57 @@ def preprocess(
 ) -> QuantizedInstance:
     """Filter useless states and check the FPTAS's input; fptas_solve does not.
 
-    A state survives when offering it alone is feasible and profitable.
-    K is the best singleton profit; every cost must be at most _COST_RATIO
-    times K; delta must be positive.  Each survivor, in state order, is
-    tested for its sign (a negative z raises SignError), then for the grid.
+    epsilon and delta are read by rat; delta must be positive.  A state
+    survives when offering it alone is feasible and profitable; in state
+    order, a survivor with a negative z raises SignError, then one off an
+    explicit delta's grid QuantizationError.  Costs are at most _COST_RATIO * K.
 
     The screen reads A, B, z and phi times L from inst.params.image and
     d*w and cost times M from inst.scaled: each singleton profit is an
-    integer pair (pnum, den) worth pnum / (den * M), K is found by
-    cross-multiplication, and r = max cost / K is max(cost * M) * den / pnum
-    for K's pair.  The default delta is gcd(z * L) / L over the survivors,
-    and z is a whole multiple of delta = dn/dd > 0 iff L * dn divides
-    z * L * dd.  K and r are the only Fractions made, besides the default
-    delta.
+    integer pair (pnum, den) worth pnum / (den * M), the best, K, is found
+    by cross-multiplication, and r = max cost / K is max(cost * M) * den /
+    pnum for K's pair.  z is a whole multiple of delta = dn/dd iff L * dn
+    divides z * L * dd.  The default delta, gcd(z * L) / L over the
+    survivors, divides every z and is only recorded, for criterion 04's bin
+    bound.  K, r and the default delta are the only Fractions made.
     """
+    epsilon = rat(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon = {epsilon} must lie in (0, 1)")
-    if delta is not None and delta <= 0:
-        raise QuantizationError(f"delta = {delta} must be positive")
     image, sp = inst.params.image, inst.scaled
+    L = image.L
+    if delta is not None:
+        delta = rat(delta)
+        if delta <= 0:
+            raise QuantizationError(f"delta = {delta} must be positive")
+        Ldn, dd = L * delta.numerator, delta.denominator
     surviving = []
     k_num, k_den = 0, 1
     for i in range(1, inst.n + 1):
         profit = _feasible_singleton_profit(image, sp, i)
-        if profit is not None and profit[0] > 0:
-            surviving.append(i)
-            if profit[0] * k_den > k_num * profit[1]:
-                k_num, k_den = profit
-    if not surviving:
-        raise EmptyInstance("no state has a feasible, profitable singleton")
-    surviving = tuple(surviving)
-    K, L = Fraction(k_num, k_den * sp.M), image.L
-    if delta is None:
-        delta = Fraction(math.gcd(*(image.z[i - 1] for i in surviving)), L)
-    Ldn, dd = L * delta.numerator, delta.denominator
-    for i in surviving:
+        if profit is None or profit[0] <= 0:
+            continue
         z = image.z[i - 1]
         if z < 0:
             raise SignError(
                 f"z[{i}] = {Fraction(z, L)} is negative; the FPTAS needs every surviving z positive"
             )
-        if z * dd % Ldn:
+        if delta is not None and z * dd % Ldn:
             raise QuantizationError(
                 f"z[{i}] = {Fraction(z, L)} is not a positive integer multiple of {delta}"
             )
+        surviving.append(i)
+        if profit[0] * k_den > k_num * profit[1]:
+            k_num, k_den = profit
+    if not surviving:
+        raise EmptyInstance("no state has a feasible, profitable singleton")
+    if delta is None:
+        delta = Fraction(math.gcd(*(image.z[i - 1] for i in surviving)), L)
+    K = Fraction(k_num, k_den * sp.M)
     r = Fraction(max(sp.cost[i - 1] for i in surviving) * k_den, k_num)
     if r > _COST_RATIO:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {_COST_RATIO}")
-    return QuantizedInstance(inst, delta, epsilon, K, r, surviving)
+    return QuantizedInstance(inst, delta, epsilon, K, r, tuple(surviving))
 
 
 def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignSet:

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdp
 from pdp import agent, core
@@ -35,6 +37,7 @@ from pdp.core import (
 )
 from pdp.cli import SchemaError, parse_instance, serialize_instance
 from pdp.instances import gen_random_flower
+from pdp.multiagent import build_multi_agent_instance
 
 
 def test_derived_params_reference_values(example):
@@ -346,9 +349,12 @@ def test_sum_of_p_is_checked_exactly():
 
 def test_rat_rejects_bool_and_float():
     assert rat(3) == 3 and rat("3/4") == F(3, 4) and rat(F(1, 2)) == F(1, 2)
+    assert rat((2, 20)) == F(1, 10) and rat((-1, -2)) == F(1, 2)
     for bad in (True, False, 0.5):
-        with pytest.raises(TypeError, match="cannot interpret"):
+        with pytest.raises(TypeError, match=f"^expected an exact rational, got {bad!r}$"):
             rat(bad)
+    with pytest.raises(ZeroDivisionError):
+        rat((1, 0))
     kwargs = _base_kwargs()
     kwargs["d"] = [True, F(1)]
     with pytest.raises(TypeError):
@@ -358,18 +364,63 @@ def test_rat_rejects_bool_and_float():
 
 
 def test_build_flower_instance_checks_only_non_fractions():
-    # A Fraction's pair is read off it and a pair is kept as given; ints
-    # and strings are read by rat, and a bool or a float anywhere raises
-    # rat's TypeError.
+    # A Fraction's pair is read off it and a pair is reduced; ints and
+    # strings are read by rat, and a bool or a float anywhere raises rat's
+    # TypeError.
     kwargs = _base_kwargs()
     inst = build_flower_instance(**kwargs)
     assert inst.pairs.cost == tuple((v.numerator, v.denominator) for v in kwargs["cost"])
-    mixed = dict(kwargs, p=["1/2", (1, 2)], d=[10, "1"], c_life=[0, 0])
+    mixed = dict(kwargs, p=["1/2", (2, 4)], d=[10, "1"], c_life=[0, 0])
     assert build_flower_instance(**mixed) == inst
     for key in kwargs:
         for bad in (True, 0.5):
-            with pytest.raises(TypeError, match=f"cannot interpret {bad!r} as a rational"):
+            with pytest.raises(TypeError, match=f"^expected an exact rational, got {bad!r}$"):
                 build_flower_instance(**dict(kwargs, **{key: [kwargs[key][0], bad]}))
+
+
+def test_build_flower_instance_reduces_pairs():
+    # A (num, den) tuple is read as Fraction(num, den): it is stored in
+    # lowest terms with a positive denominator, and a zero denominator
+    # fails at build time.
+    kwargs = _base_kwargs()
+    shared = build_flower_instance(**dict(kwargs, cost=[(2, 20), F(1, 10)]))
+    assert shared.pairs.cost == ((1, 10), (1, 10))
+    mi = build_multi_agent_instance([build_flower_instance(**kwargs), shared], F(1), F(1, 4))
+    assert mi.agents[1].pairs.cost == mi.agents[0].pairs.cost
+    assert build_flower_instance(**dict(kwargs, q=[(-1, -2), F(1, 2)])).pairs.q == ((1, 2), (1, 2))
+    with pytest.raises(ZeroDivisionError):
+        build_flower_instance(**dict(kwargs, d=[(1, 0), F(1)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-100, max_value=100),
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from(FlowerPairs._fields),
+    st.integers(0, 1),
+)
+def test_every_spelling_builds_one_flower(value, k, key, petal):
+    # A Fraction, an int (when the value is whole), an "n/d" string and a
+    # (k*n, k*d) tuple for any k != 0, negative k included, build equal
+    # flowers with equal pairs.
+    kwargs = _base_kwargs()
+    if key == "p":  # p[petal] in (0, 1/2]; the other petal keeps the sum 1
+        value = F(1, 2) / (1 + abs(value))
+        kwargs["p"][1 - petal] = 1 - value
+    elif key in ("q", "y"):  # q or y in (0, 1/4], so q + y stays in (0, 1)
+        value = F(1, 4) / (1 + abs(value))
+    elif key == "cost":
+        value = abs(value) + 1
+    kwargs[key][petal] = value
+    reference = build_flower_instance(**kwargs)
+    spellings = [str(value), (k * value.numerator, k * value.denominator)]
+    if value.denominator == 1:
+        spellings.append(value.numerator)
+    for spelling in spellings:
+        vec = list(kwargs[key])
+        vec[petal] = spelling
+        inst = build_flower_instance(**dict(kwargs, **{key: vec}))
+        assert inst == reference and inst.pairs == reference.pairs
 
 
 def test_objective_equals_stationary_reward(example):
@@ -672,6 +723,37 @@ def test_package_calls_float_only_for_decimal_output():
             assert allowed
         lines = sorted(float_calls(tree) - allowed)
         assert not lines, f"{path.name}: float() on lines {lines}"
+
+
+def test_package_tests_for_float_only_in_rat():
+    # core.rat is the package's one reader of an exact value: it is the one
+    # place that tells a float from an exact rational, so no second reader
+    # with its own isinstance(..., float) test grows up beside it.
+    files = sorted(Path(pdp.__file__).parent.glob("*.py"))
+    assert files
+
+    def names_float(node):
+        return any(isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(node))
+
+    def float_tests(tree):
+        return {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(map(names_float, node.args[1:]))
+        }
+
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "core.py":
+            (reader,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "rat")
+            allowed = float_tests(reader)
+            assert allowed
+        lines = sorted(float_tests(tree) - allowed)
+        assert not lines, f"{path.name}: isinstance(..., float) on lines {lines}"
 
 
 def test_package_bounds_are_constants():

@@ -665,6 +665,18 @@ def test_preprocess_rejects_nonpositive_delta(example):
             preprocess(example, delta=delta)
 
 
+def test_preprocess_reads_epsilon_and_delta_with_rat(example):
+    # epsilon and delta are read by core.rat: any exact spelling gives the
+    # same instance, and a float is refused up front with rat's TypeError.
+    qi = preprocess(example, delta=F(1), epsilon=F(1, 10))
+    assert preprocess(example, delta="1", epsilon="1/10") == qi
+    assert preprocess(example, delta=(3, 3), epsilon=(-1, -10)) == qi
+    for key, value in (("epsilon", 0.1), ("delta", 0.5)):
+        with pytest.raises(TypeError) as info:
+            preprocess(example, **{key: value})
+        assert str(info.value) == f"expected an exact rational, got {value!r}"
+
+
 def test_oracle_matches_table_reference():
     # Narrow ranges repeat petals, so potentials and profits tie.
     narrow = {**_NARROW, "z_max": 1}
