@@ -86,15 +86,10 @@ def _read_pairs(values: list, name: Callable[[int], str]) -> tuple[Pair, ...]:
     return tuple(_fraction_pair(v, name(i)) for i, v in enumerate(values))
 
 
-def parse_pair(value, path: str) -> Pair:
-    """An exact rational from a JSON integer or string, as a lowest-terms
-    (num, den) pair: the list reader on [value], named `path`."""
-    return _read_pairs([value], lambda i: path)[0]
-
-
 def parse_rat(value, path: str) -> Fraction:
-    """parse_pair's rational as a Fraction."""
-    return Fraction(*parse_pair(value, path))
+    """An exact rational from a JSON integer or string, as a Fraction: the
+    list reader on [value], named `path`."""
+    return Fraction(*_read_pairs([value], lambda i: path)[0])
 
 
 def _is_int(value) -> bool:
@@ -127,22 +122,16 @@ class _Rule(NamedTuple):
     optional: bool = False
 
 
-def _parse_pairs(values: list, path: str) -> tuple[Pair, ...]:
-    """The JSON list at `path` as lowest-terms pairs; a failing value is named `path[i]`."""
-    return _read_pairs(values, lambda i: f"{path}[{i}]")
+def _rationals(count: Callable, fractions: bool) -> _Rule:
+    """A list of count(n, k) rationals, as Pairs or, with `fractions`, as
+    Fractions; a failing value is named `path[i]`."""
 
-
-def _parse_rats(values: list, path: str) -> tuple[Fraction, ...]:
-    """The JSON list at `path` as Fractions; a failing value is named `path[i]`."""
-    return tuple(Fraction(*v) for v in _parse_pairs(values, path))
-
-
-def _rationals(count: Callable, parse: Callable = _parse_rats) -> _Rule:
     def read(value, path, n, k):
         size = count(n, k)
         if not isinstance(value, list) or len(value) != size:
             raise SchemaError(f"{path}: expected a list of {size} rationals")
-        return parse(value, path)
+        pairs = _read_pairs(value, lambda i: f"{path}[{i}]")
+        return tuple(Fraction(*v) for v in pairs) if fractions else pairs
 
     return _Rule(read, lambda values: [str(v) for v in values])
 
@@ -166,8 +155,8 @@ def _step(holds: Callable, claim: str) -> _Rule:
     return _Rule(read, str)
 
 
-_PER_STATE = _rationals(lambda n, k: n, _parse_pairs)  # flower values, as pairs
-_PER_AGENT = _rationals(lambda n, k: k)
+_PER_STATE = _rationals(lambda n, k: n, fractions=False)  # flower values, as pairs
+_PER_AGENT = _rationals(lambda n, k: k, fractions=True)
 _RATIONAL = _Rule(lambda value, path, n, k: parse_rat(value, path), str)
 _STATE = _Rule(_state, int)
 _LABEL = _Rule(lambda value, path, n, k: str(value), str, optional=True)  # any value, as text
@@ -262,7 +251,7 @@ def parse_instance(doc):
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise SchemaError(f"rows[{i}]: expected a list of rationals")
-            parsed.append(_parse_rats(row, f"rows[{i}]"))
+            parsed.append(_read_pairs(row, lambda j: f"rows[{i}][{j}]"))
         start = doc.get("start", 0)
         if not _is_int(start):
             raise SchemaError("start: expected an integer state index")

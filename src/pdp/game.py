@@ -280,10 +280,6 @@ def best_response_dynamics(g: GameInstance, initial: Profile, max_rounds: int = 
     return DynamicsOutcome("budget", None, (), None, tuple(trace))
 
 
-def _subsets_lex(n: int) -> list[frozenset[int]]:
-    return sorted(all_subsets(n), key=lambda s: tuple(sorted(s)))
-
-
 def pure_nash_search(g: GameInstance):
     """First profile (lexicographic) where nobody can improve, or None.
     Profits are compared as (num, den) pairs by cross-multiplying, as
@@ -292,7 +288,7 @@ def pure_nash_search(g: GameInstance):
     total = (1 << n) ** g.num_designers
     if total > _NASH_PROFILES:
         raise TooLarge(f"{total} profiles exceed the guard {_NASH_PROFILES}")
-    subsets = _subsets_lex(n)
+    subsets = sorted(all_subsets(n), key=lambda s: tuple(sorted(s)))
     memo = SearchMemo(g)
     for profile in itertools.product(subsets, repeat=g.num_designers):
         is_nash = True

@@ -14,11 +14,12 @@ Each agent's Pareto curves, over the rival platforms alone and with the
 designer's candidate inserted at every state, take one form: a
 `CurveImage`, integer entries in the greedy's order (psi descending).
 One `CurvePool` over a fixed pool of rival platforms builds them: it
-puts each agent's values and points over one scale, prunes each state's
-curves on those integer points (`competitive_run`, the integer hull
-`multiplatform.state_run`), so no `Fraction` is made to build them, and
-keeps each state's run for every set of rivals that has it.  A lone
-instance pools its own externals; a game search, every rival candidate.
+puts each agent's values and points over one scale
+(`multiplatform.hull_points`), prunes each state's curves on those
+integer points (the integer hull `multiplatform.state_run`), so no
+`Fraction` is made to build them, and keeps each state's run for every
+set of rivals that has it.  A lone instance pools its own externals; a
+game search, every rival candidate.
 Per agent, `agent_guesses` walks the entries once and yields a guess
 above every psi, then one per distinct psi, each window bounded by the
 entries' own psi.  Each guess reads off the candidates the agent picks,
@@ -63,7 +64,7 @@ from . import multiplatform
 from .agent import adopted_response
 from .core import DerivedParams, FlowerInstance, TooLarge, as_pair, product_pair, scale_to_integers
 from .designer import DesignSet, QuantizationError
-from .multiplatform import CurveEntry, Platform, merge_runs, state_run
+from .multiplatform import CurveEntry, Platform, hull_points, merge_runs, state_run
 
 
 # The largest quantization level z/delta or phi/delta_prime an instance may have.
@@ -392,7 +393,7 @@ class CurveImage(NamedTuple):
     as are each entry's z and z*phi, so a selection's utility is
     (A + sum zphi) / (B + sum z) and the designer's revenue from it is
     (sum dw) / (B + sum z).  entries holds both curve sets' entries, every
-    state's competitive_run merged by multiplatform.merge_runs.
+    state's run merged by multiplatform.merge_runs.
     """
 
     L: int
@@ -402,13 +403,6 @@ class CurveImage(NamedTuple):
     entries: tuple[CurveEntry, ...]
 
 
-def competitive_run(state: int, rivals, own) -> list[CurveEntry]:
-    """One state's run of an agent's curves: over the points of the rival
-    platforms built at the state, and with the designer's candidate own
-    inserted.  It depends on nothing else."""
-    return state_run(state, (rivals, [*rivals, own]))
-
-
 def external_platforms(externals, i: int) -> list[Platform]:
     """The external platforms as agent i (0-based) sees them."""
     return [Platform(pl.id, pl.state, pl.z[i], pl.phi[i]) for pl in externals]
@@ -416,11 +410,12 @@ def external_platforms(externals, i: int) -> list[Platform]:
 
 class CurvePool:
     """Each agent's curves against any subset of a fixed pool of external
-    platforms, told apart by id.  Per agent one scale_to_integers call
-    puts A, B, d*w and the z and z*phi of every pool platform and
+    platforms, told apart by id.  Per agent one multiplatform.hull_points
+    call puts A, B, d*w and the z and z*phi of every pool platform and
     own candidate (id ("own", j) at state j) over one L.  A state's curves
-    depend only on the platforms there, so each state's are one
-    competitive_run, kept per (agent, state, pool platforms there)."""
+    depend only on the platforms there: one state_run over the rivals' points
+    and over them with the own candidate's, kept per (agent, state, pool
+    platforms there)."""
 
     def __init__(self, mi: MultiAgentInstance, pool):
         self.n = mi.n
@@ -435,13 +430,9 @@ class CurvePool:
                 Platform(("own", j), j, z, phi, own=True)
                 for j, (z, phi) in enumerate(zip(dp.pairs.z, dp.pairs.phi), 1)
             ]
-            L, (A, B), dw, z, zphi = scale_to_integers(
-                (dp.pairs.A, dp.pairs.B),
-                map(product_pair, a.pairs.d, dp.pairs.w),
-                [pl.z for pl in platforms],
-                [product_pair(pl.z, pl.phi) for pl in platforms],
+            L, (A, B), dw, points = hull_points(
+                platforms, (dp.pairs.A, dp.pairs.B), map(product_pair, a.pairs.d, dp.pairs.w)
             )
-            points = [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)]
             self.scaled.append(((L, A, B, dw), points[: len(ext)], points[len(ext) :]))
 
     def images(self, externals) -> tuple[CurveImage, ...]:
@@ -457,7 +448,7 @@ class CurvePool:
                 run = self.runs.get((i, s, xs))
                 if run is None:
                     rivals = [pooled[x] for x in xs]
-                    run = self.runs[i, s, xs] = competitive_run(s, rivals, own[s - 1])
+                    run = self.runs[i, s, xs] = state_run(s, (rivals, [*rivals, own[s - 1]]))
                 runs.append(run)
             out.append(CurveImage(*head, merge_runs(runs)))
         return tuple(out)

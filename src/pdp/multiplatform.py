@@ -8,9 +8,10 @@ The greedy then walks all curves by descending psi, swapping along each
 curve, and stops when psi falls to the current utility.
 
 Both are written once, over integers.  `_hull` is the one monotone chain
-(Andrew 1979), with cross-multiplied slopes; `state_run` lists one state's
-curve points in the greedy's order, `merge_runs` merges the states' runs,
-and `greedy_walk` walks them.  `select_platforms` reads the `ParetoCurve`s
+(Andrew 1979), with cross-multiplied slopes; `hull_points` puts platforms
+over one scale as integer points, `state_run` lists one state's curve
+points in the greedy's order, `merge_runs` merges the states' runs, and
+`greedy_walk` walks them.  `select_platforms` reads the `ParetoCurve`s
 and the greedy's selection off one `curve_entries` call (each half is
 `prune_redundant` and `multi_greedy_solve`).  The competitive layer
 (multiagent.py, and game.py, which keeps each state's run for a whole
@@ -154,10 +155,20 @@ def merge_runs(runs) -> tuple[CurveEntry, ...]:
     return tuple(_by_psi([e for run in runs for e in run]))
 
 
+def hull_points(platforms, *vectors):
+    """(L, *scaled, points): the vectors, then every platform's z and z*phi,
+    over one common denominator L, as scale_to_integers returns them, and
+    each platform's point (z*L, z*phi*L, str(id), own), the form state_run
+    takes.  A z and a phi may be Fractions or Pairs."""
+    L, *scaled, z, zphi = scale_to_integers(
+        *vectors, [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
+    )
+    return (L, *scaled, [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)])
+
+
 def curve_entries(platforms, *vectors):
-    """(L, *scaled, entries, curves) for platforms of z > 0: the vectors, then
-    every platform's z and z*phi, over one common denominator L, as
-    scale_to_integers returns them; each state's Pareto curve (_hull), as
+    """(L, *scaled, entries, curves) for platforms of z > 0: the vectors and
+    L as hull_points returns them; each state's Pareto curve (_hull), as
     the entries state_run and merge_runs list in the greedy's order; and the
     same curves as ParetoCurves, by state.  Each curve point is the
     platform _hull keeps there: of the state's platforms with that z and
@@ -166,14 +177,12 @@ def curve_entries(platforms, *vectors):
     for pl in platforms:
         if pl.z <= 0:
             raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
-    L, *scaled, z, zphi = scale_to_integers(
-        *vectors, [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
-    )
+    L, *scaled, points = hull_points(platforms, *vectors)
     by_state: dict[int, list[tuple]] = {}
     kept: dict[tuple[int, int, int], Platform] = {}
-    for pl, zi, zp in zip(platforms, z, zphi):
-        sid = str(pl.id)
-        by_state.setdefault(pl.state, []).append((zi, zp, sid, pl.own))
+    for pl, point in zip(platforms, points):
+        zi, zp, sid, _ = point
+        by_state.setdefault(pl.state, []).append(point)
         key = (pl.state, zi, zp)
         if key not in kept or sid < str(kept[key].id):
             kept[key] = pl

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import MIXED, make_example
 import pdp
 from pdp import agent, cli, core, designer, multiagent, multiplatform
-from pdp.cli import main, parse_instance, parse_pair, parse_rat, serialize_instance
+from pdp.cli import main, parse_instance, parse_rat, serialize_instance
 from pdp.core import FlowerInstance, GeneralChain, agent_utility, all_subsets, derived_params
 from pdp import game
 from pdp.designer import DesignSet
@@ -85,6 +85,9 @@ def test_parse_rat_rejects_booleans_and_floats(value):
 def test_parse_pair_matches_parse_rat(value):
     # The pair reader gives parse_rat's value as a lowest-terms pair, or
     # its ParseError with the same text.
+    def parse_pair(value, path):
+        return cli._read_pairs([value], lambda i: path)[0]
+
     try:
         expected = parse_rat(value, "p[0]")
     except cli.ParseError as exc:
@@ -121,10 +124,18 @@ def _per_value_parse_rats(values, path, parse):
         raise
 
 
+def _read_list(values, path):
+    return cli._read_pairs(values, lambda i: f"{path}[{i}]")
+
+
+def _read_per_agent(values, path):
+    return cli._PER_AGENT.read(values, path, 0, len(values))
+
+
 def _assert_list_readers_match(values):
     # The pair and the Fraction list readers give the reference's tuple, or
     # its ParseError with the same text, naming the same `[i]`.
-    for read, parse in ((cli._parse_pairs, _per_value_pair), (cli._parse_rats, _per_value_rat)):
+    for read, parse in ((_read_list, _per_value_pair), (_read_per_agent, _per_value_rat)):
         try:
             expected = _per_value_parse_rats(values, "agents[1].q", parse)
         except cli.ParseError as exc:
@@ -166,17 +177,43 @@ def test_list_reader_matches_per_value_reader_on_fractions(fractions):
 
 
 def test_documents_take_the_one_pass_reader(tmp_path, monkeypatch, capsys):
-    # Every value of a generated document is read by the one-pass reader:
-    # with the per-value fallback made to fail, both commands still succeed.
+    # Every value of a document pdp writes is read by the one-pass reader:
+    # with the per-value fallback made to fail, every command still succeeds,
+    # and every rational field of every kind has been read.
     def fallback(value, path):
         raise AssertionError(f"{path}: {value!r} went to the per-value reader")
 
+    read = set()
+    real = cli._read_pairs
+
+    def reading(values, name):
+        read.add(re.sub(r"\[[0-9]+\]", "[]", name(0)))  # the field, indices dropped
+        return real(values, name)
+
     monkeypatch.setattr(cli, "_fraction_pair", fallback)
-    flower = serialize_instance(gen_random_flower(200, seed=23))
-    multi = serialize_instance(gen_random_multi_agent(4, 3, seed=5))
-    assert main(["solve-agent", write_doc(tmp_path, flower, "flower.json")]) == 0
-    assert main(["solve-multi-agent", write_doc(tmp_path, multi, "multi.json")]) == 0
+    monkeypatch.setattr(cli, "_read_pairs", reading)
+    chain = gen_setcover_instance([1, 2], [{1, 2}], k=2).chain_for(frozenset({0}), (0, 0))
+    for command, obj in (
+        ("solve-agent", gen_random_flower(200, seed=23)),
+        ("solve-multi-agent", gen_random_multi_agent(4, 3, seed=5)),
+        ("solve-multi-agent", _competitive_example()),
+        ("nash", gen_no_nash_game()),
+        ("verify", chain),
+    ):
+        assert main([command, write_doc(tmp_path, serialize_instance(obj))]) == 0
     capsys.readouterr()
+    petals = {"p", "q", "y", "c_life", "c_platform", "d", "cost"}
+    assert read == {
+        *(f"{key}[]" for key in petals),
+        *(f"agents[].{key}[]" for key in petals),  # a game's chassis has its own cost
+        "quantization.delta",
+        "quantization.delta_prime",
+        "platforms[].z[]",
+        "platforms[].phi[]",
+        *(f"designers[].candidates[].{key}[]" for key in ("z", "phi", "d")),
+        "designers[].candidates[].cost",
+        "rows[][]",
+    }
 
 
 @pytest.mark.parametrize("ranges", (None, MIXED), ids=("greedy", "signed"))
@@ -1035,6 +1072,48 @@ def test_verify_competitive(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
     assert [c.get("skipped") for c in out["checks"][1:]] == ["6 selections exceed the guard 1"] * 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        make_example(),
+        gen_random_flower(12, seed=2, ranges={"allow_negative_z": True}, delta=F(1, 16)),
+        gen_random_multi_agent(3, 2, seed=4),
+        _competitive_example(),
+        gen_no_nash_game(),
+    ],
+    ids=["flower", "mixed-sign", "multi-agent", "competitive", "game"],
+)
+def test_verify_checks_what_each_command_prints(tmp_path, capsys, obj):
+    # Each check's solver value is what the matching command prints.
+    path = write_doc(tmp_path, serialize_instance(obj))
+    assert main(["verify", path]) == 0
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+    def printed(*argv):
+        assert main([argv[0], path, *argv[1:]]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    if isinstance(obj, FlowerInstance):
+        commands = {
+            "agent greedy vs oracle": (printed("solve-agent"), "utility"),
+            "designer fptas vs oracle": (printed("solve-designer"), "profit"),
+        }
+    elif isinstance(obj, GameInstance):
+        commands = {
+            f"designer {d} best response vs brute force": (
+                printed("best-response", "--designer", str(d), "--profile", "[[],[]]"),
+                "profit",
+            )
+            for d in (1, 2)
+        }
+    else:
+        kind = "competitive" if isinstance(obj, CompetitiveInstance) else "multi-agent"
+        commands = {f"{kind} dp vs brute force": (printed("solve-multi-agent"), "profit")}
+    for name, (out, key) in commands.items():
+        assert checks[name]["match"] is True
+        assert checks[name]["solver"] == out[key]
 
 
 def test_multiplatform_agent_prunes_once(tmp_path, capsys, monkeypatch):

@@ -225,7 +225,7 @@ def test_solved_games_are_freed():
 
 
 def reference_pure_nash_search(g):
-    subsets = game._subsets_lex(g.n)
+    subsets = sorted(all_subsets(g.n), key=lambda s: tuple(sorted(s)))
     for profile in itertools.product(subsets, repeat=g.num_designers):
         is_nash = True
         for d in range(g.num_designers):

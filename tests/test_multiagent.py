@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdp import game, multiagent
+from pdp import game, multiagent, multiplatform
 from pdp.agent import TooLarge
 from pdp.core import (
     all_subsets,
@@ -1795,16 +1795,18 @@ def test_nash_search_builds_each_image_once(monkeypatch):
         scales[len(vectors)] += 1
         return real_scale(*vectors)
 
-    # CurvePool scales four vectors, integer_cost one; both in multiagent.
+    # CurvePool scales four vectors (in multiplatform.hull_points),
+    # integer_cost one (in multiagent).
     monkeypatch.setattr(multiagent, "scale_to_integers", counting)
+    monkeypatch.setattr(multiplatform, "scale_to_integers", counting)
     runs = []
-    real_run = multiagent.competitive_run
+    real_run = multiagent.state_run
 
-    def running(state, rivals, own):
+    def running(state, point_sets):
         runs.append(state)
-        return real_run(state, rivals, own)
+        return real_run(state, point_sets)
 
-    monkeypatch.setattr(multiagent, "competitive_run", running)
+    monkeypatch.setattr(multiagent, "state_run", running)
     assert game.pure_nash_search(g) is None
     everything = (frozenset(range(1, g.n + 1)),) * g.num_designers
     assert pooled == [(d, everything) for d in range(g.num_designers)]
