@@ -2,11 +2,19 @@
 
 Exit codes: 0 success, 1 solver/oracle mismatch in verify, 2 invalid
 input (parse, schema, or guard violations).  Diagnostics go to stderr.
+
+Importing this module runs only `pdp.core` besides itself.  The solver
+modules are bound through `_lazy`, and each runs on the first use of one of
+its names, so a command runs only the solvers it calls.  Start-up is most of
+the CPU time of a one-shot `pdp` run: the solvers answer a flower document
+in well under a millisecond, against tens of milliseconds to start Python
+and compile the modules it imports.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import sys
@@ -17,7 +25,6 @@ from functools import partial
 from math import gcd
 from typing import NamedTuple
 
-from . import agent, designer, game, instances, multiagent, multiplatform
 from .core import (
     FlowerInstance,
     FlowerPairs,
@@ -33,7 +40,32 @@ from .core import (
     rat,
     steady_state_general,
 )
-from .multiagent import CompetitiveInstance, ExternalPlatform, MultiAgentInstance
+
+
+def _lazy(name: str):
+    """The module `pdp.<name>`, put into sys.modules now; its body runs on
+    the first access to one of its attributes (importlib.util.LazyLoader).
+
+    This cuts start-up time.  Being in sys.modules, the module is found by
+    later imports and by code that looks it up there before its first use.
+    A module already imported is returned as it is.  LazyLoader is not
+    thread-safe before Python 3.12; `pdp` runs no threads.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)  # as an eager import binds it
+    return module
+
+
+agent, designer, game, instances, multiagent, multiplatform = (
+    _lazy(name) for name in ("agent", "designer", "game", "instances", "multiagent", "multiplatform")
+)
 
 
 class ParseError(ValueError):
@@ -287,8 +319,9 @@ def parse_instance(doc):
     mi = _build("agents", multiagent.build_multi_agent_instance, agents, *_steps(doc))
     if kind == "multi-agent":
         return mi
+    external = multiagent.ExternalPlatform
     platforms = [
-        ExternalPlatform(**{"id": f"ext{i}", **_read(pl, _PLATFORM, f"platforms[{i}]", n, mi.k)})
+        external(**{"id": f"ext{i}", **_read(pl, _PLATFORM, f"platforms[{i}]", n, mi.k)})
         for i, pl in enumerate(_list(doc.get("platforms"), "platforms"))
     ]
     return _build("platforms", multiagent.build_competitive_instance, mi, platforms)
@@ -297,13 +330,13 @@ def parse_instance(doc):
 def serialize_instance(obj) -> dict:
     if isinstance(obj, FlowerInstance):
         return {"version": 1, "kind": "flower", "states": obj.n, **_write(obj, _FLOWER)}
-    if isinstance(obj, CompetitiveInstance):
+    if isinstance(obj, multiagent.CompetitiveInstance):
         return {
             **serialize_instance(obj.mi),
             "kind": "competitive",
             "platforms": [_write(pl, _PLATFORM) for pl in obj.externals],
         }
-    if isinstance(obj, MultiAgentInstance):
+    if isinstance(obj, multiagent.MultiAgentInstance):
         return {
             "version": 1,
             "kind": "multi-agent",
@@ -333,9 +366,9 @@ def serialize_instance(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_instance(path: str, *types):
-    """The document at `path` and its instance, which must be one of `types`
-    when any are given."""
+def _load_instance(path: str, *kinds):
+    """The document at `path` and its instance, whose `kind` must be one of
+    `kinds` when any are given."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -344,7 +377,7 @@ def _load_instance(path: str, *types):
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     inst = parse_instance(doc)
-    if types and not isinstance(inst, types):
+    if kinds and doc["kind"] not in kinds:
         raise SchemaError(f"kind: this command does not take a {doc['kind']} document")
     return doc, inst
 
@@ -373,7 +406,7 @@ def _solve_agent(dp):
 
 
 def _cmd_solve_agent(args):
-    _, inst = _load_instance(args.instance, FlowerInstance)
+    _, inst = _load_instance(args.instance, "flower")
     solver, result, steps = _solve_agent(inst.params)
     return {
         "solver": solver,
@@ -386,7 +419,7 @@ def _cmd_solve_agent(args):
     }
 
 
-def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
+def _multiplatform_greedy(ci: multiagent.CompetitiveInstance, i: int):
     """Agent i's (0-based) derived parameters, its view of the external
     platforms, their Pareto curves and the greedy's selection over them."""
     dp = ci.mi.params[i]
@@ -395,7 +428,7 @@ def _multiplatform_greedy(ci: CompetitiveInstance, i: int):
 
 
 def _cmd_solve_multiplatform(args):
-    _, ci = _load_instance(args.instance, CompetitiveInstance)
+    _, ci = _load_instance(args.instance, "competitive")
     if not 1 <= args.agent <= ci.mi.k:
         raise SchemaError(f"--agent: no agent {args.agent}")
     _, _, _, sel = _multiplatform_greedy(ci, args.agent - 1)
@@ -418,7 +451,7 @@ def _designer_steps(args, doc) -> dict:
 
 
 def _cmd_solve_designer(args):
-    doc, inst = _load_instance(args.instance, FlowerInstance)
+    doc, inst = _load_instance(args.instance, "flower")
     q = _designer_steps(args, doc)
     if args.exact:
         return _offer("designer-oracle", designer.designer_oracle(inst))
@@ -437,13 +470,13 @@ def _cmd_solve_designer(args):
 def _threshold_dp(obj):
     """A multi-agent or competitive instance's kind, its number of states,
     its solver and its independent profit."""
-    if isinstance(obj, CompetitiveInstance):
+    if isinstance(obj, multiagent.CompetitiveInstance):
         return "competitive", obj.mi.n, multiagent.competitive_solve, multiagent.competitive_profit
     return "multi-agent", obj.n, multiagent.multi_agent_solve, multiagent.multi_agent_profit
 
 
 def _cmd_solve_multi_agent(args):
-    _, obj = _load_instance(args.instance, MultiAgentInstance, CompetitiveInstance)
+    _, obj = _load_instance(args.instance, "multi-agent", "competitive")
     name, _, solve, _ = _threshold_dp(obj)
     return _offer(f"{name}-dp", solve(obj))
 
@@ -469,7 +502,7 @@ def _profile_doc(profile):
 
 
 def _cmd_best_response(args):
-    _, g = _load_instance(args.instance, game.GameInstance)
+    _, g = _load_instance(args.instance, "game")
     if not 1 <= args.designer <= g.num_designers:
         raise SchemaError(f"--designer: no designer {args.designer}")
     profile = _parse_profile(args.profile, g, "--profile")
@@ -485,7 +518,7 @@ def _cmd_best_response(args):
 def _cmd_dynamics(args):
     if args.max_rounds < 0:
         raise SchemaError("--max-rounds: expected a nonnegative integer")
-    _, g = _load_instance(args.instance, game.GameInstance)
+    _, g = _load_instance(args.instance, "game")
     initial = _parse_profile(args.init, g, "--init")
     outcome = game.best_response_dynamics(g, initial, args.max_rounds)
     return {
@@ -499,7 +532,7 @@ def _cmd_dynamics(args):
 
 
 def _cmd_nash(args):
-    _, g = _load_instance(args.instance, game.GameInstance)
+    _, g = _load_instance(args.instance, "game")
     nash = game.pure_nash_search(g)
     return {"solver": "pure-nash-search", "nash": None if nash is None else _profile_doc(nash)}
 
@@ -652,7 +685,7 @@ def _verify_threshold_dp(obj) -> list[dict]:
         return _compared(match, sel.utility, oracle.utility, locally_optimal=local)
 
     checks = [_check(f"{name} dp vs brute force", optimum)]
-    if isinstance(obj, CompetitiveInstance):
+    if isinstance(obj, multiagent.CompetitiveInstance):
         for i in range(obj.mi.k):
             check = f"agent {i + 1} multiplatform greedy vs oracle"
             checks.append(_check(check, partial(multiplatform_greedy, i)))
@@ -707,17 +740,17 @@ def _verify_chain(chain: GeneralChain) -> list[dict]:
 
 
 _CHECKERS = {
-    FlowerInstance: _verify_flower,
-    MultiAgentInstance: _verify_threshold_dp,
-    CompetitiveInstance: _verify_threshold_dp,
-    game.GameInstance: _verify_game,
-    GeneralChain: _verify_chain,
+    "flower": _verify_flower,
+    "multi-agent": _verify_threshold_dp,
+    "competitive": _verify_threshold_dp,
+    "game": _verify_game,
+    "general-chain": _verify_chain,
 }
 
 
 def _cmd_verify(args):
-    _, obj = _load_instance(args.instance)
-    checks = _CHECKERS[type(obj)](obj)
+    doc, obj = _load_instance(args.instance)
+    checks = _CHECKERS[doc["kind"]](obj)
     return {"solver": "verify", "checks": checks, "ok": all(c.get("match", True) for c in checks)}
 
 

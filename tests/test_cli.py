@@ -1555,6 +1555,40 @@ def test_import_builds_no_parser():
     assert run.stdout.endswith("\n0 10\n")
 
 
+def test_import_runs_only_the_core(tmp_path):
+    # Importing pdp.cli runs pdp, pdp.core and pdp.cli; the solver modules
+    # are in sys.modules but run on first use, so each command runs only
+    # the ones it calls.  A module not yet run is a LazyLoader subclass of
+    # ModuleType.
+    script = (
+        "import contextlib, io, sys, types\n"
+        "def ran():\n"
+        "    return sorted(name for name, m in sys.modules.items()\n"
+        "                  if name.partition('.')[0] == 'pdp' and type(m) is types.ModuleType)\n"
+        "import pdp.cli\n"
+        "steps = [ran()]\n"
+        "for command in ('solve-agent', 'solve-designer'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert pdp.cli.main([command, sys.argv[1]]) == 0\n"
+        "    steps.append(ran())\n"
+        "print(steps)\n"
+    )
+    doc = write_doc(tmp_path, serialize_instance(make_example()))
+    src = str(Path(pdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script, doc], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == repr(
+        [
+            ["pdp", "pdp.cli", "pdp.core"],
+            ["pdp", "pdp.agent", "pdp.cli", "pdp.core"],
+            ["pdp", "pdp.agent", "pdp.cli", "pdp.core", "pdp.designer"],
+        ]
+    ) + "\n"
+
+
 @pytest.mark.parametrize(
     "kind, arg, message",
     [

@@ -1,7 +1,9 @@
 """Golden outputs: every `pdp` command on small seeded documents of each
 kind, and on one malformed document per reader path, must print what
 `golden.json` holds: the exit code, stderr, and stdout without
-`wall_clock_seconds`.
+`wall_clock_seconds`.  Each case is replayed twice: through `main` in
+this process, and as `python -m pdp.cli` in a fresh interpreter, where no
+earlier case has loaded a module the command needs.
 
 The documents come from the benchmark's generator (`perfbench/gen.py`) at
 fixed seeds and are stored in the file, so a change to either generator
@@ -15,8 +17,10 @@ only when an output is meant to change, and say why in CHANGES.md.
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,20 +30,26 @@ import pytest
 from pdp.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 # The one field of a result that differs between runs; main writes it last.
 _WALL_CLOCK = re.compile(r',\n  "wall_clock_seconds": [^\n]*')
 
 
-def run_case(case, directory) -> dict:
-    """main on the case's argv, its document (if any) written under
-    `directory` in place of "DOC": the exit code, stdout without the wall
-    clock, and stderr."""
+def case_argv(case, directory) -> list:
+    """The case's argv, its document (if any) written under `directory` in
+    place of "DOC"."""
     path = Path(directory) / "doc.json"
     if case["doc"] is not None:
         path.write_text(json.dumps(case["doc"]), encoding="utf-8")
-    argv = [str(path) if arg == "DOC" else arg for arg in case["argv"]]
+    return [str(path) if arg == "DOC" else arg for arg in case["argv"]]
+
+
+def run_case(case, directory) -> dict:
+    """main on the case's argv: the exit code, stdout without the wall
+    clock, and stderr."""
+    argv = case_argv(case, directory)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -150,6 +160,18 @@ _GOLDEN = json.loads(GOLDEN.read_text(encoding="utf-8"))
 def test_output_matches_golden(case, tmp_path):
     expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
     assert run_case(case, tmp_path) == expected
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[c["name"] for c in _GOLDEN])
+def test_fresh_interpreter_matches_golden(case, tmp_path):
+    expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-m", "pdp.cli", *case_argv(case, tmp_path)],
+        env=env, capture_output=True, encoding="utf-8",
+    )
+    stdout = _WALL_CLOCK.sub("", run.stdout)
+    assert {"exit": run.returncode, "stdout": stdout, "stderr": run.stderr} == expected
 
 
 def test_golden_covers_every_command_and_failure():
