@@ -8,7 +8,6 @@ representative per bin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,11 +44,12 @@ class DesignSet:
 
 @dataclass(frozen=True)
 class QuantizedInstance:
+    """The FPTAS's input, as preprocess checked it: the best singleton
+    profit K and the surviving states, in state order."""
+
     inst: FlowerInstance
-    delta: Fraction
     epsilon: Fraction
     K: Fraction
-    r: Fraction
     surviving: tuple[int, ...]
 
 
@@ -88,9 +88,8 @@ def preprocess(
     integer pair (pnum, den) worth pnum / (den * M), the best, K, is found
     by cross-multiplication, and r = max cost / K is max(cost * M) * den /
     pnum for K's pair.  z is a whole multiple of delta = dn/dd iff L * dn
-    divides z * L * dd.  The default delta, gcd(z * L) / L over the
-    survivors, divides every z and is only recorded, for criterion 04's bin
-    bound.  K, r and the default delta are the only Fractions made.
+    divides z * L * dd.  K and r are the only Fractions made; with the
+    profit fptas_solve returns, a solve makes three.
     """
     epsilon = rat(epsilon)
     if not 0 < epsilon < 1:
@@ -122,13 +121,11 @@ def preprocess(
             k_num, k_den = profit
     if not surviving:
         raise EmptyInstance("no state has a feasible, profitable singleton")
-    if delta is None:
-        delta = Fraction(math.gcd(*(image.z[i - 1] for i in surviving)), L)
     K = Fraction(k_num, k_den * sp.M)
     r = Fraction(max(sp.cost[i - 1] for i in surviving) * k_den, k_num)
     if r > _COST_RATIO:
         raise CostBoundError(f"cost/K ratio {r} exceeds the ceiling {_COST_RATIO}")
-    return QuantizedInstance(inst, delta, epsilon, K, r, tuple(surviving))
+    return QuantizedInstance(inst, epsilon, K, tuple(surviving))
 
 
 def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignSet:
@@ -145,8 +142,7 @@ def fptas_solve(qi: QuantizedInstance, stage_log: list | None = None) -> DesignS
     from qi.inst.params.image, d*w and cost (times M) from qi.inst.scaled.
     The rounded profit and revenue come from integer floor division and
     feasibility from one cross-multiplication.  The only Fraction made is
-    the returned profit.  delta is not read: it keys no bin and preprocess
-    checked every surviving z, so any delta gets the same DesignSet.
+    the returned profit.
 
     Each stage walks a snapshot of the table in insertion order, and the
     result does not depend on that order.  Every snapshot entry yields

@@ -212,7 +212,7 @@ def agent_guesses(im: CurveImage, work: _Work):
         member = [False] * n
         sigma, tau = [0] * n, [0] * n
         for (inserted, s), e in last.items():
-            if inserted and e.own:
+            if inserted and e.platform.own:
                 f = fall.get(s)
                 member[s - 1] = True
                 sigma[s - 1] = e.zphi - (f.zphi if f else 0)
@@ -505,7 +505,7 @@ def competitive_profit_pair(ci: CompetitiveInstance, S) -> tuple[int, int]:
         # Read off the module, so a wrapper set there (a tracer's, a test's)
         # sees these walks and solve-multiplatform-agent's alike.
         selected, _, D = multiplatform.greedy_walk(im.entries, im.A, im.B, S)
-        rev = sum(im.dw[s - 1] for s, e in selected.items() if e.own)
+        rev = sum(im.dw[s - 1] for s, e in selected.items() if e.platform.own)
         if rev:
             num, den = num * D + rev * den, den * D
     return num, den

@@ -77,9 +77,9 @@ class SelectionResult:
 class CurveEntry(NamedTuple):
     """One point of a Pareto curve, as state_run lists it: the slope into
     it as psi / psi_den (psi_den > 0, not reduced), its index idx on the
-    curve of its state, z and z*phi times the common denominator L, whether
-    it is the designer's own candidate, and whether it comes from the
-    second curve set (the curves with that candidate inserted)."""
+    curve of its state, z and z*phi times the common denominator L, the
+    Platform _hull kept there, and whether it comes from the second curve
+    set (the curves with the designer's candidate inserted)."""
 
     psi: int
     psi_den: int
@@ -87,18 +87,20 @@ class CurveEntry(NamedTuple):
     idx: int
     z: int
     zphi: int
-    own: bool
+    platform: Platform
     inserted: bool
 
 
 def _hull(points):
-    """The Pareto curve of integer points (z, z*phi, str(id), own) of one
-    state, z > 0, by one monotone-chain pass: its points in curve order, and
-    the slope into each as a pair (z*phi step, z step), from the origin for
-    the first.  Of points with equal z it keeps the highest z*phi, then the
-    smallest str(id), then the first given; it drops a point on or below the
-    segment between its neighbours, and ends before the first slope <= 0.
-    Slopes are compared by cross-multiplying, as every z step is positive."""
+    """The Pareto curve of integer points (z, z*phi, str(id), platform) of
+    one state, z > 0, by one monotone-chain pass: its points in curve
+    order, and the slope into each as a pair (z*phi step, z step), from the
+    origin for the first.  Of points with equal z it keeps the highest
+    z*phi, then the smallest str(id), then the first given: the one place
+    that decides which platform a curve point stands for.  It drops a point
+    on or below the segment between its neighbours, and ends before the
+    first slope <= 0.  Slopes are compared by cross-multiplying, as every z
+    step is positive."""
     hull: list[tuple] = []
     psi: list[tuple[int, int]] = []
     for p in sorted(points, key=lambda p: (p[0], -p[1], p[2])):
@@ -134,17 +136,18 @@ def _by_psi(entries: list[CurveEntry]) -> list[CurveEntry]:
 
 def state_run(state: int, point_sets) -> list[CurveEntry]:
     """The run of one state: the Pareto curve of each set of integer points
-    (z*L, z*phi*L, str(id), own) at the state, as CurveEntrys, those
+    (z*L, z*phi*L, str(id), platform) at the state, as CurveEntrys, those
     of every set after the first marked inserted, in the greedy's order:
     psi descending, then str(id), then the earlier set.  Each curve is
     _hull's: of equal z the highest z*phi, then the smallest str(id), then
-    the first given.  Along each curve psi falls strictly, so each curve's
-    entries appear in curve order."""
+    the first given, and each entry carries the platform of the point kept.
+    Along each curve psi falls strictly, so each curve's entries appear in
+    curve order."""
     tagged = []
     for inserted, points in enumerate(point_sets):
         hull, psi = _hull(points)
-        for idx, ((z, zphi, sid, own), (num, den)) in enumerate(zip(hull, psi)):
-            tagged.append((sid, CurveEntry(num, den, state, idx, z, zphi, own, inserted > 0)))
+        for idx, ((z, zphi, sid, pl), (num, den)) in enumerate(zip(hull, psi)):
+            tagged.append((sid, CurveEntry(num, den, state, idx, z, zphi, pl, inserted > 0)))
     tagged.sort(key=itemgetter(0))
     return _by_psi([e for _, e in tagged])
 
@@ -158,38 +161,32 @@ def merge_runs(runs) -> tuple[CurveEntry, ...]:
 def hull_points(platforms, *vectors):
     """(L, *scaled, points): the vectors, then every platform's z and z*phi,
     over one common denominator L, as scale_to_integers returns them, and
-    each platform's point (z*L, z*phi*L, str(id), own), the form state_run
-    takes.  A z and a phi may be Fractions or Pairs."""
+    each platform's point (z*L, z*phi*L, str(id), platform), the form
+    state_run takes.  A z and a phi may be Fractions or Pairs."""
     L, *scaled, z, zphi = scale_to_integers(
         *vectors, [pl.z for pl in platforms], [product_pair(pl.z, pl.phi) for pl in platforms]
     )
-    return (L, *scaled, [(zi, zp, str(pl.id), pl.own) for pl, zi, zp in zip(platforms, z, zphi)])
+    return (L, *scaled, [(zi, zp, str(pl.id), pl) for pl, zi, zp in zip(platforms, z, zphi)])
 
 
 def curve_entries(platforms, *vectors):
     """(L, *scaled, entries, curves) for platforms of z > 0: the vectors and
     L as hull_points returns them; each state's Pareto curve (_hull), as
     the entries state_run and merge_runs list in the greedy's order; and the
-    same curves as ParetoCurves, by state.  Each curve point is the
-    platform _hull keeps there: of the state's platforms with that z and
-    z*phi, the smallest str(id), the first given on equal str(id)."""
+    same curves as ParetoCurves, by state, each curve's platforms read off
+    its entries."""
     platforms = tuple(platforms)
     for pl in platforms:
         if pl.z <= 0:
             raise SignError(f"platform {pl.id!r} has z = {pl.z} <= 0")
     L, *scaled, points = hull_points(platforms, *vectors)
     by_state: dict[int, list[tuple]] = {}
-    kept: dict[tuple[int, int, int], Platform] = {}
     for pl, point in zip(platforms, points):
-        zi, zp, sid, _ = point
         by_state.setdefault(pl.state, []).append(point)
-        key = (pl.state, zi, zp)
-        if key not in kept or sid < str(kept[key].id):
-            kept[key] = pl
     runs = {state: state_run(state, (points,)) for state, points in sorted(by_state.items())}
     curves = {}
     for state, run in runs.items():  # in curve order: a run of one curve
-        pls = tuple(kept[state, e.z, e.zphi] for e in run)
+        pls = tuple(e.platform for e in run)
         curves[state] = ParetoCurve(state, pls, tuple(Fraction(e.psi, e.psi_den) for e in run))
     return (L, *scaled, merge_runs(runs.values()), curves)
 
@@ -208,7 +205,7 @@ def select_platforms(platforms, A: Fraction, B: Fraction) -> tuple[dict, Selecti
     curve_entries call."""
     _, (a, b), entries, curves = curve_entries(platforms, (A, B))
     selected, num, den = greedy_walk(entries, a, b, frozenset())
-    chosen = tuple(curves[s].platforms[e.idx] for s, e in sorted(selected.items()))
+    chosen = tuple(e.platform for _, e in sorted(selected.items()))
     return curves, SelectionResult(chosen, Fraction(num, den))
 
 

@@ -1,3 +1,4 @@
+import math
 import signal
 from fractions import Fraction as F
 
@@ -63,3 +64,12 @@ def reference_flowers():
         gen_random_flower(1 + idx % 200, seed=18000 + idx, ranges=FLOWER_KINDS[idx % 4])
         for idx in range(1000)
     ]
+
+
+def table_bound_grid(qi):
+    """(delta, r) of the FPTAS's table-size bound for a preprocessed flower,
+    derived as perfbench/check.py derives them: delta is the gcd of the
+    surviving z, and r the largest surviving cost over K."""
+    zs = [qi.inst.params.z[i - 1] for i in qi.surviving]
+    delta = F(math.gcd(*(z.numerator for z in zs)), math.lcm(*(z.denominator for z in zs)))
+    return delta, max(qi.inst.cost[i - 1] for i in qi.surviving) / qi.K

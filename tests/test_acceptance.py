@@ -36,6 +36,8 @@ from pdp.multiagent import (
 )
 from pdp.multiplatform import Platform, multi_greedy_solve, multi_oracle, prune_redundant
 
+from conftest import table_bound_grid
+
 fs = frozenset
 
 
@@ -113,9 +115,10 @@ def test_criterion_04_fptas_guarantee():
         result = fptas_solve(qi)
         exact = designer_oracle(inst)
         dp = derived_params(inst)
-        z_steps = sum(int(dp.z[i - 1] / qi.delta) for i in qi.surviving)
+        delta, r = table_bound_grid(qi)
+        z_steps = sum(int(dp.z[i - 1] / delta) for i in qi.surviving)
         profit_bins = math.ceil(2 * n * n / epsilon) + 2
-        revenue_bins = math.ceil(2 * n * n * (1 + qi.r) / epsilon) + 2
+        revenue_bins = math.ceil(2 * n * n * (1 + r) / epsilon) + 2
         if not (
             result.profit >= (1 - epsilon) * exact.profit
             and is_feasible(inst, result.states)

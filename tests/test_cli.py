@@ -1589,6 +1589,47 @@ def test_import_runs_only_the_core(tmp_path):
     ) + "\n"
 
 
+_CHAIN = {"version": 1, "kind": "general-chain", "rows": [["0", "1"], ["1", "0"]], "start": 0}
+_SOLVERS = ["pdp.agent", "pdp.designer", "pdp.multiagent", "pdp.multiplatform"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, loaded",
+    [
+        (["verify"], _CHAIN, []),
+        (["verify"], serialize_instance(make_example()), ["pdp.agent", "pdp.designer"]),
+        (["solve-multi-agent"], serialize_instance(gen_random_multi_agent(3, 2, seed=1)), _SOLVERS),
+        (["nash"], serialize_instance(gen_no_nash_game()), [*_SOLVERS, "pdp.game"]),
+        (
+            ["gen", "--kind", "random-flower", "--n", "3", "--seed", "1"],
+            None,
+            [*_SOLVERS, "pdp.game", "pdp.instances"],
+        ),
+    ],
+    ids=["verify-chain", "verify-flower", "solve-multi-agent", "nash", "gen"],
+)
+def test_each_command_runs_only_its_modules(tmp_path, argv, doc, loaded):
+    # One fresh process per command: the pdp modules that have run after
+    # it, beyond pdp, pdp.core and pdp.cli, are the ones it calls.
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import pdp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pdp.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(name for name, m in sys.modules.items()\n"
+        "             if name.partition('.')[0] == 'pdp' and type(m) is types.ModuleType))\n"
+    )
+    if doc is not None:
+        argv = [argv[0], write_doc(tmp_path, doc), *argv[1:]]
+    src = str(Path(pdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == repr(sorted(["pdp", "pdp.cli", "pdp.core", *loaded])) + "\n"
+
+
 @pytest.mark.parametrize(
     "kind, arg, message",
     [

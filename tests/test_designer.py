@@ -30,7 +30,7 @@ from pdp.designer import (
 )
 from pdp.instances import gen_random_flower
 
-from conftest import MIXED
+from conftest import MIXED, table_bound_grid
 
 
 def _replaced(inst, **vectors):
@@ -280,8 +280,7 @@ def test_preprocess_reference(example):
     qi = preprocess(example)
     assert qi.surviving == (1, 2)
     assert qi.K == F(49, 10)
-    assert qi.delta == 1
-    assert qi.r == F(1, 10) / F(49, 10)
+    assert table_bound_grid(qi) == (1, F(1, 10) / F(49, 10))
 
 
 def test_preprocess_drops_worthless_state(example):
@@ -296,7 +295,7 @@ def test_preprocess_drops_worthless_state(example):
 
 def test_preprocess_quantization_error(example):
     qi = preprocess(example)
-    assert qi.delta == 1
+    assert table_bound_grid(qi)[0] == 1
     with pytest.raises(QuantizationError):
         preprocess(example, delta=F(2, 3))
 
@@ -485,7 +484,7 @@ def test_bin_invariance_lemma():
             N, D, revenue, profit = _entry_data(inst, S)
             if S and profit <= 0:
                 continue
-            key = (math.ceil(profit / unit), math.ceil(revenue / unit), D / qi.delta)
+            key = (math.ceil(profit / unit), math.ceil(revenue / unit), D)
             bins.setdefault(key, []).append((S, N, D, profit))
         rest = set(qi.surviving)
         for group in bins.values():
@@ -553,9 +552,10 @@ def test_table_size_bound():
         dp = derived_params(inst)
         n = inst.n
         result = fptas_solve(qi)
-        z_steps = sum(int(dp.z[i - 1] / qi.delta) for i in qi.surviving)
+        delta, r = table_bound_grid(qi)
+        z_steps = sum(int(dp.z[i - 1] / delta) for i in qi.surviving)
         profit_bins = math.ceil(2 * n * n / epsilon) + 2
-        revenue_bins = math.ceil(2 * n * n * (1 + qi.r) / epsilon) + 2
+        revenue_bins = math.ceil(2 * n * n * (1 + r) / epsilon) + 2
         assert result.bins <= profit_bins * revenue_bins * (z_steps + 1)
 
 
@@ -596,7 +596,7 @@ def test_fptas_matches_fraction_reference():
         if isinstance(ref, type):
             assert qi is ref
             continue
-        assert (qi.surviving, qi.K, qi.r, qi.delta) == (ref.surviving, ref.K, ref.r, ref.delta)
+        assert (qi.surviving, qi.K) == (ref.surviving, ref.K)
         ref_log, log = [], []
         expected = _ref_fptas(ref, stage_log=ref_log)
         result = fptas_solve(qi, stage_log=log)
@@ -652,11 +652,14 @@ def _off_grid(example):
 
 
 def test_fptas_reads_no_delta(example):
-    # preprocess is the one check of the FPTAS's input: a hand-built
-    # instance with any delta solves as the one preprocess built.
-    assert preprocess(example).delta == 1
-    for qi, delta in _off_grid(example):
-        assert fptas_solve(dataclasses.replace(qi, delta=delta)) == fptas_solve(qi)
+    # delta only checks the grid: at delta0 / m, for delta0 the gcd of the
+    # surviving z, preprocess gives the same DesignSet, bins included.
+    quarters = gen_random_flower(6, seed=0, delta=F(1, 4))
+    for inst in (example, quarters):
+        qi = preprocess(inst)
+        delta0 = table_bound_grid(qi)[0]
+        for m in (1, 2, 3):
+            assert fptas_solve(preprocess(inst, delta=delta0 / m)) == fptas_solve(qi)
 
 
 def test_preprocess_rejects_nonpositive_delta(example):
@@ -755,9 +758,9 @@ def _ref_designer_scaled(inst, dp):
 
 
 # Reference: the FPTAS that walked each stage's table in sorted key order,
-# on the single-L Fraction-product image.  The insertion-order walk must
-# store the same sets in every bin.
-def _sorted_fptas(qi, stage_log=None):
+# on the single-L Fraction-product image, keyed on steps of delta.  The
+# insertion-order walk must store the same sets in every bin.
+def _sorted_fptas(qi, delta, stage_log=None):
     dp = derived_params(qi.inst)
     sp = _ref_scaled_params(qi.inst, dp)
     L, A = sp.L, sp.A
@@ -768,7 +771,7 @@ def _sorted_fptas(qi, stage_log=None):
     for k in qi.surviving:
         j = k - 1
         # Steps of delta, whole or not, key a bin as sum z does.
-        steps_k = dp.z[j] / qi.delta
+        steps_k = dp.z[j] / delta
         zk, zphik, phik, dwk, costk = sp.z[j], sp.zphi[j], sp.phi[j], sp.dw[j], sp.cost[j]
         for _, (states, N, den, sum_dw, sum_cost, steps, min_phi, _) in sorted(table.items()):
             new_min = phik if min_phi is None or phik < min_phi else min_phi
@@ -845,7 +848,7 @@ def _preprocessed(fn, inst, **kwargs):
     qi = _raised(fn, inst, **kwargs)
     if isinstance(qi, tuple):
         return qi
-    return qi.surviving, qi.K, qi.r, qi.delta, qi.epsilon
+    return qi.surviving, qi.K, qi.epsilon
 
 
 def test_integer_fptas_matches_sorted_reference():
@@ -875,7 +878,7 @@ def test_integer_fptas_matches_sorted_reference():
         qi = preprocess(inst, delta=delta, epsilon=epsilon)
         outcomes[DesignSet] = outcomes.get(DesignSet, 0) + 1
         result = fptas_solve(qi)
-        expected = _sorted_fptas(qi)
+        expected = _sorted_fptas(qi, table_bound_grid(qi)[0] if delta is None else delta)
         assert (result.states, result.profit, result.bins) == (
             expected.states,
             expected.profit,
@@ -941,8 +944,7 @@ def test_preprocess_errors_match_fraction_reference(example, monkeypatch):
 def test_fptas_off_grid_delta_matches_sorted_reference(example):
     # The FPTAS reads no delta; the sorted reference keys on steps of it.
     for qi, delta in _off_grid(example):
-        off = dataclasses.replace(qi, delta=delta)
-        result, expected = fptas_solve(off), _sorted_fptas(off)
+        result, expected = fptas_solve(qi), _sorted_fptas(qi, delta)
         assert (result.states, result.profit, result.bins) == (
             expected.states,
             expected.profit,
@@ -952,7 +954,7 @@ def test_fptas_off_grid_delta_matches_sorted_reference(example):
 
 def test_fptas_makes_fractions_only_at_the_edges(monkeypatch):
     # Fractions that designer makes in one preprocess plus fptas_solve: K,
-    # r, the default delta and the returned profit, whatever the size.
+    # r and the returned profit, whatever the size.
     made = []
     real = designer.Fraction
 
@@ -973,4 +975,4 @@ def test_fptas_makes_fractions_only_at_the_edges(monkeypatch):
         counts.append(len(made))
         bins.append(result.bins)
     assert bins[1] > 10 * bins[0]
-    assert counts[0] == counts[1] <= 4
+    assert counts[0] == counts[1] == 3

@@ -39,6 +39,7 @@ from pdp.multiagent import (
     slot_coefficients,
 )
 from pdp.multiplatform import CurveEntry, Platform, multi_greedy_solve
+from conftest import table_bound_grid
 from test_game import reference_designer_view
 from test_multiplatform import _chain_prune_redundant
 
@@ -85,7 +86,7 @@ def agent_guess(im, theta, theta_next, work):
     member = [False] * n
     sigma, tau = [0] * n, [0] * n
     for (inserted, s), e in last.items():
-        if inserted and e.own:
+        if inserted and e.platform.own:
             f = fall.get(s)
             member[s - 1] = True
             sigma[s - 1] = e.zphi - (f.zphi if f else 0)
@@ -648,9 +649,10 @@ def test_quantization_grid_only_validates(monkeypatch):
     assert solve_all(2) == coarse
     assert solve_all(3) == coarse
 
-    qi = preprocess(gen_random_flower(12, seed=5))
+    flower = gen_random_flower(12, seed=5)
+    qi = preprocess(flower)
     coarse = fptas_solve(qi)
-    assert fptas_solve(replace(qi, delta=qi.delta / 2)) == coarse
+    assert fptas_solve(preprocess(flower, delta=table_bound_grid(qi)[0] / 2)) == coarse
     assert coarse.bins > 1
 
 
@@ -1293,9 +1295,10 @@ def test_agent_guess_keeps_pairs_on_window_edges(theta, theta_next, kept):
     # (under-lo); and on theta (on-theta).  The entries' psi set the
     # window of agent_guesses' second guess: the candidate's is theta, and
     # a point of no one's own on state 2's inserted curve has theta_next.
+    own, rival = Platform(("own", 1), 1, F(1), F(3), own=True), Platform("r", 2, F(1), F(1))
     entries = (
-        CurveEntry(theta.numerator, theta.denominator, 1, 0, z=1, zphi=3, own=True, inserted=True),
-        CurveEntry(theta_next.numerator, theta_next.denominator, 2, 0, 1, 1, own=False, inserted=True),
+        CurveEntry(theta.numerator, theta.denominator, 1, 0, z=1, zphi=3, platform=own, inserted=True),
+        CurveEntry(theta_next.numerator, theta_next.denominator, 2, 0, 1, 1, platform=rival, inserted=True),
     )
     im = CurveImage(L=1, A=1, B=1, dw=(12, 0), entries=entries)
     _, g, _ = agent_guesses(im, multiagent._Work())
@@ -1545,7 +1548,7 @@ def two_loop_agent_guess(im, theta, theta_next, delta, delta_prime):
     if theta is not INF:
         for s, curve in with_own.items():
             for idx, e in enumerate(curve):
-                if not (e.own and e.psi * t_den >= t_num * e.psi_den):
+                if not (e.platform.own and e.psi * t_den >= t_num * e.psi_den):
                     continue
                 if idx + 1 < len(curve) and curve[idx + 1].psi * n_den > n_num * curve[idx + 1].psi_den:
                     continue
@@ -1699,7 +1702,7 @@ def test_agent_guesses_yield_one_guess_per_distinct_psi():
     (im,) = ci.curves
     psi = [F(e.psi, e.psi_den) for e in im.entries]
     assert psi == [3, 3, 1, 1]
-    assert [(e.state, e.inserted, e.own) for e in im.entries] == [
+    assert [(e.state, e.inserted, e.platform.own) for e in im.entries] == [
         (1, False, False), (1, True, False), (1, True, True), (2, True, True)
     ]
     # One guess above every psi, then one per distinct psi, each equal to

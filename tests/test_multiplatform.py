@@ -380,7 +380,7 @@ def _ref_curve_entries(curve_sets, *vectors):
         [product_pair(pl.z, pl.phi) for _, _, _, pl, _ in points],
     )
     entries = tuple(
-        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl.own, bool(inserted))
+        CurveEntry(psi.numerator, psi.denominator, state, idx, zi, zp, pl, bool(inserted))
         for (psi, state, idx, pl, inserted), zi, zp in zip(points, z, zphi)
     )
     return (L, *scaled, entries)
@@ -399,14 +399,14 @@ def integer_hull_entries(curve_sets):
     for i, pls in enumerate(curve_sets):
         for pl, zi, zp in itertools.islice(points, len(pls)):
             sets = by_state.setdefault(pl.state, [[] for _ in curve_sets])
-            sets[i].append((zi, zp, str(pl.id), pl.own))
+            sets[i].append((zi, zp, str(pl.id), pl))
     return L, merge_runs(state_run(state, sets) for state, sets in sorted(by_state.items()))
 
 
 def _entry_values(L, entries):
     """Each entry's state, idx, own, inserted, psi, and z and z*phi over L."""
     return [
-        (e.state, e.idx, e.own, e.inserted, F(e.psi, e.psi_den), F(e.z, L), F(e.zphi, L))
+        (e.state, e.idx, e.platform.own, e.inserted, F(e.psi, e.psi_den), F(e.z, L), F(e.zphi, L))
         for e in entries
     ]
 
